@@ -122,7 +122,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
 
     _repair_empty(points, assignments, centroids, k)
     counts = np.bincount(assignments, minlength=k)
-    assert counts.min() > 0, "empty cluster survived repair"
+    if counts.min() == 0:
+        raise RuntimeError("empty cluster survived repair")
 
     assignments.flags.writeable = False
     centroids.flags.writeable = False

@@ -50,12 +50,9 @@ class RandomForestModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = check_features(self.n_features, X)
-        X = np.ascontiguousarray(X)
         total = np.zeros(X.shape[0], dtype=np.float64)
-        buf = np.empty(X.shape[0], dtype=np.float64)
         for arrays in self.trees:
-            predict_kernel(*arrays, X, buf)
-            total += buf
+            total += predict_kernel(*arrays, X)
         scores = total / len(self.trees)
         return np.column_stack([1.0 - scores, scores])
 

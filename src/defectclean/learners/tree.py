@@ -14,17 +14,23 @@ estimate (continuity-corrected upper confidence bound at confidence 0.25)
 does not exceed the sum over the subtree's leaves.  Subtree raising is not
 performed.
 
-The growth and prediction routines are written as plain-Python loop kernels
-and compiled with numba when it is importable; the interpreted originals
-(`grow_kernel_py`, `predict_kernel_py`) remain available as the slow
-reference for differential tests, and both paths make identical choices.
+Growth is one numpy kernel, presorted as in SLIQ (Mehta et al., EDBT 1996)
+and SPRINT (Shafer et al., VLDB 1996): each feature is argsorted once per
+tree, and every split stable-partitions those sorted lists, so a node is
+one contiguous segment of each of them.  All thresholds of all candidate
+features of a node are scored in one pass.  Entropies are computed from
+integer class counts through one precomputed ``k * log2(k)`` table (the
+count form of C4.5, Quinlan 1993), so any code path that combines the same
+table entries in the same order makes bit-identical choices.  Nodes
+are numbered depth-first, left child first; random forests key their
+per-node feature subsets by that number.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,170 +59,31 @@ class TreeConfig:
             raise ValueError("confidence must be in (0, 0.5)")
 
 
-def grow_kernel(
-    X, y, idx, feature_table, min_node_size,
-    node_feature, node_threshold, node_left, node_right, node_n, node_pos,
-):
-    """Grow a tree over the samples ``idx`` (duplicates allowed).
+def entropy_table(n: int) -> np.ndarray:
+    """``T[k] = k * log2(k)`` for ``k = 0..n`` (``T[0] = 0``).
 
-    ``feature_table`` row j holds the sorted candidate feature indices for
-    node j; a single-row table is shared by all nodes.  The ``node_*``
-    output arrays must hold at least ``2*len(idx) + 1`` entries.  Mutates
-    ``idx`` (in-place partitioning) and returns the node count.
-    Leaves have ``node_feature == -1``.
+    ``n * H(p / n) = T[n] - (T[p] + T[n - p])``, so every entropy comes
+    from integer counts through one table, and any code path that combines
+    the same entries in the same order gets the same bits.
     """
-    n_total = idx.shape[0]
-    table_rows = feature_table.shape[0]
-    m = feature_table.shape[1]
-
-    values = np.empty(n_total, dtype=np.float64)
-    labels = np.empty(n_total, dtype=np.int64)
-    left_buf = np.empty(n_total, dtype=np.int64)
-    right_buf = np.empty(n_total, dtype=np.int64)
-
-    stack_node = np.empty(2 * n_total + 2, dtype=np.int64)
-    stack_start = np.empty(2 * n_total + 2, dtype=np.int64)
-    stack_end = np.empty(2 * n_total + 2, dtype=np.int64)
-    stack_node[0] = 0
-    stack_start[0] = 0
-    stack_end[0] = n_total
-    sp = 1
-    node_count = 1
-
-    while sp > 0:
-        sp -= 1
-        node = stack_node[sp]
-        start = stack_start[sp]
-        end = stack_end[sp]
-        n_node = end - start
-
-        pos = 0
-        for i in range(start, end):
-            pos += y[idx[i]]
-        node_n[node] = n_node
-        node_pos[node] = pos
-
-        best_f = -1
-        best_t = 0.0
-        if 0 < pos < n_node and n_node >= min_node_size:
-            p1 = pos / n_node
-            p0 = 1.0 - p1
-            h_parent = -(p1 * math.log2(p1) + p0 * math.log2(p0))
-
-            best_ratio = -1.0
-            found_gain = False
-            first_f = -1
-            first_t = 0.0
-            table_row = node if table_rows > 1 else 0
-            for fi in range(m):
-                f = feature_table[table_row, fi]
-                for i in range(n_node):
-                    values[i] = X[idx[start + i], f]
-                    labels[i] = y[idx[start + i]]
-                order = np.argsort(values[:n_node], kind="mergesort")
-                cum_pos = 0
-                for i in range(n_node - 1):
-                    cum_pos += labels[order[i]]
-                    lo = values[order[i]]
-                    hi = values[order[i + 1]]
-                    if lo == hi:
-                        continue
-                    threshold = (lo + hi) / 2.0
-                    if first_f == -1:
-                        first_f = f
-                        first_t = threshold
-                    nl = i + 1
-                    nr = n_node - nl
-                    pl = cum_pos
-                    pr = pos - pl
-                    h_left = 0.0
-                    if 0 < pl < nl:
-                        q = pl / nl
-                        h_left = -(q * math.log2(q) + (1.0 - q) * math.log2(1.0 - q))
-                    h_right = 0.0
-                    if 0 < pr < nr:
-                        q = pr / nr
-                        h_right = -(q * math.log2(q) + (1.0 - q) * math.log2(1.0 - q))
-                    wl = nl / n_node
-                    wr = nr / n_node
-                    gain = h_parent - wl * h_left - wr * h_right
-                    if gain > GAIN_EPS:
-                        split_info = -(wl * math.log2(wl) + wr * math.log2(wr))
-                        ratio = gain / split_info
-                        if ratio > best_ratio:
-                            best_ratio = ratio
-                            best_f = f
-                            best_t = threshold
-                            found_gain = True
-            if not found_gain and first_f != -1:
-                # impure node where every split is uninformative: take the
-                # first separating candidate rather than stopping short
-                best_f = first_f
-                best_t = first_t
-
-        if best_f == -1:
-            node_feature[node] = -1
-            node_threshold[node] = 0.0
-            node_left[node] = -1
-            node_right[node] = -1
-        else:
-            nl = 0
-            nr = 0
-            for i in range(start, end):
-                sample = idx[i]
-                if X[sample, best_f] <= best_t:
-                    left_buf[nl] = sample
-                    nl += 1
-                else:
-                    right_buf[nr] = sample
-                    nr += 1
-            for i in range(nl):
-                idx[start + i] = left_buf[i]
-            for i in range(nr):
-                idx[start + nl + i] = right_buf[i]
-
-            left_id = node_count
-            right_id = node_count + 1
-            node_count += 2
-            node_feature[node] = best_f
-            node_threshold[node] = best_t
-            node_left[node] = left_id
-            node_right[node] = right_id
-            stack_node[sp] = right_id
-            stack_start[sp] = start + nl
-            stack_end[sp] = end
-            sp += 1
-            stack_node[sp] = left_id
-            stack_start[sp] = start
-            stack_end[sp] = start + nl
-            sp += 1
-
-    return node_count
+    table = np.zeros(n + 1, dtype=np.float64)
+    k = np.arange(1, n + 1, dtype=np.float64)
+    table[1:] = k * np.log2(k)
+    return table
 
 
 def predict_kernel(node_feature, node_threshold, node_left, node_right,
-                   node_n, node_pos, X, out):
-    """Walk each row to its leaf and emit the leaf's defective fraction."""
-    for r in range(X.shape[0]):
-        node = 0
-        while node_feature[node] != -1:
-            if X[r, node_feature[node]] <= node_threshold[node]:
-                node = node_left[node]
-            else:
-                node = node_right[node]
-        out[r] = node_pos[node] / node_n[node]
-
-
-grow_kernel_py = grow_kernel
-predict_kernel_py = predict_kernel
-try:  # pragma: no cover - exercised indirectly by differential tests
-    from numba import njit
-
-    grow_kernel = njit(cache=True)(grow_kernel_py)
-    predict_kernel = njit(cache=True)(predict_kernel_py)
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
+                   node_n, node_pos, X):
+    """Walk every row of ``X`` to its leaf, one tree level per numpy step,
+    and return the leaves' defective fractions."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.flatnonzero(node_feature[node] != -1)
+    while rows.size:
+        at = node[rows]
+        go_left = X[rows, node_feature[at]] <= node_threshold[at]
+        node[rows] = np.where(go_left, node_left[at], node_right[at])
+        rows = rows[node_feature[node[rows]] != -1]
+    return node_pos[node] / node_n[node]
 
 
 def _pessimistic_errors(n: int, errors: int, z: float) -> float:
@@ -297,11 +164,9 @@ class DecisionTreeModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = check_features(self.n_features, X)
-        scores = np.empty(X.shape[0], dtype=np.float64)
-        predict_kernel(
+        scores = predict_kernel(
             self.node_feature, self.node_threshold, self.node_left,
-            self.node_right, self.node_n, self.node_pos,
-            np.ascontiguousarray(X), scores,
+            self.node_right, self.node_n, self.node_pos, X,
         )
         return np.column_stack([1.0 - scores, scores])
 
@@ -348,28 +213,97 @@ def grow_tree_arrays(
     sample_idx: np.ndarray,
     feature_table: np.ndarray,
     min_node_size: int,
-    kernel=None,
 ) -> tuple[np.ndarray, ...]:
-    """Run the growth kernel and trim the node arrays to size."""
-    n = sample_idx.shape[0]
+    """Grow a tree over the samples ``sample_idx`` (duplicates allowed).
+
+    ``feature_table`` row j holds the sorted candidate feature indices for
+    node j; a single-row table is shared by all nodes.  Returns the node
+    arrays (feature, threshold, left, right, n, pos), numbered depth-first
+    with the left child first.  Leaves have ``feature == -1``.
+    """
+    X = np.asarray(X, dtype=np.float64)[sample_idx]
+    y = np.asarray(y, dtype=np.int64)[sample_idx]
+    n, d = X.shape
+    columns = np.ascontiguousarray(X.T)
+    table = entropy_table(n)
+    # row f lists the samples in ascending order of feature f; every node
+    # owns the same [start, end) segment of every row
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    left_sizes = np.arange(1, n, dtype=np.int64)
+
     cap = 2 * n + 1
-    node_feature = np.empty(cap, dtype=np.int64)
-    node_threshold = np.empty(cap, dtype=np.float64)
-    node_left = np.empty(cap, dtype=np.int64)
-    node_right = np.empty(cap, dtype=np.int64)
+    node_feature = np.full(cap, -1, dtype=np.int64)
+    node_threshold = np.zeros(cap, dtype=np.float64)
+    node_left = np.full(cap, -1, dtype=np.int64)
+    node_right = np.full(cap, -1, dtype=np.int64)
     node_n = np.empty(cap, dtype=np.int64)
     node_pos = np.empty(cap, dtype=np.int64)
-    run = grow_kernel if kernel is None else kernel
-    count = run(
-        np.ascontiguousarray(X, dtype=np.float64),
-        np.ascontiguousarray(y, dtype=np.int64),
-        sample_idx, feature_table, min_node_size,
-        node_feature, node_threshold, node_left, node_right, node_n, node_pos,
-    )
+
+    stack = [(0, 0, n)]
+    node_count = 1
+    while stack:
+        node, start, end = stack.pop()
+        n_node = end - start
+        pos = int(y[order[0, start:end]].sum())
+        node_n[node] = n_node
+        node_pos[node] = pos
+        if not (0 < pos < n_node and n_node >= min_node_size):
+            continue
+
+        feats = feature_table[node if feature_table.shape[0] > 1 else 0]
+        segment = order[feats, start:end]
+        values = columns[feats[:, None], segment]
+        separates = values[:, :-1] != values[:, 1:]
+        if not separates.any():
+            continue
+        nl = left_sizes[:n_node - 1]
+        nr = n_node - nl
+        pl = np.cumsum(y[segment[:, :-1]], axis=1)
+        pr = pos - pl
+        # n * gain and n * split info; each pair of terms is added before it
+        # is subtracted, so mirror-image splits (children swapped) tie
+        # exactly and the lower feature wins them
+        n_gain = (table[n_node] - (table[pos] + table[n_node - pos])) - (
+            (table[nl] - (table[pl] + table[nl - pl]))
+            + (table[nr] - (table[pr] + table[nr - pr]))
+        )
+        informative = separates & (n_gain / n_node > GAIN_EPS)
+        if informative.any():
+            n_split = table[n_node] - (table[nl] + table[nr])
+            # first maximum in row-major order: lowest feature, then lowest
+            # threshold, as a strict ``>`` scan would pick
+            best = np.argmax(np.where(informative, n_gain / n_split, -1.0))
+        else:
+            # impure node where every split is uninformative: take the
+            # first separating candidate rather than stopping short
+            best = np.argmax(separates)
+        row, i = divmod(int(best), n_node - 1)
+        best_f = int(feats[row])
+        best_t = (values[row, i] + values[row, i + 1]) / 2.0
+
+        block = order[:, start:end]
+        goes_left = columns[best_f][block] <= best_t
+        n_left = int(np.count_nonzero(goes_left[0]))
+        order[:, start:end] = np.concatenate(
+            (block[goes_left].reshape(d, n_left),
+             block[~goes_left].reshape(d, n_node - n_left)),
+            axis=1,
+        )
+
+        left_id = node_count
+        right_id = node_count + 1
+        node_count += 2
+        node_feature[node] = best_f
+        node_threshold[node] = best_t
+        node_left[node] = left_id
+        node_right[node] = right_id
+        stack.append((right_id, start + n_left, end))
+        stack.append((left_id, start, start + n_left))
+
     return (
-        node_feature[:count].copy(), node_threshold[:count].copy(),
-        node_left[:count].copy(), node_right[:count].copy(),
-        node_n[:count].copy(), node_pos[:count].copy(),
+        node_feature[:node_count].copy(), node_threshold[:node_count].copy(),
+        node_left[:node_count].copy(), node_right[:node_count].copy(),
+        node_n[:node_count].copy(), node_pos[:node_count].copy(),
     )
 
 

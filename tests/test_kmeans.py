@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from defectclean import clustering
 from defectclean.clustering import default_k, kmeans
 
 
@@ -90,6 +91,12 @@ class TestKmeansInvariants:
         result = kmeans(points, k=3, seed=0)
         assert np.bincount(result.assignments, minlength=3).min() >= 1
         assert result.inertia == pytest.approx(0.0)
+
+    def test_empty_cluster_after_repair_raises(self, monkeypatch):
+        # a real exception, not an assert that ``python -O`` strips
+        monkeypatch.setattr(clustering, "_repair_empty", lambda *args: None)
+        with pytest.raises(RuntimeError, match="empty cluster"):
+            kmeans(np.ones((10, 4)), k=3, seed=0)
 
     def test_converged_points_sit_at_nearest_centroid(self, rng):
         for trial in range(20):

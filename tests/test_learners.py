@@ -2,7 +2,7 @@
 
 Oracles: a scalar transcription of Bayes' rule for the naive Bayes
 posteriors, a numeric root-finder for the pessimistic error bound, and the
-interpreted tree kernels as the reference for the compiled ones.  The
+scalar loop kernels in ``_reference_tree`` for the vectorized ones.  The
 perfect-fit property (100% training accuracy on duplicate-free data when
 pruning is off) pins the zero-gain fallback behaviour.
 """
@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectclean.learners import (
     LEARNER_NAMES,
@@ -26,13 +27,13 @@ from defectclean.learners import (
 from defectclean.learners.base import TrainingMatrix, model_from_dict, predict
 from defectclean.learners.forest import default_feature_count, _tree_rng
 from defectclean.learners.tree import (
-    HAVE_NUMBA,
     _pessimistic_errors,
-    grow_kernel_py,
+    entropy_table,
     grow_tree_arrays,
-    predict_kernel_py,
+    predict_kernel,
 )
 
+from ._reference_tree import reference_grow, reference_predict
 from .conftest import case
 
 
@@ -170,6 +171,17 @@ class TestDecisionTree:
         model = train_tree(matrix(X, y), TreeConfig(prune=False))
         assert model.node_feature[0] == 0
 
+    def test_mirror_image_splits_tie_exactly(self):
+        # feature "low" cuts the three defects off on the left, "high" on
+        # the right: the gain ratios are equal, so the lower feature index
+        # must win in either column order
+        y = np.array([True] * 3 + [False] * 6)
+        low = np.arange(9.0)
+        high = low[::-1]
+        for X in (np.column_stack([low, high]), np.column_stack([high, low])):
+            model = train_tree(matrix(X, y), TreeConfig(prune=False))
+            assert model.node_feature[0] == 0
+
     def test_unseparable_node_scores_class_fraction(self):
         X = np.array([[1.0], [1.0], [1.0]])
         y = np.array([True, True, False])
@@ -265,33 +277,71 @@ class TestPessimisticBound:
         assert values[0] > 0  # even an error-free leaf gets a positive charge
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="compiled kernels unavailable")
-class TestKernelEquivalence:
-    def test_compiled_and_interpreted_grow_identically(self, rng):
-        for trial in range(15):
-            n = int(rng.integers(4, 80))
-            X = rng.integers(0, 5, size=(n, 6)).astype(np.float64)
-            y = rng.random(n) < 0.5
-            idx = rng.integers(0, n, size=n, dtype=np.int64)  # duplicates on purpose
-            table = np.sort(
-                np.argsort(rng.random((2 * n + 1, 6)), axis=1)[:, :3], axis=1
-            ).astype(np.int64)
-            fast = grow_tree_arrays(X, y, idx.copy(), table, 2)
-            slow = grow_tree_arrays(X, y, idx.copy(), table, 2, kernel=grow_kernel_py)
-            for a, b in zip(fast, slow):
+@st.composite
+def kernel_cases(draw):
+    """Small trees with every awkward input the kernel must handle."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 6))  # 1: every value tied
+    X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+    if draw(st.booleans()):
+        X *= 0.1  # decimal ratios: midpoints round
+    X[:, rng.random(d) < draw(st.sampled_from([0.0, 0.3]))] = 3.0  # constant
+    y = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    if d >= 2 and draw(st.booleans()):  # XOR: no single split has gain
+        X[:, :2] = rng.integers(0, 2, size=(n, 2))
+        y = X[:, 0] != X[:, 1]
+    if draw(st.booleans()):  # bootstrap duplicates
+        idx = rng.integers(0, n, size=n, dtype=np.int64)
+    else:
+        idx = np.arange(n, dtype=np.int64)
+    if draw(st.booleans()):  # per-node feature subsets
+        m = draw(st.integers(1, d))
+        perms = np.argsort(rng.random((2 * n + 1, d)), axis=1)
+        table = np.sort(perms[:, :m], axis=1).astype(np.int64)
+    else:
+        table = np.arange(d, dtype=np.int64)[None, :]
+    return X, y, idx, table, draw(st.integers(1, 6))
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_grow_equals_scalar_reference(self, case_args):
+        X, y, idx, table, min_node_size = case_args
+        fast = grow_tree_arrays(X, y, idx, table, min_node_size)
+        slow = reference_grow(X, y, idx, table, min_node_size)
+        assert len(fast) == len(slow) == 6
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+    def test_grow_equals_reference_on_forest_trees(self, rng):
+        data = separable(rng, n=120, d=20, gap=0.5)
+        forest = train_forest(data, ForestConfig(trees=3), seed=4)
+        for t, arrays in enumerate(forest.trees):
+            gen = _tree_rng(4, t)
+            idx = gen.integers(0, 120, size=120, dtype=np.int64)
+            perms = gen.permuted(np.tile(np.arange(20, dtype=np.int64), (241, 1)), axis=1)
+            table = np.sort(perms[:, :5], axis=1)
+            for a, b in zip(arrays, reference_grow(data.X, data.y, idx, table, 2)):
                 assert np.array_equal(a, b)
 
-    def test_compiled_and_interpreted_predict_identically(self, rng):
-        data = separable(rng, n=40, d=5)
-        model = train_tree(data, TreeConfig(prune=False))
-        fast = model.predict_proba(data.X)[:, 1]
-        slow = np.empty(data.n_rows, dtype=np.float64)
-        predict_kernel_py(
-            model.node_feature, model.node_threshold, model.node_left,
-            model.node_right, model.node_n, model.node_pos,
-            np.ascontiguousarray(data.X), slow,
-        )
-        assert np.array_equal(fast, slow)
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_cases())
+    def test_predict_equals_scalar_reference(self, case_args):
+        X, y, idx, table, min_node_size = case_args
+        arrays = grow_tree_arrays(X, y, idx, table, min_node_size)
+        queries = np.vstack([X, X + 0.05, X - 0.05])
+        assert np.array_equal(
+            predict_kernel(*arrays, queries), reference_predict(*arrays, queries))
+
+    def test_entropy_table(self):
+        table = entropy_table(6)
+        assert table[0] == 0.0 and table[1] == 0.0
+        for k in range(2, 7):
+            assert table[k] == pytest.approx(k * math.log2(k), rel=1e-15)
 
 
 class TestRandomForest:
@@ -322,7 +372,7 @@ class TestRandomForest:
         X = np.ascontiguousarray(rng.random((12, 5)))
         per_tree = np.empty((7, 12))
         for t, arrays in enumerate(model.trees):
-            predict_kernel_py(*arrays, X, per_tree[t])
+            per_tree[t] = reference_predict(*arrays, X)
         assert np.allclose(model.predict_proba(X)[:, 1], per_tree.mean(axis=0))
 
     def test_first_tree_reproducible_from_seed_contract(self, rng):
