@@ -23,7 +23,7 @@ from . import __version__
 from .cleaning import clean_corpus
 from .data import load_corpus, write_corpus
 from .harness import parse_config, run_experiment
-from .quality import corpus_quality
+from .quality import corpus_quality, within_quality
 from .reports import (
     write_clean_summary,
     write_experiment_reports,
@@ -130,12 +130,13 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     cleaned, summary = clean_corpus(corpus)
 
-    # cheap self-checks; a failure here means the cleaner is broken
-    for original, row in zip(corpus, summary):
-        result_ok = original.case_count == row.case_count + row.removed_cases
-        if not result_ok:
+    # independent self-check: re-scan every cleaned dataset; any problem case
+    # left means the cleaner is broken, so write nothing
+    for ds in cleaned:
+        if not within_quality(ds).problem_free:
             print(
-                f"error: size identity violated for {original.name}", file=sys.stderr
+                f"error: cleaned {ds.name} still contains identical or inconsistent cases",
+                file=sys.stderr,
             )
             return 2
 

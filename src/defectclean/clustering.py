@@ -5,6 +5,25 @@ initial centroid choice, assignment ties go to the lowest cluster id, and
 empty clusters are repaired by moving the farthest point out of the largest
 cluster.  The within-cluster squared-distance objective never increases
 from one iteration to the next.
+
+The Lloyd loop repeats no work that does not depend on the centroids and
+allocates no ``n x k`` array per iteration:
+
+* ``|x|^2`` and ``-2 x`` are computed once per call.  Scaling by a power of
+  two is exact, so ``(|x|^2 + |c|^2) + (-2 x) . c`` rounds exactly like
+  ``(|x|^2 + |c|^2) - 2 x . c``, and the clip at 0 (which decides ties
+  between coincident centroids) sees the same values.
+* Distances are written into two ``n x k`` buffers allocated once per call.
+* The centroid update takes cluster sizes and per-feature sums from
+  ``np.bincount``.  A weighted bincount adds each cluster's members in row
+  order starting from 0.0, which is how numpy's mean over the rows of a
+  C-ordered ``(m, d)`` array adds them when ``d >= 2``.
+
+So for two or more features every assignment, centroid, iteration count
+and inertia is bit-identical to the plain loop that computes each
+cluster's mean on its own (kept as a test oracle).  With a single feature
+numpy sums a cluster's column pairwise instead, so centroids may differ
+from that loop in the last bit.
 """
 
 from __future__ import annotations
@@ -31,21 +50,54 @@ def default_k(n_points: int) -> int:
     return min(n_points, max(2, round(np.sqrt(n_points / 2.0))))
 
 
-def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # |x - c|^2 = |x|^2 + |c|^2 - 2 x.c, clipped against float cancellation
-    d2 = (
-        np.einsum("ij,ij->i", points, points)[:, None]
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-        - 2.0 * points @ centers.T
+def _sq_distances_into(
+    out: np.ndarray,
+    scratch: np.ndarray,
+    points_sq: np.ndarray,
+    neg2_points: np.ndarray,
+    centers: np.ndarray,
+) -> np.ndarray:
+    """Write ``max(|x|^2 + |c|^2 - 2 x.c, 0)`` for every point and centre.
+
+    ``points_sq`` holds ``|x|^2`` and ``neg2_points`` holds ``-2 x``, so a
+    caller that measures the same points repeatedly computes them once.
+    ``out`` and ``scratch`` have shape (points, centres).  The clip guards
+    against float cancellation.
+    """
+    np.add(
+        points_sq[:, None], np.einsum("ij,ij->i", centers, centers)[None, :], out=out
     )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    np.matmul(neg2_points, centers.T, out=scratch)
+    np.add(out, scratch, out=out)
+    np.maximum(out, 0.0, out=out)
+    return out
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances, shape (len(points), len(centers))."""
+    shape = (points.shape[0], centers.shape[0])
+    return _sq_distances_into(
+        np.empty(shape), np.empty(shape),
+        np.einsum("ij,ij->i", points, points), -2.0 * points, centers,
+    )
+
+
+def _plus_plus_init(
+    points: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    points_sq: np.ndarray,
+    neg2_points: np.ndarray,
+) -> np.ndarray:
     n = points.shape[0]
+    out, scratch = np.empty((n, 1)), np.empty((n, 1))
+
+    def distances_to(i: int) -> np.ndarray:
+        center = points[i][None, :]
+        return _sq_distances_into(out, scratch, points_sq, neg2_points, center)[:, 0]
+
     chosen = [int(rng.integers(n))]
-    d2 = _pairwise_sq(points, points[chosen[-1]][None, :])[:, 0]
+    d2 = distances_to(chosen[-1]).copy()
     while len(chosen) < k:
         total = d2.sum()
         if total > 0.0:
@@ -55,7 +107,7 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
         chosen.append(idx)
-        d2 = np.minimum(d2, _pairwise_sq(points, points[idx][None, :])[:, 0])
+        np.minimum(d2, distances_to(idx), out=d2)
     return points[chosen].copy()
 
 
@@ -69,7 +121,7 @@ def _repair_empty(
             continue
         donor = int(np.argmax(counts))
         members = np.flatnonzero(assignments == donor)
-        d2 = _pairwise_sq(points[members], centroids[donor][None, :])[:, 0]
+        d2 = pairwise_sq(points[members], centroids[donor][None, :])[:, 0]
         steal = int(members[np.argmax(d2)])
         assignments[steal] = cid
         counts[donor] -= 1
@@ -95,25 +147,34 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points ({n})")
 
+    points_sq = np.einsum("ij,ij->i", points, points)
+    neg2_points = -2.0 * points
+    columns = np.ascontiguousarray(points.T)
     rng = np.random.default_rng(seed)
-    centroids = _plus_plus_init(points, k, rng)
+    centroids = _plus_plus_init(points, k, rng, points_sq, neg2_points)
 
+    d2, scratch = np.empty((n, k)), np.empty((n, k))
+    sums = np.empty((k, points.shape[1]))
+    rows = np.arange(n)
     history: list[float] = []
-    d2 = _pairwise_sq(points, centroids)
-    assignments = d2.argmin(axis=1).astype(np.int64)
-    history.append(float(d2[np.arange(n), assignments].sum()))
 
+    def assign() -> np.ndarray:
+        _sq_distances_into(d2, scratch, points_sq, neg2_points, centroids)
+        nearest = d2.argmin(axis=1).astype(np.int64, copy=False)
+        history.append(float(d2[rows, nearest].sum()))
+        return nearest
+
+    assignments = assign()
     iterations = 1
     for _ in range(max_iter - 1):
-        for cid in range(k):
-            members = assignments == cid
-            if members.any():
-                centroids[cid] = points[members].mean(axis=0)
+        counts = np.bincount(assignments, minlength=k)
+        filled = counts > 0
+        for j, col in enumerate(columns):
+            sums[:, j] = np.bincount(assignments, weights=col, minlength=k)
+        centroids[filled] = sums[filled] / counts[filled, None]
         _repair_empty(points, assignments, centroids, k)
 
-        d2 = _pairwise_sq(points, centroids)
-        new_assignments = d2.argmin(axis=1).astype(np.int64)
-        history.append(float(d2[np.arange(n), new_assignments].sum()))
+        new_assignments = assign()
         iterations += 1
         if np.array_equal(new_assignments, assignments):
             assignments = new_assignments

@@ -32,9 +32,9 @@ import numpy as np
 from .cleaning import clean_corpus
 from .data import Corpus, Dataset, load_corpus
 from .evaluation import ChangeRate, ConfusionMatrix, auc, change_rate, f_measure
-from .learners import ForestConfig, TrainingMatrix, predict, train
+from .learners import LEARNER_NAMES, ForestConfig, TrainingMatrix, predict, train
 from .rng import derive_seed
-from .selection import build_pool, select_training_data
+from .selection import FILTERS, build_pool, select_training_data
 
 logger = logging.getLogger(__name__)
 
@@ -77,12 +77,26 @@ class ExperimentConfig:
     forest_trees: int = 100
 
     def __post_init__(self) -> None:
+        if not self.targets or (isinstance(self.targets, str) and self.targets != "all"):
+            raise ValueError('targets must be "all" or at least one dataset name')
+        for key, names, known in (
+            ("filters", self.filters, FILTERS), ("learners", self.learners, LEARNER_NAMES)
+        ):
+            if not names:
+                raise ValueError(f"{key} must name at least one of {', '.join(known)}")
+            unknown = [name for name in names if name not in known]
+            if unknown:
+                raise ValueError(
+                    f"{key}: unknown name {unknown[0]!r}; expected some of {', '.join(known)}"
+                )
         if self.pool_mode not in ("strict", "mixed"):
             raise ValueError(f"pool_mode must be strict or mixed, got {self.pool_mode!r}")
         if self.sample_cap is not None and self.sample_cap < 2:
             raise ValueError("sample_cap must be at least 2")
         if self.burak_k < 1:
             raise ValueError("burak_k must be at least 1")
+        if self.peters_clusters is not None and self.peters_clusters < 1:
+            raise ValueError("peters_clusters must be at least 1")
         if self.forest_trees < 1:
             raise ValueError("forest_trees must be at least 1")
 
@@ -139,9 +153,21 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ValueError(f"{key}: expected true/false, got {value!r}")
 
 
+def _parse_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key}: expected an integer, got {value!r}") from None
+
+
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
-    """Parse the key=value config format; unknown keys are errors."""
+    """Parse the key=value config format; unknown keys are errors.
+
+    Every error names the line it comes from, including those raised when
+    the parsed values are checked (unknown filter or learner names, empty
+    lists, out-of-range numbers)."""
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -154,7 +180,19 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         if key in raw:
             raise ValueError(f"line {line_no}: duplicate key {key!r}")
         raw[key] = value
+        lines[key] = line_no
 
+    try:
+        return ExperimentConfig(**_config_kwargs(raw, base_dir))
+    except ValueError as exc:
+        # every value error starts with the offending key's name
+        key = str(exc).split(":", 1)[0].split(" ", 1)[0]
+        if key in lines:
+            raise ValueError(f"line {lines[key]}: {exc}") from None
+        raise
+
+
+def _config_kwargs(raw: dict[str, str], base_dir: Path | None) -> dict[str, object]:
     kwargs: dict[str, object] = {}
     if "corpus" in raw:
         path = Path(raw["corpus"])
@@ -171,19 +209,23 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         kwargs["learners"] = _parse_list(raw["learners"])
     for key in ("seed", "burak_k", "forest_trees"):
         if key in raw:
-            kwargs[key] = int(raw[key])
+            kwargs[key] = _parse_int(key, raw[key])
     if "peters_clusters" in raw:
         value = raw["peters_clusters"]
-        kwargs["peters_clusters"] = None if value.lower() == "auto" else int(value)
+        kwargs["peters_clusters"] = (
+            None if value.lower() == "auto" else _parse_int("peters_clusters", value)
+        )
     if "sample_cap" in raw:
         value = raw["sample_cap"]
-        kwargs["sample_cap"] = None if value.lower() in ("none", "off") else int(value)
+        kwargs["sample_cap"] = (
+            None if value.lower() in ("none", "off") else _parse_int("sample_cap", value)
+        )
     for key in ("normalize", "clean_pool_only"):
         if key in raw:
             kwargs[key] = _parse_bool(key, raw[key])
     if "pool_mode" in raw:
         kwargs["pool_mode"] = raw["pool_mode"]
-    return ExperimentConfig(**kwargs)
+    return kwargs
 
 
 def _cap_dataset(ds: Dataset, cap: int, seed: int) -> Dataset:

@@ -31,13 +31,19 @@ from typing import Mapping
 
 import numpy as np
 
-from .clustering import default_k, kmeans
+from .clustering import default_k, kmeans, pairwise_sq
 from .data import Case, Corpus, Dataset
 
 logger = logging.getLogger(__name__)
 
-#: chunk rows when forming (targets x pool) distance blocks, to bound memory
-_CHUNK = 256
+#: cells (rows x columns) per distance block; bounds each block temporary
+#: to about 8 MB whatever the pool size
+_BLOCK_CELLS = 1 << 20
+
+
+def _block_rows(columns: int) -> int:
+    """Rows per distance block against ``columns`` points (at least one)."""
+    return max(1, _BLOCK_CELLS // columns)
 
 
 @dataclass(frozen=True)
@@ -134,16 +140,6 @@ def _spaces(pool: SourcePool, target: Dataset, normalize: bool) -> tuple[np.ndar
     return pool.feature_matrix, target.feature_matrix
 
 
-def _sq_distances(block: np.ndarray, points: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.einsum("ij,ij->i", block, block)[:, None]
-        + np.einsum("ij,ij->i", points, points)[None, :]
-        - 2.0 * block @ points.T
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def global_filter(pool: SourcePool) -> TrainingSelection:
     """Use the entire pool as training data."""
     return TrainingSelection("global", tuple(range(len(pool))))
@@ -173,9 +169,10 @@ def burak_filter(
 
     pool_space, target_space = _spaces(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
-    for start in range(0, target_space.shape[0], _CHUNK):
-        block = target_space[start:start + _CHUNK]
-        d2 = _sq_distances(block, pool_space)
+    step = _block_rows(n_pool)
+    for start in range(0, target_space.shape[0], step):
+        block = target_space[start:start + step]
+        d2 = pairwise_sq(block, pool_space)
         # exact k-nearest with ties to the lower pool index: everything
         # strictly below the k-th smallest value, then the lowest-index
         # cases at the k-th value until k are taken
@@ -234,9 +231,10 @@ def peters_filter(
         # pool case (ties: lower pool index, hence the strict <)
         best_d = np.full(target_members.size, np.inf)
         best_pool = np.full(target_members.size, -1, dtype=np.int64)
-        for start in range(0, pool_members.size, _CHUNK):
-            rows = pool_members[start:start + _CHUNK]
-            d2 = _sq_distances(pool_space[rows], target_space[target_members])
+        step = _block_rows(target_members.size)
+        for start in range(0, pool_members.size, step):
+            rows = pool_members[start:start + step]
+            d2 = pairwise_sq(pool_space[rows], target_space[target_members])
             attached_to = d2.argmin(axis=1)
             row_min = d2[np.arange(rows.size), attached_to]
             for r in range(rows.size):

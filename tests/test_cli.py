@@ -7,6 +7,7 @@ import json
 import pytest
 
 from defectclean.cleaning import clean_corpus
+from defectclean import cli
 from defectclean.cli import main
 from defectclean.data import load_corpus, write_corpus
 from defectclean.datagen import synthetic_corpus
@@ -70,6 +71,20 @@ class TestCleanCommand:
         ]
         for ds in reloaded:
             assert within_quality(ds).problem_free
+
+    def test_broken_cleaner_fails_self_check(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        # a cleaner that removes nothing but reports consistent sizes: the
+        # rescan of its output must catch it before anything is written
+        def keep_everything(corpus):
+            _, summary = clean_corpus(corpus)
+            return corpus, summary
+
+        monkeypatch.setattr(cli, "clean_corpus", keep_everything)
+        out = tmp_path / "cleaned"
+        rc = main(["clean", "--corpus", str(corpus_dir), "--out", str(out)])
+        assert rc == 2
+        assert "still contains identical or inconsistent cases" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSelectCommand:

@@ -139,6 +139,15 @@ class TestParseConfig:
             ("sample_cap = 1\n", "sample_cap"),
             ("burak_k = 0\n", "burak_k"),
             ("forest_trees = 0\n", "forest_trees"),
+            ("filters = global, bogus\n", "line 1: filters: unknown name 'bogus'"),
+            ("seed = 1\nlearners = svm\n", "line 2: learners: unknown name 'svm'"),
+            ("targets =\n", "line 1: targets must be"),
+            ("filters = ,\n", "line 1: filters must name at least one"),
+            ("learners =\n", "line 1: learners must name at least one"),
+            ("\nseed = x1\n", "line 2: seed: expected an integer, got 'x1'"),
+            ("burak_k = many\n", "line 1: burak_k: expected an integer"),
+            ("peters_clusters = 0\n", "line 1: peters_clusters"),
+            ("sample_cap = lots\n", "line 1: sample_cap: expected an integer"),
         ],
     )
     def test_rejects_bad_input(self, text, message):

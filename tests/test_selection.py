@@ -15,6 +15,7 @@ import logging
 import numpy as np
 import pytest
 
+from defectclean import selection
 from defectclean.clustering import default_k, kmeans
 from defectclean.data import Corpus, Dataset
 from defectclean.selection import (
@@ -146,6 +147,25 @@ class TestBurakFilter:
                 pool.feature_matrix, target.feature_matrix)
             want = knn_union_oracle(pool_s, target_s, 5, dot_trick=True)
             assert set(got.selected) == want
+
+    @pytest.mark.parametrize("normalize, block_rows", [(False, (1, 3)), (True, (2, 3))])
+    def test_selection_does_not_depend_on_block_size(
+        self, rng, monkeypatch, normalize, block_rows
+    ):
+        # small blocks cut through every tie group of the grid.  Unscaled
+        # integer distances are exact on every BLAS path, so even one-row
+        # blocks must agree; a one-row block goes through gemv instead of
+        # gemm, which rounds scaled distances differently in the last bit
+        for _ in range(30):
+            corpus = random_corpus(rng)
+            target = corpus.get("p1.0")
+            pool = build_pool(corpus, target)
+            k = int(rng.integers(1, 8))
+            default = burak_filter(pool, target, k=k, normalize=normalize).selected
+            for rows in block_rows:
+                monkeypatch.setattr(selection, "_block_rows", lambda columns: rows)
+                assert burak_filter(pool, target, k=k, normalize=normalize).selected == default
+                monkeypatch.undo()
 
     def test_selection_size_bounds(self, rng):
         corpus = random_corpus(rng)
