@@ -10,7 +10,7 @@ original versus cleaned data.
 
 __version__ = "0.1.0"
 
-from .cleaning import CleanResult, CleanSummaryRow, clean, clean_corpus, clean_oracle
+from .cleaning import CleanResult, CleanSummaryRow, clean, clean_corpus
 from .clustering import Clustering, kmeans
 from .data import (
     Case,
@@ -91,7 +91,7 @@ __all__ = [
     "FeatureGroup", "WithinQualityReport", "CrossReleaseReport",
     "within_quality", "cross_release_quality", "release_pairs", "corpus_quality",
     # cleaning
-    "CleanResult", "CleanSummaryRow", "clean", "clean_oracle", "clean_corpus",
+    "CleanResult", "CleanSummaryRow", "clean", "clean_corpus",
     # selection
     "SourcePool", "TrainingSelection", "build_pool",
     "global_filter", "burak_filter", "peters_filter", "select_training_data",

@@ -6,17 +6,19 @@ inconsistent cases: every feature group that still carries both labels is
 dropped entirely.  The order matters; running the steps the other way round
 deletes more (see the order-sensitivity tests).
 
-:func:`clean` is the production implementation (single pass, hash grouping).
-:func:`clean_oracle` is a deliberately naive quadratic re-implementation of
-the same pairwise deletion procedure, kept as an independent reference for
-differential testing; do not use it on large datasets.
+:func:`clean` works on the exact group ids of :attr:`Dataset.feature_ids`:
+step 1 keeps the first row of each ``2 * id + label`` key, and a feature
+group is still mixed after it exactly when it held both labels before, so
+step 2 is one lookup per kept row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .data import Case, Corpus, Dataset, MetricVector
+import numpy as np
+
+from .data import Corpus, Dataset
 
 
 @dataclass(frozen=True)
@@ -52,91 +54,23 @@ def clean(dataset: Dataset) -> CleanResult:
     dataset keeps the project, release and name of the input.  Idempotent:
     cleaning a cleaned dataset removes nothing.
     """
+    ids, vectors = dataset.feature_ids
+    labels = dataset.labels
+    row_keys = 2 * ids + labels
+    first = np.zeros(dataset.case_count, dtype=bool)
+    first[np.unique(row_keys, return_index=True)[1]] = True
+    labels_per_group = np.bincount(ids[first], minlength=len(vectors))
+    mixed = first & (labels_per_group[ids] > 1)
+    kept = np.flatnonzero(first & ~mixed)
+    removed = np.flatnonzero(~first | mixed)
+
     cases = dataset.cases
-
-    seen_rows: set[tuple[MetricVector, bool]] = set()
-    survivors: list[int] = []
-    removed_dup: list[int] = []
-    for i, case in enumerate(cases):
-        key = case.row_key
-        if key in seen_rows:
-            removed_dup.append(i)
-        else:
-            seen_rows.add(key)
-            survivors.append(i)
-
-    label_sets: dict[MetricVector, set[bool]] = {}
-    for i in survivors:
-        label_sets.setdefault(cases[i].metrics, set()).add(cases[i].defective)
-    removed_inc = [i for i in survivors if len(label_sets[cases[i].metrics]) > 1]
-    final = [i for i in survivors if len(label_sets[cases[i].metrics]) == 1]
-
-    removed = sorted(removed_dup + removed_inc)
     return CleanResult(
-        cleaned=dataset.replace_cases([cases[i] for i in final]),
-        removed_duplicates=len(removed_dup),
-        removed_inconsistent=len(removed_inc),
-        removed_defective=sum(1 for i in removed if cases[i].defective),
-        removed_indices=tuple(removed),
-    )
-
-
-def clean_oracle(dataset: Dataset, size_bound: int = 2000) -> CleanResult:
-    """Quadratic pairwise reference implementation of :func:`clean`.
-
-    Walks the case list with explicit index loops: first deleting every
-    later case that equals an earlier one in metrics and label, then
-    deleting both members of every remaining equal-metrics pair whose labels
-    differ.  Only intended for differential testing; refuses datasets larger
-    than ``size_bound``.
-    """
-    if dataset.case_count > size_bound:
-        raise ValueError(
-            f"oracle is quadratic; dataset has {dataset.case_count} cases, "
-            f"bound is {size_bound}"
-        )
-    rows: list[tuple[int, MetricVector, bool]] = [
-        (i, c.metrics, c.defective) for i, c in enumerate(dataset.cases)
-    ]
-
-    removed_dup = 0
-    i = 0
-    while i < len(rows):
-        j = i + 1
-        while j < len(rows):
-            if rows[j][1] == rows[i][1] and rows[j][2] == rows[i][2]:
-                del rows[j]
-                removed_dup += 1
-            else:
-                j += 1
-        i += 1
-
-    removed_inc = 0
-    i = 0
-    while i < len(rows):
-        j = i + 1
-        hit = False
-        while j < len(rows):
-            if rows[j][1] == rows[i][1] and rows[j][2] != rows[i][2]:
-                del rows[j]
-                removed_inc += 1
-                hit = True
-            else:
-                j += 1
-        if hit:
-            del rows[i]
-            removed_inc += 1
-        else:
-            i += 1
-
-    surviving = [idx for idx, _, _ in rows]
-    removed = sorted(set(range(dataset.case_count)) - set(surviving))
-    return CleanResult(
-        cleaned=dataset.replace_cases([dataset.cases[i] for i in surviving]),
-        removed_duplicates=removed_dup,
-        removed_inconsistent=removed_inc,
-        removed_defective=sum(1 for i in removed if dataset.cases[i].defective),
-        removed_indices=tuple(removed),
+        cleaned=dataset.replace_cases([cases[i] for i in kept.tolist()]),
+        removed_duplicates=int(dataset.case_count - np.count_nonzero(first)),
+        removed_inconsistent=int(np.count_nonzero(mixed)),
+        removed_defective=int(np.count_nonzero(labels[removed])),
+        removed_indices=tuple(removed.tolist()),
     )
 
 

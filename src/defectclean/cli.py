@@ -21,7 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .cleaning import clean_corpus
-from .data import load_corpus, write_corpus
+from .data import (
+    Case, EmptyDatasetError, ParseError, load_corpus, parse_dataset, write_corpus,
+)
 from .harness import parse_config, run_experiment
 from .quality import corpus_quality, within_quality
 from .reports import (
@@ -126,6 +128,17 @@ def _cmd_quality(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_back(path: Path, name: str) -> tuple[Case, ...] | None:
+    """The cases of a written CSV; None when it does not parse."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            return parse_dataset(handle, name=name).cases
+        except EmptyDatasetError:  # how a dataset cleaned to nothing is written
+            return ()
+        except ParseError:
+            return None
+
+
 def _cmd_clean(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     cleaned, summary = clean_corpus(corpus)
@@ -140,7 +153,12 @@ def _cmd_clean(args: argparse.Namespace) -> int:
             )
             return 2
 
-    write_corpus(cleaned, args.out)
+    # the files must read back case for case; the summary, written last,
+    # is left out when one does not
+    for ds, path in zip(cleaned, write_corpus(cleaned, args.out)):
+        if _read_back(path, ds.name) != ds.cases:
+            print(f"error: {path.name} does not read back as cleaned {ds.name}", file=sys.stderr)
+            return 2
     paths = write_clean_summary(summary, args.out)
     removed = sum(r.removed_cases for r in summary)
     print(f"cleaned {len(summary)} datasets; removed {removed} cases")

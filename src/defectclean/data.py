@@ -88,6 +88,8 @@ def canonical_str(value: Decimal) -> str:
     All numerically equal inputs map to the same output string, so
     serialization of equal datasets is byte-identical.
     """
+    if not value:
+        return "0"  # normalize() keeps the sign of a negative zero ("-0.0")
     with localcontext() as ctx:
         ctx.prec = 60  # plenty for defect metrics; normalize() must not round
         norm = value.normalize()
@@ -157,11 +159,6 @@ class Case:
         """A case is defective exactly when it has at least one bug."""
         return self.bug_count >= 1
 
-    @property
-    def row_key(self) -> tuple[MetricVector, bool]:
-        """Grouping key for full-row equality: metrics plus label."""
-        return (self.metrics, self.defective)
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -202,6 +199,23 @@ class Dataset:
         out = np.fromiter((c.defective for c in self.cases), dtype=bool, count=len(self.cases))
         out.flags.writeable = False
         return out
+
+    @cached_property
+    def feature_ids(self) -> tuple[np.ndarray, tuple[MetricVector, ...]]:
+        """Exact feature groups: per-case group ids and the distinct vectors.
+
+        ``ids[i]`` indexes ``vectors``, the distinct metric vectors of the
+        dataset numbered by first occurrence.  Grouping uses the exact
+        ``MetricVector`` equality, never floats, so "1" and "1.00" share a
+        group and values that differ only beyond float precision do not.
+        """
+        index: dict[MetricVector, int] = {}
+        ids = np.fromiter(
+            (index.setdefault(c.metrics, len(index)) for c in self.cases),
+            dtype=np.int64, count=len(self.cases),
+        )
+        ids.flags.writeable = False
+        return ids, tuple(index)
 
     def replace_cases(self, cases: Sequence[Case]) -> "Dataset":
         return Dataset(self.project, self.release, self.name, tuple(cases))
@@ -318,13 +332,22 @@ def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
     """Write a dataset back to CSV in the expected schema.
 
     Metric cells use :func:`canonical_str`, so two equal datasets always
-    serialize to identical bytes.
+    serialize to identical bytes.  Each distinct value is formatted once per
+    call: equal values share a memo entry and, by the same rule, a text.
     """
+    memo: dict[Decimal, str] = {}
+
+    def cell(value: Decimal) -> str:
+        text = memo.get(value)
+        if text is None:
+            text = memo[value] = canonical_str(value)
+        return text
+
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PROMISE_HEADER)
     for case in dataset.cases:
         row = [dataset.project, dataset.release, case.class_name]
-        row.extend(canonical_str(v) for v in case.metrics.values)
+        row.extend(map(cell, case.metrics.values))
         row.append(str(case.bug_count))
         writer.writerow(row)
 

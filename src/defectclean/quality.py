@@ -6,17 +6,25 @@ but the opposite label.  Counts are case counts, not pair counts: a case is
 counted once as identical if it has at least one full-row-equal partner, and
 once as inconsistent if its feature group carries both labels.
 
-Within-release analysis groups the cases of one dataset; cross-release
-analysis compares two releases of the same project by evaluating every pair
-in the cross product of their cases.
+Both analyses work on :attr:`Dataset.feature_ids`: one exact group id per
+case, numbered by first occurrence, so every count is integer arithmetic on
+id arrays.  Within a release, ``np.bincount`` over the row keys
+``2 * id + label`` counts each group's cases per label: a row key held by
+two or more cases marks identical cases, a group with both labels
+inconsistent ones.  Across two releases of one project, the distinct
+vectors of the newer release are mapped into the older release's numbering
+through a dict, and the pair counts are dot products of the per-group label
+counts: ``pos_a @ pos_b + neg_a @ neg_b`` identical pairs and
+``pos_a @ neg_b + neg_a @ pos_b`` inconsistent ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .data import Case, Corpus, Dataset, MetricVector
+import numpy as np
+
+from .data import Corpus, Dataset, MetricVector
 
 
 @dataclass(frozen=True)
@@ -64,11 +72,12 @@ class CrossReleaseReport:
     inconsistent_pair_count: int
 
 
-def _group_by_features(cases: Sequence[Case]) -> dict[MetricVector, list[int]]:
-    groups: dict[MetricVector, list[int]] = {}
-    for i, case in enumerate(cases):
-        groups.setdefault(case.metrics, []).append(i)
-    return groups
+def _members(keys: np.ndarray, rows: np.ndarray) -> dict[int, list[int]]:
+    """Row indices per key, keys in first-occurrence order."""
+    members: dict[int, list[int]] = {}
+    for key, i in zip(keys[rows].tolist(), rows.tolist()):
+        members.setdefault(key, []).append(i)
+    return members
 
 
 def within_quality(dataset: Dataset) -> WithinQualityReport:
@@ -77,40 +86,49 @@ def within_quality(dataset: Dataset) -> WithinQualityReport:
     Both counts are invariant under row permutation.  Groups are reported in
     first-occurrence order.
     """
-    cases = dataset.cases
-    feature_groups = _group_by_features(cases)
-    row_groups: dict[tuple[MetricVector, bool], list[int]] = {}
-    for i, case in enumerate(cases):
-        row_groups.setdefault(case.row_key, []).append(i)
+    ids, vectors = dataset.feature_ids
+    labels = dataset.labels
+    row_keys = 2 * ids + labels
+    row_sizes = np.bincount(row_keys, minlength=2 * len(vectors))
+    neg, pos = row_sizes[0::2], row_sizes[1::2]
+    mixed = (neg > 0) & (pos > 0)
 
-    identical = [
-        FeatureGroup(key, tuple(members), tuple(label for _ in members))
-        for (key, label), members in row_groups.items()
-        if len(members) >= 2
-    ]
-    inconsistent = []
-    for key, members in feature_groups.items():
-        labels = tuple(cases[i].defective for i in members)
-        if len(set(labels)) > 1:
-            inconsistent.append(FeatureGroup(key, tuple(members), labels))
-
+    twinned = np.flatnonzero(row_sizes[row_keys] >= 2)
+    identical = tuple(
+        FeatureGroup(vectors[key >> 1], tuple(members), (bool(key & 1),) * len(members))
+        for key, members in _members(row_keys, twinned).items()
+    )
+    conflicted = np.flatnonzero(mixed[ids])
+    inconsistent = tuple(
+        FeatureGroup(vectors[key], tuple(members), tuple(labels[members].tolist()))
+        for key, members in _members(ids, conflicted).items()
+    )
     return WithinQualityReport(
         dataset=dataset.name,
-        case_count=len(cases),
-        identical_case_count=sum(g.size for g in identical),
-        inconsistent_case_count=sum(g.size for g in inconsistent),
-        identical_groups=tuple(identical),
-        inconsistent_groups=tuple(inconsistent),
+        case_count=dataset.case_count,
+        identical_case_count=int(twinned.size),
+        inconsistent_case_count=int(conflicted.size),
+        identical_groups=identical,
+        inconsistent_groups=inconsistent,
+    )
+
+
+def _label_counts(
+    ids: np.ndarray, labels: np.ndarray, groups: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(defective, clean) case counts per group id."""
+    return (
+        np.bincount(ids[labels], minlength=groups),
+        np.bincount(ids[~labels], minlength=groups),
     )
 
 
 def cross_release_quality(older: Dataset, newer: Dataset) -> CrossReleaseReport:
     """Count identical and inconsistent pairs across two releases.
 
-    Every (case of older, case of newer) pair is examined: a pair is
-    identical when metrics and label agree, inconsistent when the metrics
-    agree and the labels differ.  Both datasets must belong to the same
-    project and be distinct releases.
+    A (case of older, case of newer) pair is identical when metrics and
+    label agree, inconsistent when the metrics agree and the labels differ.
+    Both datasets must belong to the same project and be distinct releases.
     """
     if older.project != newer.project:
         raise ValueError(
@@ -120,32 +138,26 @@ def cross_release_quality(older: Dataset, newer: Dataset) -> CrossReleaseReport:
     if older.name == newer.name:
         raise ValueError(f"cannot compare release {older.name!r} with itself")
 
-    def label_counts(ds: Dataset) -> dict[MetricVector, tuple[int, int]]:
-        counts: dict[MetricVector, tuple[int, int]] = {}
-        for case in ds.cases:
-            pos, neg = counts.get(case.metrics, (0, 0))
-            if case.defective:
-                pos += 1
-            else:
-                neg += 1
-            counts[case.metrics] = (pos, neg)
-        return counts
-
-    counts_a = label_counts(older)
-    counts_b = label_counts(newer)
-    identical = 0
-    inconsistent = 0
-    for key, (pos_a, neg_a) in counts_a.items():
-        pos_b, neg_b = counts_b.get(key, (0, 0))
-        identical += pos_a * pos_b + neg_a * neg_b
-        inconsistent += pos_a * neg_b + neg_a * pos_b
+    ids_a, vectors_a = older.feature_ids
+    ids_b, vectors_b = newer.feature_ids
+    groups = len(vectors_a)
+    index_a = {vector: i for i, vector in enumerate(vectors_a)}
+    # each of newer's groups in older's numbering; -1 when older lacks it
+    to_a = np.fromiter(
+        (index_a.get(vector, -1) for vector in vectors_b),
+        dtype=np.int64, count=len(vectors_b),
+    )
+    mapped = to_a[ids_b]
+    shared = mapped >= 0
+    pos_a, neg_a = _label_counts(ids_a, older.labels, groups)
+    pos_b, neg_b = _label_counts(mapped[shared], newer.labels[shared], groups)
 
     return CrossReleaseReport(
         project=older.project,
         release_a=older.name,
         release_b=newer.name,
-        identical_pair_count=identical,
-        inconsistent_pair_count=inconsistent,
+        identical_pair_count=int(pos_a @ pos_b + neg_a @ neg_b),
+        inconsistent_pair_count=int(pos_a @ neg_b + neg_a @ pos_b),
     )
 
 

@@ -14,9 +14,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .cleaning import CleanSummaryRow
+from .evaluation import ChangeRate, average_change
 from .harness import ExperimentRun, METRICS
 from .quality import CrossReleaseReport, WithinQualityReport
 
@@ -175,24 +174,30 @@ def _grid_columns(run: ExperimentRun) -> list[tuple[str, str]]:
     ]
 
 
-def _grid_rows(run: ExperimentRun, metric: str) -> tuple[list[str], dict]:
-    """Change rates per target and column; insertion order is report order."""
-    cells: dict[tuple[str, tuple[str, str]], float | None] = {}
+def _grid_rows(
+    run: ExperimentRun, metric: str
+) -> tuple[list[str], dict[tuple[str, tuple[str, str]], float | None], list[float | None]]:
+    """Targets in report order, change rates per (target, column), and the
+    per-column averages of :func:`average_change`."""
+    changes: dict[tuple[str, tuple[str, str]], ChangeRate] = {}
     targets: list[str] = []
     for result in run.results:
         if result.metric != metric:
             continue
         if result.target not in targets:
             targets.append(result.target)
-        cells[(result.target, (result.learner, result.filter_name))] = (
-            result.change.rate_percent
-        )
-    return targets, cells
+        changes[(result.target, (result.learner, result.filter_name))] = result.change
+    averages = [
+        average_change(changes[(t, column)] for t in targets if (t, column) in changes)
+        for column in _grid_columns(run)
+    ]
+    cells = {key: change.rate_percent for key, change in changes.items()}
+    return targets, cells, averages
 
 
 def experiment_grid_csv(run: ExperimentRun, metric: str) -> str:
     columns = _grid_columns(run)
-    targets, cells = _grid_rows(run, metric)
+    targets, cells, averages = _grid_rows(run, metric)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["target"] + [f"{l}/{f}" for l, f in columns])
@@ -201,40 +206,25 @@ def experiment_grid_csv(run: ExperimentRun, metric: str) -> str:
             [target] + [_float_cell(cells.get((target, c))) for c in columns]
         )
     if targets:
-        averages = _column_averages(targets, cells, columns)
         writer.writerow(["AVG"] + [_float_cell(v) for v in averages])
     return buffer.getvalue()
 
 
 def experiment_grid_markdown(run: ExperimentRun, metric: str) -> str:
     columns = _grid_columns(run)
-    targets, cells = _grid_rows(run, metric)
+    targets, cells, averages = _grid_rows(run, metric)
     header = ["target"] + [f"{l}/{f}" for l, f in columns]
     rows = [
         [target] + [_round_cell(cells.get((target, c))) for c in columns]
         for target in targets
     ]
     if targets:
-        averages = _column_averages(targets, cells, columns)
         rows.append(["AVG"] + [_round_cell(v) for v in averages])
     title = {"fmeasure": "F-measure", "auc": "AUC"}.get(metric, metric)
     return (
         f"# Rate of {title} change after cleaning (%)\n\n"
         + _markdown_table(header, rows)
     )
-
-
-def _column_averages(targets, cells, columns) -> list[float | None]:
-    # same exclusion rule and mean as evaluation.average_change
-    averages = []
-    for column in columns:
-        defined = [
-            cells[(t, column)]
-            for t in targets
-            if cells.get((t, column)) is not None
-        ]
-        averages.append(float(np.mean(defined)) if defined else None)
-    return averages
 
 
 def experiment_json(run: ExperimentRun) -> dict:

@@ -42,8 +42,21 @@ _BLOCK_CELLS = 1 << 20
 
 
 def _block_rows(columns: int) -> int:
-    """Rows per distance block against ``columns`` points (at least one)."""
-    return max(1, _BLOCK_CELLS // columns)
+    """Rows per distance block against ``columns`` points (at least two)."""
+    return max(2, _BLOCK_CELLS // columns)
+
+
+def _blocks(rows: int, step: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive blocks of ``step`` rows.
+
+    A lone trailing row joins the previous block: a one-row product goes
+    through BLAS gemv instead of gemm and rounds differently in the last
+    bit, which would let the block layout decide distance ties.
+    """
+    bounds = list(range(0, rows, step)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -169,10 +182,8 @@ def burak_filter(
 
     pool_space, target_space = _spaces(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
-    step = _block_rows(n_pool)
-    for start in range(0, target_space.shape[0], step):
-        block = target_space[start:start + step]
-        d2 = pairwise_sq(block, pool_space)
+    for start, stop in _blocks(target_space.shape[0], _block_rows(n_pool)):
+        d2 = pairwise_sq(target_space[start:stop], pool_space)
         # exact k-nearest with ties to the lower pool index: everything
         # strictly below the k-th smallest value, then the lowest-index
         # cases at the k-th value until k are taken
@@ -231,9 +242,8 @@ def peters_filter(
         # pool case (ties: lower pool index, hence the strict <)
         best_d = np.full(target_members.size, np.inf)
         best_pool = np.full(target_members.size, -1, dtype=np.int64)
-        step = _block_rows(target_members.size)
-        for start in range(0, pool_members.size, step):
-            rows = pool_members[start:start + step]
+        for start, stop in _blocks(pool_members.size, _block_rows(target_members.size)):
+            rows = pool_members[start:stop]
             d2 = pairwise_sq(pool_space[rows], target_space[target_members])
             attached_to = d2.argmin(axis=1)
             row_min = d2[np.arange(rows.size), attached_to]

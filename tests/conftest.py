@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from defectclean.data import Case, Dataset, MetricVector, N_METRICS, split_project
+from defectclean.data import (
+    Case, Dataset, MetricVector, N_METRICS, canonicalize_metric, split_project,
+)
 
 #: directory holding the real public corpus CSVs, when available
 REAL_CORPUS_ENV = "JURECZKO_DATA_DIR"
@@ -72,6 +75,48 @@ def random_problem_dataset(
                 int(rng.integers(0, 3)),  # bug counts 0..2, so both labels occur
             )
         )
+    return dataset(name, cases)
+
+
+#: spellings of the values drawn by :func:`problem_datasets`, one tuple per
+#: value.  The last two are distinct decimals that round to the same float
+#: as 0.1 and 1.
+SPELLINGS: tuple[tuple[str, ...], ...] = (
+    ("0", "0.0", "0.00"),
+    ("1", "1.0", "1.00"),
+    ("0.1", "0.10"),
+    ("2.5", "2.50", "2.500"),
+    ("0.10000000000000001",),
+    ("1.0000000000000001",),
+)
+
+
+@st.composite
+def problem_datasets(draw, name: str = "hyp1.0") -> Dataset:
+    """Datasets whose metric cells are parsed from respelled text.
+
+    Kinds: a small value grid over one to three active features (both
+    problem kinds are frequent), a single case, and all cases identical.
+    Every cell's spelling is drawn afresh, so equal rows rarely share text.
+    """
+    kind = draw(st.sampled_from(["grid", "one_case", "all_identical"]))
+    n = 1 if kind == "one_case" else draw(st.integers(2, 40))
+    active = draw(st.integers(1, 3))
+    values = draw(st.integers(1, len(SPELLINGS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def spell(value: int) -> str:
+        options = SPELLINGS[value]
+        return options[int(rng.integers(len(options)))]
+
+    fixed = rng.integers(0, values, size=active)
+    fixed_bugs = int(rng.integers(0, 3))
+    cases = []
+    for i in range(n):
+        ids = fixed if kind == "all_identical" else rng.integers(0, values, size=active)
+        cells = [spell(int(v)) for v in ids] + [spell(1) for _ in range(N_METRICS - active)]
+        bugs = fixed_bugs if kind == "all_identical" else int(rng.integers(0, 3))
+        cases.append(Case(f"H{i}", MetricVector(tuple(map(canonicalize_metric, cells))), bugs))
     return dataset(name, cases)
 
 

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from defectclean.cleaning import clean, clean_corpus, clean_oracle
+from defectclean.cleaning import clean, clean_corpus
 from defectclean.clustering import default_k, kmeans
 from defectclean.data import Case, Corpus, Dataset, load_corpus
 from defectclean.datagen import collision_dataset, synthetic_corpus
@@ -28,6 +28,7 @@ from defectclean.reports import experiment_json, write_quality_reports
 from defectclean.selection import build_pool, burak_filter, peters_filter
 
 from . import _reference_tables as ref
+from ._reference_cleaning import clean_oracle
 from .conftest import (
     case,
     dataset,

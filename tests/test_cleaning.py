@@ -1,20 +1,22 @@
 """Cleaning procedure tests.
 
-:func:`defectclean.cleaning.clean_oracle` (a literal quadratic transcription
-of the pairwise deletion procedure) is the differential oracle here; the
-production implementation must agree with it on every random dataset, field
-by field.
+``clean_oracle`` from ``tests/_reference_cleaning.py`` (a literal quadratic
+transcription of the pairwise deletion procedure) is the differential
+oracle here; the production implementation must agree with it on every
+random dataset, field by field.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
-from defectclean.cleaning import clean, clean_corpus, clean_oracle
+from defectclean.cleaning import clean, clean_corpus
 from defectclean.datagen import collision_dataset, synthetic_corpus
 from defectclean.quality import within_quality
 
-from .conftest import case, dataset, random_problem_dataset
+from ._reference_cleaning import clean_oracle
+from .conftest import case, dataset, problem_datasets, random_problem_dataset
 
 
 class TestCleanFixtures:
@@ -126,6 +128,17 @@ class TestCleanProperties:
         ds = random_problem_dataset(rng, max_cases=30)
         with pytest.raises(ValueError, match="quadratic"):
             clean_oracle(ds, size_bound=ds.case_count - 1)
+
+
+class TestCleanAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(problem_datasets())
+    def test_equals_oracle_and_is_idempotent(self, ds):
+        result = clean(ds)
+        assert result == clean_oracle(ds)  # every CleanResult field
+        again = clean(result.cleaned)
+        assert again.cleaned == result.cleaned
+        assert again.removed_indices == ()
 
 
 def cleaned_cases(result):

@@ -9,10 +9,12 @@ import pytest
 from defectclean.cleaning import clean_corpus
 from defectclean import cli
 from defectclean.cli import main
-from defectclean.data import load_corpus, write_corpus
+from defectclean.data import Corpus, load_corpus, write_corpus
 from defectclean.datagen import synthetic_corpus
 from defectclean.quality import within_quality
 from defectclean.selection import build_pool, burak_filter
+
+from .conftest import case, dataset
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,28 @@ class TestCleanCommand:
         assert rc == 2
         assert "still contains identical or inconsistent cases" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_dataset_cleaned_to_nothing_reads_back(self, tmp_path):
+        # {X,+} {X,-}: the whole release goes, and its file is a header alone
+        conflicted = dataset("mixed1.0", [case("a", True, 1), case("b", False, 1)])
+        write_corpus(Corpus((conflicted,)), tmp_path / "in")
+        out = tmp_path / "cleaned"
+        assert main(["clean", "--corpus", str(tmp_path / "in"), "--out", str(out)]) == 0
+        assert (out / "mixed1.0.csv").read_text().count("\n") == 1
+
+    def test_written_file_must_read_back(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        # a writer that loses the first row of the first dataset
+        def drop_a_row(corpus, directory):
+            first, *rest = corpus.datasets
+            damaged = Corpus((first.replace_cases(first.cases[1:]), *rest))
+            return write_corpus(damaged, directory)
+
+        monkeypatch.setattr(cli, "write_corpus", drop_a_row)
+        out = tmp_path / "cleaned"
+        rc = main(["clean", "--corpus", str(corpus_dir), "--out", str(out)])
+        assert rc == 2
+        assert "alpha1.0.csv does not read back" in capsys.readouterr().err
+        assert not (out / "clean_summary.json").exists()
 
 
 class TestSelectCommand:

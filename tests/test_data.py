@@ -89,6 +89,14 @@ class TestCanonicalize:
         assert canonical_str(Decimal("100")) == "100"
         assert canonical_str(Decimal("0.125")) == "0.125"
 
+    def test_negative_zero_serializes_as_zero(self):
+        # "-0" parses (it is not below zero) and equals 0, so it must print
+        # as 0 too; serialize_dataset formats each distinct value once and
+        # would otherwise print whichever spelling of zero came first
+        assert canonicalize_metric("-0.00") == 0
+        assert canonical_str(canonicalize_metric("-0.00")) == "0"
+        assert canonical_str(Decimal("-0")) == "0"
+
     def test_canonical_str_identical_for_equal_values(self, rng):
         for _ in range(500):
             value = int(rng.integers(0, 10_000))

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from defectclean.data import Dataset
 from defectclean.datagen import collision_dataset, synthetic_corpus
 from defectclean.quality import (
     CrossReleaseReport,
+    FeatureGroup,
     corpus_quality,
     cross_release_quality,
     release_pairs,
     within_quality,
 )
 
-from .conftest import case, dataset, random_problem_dataset, vector
+from .conftest import case, dataset, problem_datasets, random_problem_dataset, vector
 
 
 def quadratic_counts(ds: Dataset) -> tuple[int, int]:
@@ -39,6 +41,28 @@ def quadratic_counts(ds: Dataset) -> tuple[int, int]:
         )
         identical += has_twin
         inconsistent += has_conflict
+    return identical, inconsistent
+
+
+def quadratic_groups(ds: Dataset) -> tuple[list[FeatureGroup], list[FeatureGroup]]:
+    """Identical and inconsistent groups by a scan from each first member."""
+    cases = ds.cases
+    identical, inconsistent = [], []
+    seen_rows, seen_features = set(), set()
+    for i, a in enumerate(cases):
+        if i not in seen_rows:
+            twins = [j for j in range(i, len(cases))
+                     if cases[j].metrics == a.metrics and cases[j].defective == a.defective]
+            seen_rows.update(twins)
+            if len(twins) >= 2:
+                identical.append(
+                    FeatureGroup(a.metrics, tuple(twins), (a.defective,) * len(twins)))
+        if i not in seen_features:
+            group = [j for j in range(i, len(cases)) if cases[j].metrics == a.metrics]
+            seen_features.update(group)
+            labels = tuple(cases[j].defective for j in group)
+            if len(set(labels)) > 1:
+                inconsistent.append(FeatureGroup(a.metrics, tuple(group), labels))
     return identical, inconsistent
 
 
@@ -106,6 +130,16 @@ class TestWithinQuality:
             assert (report.identical_case_count,
                     report.inconsistent_case_count) == quadratic_counts(ds)
 
+    @settings(max_examples=300, deadline=None)
+    @given(problem_datasets())
+    def test_counts_and_groups_match_quadratic_scan(self, ds):
+        report = within_quality(ds)
+        assert (report.identical_case_count,
+                report.inconsistent_case_count) == quadratic_counts(ds)
+        identical, inconsistent = quadratic_groups(ds)
+        assert list(report.identical_groups) == identical
+        assert list(report.inconsistent_groups) == inconsistent
+
     def test_permutation_invariance(self, rng):
         for _ in range(50):
             ds = random_problem_dataset(rng, max_cases=40)
@@ -161,6 +195,13 @@ class TestCrossReleaseQuality:
             report = cross_release_quality(a, b)
             assert (report.identical_pair_count,
                     report.inconsistent_pair_count) == quadratic_cross(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem_datasets(name="p1.0"), problem_datasets(name="p1.1"))
+    def test_matches_pair_loop(self, a, b):
+        report = cross_release_quality(a, b)
+        assert (report.identical_pair_count,
+                report.inconsistent_pair_count) == quadratic_cross(a, b)
 
     def test_requires_same_project_and_distinct_names(self):
         a = dataset("ant1.6", [case("a", True, 1)])

@@ -148,23 +148,30 @@ class TestBurakFilter:
             want = knn_union_oracle(pool_s, target_s, 5, dot_trick=True)
             assert set(got.selected) == want
 
-    @pytest.mark.parametrize("normalize, block_rows", [(False, (1, 3)), (True, (2, 3))])
+    @pytest.mark.parametrize("normalize, block_rows", [(False, (1, 3)), (True, (2, 3, -1))])
     def test_selection_does_not_depend_on_block_size(
         self, rng, monkeypatch, normalize, block_rows
     ):
         # small blocks cut through every tie group of the grid.  Unscaled
         # integer distances are exact on every BLAS path, so even one-row
-        # blocks must agree; a one-row block goes through gemv instead of
-        # gemm, which rounds scaled distances differently in the last bit
-        for _ in range(30):
+        # blocks must agree.  A one-row product goes through gemv instead of
+        # gemm, which rounds scaled distances differently in the last bit;
+        # the scaled layouts often end in one row (-1 is the target size
+        # less one), and the filters must fold that row into the block
+        # before it
+        for _ in range(150):
             corpus = random_corpus(rng)
             target = corpus.get("p1.0")
             pool = build_pool(corpus, target)
             k = int(rng.integers(1, 8))
             default = burak_filter(pool, target, k=k, normalize=normalize).selected
+            clustered = peters_filter(pool, target, k_clusters=2, normalize=normalize).selected
             for rows in block_rows:
-                monkeypatch.setattr(selection, "_block_rows", lambda columns: rows)
+                step = target.case_count - 1 if rows == -1 else rows
+                monkeypatch.setattr(selection, "_block_rows", lambda columns: step)
                 assert burak_filter(pool, target, k=k, normalize=normalize).selected == default
+                assert peters_filter(
+                    pool, target, k_clusters=2, normalize=normalize).selected == clustered
                 monkeypatch.undo()
 
     def test_selection_size_bounds(self, rng):
