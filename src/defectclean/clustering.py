@@ -7,13 +7,19 @@ cluster.  The within-cluster squared-distance objective never increases
 from one iteration to the next.
 
 The Lloyd loop repeats no work that does not depend on the centroids and
-allocates no ``n x k`` array per iteration:
+allocates no ``n x k`` array:
 
 * ``|x|^2`` and ``-2 x`` are computed once per call.  Scaling by a power of
   two is exact, so ``(|x|^2 + |c|^2) + (-2 x) . c`` rounds exactly like
   ``(|x|^2 + |c|^2) - 2 x . c``, and the clip at 0 (which decides ties
   between coincident centroids) sees the same values.
-* Distances are written into two ``n x k`` buffers allocated once per call.
+* Points are assigned in row blocks of about ``_ASSIGN_BLOCK_CELLS``
+  distances, written into two block-sized buffers allocated once per call.
+  A block stays in cache across the add, matmul, add, clip, argmin and
+  gather that pass over it, where two ``n x k`` buffers made each of those
+  a trip to main memory.  Each row's nearest centroid and its distance go
+  into two n-vectors; the inertia is the sum of the distance vector, so it
+  adds the same values in the same order whatever the block size.
 * The centroid update takes cluster sizes and per-feature sums from
   ``np.bincount``.  A weighted bincount adds each cluster's members in row
   order starting from 0.0, which is how numpy's mean over the rows of a
@@ -21,9 +27,14 @@ allocates no ``n x k`` array per iteration:
 
 So for two or more features every assignment, centroid, iteration count
 and inertia is bit-identical to the plain loop that computes each
-cluster's mean on its own (kept as a test oracle).  With a single feature
-numpy sums a cluster's column pairwise instead, so centroids may differ
-from that loop in the last bit.
+cluster's mean on its own (kept as a test oracle), at every block size.
+With a single feature numpy sums a cluster's column pairwise instead, so
+centroids may differ from that loop in the last bit.
+
+Distance blocks never hold a single row (:func:`_blocks`): a one-row
+product goes through BLAS gemv instead of gemm and rounds differently in
+the last bit, which would let the block layout decide distance ties.  The
+selection filters block their distances by the same rule.
 """
 
 from __future__ import annotations
@@ -31,6 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: distances per k-means assignment block.  Sized to the cache: two
+#: float64 buffers of 2**15 cells take 512 KB, well inside a 2 MB L2.  On
+#: the ``select`` benchmark's two k-means inputs (2-core Xeon, one BLAS
+#: thread) 2**12 to 2**17 cells gave the same bits and 2**15 was fastest
+_ASSIGN_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -48,6 +65,24 @@ class Clustering:
 def default_k(n_points: int) -> int:
     """Cluster count heuristic: max(2, round(sqrt(n/2))), capped at n."""
     return min(n_points, max(2, round(np.sqrt(n_points / 2.0))))
+
+
+def _block_rows(columns: int, cells: int) -> int:
+    """Rows per distance block of about ``cells`` distances (at least two)."""
+    return max(2, cells // columns)
+
+
+def _blocks(rows: int, step: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of consecutive blocks of ``step`` rows.
+
+    A lone trailing row joins the previous block: a one-row product goes
+    through BLAS gemv instead of gemm and rounds differently in the last
+    bit, which would let the block layout decide distance ties.
+    """
+    bounds = list(range(0, rows, step)) + [rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _sq_distances_into(
@@ -153,15 +188,25 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(points, k, rng, points_sq, neg2_points)
 
-    d2, scratch = np.empty((n, k)), np.empty((n, k))
+    blocks = _blocks(n, _block_rows(k, _ASSIGN_BLOCK_CELLS))
+    widest = max(stop - start for start, stop in blocks)
+    d2, scratch = np.empty((widest, k)), np.empty((widest, k))
+    rows = np.arange(widest)
+    nearest_d2 = np.empty(n)
     sums = np.empty((k, points.shape[1]))
-    rows = np.arange(n)
     history: list[float] = []
 
     def assign() -> np.ndarray:
-        _sq_distances_into(d2, scratch, points_sq, neg2_points, centroids)
-        nearest = d2.argmin(axis=1).astype(np.int64, copy=False)
-        history.append(float(d2[rows, nearest].sum()))
+        nearest = np.empty(n, dtype=np.int64)
+        for start, stop in blocks:
+            m = stop - start
+            block = _sq_distances_into(
+                d2[:m], scratch[:m], points_sq[start:stop], neg2_points[start:stop],
+                centroids,
+            )
+            block.argmin(axis=1, out=nearest[start:stop])
+            nearest_d2[start:stop] = block[rows[:m], nearest[start:stop]]
+        history.append(float(nearest_d2.sum()))
         return nearest
 
     assignments = assign()

@@ -20,6 +20,15 @@ Three filters pick training cases from the pool:
 Distances are computed on min-max scaled features by default (scaling
 parameters from pool plus target combined); ``normalize=False`` uses raw
 feature values.
+
+A pool holds its admitted datasets (``SourcePool.sources``), not one object
+per case: its feature matrix and labels are the datasets' cached arrays
+stacked in corpus order, and ``SourcePool.entries`` (each row's case and
+provenance) is derived from them only when asked for.  The nearest-neighbour
+and clustering filters compute distances in row blocks bounded by
+``_BLOCK_CELLS``, a memory bound, while k-means assigns points in smaller,
+cache-sized blocks (:mod:`defectclean.clustering`); both fold a lone
+trailing row into the block before it.
 """
 
 from __future__ import annotations
@@ -31,32 +40,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .clustering import default_k, kmeans, pairwise_sq
+from .clustering import _block_rows, _blocks, default_k, kmeans, pairwise_sq
 from .data import Case, Corpus, Dataset
 
 logger = logging.getLogger(__name__)
 
-#: cells (rows x columns) per distance block; bounds each block temporary
-#: to about 8 MB whatever the pool size
+#: cells (rows x columns) per burak and peters distance block; bounds each
+#: block temporary to about 8 MB whatever the pool size.  These blocks are
+#: memory-sized, not cache-sized like k-means': each block streams the whole
+#: pool (or cluster) once, so smaller blocks re-read it more often (burak on
+#: the ``select`` benchmark went from 0.31 to 0.47 s with cache-sized blocks)
 _BLOCK_CELLS = 1 << 20
-
-
-def _block_rows(columns: int) -> int:
-    """Rows per distance block against ``columns`` points (at least two)."""
-    return max(2, _BLOCK_CELLS // columns)
-
-
-def _blocks(rows: int, step: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` of consecutive blocks of ``step`` rows.
-
-    A lone trailing row joins the previous block: a one-row product goes
-    through BLAS gemv instead of gemm and rounds differently in the last
-    bit, which would let the block layout decide distance ties.
-    """
-    bounds = list(range(0, rows, step)) + [rows]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -70,31 +64,42 @@ class PoolEntry:
 
 @dataclass(frozen=True)
 class SourcePool:
-    """Candidate training cases for one target dataset."""
+    """Candidate training cases for one target dataset.
 
-    entries: tuple[PoolEntry, ...]
+    ``sources`` are the admitted datasets in corpus order; pool row ``i`` is
+    the ``i``-th case of their concatenation.  The pool's feature matrix and
+    labels stack the datasets' cached arrays, so each dataset is converted
+    to floats once, however many pools admit it.
+    """
+
+    sources: tuple[Dataset, ...]
     target: str
     excluded_project: str
     mode: str
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
-        out = np.empty((len(self.entries), 20), dtype=np.float64)
-        for i, entry in enumerate(self.entries):
-            out[i] = entry.case.metrics.as_floats()
+        out = np.concatenate([ds.feature_matrix for ds in self.sources])
         out.flags.writeable = False
         return out
 
     @cached_property
     def labels(self) -> np.ndarray:
-        out = np.fromiter(
-            (e.case.defective for e in self.entries), dtype=bool, count=len(self.entries)
-        )
+        out = np.concatenate([ds.labels for ds in self.sources])
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def entries(self) -> tuple[PoolEntry, ...]:
+        """Each pool row's case with its dataset name and row there."""
+        return tuple(
+            PoolEntry(case, ds.name, row)
+            for ds in self.sources
+            for row, case in enumerate(ds.cases)
+        )
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(ds.case_count for ds in self.sources)
 
 
 @dataclass(frozen=True)
@@ -118,21 +123,17 @@ def build_pool(corpus: Corpus, target: Dataset, mode: str = "strict") -> SourceP
     """
     if mode not in ("strict", "mixed"):
         raise ValueError(f"unknown pool mode {mode!r}")
-    entries: list[PoolEntry] = []
-    for ds in corpus:
-        if ds.project == target.project:
-            if mode == "strict":
-                continue
-            if ds.name >= target.name:
-                continue
-        for row, case in enumerate(ds.cases):
-            entries.append(PoolEntry(case, ds.name, row))
-    if not entries:
+    sources = tuple(
+        ds for ds in corpus
+        if ds.project != target.project or (mode == "mixed" and ds.name < target.name)
+    )
+    pool = SourcePool(sources, target.name, target.project, mode)
+    if not len(pool):
         raise ValueError(
             f"empty source pool for target {target.name!r} (mode={mode}); "
             f"the corpus has no other project"
         )
-    return SourcePool(tuple(entries), target.name, target.project, mode)
+    return pool
 
 
 def _minmax_scale_pair(pool: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +183,7 @@ def burak_filter(
 
     pool_space, target_space = _spaces(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
-    for start, stop in _blocks(target_space.shape[0], _block_rows(n_pool)):
+    for start, stop in _blocks(target_space.shape[0], _block_rows(n_pool, _BLOCK_CELLS)):
         d2 = pairwise_sq(target_space[start:stop], pool_space)
         # exact k-nearest with ties to the lower pool index: everything
         # strictly below the k-th smallest value, then the lowest-index
@@ -242,7 +243,8 @@ def peters_filter(
         # pool case (ties: lower pool index, hence the strict <)
         best_d = np.full(target_members.size, np.inf)
         best_pool = np.full(target_members.size, -1, dtype=np.int64)
-        for start, stop in _blocks(pool_members.size, _block_rows(target_members.size)):
+        step = _block_rows(target_members.size, _BLOCK_CELLS)
+        for start, stop in _blocks(pool_members.size, step):
             rows = pool_members[start:stop]
             d2 = pairwise_sq(pool_space[rows], target_space[target_members])
             attached_to = d2.argmin(axis=1)

@@ -79,10 +79,10 @@ def random_problem_dataset(
 
 
 #: spellings of the values drawn by :func:`problem_datasets`, one tuple per
-#: value.  The last two are distinct decimals that round to the same float
-#: as 0.1 and 1.
+#: value.  "-0.0" equals 0.  The last two are distinct decimals that round
+#: to the same float as 0.1 and 1.
 SPELLINGS: tuple[tuple[str, ...], ...] = (
-    ("0", "0.0", "0.00"),
+    ("0", "0.0", "0.00", "-0.0"),
     ("1", "1.0", "1.00"),
     ("0.1", "0.10"),
     ("2.5", "2.50", "2.500"),

@@ -35,6 +35,7 @@ from defectclean.data import (
     write_corpus,
 )
 from defectclean.datagen import synthetic_corpus, synthetic_dataset
+from defectclean.selection import build_pool
 
 from .conftest import case, dataset, vector
 
@@ -261,6 +262,24 @@ class TestParseDataset:
         with pytest.raises(ParseError, match="bug"):
             parse_dataset(make_csv([data_row(bug="1.5")]))
 
+    def test_bug_count_spellings_parse_to_the_same_integer(self):
+        rows = [data_row(name=n, bug=b) for n, b in (("A", "2"), ("B", "2.0"), ("C", "2.00"))]
+        ds = parse_dataset(make_csv(rows))
+        assert [c.bug_count for c in ds.cases] == [2, 2, 2]
+        assert all(type(c.bug_count) is int for c in ds.cases)
+
+    def test_repeated_bad_bug_count_names_its_first_row(self):
+        rows = [data_row(bug="1"), data_row(bug="1.5"), data_row(bug="1.5")]
+        with pytest.raises(ParseError, match=r"^row 2: bug count '1\.5' is not an integer$"):
+            parse_dataset(make_csv(rows))
+
+    def test_parsed_vectors_equal_checked_vectors(self):
+        cells = ["0.0", "-0", "1.50", "2", "0.25"] + ["3"] * (N_METRICS - 5)
+        ds = parse_dataset(make_csv([data_row(metrics=cells)]))
+        checked = MetricVector.from_strings(cells)
+        assert ds.cases[0].metrics == checked
+        assert hash(ds.cases[0].metrics) == hash(checked)
+
     def test_empty_file_and_headerless_file(self):
         with pytest.raises(EmptyDatasetError):
             parse_dataset(io.StringIO(""))
@@ -303,6 +322,27 @@ class TestRoundTrip:
         assert matrix.shape == (25, N_METRICS)
         assert matrix[4].tolist() == list(ds.cases[4].metrics.as_floats())
         assert ds.labels.tolist() == [c.defective for c in ds.cases]
+
+
+class TestFeatureMatrix:
+    def test_equal_values_get_equal_bits_whatever_their_spelling(self):
+        # "-0" equals 0 and shares its feature group, so it must share its
+        # float bits too, in either row order and in the stacked pool matrix
+        zero = data_row(name="Z", metrics=["0"] + ["1"] * (N_METRICS - 1), bug="1")
+        negative = data_row(name="N", metrics=["-0.00"] + ["1.0"] * (N_METRICS - 1))
+        other = synthetic_dataset("other1.0", seed=1, cases=5)
+        for rows in ([zero, negative], [negative, zero]):
+            ds = parse_dataset(make_csv(rows), name="zeros1.0")
+            ids, _ = ds.feature_ids
+            assert ids.tolist() == [0, 0]
+            matrix = ds.feature_matrix
+            assert matrix[0].tobytes() == matrix[1].tobytes()
+            assert not np.signbit(matrix).any()
+            assert matrix.tobytes() == np.array(
+                [c.metrics.as_floats() for c in ds.cases]).tobytes()
+            pool = build_pool(Corpus((other, ds)), other)
+            assert pool.feature_matrix[0].tobytes() == pool.feature_matrix[1].tobytes()
+            assert pool.feature_matrix.tobytes() == matrix.tobytes()
 
 
 class TestCorpus:

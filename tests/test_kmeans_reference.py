@@ -10,6 +10,10 @@ The one documented exception: with a single feature, numpy sums each
 cluster's column pairwise, while the buffered loop adds members in row
 order, so fractional centroids may differ in the last bit.  Integer-valued
 single-feature inputs sum exactly either way and are covered bit for bit.
+
+The assignment step works in row blocks; the result must not depend on
+where they split, so the reference is also compared under blocks of a few
+rows, which the generated inputs never span at the default block size.
 """
 
 from __future__ import annotations
@@ -61,6 +65,18 @@ def kmeans_cases(draw):
     return points, k, draw(st.integers(0, 2**32 - 1)), max_iter
 
 
+#: (n, d, k, seed) of the peters filter's shape: 20 scaled metrics,
+#: k ~ sqrt(n / 2)
+FILTER_SCALE = [(2000, 20, 32, 5), (1500, 20, 27, 9)]
+
+
+def filter_scale_points(n, d, seed):
+    """Min-max scaled heavy-tailed columns with many repeated values."""
+    rng = np.random.default_rng(seed)
+    raw = np.floor(rng.pareto(1.5, size=(n, d)) * 4.0)
+    return raw / np.where(raw.max(axis=0) > 0, raw.max(axis=0), 1.0)
+
+
 class TestKmeansAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(kmeans_cases())
@@ -71,13 +87,9 @@ class TestKmeansAgainstReference:
             reference_kmeans(points, k, seed, max_iter=max_iter),
         )
 
-    @pytest.mark.parametrize("n, d, k, seed", [(2000, 20, 32, 5), (1500, 20, 27, 9)])
+    @pytest.mark.parametrize("n, d, k, seed", FILTER_SCALE)
     def test_bit_identical_at_filter_scale(self, n, d, k, seed):
-        # the peters filter's shape: 20 scaled metrics, k ~ sqrt(n / 2),
-        # heavy-tailed columns with many repeated values
-        rng = np.random.default_rng(seed)
-        raw = np.floor(rng.pareto(1.5, size=(n, d)) * 4.0)
-        points = raw / np.where(raw.max(axis=0) > 0, raw.max(axis=0), 1.0)
+        points = filter_scale_points(n, d, seed)
         assert_bit_identical(kmeans(points, k, seed), reference_kmeans(points, k, seed))
 
     def test_edge_cases_are_exercised(self, monkeypatch):
@@ -111,3 +123,46 @@ class TestKmeansAgainstReference:
         assert result.iterations == iterations
         np.testing.assert_allclose(result.centroids, centroids, rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(result.inertia_history, history, rtol=1e-12, atol=0.0)
+
+
+def assert_bit_identical_in_blocks(points, k, seed, rows, max_iter=100):
+    """Run k-means in blocks of ``rows`` rows and compare it with the
+    reference.  Every block holds ``rows`` rows except the last, which holds
+    2 to ``rows + 1``: a lone trailing row joins the block before it."""
+    layouts = []
+    real = clustering._blocks
+
+    def spy(n_rows, step):
+        layouts.append(real(n_rows, step))
+        return layouts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_ASSIGN_BLOCK_CELLS", rows * k)
+        patch.setattr(clustering, "_blocks", spy)
+        result = kmeans(points, k, seed, max_iter=max_iter)
+    n = points.shape[0]
+    [blocks] = layouts
+    assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+    assert blocks[-1][1] == n
+    heights = [stop - start for start, stop in blocks]
+    assert set(heights[:-1]) <= {rows}
+    assert 2 <= heights[-1] <= rows + 1 or heights == [1] == [n]
+    assert_bit_identical(result, reference_kmeans(points, k, seed, max_iter=max_iter))
+
+
+class TestKmeansBlockLayouts:
+    @settings(max_examples=150, deadline=None)
+    @given(kmeans_cases(), st.sampled_from([2, 3, "n-1"]))
+    def test_bit_identical_to_reference_in_small_blocks(self, case_args, rows):
+        points, k, seed, max_iter = case_args
+        if rows == "n-1":  # n mod rows == 1: the last row joins the block before
+            rows = max(2, points.shape[0] - 1)
+        assert_bit_identical_in_blocks(points, k, seed, rows, max_iter=max_iter)
+
+    @pytest.mark.parametrize("rows", [2, 3, 7, -1])
+    @pytest.mark.parametrize("n, d, k, seed", FILTER_SCALE)
+    def test_bit_identical_at_filter_scale_in_small_blocks(self, n, d, k, seed, rows):
+        # 2000 and 1500 leave 5 and 2 rows over 7-row blocks and one row
+        # over n - 1 (rows == -1); 2000 mod 3 == 2
+        points = filter_scale_points(n, d, seed)
+        assert_bit_identical_in_blocks(points, k, seed, n - 1 if rows == -1 else rows)

@@ -14,6 +14,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectclean import selection
 from defectclean.clustering import default_k, kmeans
@@ -27,7 +28,7 @@ from defectclean.selection import (
     select_training_data,
 )
 
-from .conftest import case, dataset, random_vector
+from .conftest import case, dataset, problem_datasets, random_vector
 
 
 def random_dataset(rng, name, n, grid=6, active=6) -> Dataset:
@@ -105,6 +106,37 @@ class TestBuildPool:
         assert pool.feature_matrix.shape == (len(pool), 20)
         assert pool.labels[3] == pool.entries[3].case.defective
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(problem_datasets(), min_size=4, max_size=4),
+        st.integers(0, 3),
+        st.sampled_from(["p1.0", "p1.1", "q1.0", "r2.0"]),
+        st.sampled_from(["strict", "mixed"]),
+    )
+    def test_stacked_matrices_equal_the_entries(self, drawn, emptied, target_name, mode):
+        # respelled cells, one dataset emptied; the stacked per-dataset
+        # arrays must hold each entry's floats and label, bit for bit
+        names = ("p1.0", "p1.1", "q1.0", "r2.0")
+        datasets = [dataset(name, list(ds.cases)) for name, ds in zip(names, drawn)]
+        datasets[emptied] = datasets[emptied].replace_cases(())
+        corpus = Corpus(tuple(datasets))
+        target = corpus.get(target_name)
+        pool = build_pool(corpus, target, mode=mode)
+        entries = pool.entries
+        assert len(pool) == len(entries) == pool.feature_matrix.shape[0] > 0
+        want = np.array([e.case.metrics.as_floats() for e in entries], dtype=np.float64)
+        assert pool.feature_matrix.tobytes() == want.tobytes()
+        assert pool.labels.tolist() == [e.case.defective for e in entries]
+        admitted = [
+            ds for ds in datasets
+            if ds.project != target.project or (mode == "mixed" and ds.name < target_name)
+        ]
+        assert [(e.origin, e.origin_row) for e in entries] == [
+            (ds.name, row) for ds in admitted for row in range(ds.case_count)
+        ]
+        for entry in entries:
+            assert corpus.get(entry.origin).cases[entry.origin_row] is entry.case
+
     def test_single_project_corpus_has_no_pool(self, rng):
         corpus = Corpus((random_dataset(rng, "solo1.0", 10),))
         with pytest.raises(ValueError, match="empty source pool"):
@@ -168,7 +200,7 @@ class TestBurakFilter:
             clustered = peters_filter(pool, target, k_clusters=2, normalize=normalize).selected
             for rows in block_rows:
                 step = target.case_count - 1 if rows == -1 else rows
-                monkeypatch.setattr(selection, "_block_rows", lambda columns: step)
+                monkeypatch.setattr(selection, "_block_rows", lambda columns, cells: step)
                 assert burak_filter(pool, target, k=k, normalize=normalize).selected == default
                 assert peters_filter(
                     pool, target, k_clusters=2, normalize=normalize).selected == clustered
