@@ -91,7 +91,7 @@ def canonical_str(value: Decimal) -> str:
     if not value:
         return "0"  # normalize() keeps the sign of a negative zero ("-0.0")
     with localcontext() as ctx:
-        ctx.prec = 60  # plenty for defect metrics; normalize() must not round
+        ctx.prec = len(value.as_tuple().digits)  # so normalize() cannot round
         norm = value.normalize()
     return format(norm, "f")
 

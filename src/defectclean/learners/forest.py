@@ -4,18 +4,20 @@ Each tree trains on a bootstrap sample and considers a fresh random subset
 of floor(log2(d)) + 1 candidate features at every node.  All randomness
 comes from per-tree generators derived from (seed, tree index), so the same
 seed always yields the same forest regardless of how many trees other runs
-drew.  The forest score is the mean of the trees' leaf probabilities.
+drew.  A tree's generator draws its bootstrap sample, then its per-node
+feature subsets, lazily (:class:`FeatureSubsets`).  The forest score is the
+mean of the trees' leaf probabilities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .base import TrainingMatrix, check_features
-from .tree import grow_tree_arrays, predict_kernel
+from .tree import grow_tree_arrays, nodes_from_dict, nodes_to_dict, predict_kernel
 
 
 def default_feature_count(n_features: int) -> int:
@@ -61,47 +63,52 @@ class RandomForestModel:
             "format": 1,
             "kind": self.kind,
             "n_features": self.n_features,
-            "config": {
-                "trees": self.config.trees,
-                "max_features": self.config.max_features,
-                "bootstrap": self.config.bootstrap,
-                "min_node_size": self.config.min_node_size,
-            },
+            "config": asdict(self.config),
             "seed": self.seed,
-            "trees": [
-                {
-                    "feature": arrays[0].tolist(),
-                    "threshold": arrays[1].tolist(),
-                    "left": arrays[2].tolist(),
-                    "right": arrays[3].tolist(),
-                    "n": arrays[4].tolist(),
-                    "pos": arrays[5].tolist(),
-                }
-                for arrays in self.trees
-            ],
+            "trees": [nodes_to_dict(arrays) for arrays in self.trees],
             "train_meta": self.train_meta,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RandomForestModel":
-        trees = [
-            (
-                np.array(t["feature"], dtype=np.int64),
-                np.array(t["threshold"], dtype=np.float64),
-                np.array(t["left"], dtype=np.int64),
-                np.array(t["right"], dtype=np.int64),
-                np.array(t["n"], dtype=np.int64),
-                np.array(t["pos"], dtype=np.int64),
-            )
-            for t in payload["trees"]
-        ]
         return cls(
             n_features=payload["n_features"],
             config=ForestConfig(**payload["config"]),
             seed=payload["seed"],
-            trees=trees,
+            trees=[nodes_from_dict(t) for t in payload["trees"]],
             train_meta=dict(payload["train_meta"]),
         )
+
+
+class FeatureSubsets:
+    """One sorted random subset of ``m`` of ``d`` features per node id.
+
+    Row j is the sorted first ``m`` entries of row j of one ``rng.permuted``
+    call over ``rows`` copies of ``range(d)``.  The generator permutes row
+    after row, so consecutive chunks draw the same rows, and a tree reads
+    only up to its highest node id: rows are drawn on first use, in
+    doubling chunks, and the rest (most of ``2n + 1``) never are.
+    """
+
+    def __init__(self, rng: np.random.Generator, d: int, m: int, rows: int) -> None:
+        self.rng, self.d = rng, d
+        self.table = np.empty((rows, m), dtype=np.int64)
+        self.drawn = 0
+
+    def __len__(self) -> int:
+        return self.table.shape[0]
+
+    def __getitem__(self, node: int) -> np.ndarray:
+        if node >= self.drawn:
+            self.draw_to(min(len(self), max(node + 1, 2 * self.drawn, 256)))
+        return self.table[node]
+
+    def draw_to(self, rows: int) -> None:
+        """Draw every row below ``rows`` (which must be at least ``drawn``)."""
+        perms = np.tile(np.arange(self.d, dtype=np.int64), (rows - self.drawn, 1))
+        perms = self.rng.permuted(perms, axis=1)
+        self.table[self.drawn:rows] = np.sort(perms[:, :self.table.shape[1]], axis=1)
+        self.drawn = rows
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -118,8 +125,6 @@ def train_forest(
     n, d = data.n_rows, data.n_features
     m = min(d, config.max_features or default_feature_count(d))
 
-    X = np.ascontiguousarray(data.X, dtype=np.float64)
-    y = data.y
     trees = []
     for t in range(config.trees):
         rng = _tree_rng(seed, t)
@@ -130,13 +135,9 @@ def train_forest(
         if m == d:
             feature_table = np.arange(d, dtype=np.int64)[None, :]
         else:
-            # one pre-drawn sorted feature subset per possible node id
-            perms = np.tile(np.arange(d, dtype=np.int64), (2 * n + 1, 1))
-            perms = rng.permuted(perms, axis=1)
-            feature_table = np.sort(perms[:, :m], axis=1)
-            feature_table = np.ascontiguousarray(feature_table)
+            feature_table = FeatureSubsets(rng, d, m, rows=2 * n + 1)
         trees.append(
-            grow_tree_arrays(X, y, sample_idx, feature_table, config.min_node_size)
+            grow_tree_arrays(data.X, data.y, sample_idx, feature_table, config.min_node_size)
         )
     return RandomForestModel(
         n_features=d,

@@ -14,23 +14,27 @@ estimate (continuity-corrected upper confidence bound at confidence 0.25)
 does not exceed the sum over the subtree's leaves.  Subtree raising is not
 performed.
 
-Growth is one numpy kernel, presorted as in SLIQ (Mehta et al., EDBT 1996)
-and SPRINT (Shafer et al., VLDB 1996): each feature is argsorted once per
-tree, and every split stable-partitions those sorted lists, so a node is
-one contiguous segment of each of them.  All thresholds of all candidate
-features of a node are scored in one pass.  Entropies are computed from
-integer class counts through one precomputed ``k * log2(k)`` table (the
-count form of C4.5, Quinlan 1993), so any code path that combines the same
-table entries in the same order makes bit-identical choices.  Nodes
-are numbered depth-first, left child first; random forests key their
-per-node feature subsets by that number.
+Growth is one numpy kernel over the distinct sampled rows, each weighted
+by its sample count and its defective count.  Instead of presorting every
+feature once per tree and partitioning all sorted lists at every split (as
+SLIQ, Mehta et al. 1996, and SPRINT, Shafer et al. 1996, do), each node
+argsorts only its candidate features over its own rows and scores only the
+gaps where adjacent sorted values differ.  This is exact: copies of a row
+share every value, so the prefix sums of the weights at a gap count every
+tie whatever order ties were sorted in, and each gap of a per-sample scan
+maps to one gap here, in the same row-major (feature, threshold) order.
+Entropies come from integer class counts through one ``k * log2(k)``
+table (the count form of C4.5, Quinlan 1993), so any code path that
+combines the same table entries in the same order makes bit-identical
+choices.  Nodes are numbered depth-first, left child first; random forests
+key their per-node feature subsets by that number.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +42,9 @@ from .base import TrainingMatrix, check_features
 
 #: gains at or below this are treated as zero (float noise from entropy sums)
 GAIN_EPS = 1e-12
+
+#: mask of the defective count in a packed per-row weight
+LOW = (1 << 32) - 1
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,19 @@ def predict_kernel(node_feature, node_threshold, node_left, node_right,
         node[rows] = np.where(go_left, node_left[at], node_right[at])
         rows = rows[node_feature[node[rows]] != -1]
     return node_pos[node] / node_n[node]
+
+
+#: serialized name and dtype of each node array, in kernel order
+NODE_FIELDS = (("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
+               ("right", np.int64), ("n", np.int64), ("pos", np.int64))
+
+
+def nodes_to_dict(arrays) -> dict:
+    return {name: a.tolist() for (name, _), a in zip(NODE_FIELDS, arrays)}
+
+
+def nodes_from_dict(nodes: dict) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(nodes[name], dtype=dtype) for name, dtype in NODE_FIELDS)
 
 
 def _pessimistic_errors(n: int, errors: int, z: float) -> float:
@@ -175,35 +195,18 @@ class DecisionTreeModel:
             "format": 1,
             "kind": self.kind,
             "n_features": self.n_features,
-            "config": {
-                "min_node_size": self.config.min_node_size,
-                "prune": self.config.prune,
-                "confidence": self.config.confidence,
-            },
-            "nodes": {
-                "feature": self.node_feature.tolist(),
-                "threshold": self.node_threshold.tolist(),
-                "left": self.node_left.tolist(),
-                "right": self.node_right.tolist(),
-                "n": self.node_n.tolist(),
-                "pos": self.node_pos.tolist(),
-            },
+            "config": asdict(self.config),
+            "nodes": nodes_to_dict((
+                self.node_feature, self.node_threshold, self.node_left,
+                self.node_right, self.node_n, self.node_pos)),
             "train_meta": self.train_meta,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DecisionTreeModel":
-        nodes = payload["nodes"]
         return cls(
-            n_features=payload["n_features"],
-            config=TreeConfig(**payload["config"]),
-            node_feature=np.array(nodes["feature"], dtype=np.int64),
-            node_threshold=np.array(nodes["threshold"], dtype=np.float64),
-            node_left=np.array(nodes["left"], dtype=np.int64),
-            node_right=np.array(nodes["right"], dtype=np.int64),
-            node_n=np.array(nodes["n"], dtype=np.int64),
-            node_pos=np.array(nodes["pos"], dtype=np.int64),
-            train_meta=dict(payload["train_meta"]),
+            payload["n_features"], TreeConfig(**payload["config"]),
+            *nodes_from_dict(payload["nodes"]), train_meta=dict(payload["train_meta"]),
         )
 
 
@@ -211,54 +214,58 @@ def grow_tree_arrays(
     X: np.ndarray,
     y: np.ndarray,
     sample_idx: np.ndarray,
-    feature_table: np.ndarray,
+    feature_table,
     min_node_size: int,
 ) -> tuple[np.ndarray, ...]:
     """Grow a tree over the samples ``sample_idx`` (duplicates allowed).
 
-    ``feature_table`` row j holds the sorted candidate feature indices for
+    ``feature_table[j]`` holds the sorted candidate feature indices for
     node j; a single-row table is shared by all nodes.  Returns the node
     arrays (feature, threshold, left, right, n, pos), numbered depth-first
     with the left child first.  Leaves have ``feature == -1``.
     """
-    X = np.asarray(X, dtype=np.float64)[sample_idx]
-    y = np.asarray(y, dtype=np.int64)[sample_idx]
-    n, d = X.shape
-    columns = np.ascontiguousarray(X.T)
+    rows, counts = np.unique(sample_idx, return_counts=True)
+    columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64)[rows].T)
+    n = int(sample_idx.shape[0])
+    if n >= 1 << 31:
+        raise ValueError(f"{n} samples: the packed class counts hold at most 2**31 - 1")
+    # one int64 per distinct row: its sample count in the high 32 bits and
+    # its defective count in the low 32, so one cumsum gives both prefixes
+    weights = (counts << 32) | (counts * np.asarray(y, dtype=np.int64)[rows])
     table = entropy_table(n)
-    # row f lists the samples in ascending order of feature f; every node
-    # owns the same [start, end) segment of every row
-    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-    left_sizes = np.arange(1, n, dtype=np.int64)
+    # each node owns a contiguous [start, end) segment of the distinct rows
+    members = np.arange(rows.shape[0])
 
-    cap = 2 * n + 1
-    node_feature = np.full(cap, -1, dtype=np.int64)
+    cap = 2 * rows.shape[0] + 1
+    node_feature, node_left, node_right = (np.full(cap, -1, dtype=np.int64) for _ in range(3))
     node_threshold = np.zeros(cap, dtype=np.float64)
-    node_left = np.full(cap, -1, dtype=np.int64)
-    node_right = np.full(cap, -1, dtype=np.int64)
-    node_n = np.empty(cap, dtype=np.int64)
-    node_pos = np.empty(cap, dtype=np.int64)
+    node_n, node_pos = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
 
-    stack = [(0, 0, n)]
+    stack = [(0, 0, rows.shape[0], n, int(weights.sum()) & LOW)]
     node_count = 1
     while stack:
-        node, start, end = stack.pop()
-        n_node = end - start
-        pos = int(y[order[0, start:end]].sum())
-        node_n[node] = n_node
-        node_pos[node] = pos
+        node, start, end, n_node, pos = stack.pop()
+        node_n[node], node_pos[node] = n_node, pos
         if not (0 < pos < n_node and n_node >= min_node_size):
             continue
 
-        feats = feature_table[node if feature_table.shape[0] > 1 else 0]
-        segment = order[feats, start:end]
+        feats = feature_table[node if len(feature_table) > 1 else 0]
+        segment = members[start:end]
         values = columns[feats[:, None], segment]
-        separates = values[:, :-1] != values[:, 1:]
-        if not separates.any():
+        # ties may come out in any order: the class counts below are taken
+        # only where the value changes, and there they count every tie
+        order = values.argsort(axis=1)
+        values = values.ravel()[order + np.arange(0, values.size, end - start)[:, None]]
+        # separating gaps as flat row-major indices into (features, gaps)
+        cand = np.flatnonzero(values[:, :-1] != values[:, 1:])
+        if not cand.size:
             continue
-        nl = left_sizes[:n_node - 1]
+        ranked = segment[order]
+        sums = np.cumsum(weights[ranked], axis=1)
+        left = sums.ravel()[cand + cand // (end - start - 1)]
+        nl = left >> 32
+        pl = left & LOW
         nr = n_node - nl
-        pl = np.cumsum(y[segment[:, :-1]], axis=1)
         pr = pos - pl
         # n * gain and n * split info; each pair of terms is added before it
         # is subtracted, so mirror-image splits (children swapped) tie
@@ -267,44 +274,36 @@ def grow_tree_arrays(
             (table[nl] - (table[pl] + table[nl - pl]))
             + (table[nr] - (table[pr] + table[nr - pr]))
         )
-        informative = separates & (n_gain / n_node > GAIN_EPS)
+        informative = n_gain / n_node > GAIN_EPS
         if informative.any():
             n_split = table[n_node] - (table[nl] + table[nr])
             # first maximum in row-major order: lowest feature, then lowest
             # threshold, as a strict ``>`` scan would pick
-            best = np.argmax(np.where(informative, n_gain / n_split, -1.0))
+            best = int(np.argmax(np.where(informative, n_gain / n_split, -1.0)))
         else:
             # impure node where every split is uninformative: take the
             # first separating candidate rather than stopping short
-            best = np.argmax(separates)
-        row, i = divmod(int(best), n_node - 1)
+            best = 0
+        row, i = divmod(int(cand[best]), end - start - 1)
         best_f = int(feats[row])
         best_t = (values[row, i] + values[row, i + 1]) / 2.0
 
-        block = order[:, start:end]
-        goes_left = columns[best_f][block] <= best_t
-        n_left = int(np.count_nonzero(goes_left[0]))
-        order[:, start:end] = np.concatenate(
-            (block[goes_left].reshape(d, n_left),
-             block[~goes_left].reshape(d, n_node - n_left)),
-            axis=1,
-        )
+        # the left child is the sorted prefix with x <= t: i + 1 rows,
+        # unless the midpoint rounded up onto the next value
+        n_left = int(np.searchsorted(values[row], best_t, side="right"))
+        members[start:end] = ranked[row]
+        left_sums = int(sums[row, n_left - 1]) if n_left else 0
+        left_n, left_p = left_sums >> 32, left_sums & LOW
 
-        left_id = node_count
-        right_id = node_count + 1
+        left_id, right_id = node_count, node_count + 1
         node_count += 2
-        node_feature[node] = best_f
-        node_threshold[node] = best_t
-        node_left[node] = left_id
-        node_right[node] = right_id
-        stack.append((right_id, start + n_left, end))
-        stack.append((left_id, start, start + n_left))
+        node_feature[node], node_threshold[node] = best_f, best_t
+        node_left[node], node_right[node] = left_id, right_id
+        stack.append((right_id, start + n_left, end, n_node - left_n, pos - left_p))
+        stack.append((left_id, start, start + n_left, left_n, left_p))
 
-    return (
-        node_feature[:node_count].copy(), node_threshold[:node_count].copy(),
-        node_left[:node_count].copy(), node_right[:node_count].copy(),
-        node_n[:node_count].copy(), node_pos[:node_count].copy(),
-    )
+    return tuple(a[:node_count].copy() for a in (
+        node_feature, node_threshold, node_left, node_right, node_n, node_pos))
 
 
 def train_tree(data: TrainingMatrix, config: TreeConfig | None = None) -> DecisionTreeModel:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectclean.data import (
     Case,
@@ -293,7 +294,61 @@ class TestParseDataset:
         assert ds.case_count == 1
 
 
+@st.composite
+def metric_values(draw) -> tuple[int, int]:
+    """A value ``digits * 10**-scale``: zero, small, or up to 80 digits long."""
+    width = draw(st.sampled_from([1, 3, 17, 80]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    digits = "".join(map(str, rng.integers(0, 10, size=width)))
+    return int(digits) * draw(st.sampled_from([0, 1])), draw(st.integers(0, 85))
+
+
+@st.composite
+def spellings(draw, value: tuple[int, int]) -> str:
+    """One of many texts of a value: exponent-free with extra leading or
+    trailing zeros, or with an exponent, and ``-0`` for zero."""
+    digits, scale = value
+    if draw(st.booleans()):
+        text = f"{digits}E-{scale}"
+    else:
+        plain = str(digits).rjust(scale + 1, "0")
+        text = f"{plain[:-scale]}.{plain[-scale:]}" if scale else plain
+        if draw(st.booleans()):
+            text += ("" if scale else ".") + "0" * draw(st.integers(0, 3))
+        text = "0" * draw(st.integers(0, 2)) + text
+    if digits == 0 and draw(st.booleans()):
+        text = "-" + text
+    return text
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """A CSV whose cells respell a few shared values, so equal rows rarely
+    share text."""
+    values = draw(st.lists(metric_values(), min_size=1, max_size=4))
+    rows = []
+    for i in range(draw(st.integers(1, 8))):
+        metrics = [draw(spellings(draw(st.sampled_from(values))))
+                   for _ in range(N_METRICS)]
+        bug = draw(st.sampled_from(["0", "1", "2", "1.0", "02", "0.00"]))
+        rows.append(data_row(name=f"C{i}", metrics=metrics, bug=bug))
+    return make_csv(rows).getvalue()
+
+
 class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(csv_texts())
+    def test_parse_serialize_parse_is_identity(self, text):
+        first = parse_dataset(io.StringIO(text))
+        written = io.StringIO()
+        serialize_dataset(first, written)
+        second = parse_dataset(io.StringIO(written.getvalue()))
+        assert second == first
+        assert np.array_equal(second.feature_matrix, first.feature_matrix)
+        again = io.StringIO()
+        serialize_dataset(second, again)
+        assert again.getvalue() == written.getvalue()
+
     def test_serialize_parse_identity(self):
         for seed in range(5):
             original = synthetic_dataset("roundtrip1.0", seed=seed, cases=40,

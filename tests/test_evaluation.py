@@ -1,9 +1,10 @@
 """Metric tests.
 
 F-measure fixtures below are hand-derived fractions from the confusion
-counts.  The AUC oracle is trapezoidal integration of the ROC curve,
-implemented independently in this module; the rank-based implementation
-must agree with it to 1e-9 on arbitrary score vectors.
+counts.  The AUC oracles are trapezoidal integration of the ROC curve and
+an O(n^2) count of concordant pairs, both implemented independently in
+this module; the rank-based implementation must agree with the first to
+1e-9 and with the exact pair count bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectclean.evaluation import (
     ChangeRate,
@@ -23,6 +25,15 @@ from defectclean.evaluation import (
     precision,
     recall,
 )
+
+
+def pair_count_auc(scores, labels) -> Fraction:
+    """O(n^2) Mann-Whitney count: each (defective, clean) pair scores 1
+    when the defective case ranks higher and 1/2 when they tie."""
+    pos = [s for s, y in zip(scores, labels) if y]
+    neg = [s for s, y in zip(scores, labels) if not y]
+    halves = sum(2 * (p > q) + (p == q) for p in pos for q in neg)
+    return Fraction(halves, 2 * len(pos) * len(neg))
 
 
 def trapezoid_auc(scores, labels) -> float:
@@ -128,6 +139,20 @@ class TestAuc:
             scores = rng.integers(0, 5, size=n) / 4.0
             assert auc(scores, labels) == pytest.approx(
                 trapezoid_auc(scores, labels), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=60),
+           st.sampled_from([0.25, 0.1, 1e-3]))
+    def test_equals_concordant_pair_count(self, cells, scale):
+        # five score levels over up to 60 cases: ties within and across
+        # classes are the rule, and single-class draws are frequent
+        scores = [level * scale for level, _ in cells]
+        labels = [label for _, label in cells]
+        got = auc(scores, labels)
+        if all(labels) or not any(labels):
+            assert got is None
+        else:
+            assert got == float(pair_count_auc(scores, labels))
 
     def test_score_inversion_flips_area(self, rng):
         for _ in range(200):

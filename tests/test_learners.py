@@ -25,7 +25,7 @@ from defectclean.learners import (
     train_tree,
 )
 from defectclean.learners.base import TrainingMatrix, model_from_dict, predict
-from defectclean.learners.forest import default_feature_count, _tree_rng
+from defectclean.learners.forest import FeatureSubsets, default_feature_count, _tree_rng
 from defectclean.learners.tree import (
     _pessimistic_errors,
     entropy_table,
@@ -281,7 +281,8 @@ class TestPessimisticBound:
 def kernel_cases(draw):
     """Small trees with every awkward input the kernel must handle."""
     n = draw(st.integers(1, 40))
-    d = draw(st.integers(1, 5))
+    wide = draw(st.booleans())  # the 20 standard metrics, 5 per forest node
+    d = 20 if wide else draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.integers(1, 6))  # 1: every value tied
     X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
@@ -292,17 +293,32 @@ def kernel_cases(draw):
     if d >= 2 and draw(st.booleans()):  # XOR: no single split has gain
         X[:, :2] = rng.integers(0, 2, size=(n, 2))
         y = X[:, 0] != X[:, 1]
-    if draw(st.booleans()):  # bootstrap duplicates
+    if draw(st.booleans()):  # equal rows with opposite labels
+        half = n // 2
+        X[half:2 * half] = X[:half]
+        y[half:2 * half] = ~y[:half]
+    sampling = draw(st.sampled_from(["all", "bootstrap", "few_rows"]))
+    if sampling == "bootstrap":  # duplicates
         idx = rng.integers(0, n, size=n, dtype=np.int64)
+    elif sampling == "few_rows":  # heavy duplicates of at most 3 rows
+        few = rng.choice(n, size=min(n, 3), replace=False)
+        idx = few[rng.integers(0, few.size, size=draw(st.integers(1, 40)))].astype(np.int64)
     else:
         idx = np.arange(n, dtype=np.int64)
     if draw(st.booleans()):  # per-node feature subsets
-        m = draw(st.integers(1, d))
-        perms = np.argsort(rng.random((2 * n + 1, d)), axis=1)
+        m = 5 if wide else draw(st.integers(1, d))
+        perms = np.argsort(rng.random((2 * idx.size + 1, d)), axis=1)
         table = np.sort(perms[:, :m], axis=1).astype(np.int64)
     else:
         table = np.arange(d, dtype=np.int64)[None, :]
     return X, y, idx, table, draw(st.integers(1, 6))
+
+
+def eager_subsets(gen, n, d, m):
+    """The forest's per-node feature table drawn in one call, as the seed
+    contract defines it (after the bootstrap draw)."""
+    perms = gen.permuted(np.tile(np.arange(d, dtype=np.int64), (2 * n + 1, 1)), axis=1)
+    return np.sort(perms[:, :m], axis=1)
 
 
 class TestKernelAgainstReference:
@@ -327,6 +343,39 @@ class TestKernelAgainstReference:
             table = np.sort(perms[:, :5], axis=1)
             for a, b in zip(arrays, reference_grow(data.X, data.y, idx, table, 2)):
                 assert np.array_equal(a, b)
+
+    def test_lazy_subsets_past_the_first_chunk_equal_the_eager_table(self, rng):
+        # noise labels need hundreds of nodes, so the trees split at node
+        # ids beyond the first 256-row chunk of lazily drawn subsets
+        n = 800
+        data = matrix(rng.random((n, 20)), rng.random(n) < 0.5)
+        forest = train_forest(data, ForestConfig(trees=2), seed=7)
+        for t, arrays in enumerate(forest.trees):
+            assert np.flatnonzero(arrays[0] != -1).max() >= 256
+            gen = _tree_rng(7, t)
+            idx = gen.integers(0, n, size=n, dtype=np.int64)
+            table = eager_subsets(gen, n, 20, 5)
+            for a, b in zip(arrays, reference_grow(data.X, data.y, idx, table, 2)):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("idx", [[0, 1, 2, 3], [0, 1, 1, 2, 3, 3]])
+    def test_midpoint_rounding_onto_the_upper_value(self, idx):
+        # these adjacent floats have a midpoint that rounds up to ``hi``, so
+        # ``x <= t`` also sends the ``hi`` rows left: the left child is not
+        # the rows below the gap, and its counts must follow the test
+        lo, hi = 1 + 2**-52, 1 + 2**-51
+        assert (lo + hi) / 2 == hi
+        X = np.array([[lo], [hi], [5.0], [6.0]])
+        y = np.array([True, False, False, False])
+        idx = np.array(idx, dtype=np.int64)
+        table = np.zeros((1, 1), dtype=np.int64)
+        fast = grow_tree_arrays(X, y, idx, table, 4)
+        slow = reference_grow(X, y, idx, table, 4)
+        assert fast[0][0] == 0 and fast[1][0] == hi
+        assert fast[4][1] == np.count_nonzero(idx <= 1)
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_cases())
@@ -389,6 +438,28 @@ class TestRandomForest:
             np.ascontiguousarray(data.X), data.y, idx, table, 2)
         for a, b in zip(model.trees[0], expected):
             assert np.array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+           d=st.integers(1, 20), data=st.data())
+    def test_lazy_subsets_equal_one_permuted_call(self, seed, n, d, data):
+        m = data.draw(st.integers(1, d))
+        rows = 2 * n + 1
+        splits = sorted(data.draw(st.lists(st.integers(0, rows), max_size=4)))
+        nodes = data.draw(st.lists(st.integers(0, rows - 1), max_size=6))
+        eager = _tree_rng(seed, 0)
+        eager.integers(0, n, size=n, dtype=np.int64)
+        expected = eager_subsets(eager, n, d, m)
+        lazy = _tree_rng(seed, 0)
+        lazy.integers(0, n, size=n, dtype=np.int64)
+        subsets = FeatureSubsets(lazy, d, m, rows)
+        assert len(subsets) == rows
+        for split in splits:  # explicit chunk boundaries
+            subsets.draw_to(max(split, subsets.drawn))
+        for node in nodes:  # on-demand chunks, in any order
+            assert np.array_equal(subsets[node], expected[node])
+        subsets.draw_to(rows)
+        assert np.array_equal(subsets.table, expected)
 
     def test_default_feature_count(self):
         assert default_feature_count(20) == 5
