@@ -44,8 +44,7 @@ for i in range(5):
     c = carried[i]
     carried[i] = Case(c.class_name, c.metrics, 0 if c.defective else 1)
 new = synthetic_dataset("delta1.1", seed=42, cases=30)
-evolved = Dataset("delta", "1.1", "delta1.1",
-                  tuple(carried) + new.cases)
+evolved = Dataset.from_cases("delta", "1.1", "delta1.1", carried + list(new.cases))
 project = Corpus((old, evolved))
 
 # Pair counts are cross products: a metric vector seen a times in release A

@@ -24,13 +24,13 @@ target = corpus.get("gamma1.0")
 # The pool is every case from every other project, in corpus order.  Strict
 # mode also shuts out older releases of the target's own project.
 pool = build_pool(corpus, target, mode="strict")
+origin, _ = pool.origins  # each pool row's dataset name (and row there)
 print(f"target {target.name}: {target.case_count} cases, "
-      f"pool {len(pool)} cases from "
-      f"{sorted({e.origin for e in pool.entries})}")
+      f"pool {len(pool)} cases from {sorted(set(origin))}")
 
 for name in FILTERS:
     selection = select_training_data(name, pool, target, k=10, seed=0)
-    origins = Counter(pool.entries[i].origin for i in selection.selected)
+    origins = Counter(origin[list(selection.selected)])
     print(f"{name:<7} selected {len(selection):>3} cases  {dict(origins)}")
 
 # Distances run over min-max scaled features by default (scaled over pool

@@ -19,8 +19,8 @@ from defectclean.learners.base import TrainingMatrix
 train_ds = synthetic_dataset("alpha1.0", seed=1, cases=240, defect_rate=0.35)
 test_ds = synthetic_dataset("beta1.0", seed=2, cases=120, defect_rate=0.35)
 
-fit_data = TrainingMatrix.from_cases(train_ds.cases)
-test_data = TrainingMatrix.from_cases(test_ds.cases)
+fit_data = TrainingMatrix(train_ds.feature_matrix, train_ds.labels)
+test_data = TrainingMatrix(test_ds.feature_matrix, test_ds.labels)
 truth = test_data.y
 
 # 25 trees keep the demo quick; the experiment default is 100.

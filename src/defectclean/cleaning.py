@@ -9,7 +9,8 @@ deletes more (see the order-sensitivity tests).
 :func:`clean` works on the exact group ids of :attr:`Dataset.feature_ids`:
 step 1 keeps the first row of each ``2 * id + label`` key, and a feature
 group is still mixed after it exactly when it held both labels before, so
-step 2 is one lookup per kept row.
+step 2 is one lookup per kept row.  The cleaned dataset is the input's
+columns at the kept rows (:meth:`Dataset.take`).
 """
 
 from __future__ import annotations
@@ -54,19 +55,18 @@ def clean(dataset: Dataset) -> CleanResult:
     dataset keeps the project, release and name of the input.  Idempotent:
     cleaning a cleaned dataset removes nothing.
     """
-    ids, vectors = dataset.feature_ids
+    ids, rows = dataset.feature_ids
     labels = dataset.labels
     row_keys = 2 * ids + labels
     first = np.zeros(dataset.case_count, dtype=bool)
     first[np.unique(row_keys, return_index=True)[1]] = True
-    labels_per_group = np.bincount(ids[first], minlength=len(vectors))
+    labels_per_group = np.bincount(ids[first], minlength=len(rows))
     mixed = first & (labels_per_group[ids] > 1)
     kept = np.flatnonzero(first & ~mixed)
     removed = np.flatnonzero(~first | mixed)
 
-    cases = dataset.cases
     return CleanResult(
-        cleaned=dataset.replace_cases([cases[i] for i in kept.tolist()]),
+        cleaned=dataset.take(kept),
         removed_duplicates=int(dataset.case_count - np.count_nonzero(first)),
         removed_inconsistent=int(np.count_nonzero(mixed)),
         removed_defective=int(np.count_nonzero(labels[removed])),

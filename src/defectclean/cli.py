@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .cleaning import clean_corpus
 from .data import (
-    Case, EmptyDatasetError, ParseError, load_corpus, parse_dataset, write_corpus,
+    Dataset, EmptyDatasetError, ParseError, load_corpus, parse_dataset, write_corpus,
 )
 from .harness import parse_config, run_experiment
 from .quality import corpus_quality, within_quality
@@ -128,15 +128,15 @@ def _cmd_quality(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_back(path: Path, name: str) -> tuple[Case, ...] | None:
-    """The cases of a written CSV; None when it does not parse."""
+def _reads_back(path: Path, dataset: Dataset) -> bool:
+    """Whether a written CSV parses to exactly ``dataset``."""
     with open(path, newline="", encoding="utf-8") as handle:
         try:
-            return parse_dataset(handle, name=name).cases
+            return parse_dataset(handle, name=dataset.name) == dataset
         except EmptyDatasetError:  # how a dataset cleaned to nothing is written
-            return ()
+            return dataset.case_count == 0
         except ParseError:
-            return None
+            return False
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
@@ -156,7 +156,7 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     # the files must read back case for case; the summary, written last,
     # is left out when one does not
     for ds, path in zip(cleaned, write_corpus(cleaned, args.out)):
-        if _read_back(path, ds.name) != ds.cases:
+        if not _reads_back(path, ds):
             print(f"error: {path.name} does not read back as cleaned {ds.name}", file=sys.stderr)
             return 2
     paths = write_clean_summary(summary, args.out)
@@ -177,6 +177,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
         k=args.k, k_clusters=args.clusters, seed=args.seed,
         normalize=not args.raw_distance,
     )
+    names, rows = pool.origins
+    selected = list(selection.selected)
     payload = {
         "filter": selection.filter_name,
         "target": target.name,
@@ -184,12 +186,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
         "parameters": dict(selection.parameters),
         "selected_count": len(selection),
         "selected": [
-            {
-                "pool_index": i,
-                "origin": pool.entries[i].origin,
-                "origin_row": pool.entries[i].origin_row,
-            }
-            for i in selection.selected
+            {"pool_index": i, "origin": origin, "origin_row": row}
+            for i, origin, row in zip(
+                selection.selected, names[selected].tolist(), rows[selected].tolist()
+            )
         ],
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -1,25 +1,34 @@
 """In-memory model and CSV I/O for class-level defect datasets.
 
-A dataset is one release of one software project: a list of cases (classes),
-each carrying 20 static code metrics and a bug count.  A case is *defective*
-exactly when its bug count is at least 1.
+A dataset is one release of one software project: a table of cases
+(classes), each carrying 20 static code metrics and a bug count.  A case is
+*defective* exactly when its bug count is at least 1.
 
-Metric values are stored as :class:`decimal.Decimal` so that textually
-different spellings of the same number ("1", "1.0", "1.00") compare and hash
-equal without any float rounding.  Equality of cases and feature vectors is
-therefore exact numeric equality, which is what the duplicate/inconsistency
-definitions in :mod:`defectclean.quality` rely on.
+A :class:`Dataset` is stored by column.  Its metric values are
+:class:`decimal.Decimal` numbers kept once each in a table of distinct
+values, and the cases hold indices into that table: a read-only int32
+``(n, 20)`` matrix of value ids.  Decimals make textually different
+spellings of one number ("1", "1.0", "1.00") equal without any float
+rounding, and the table gives equal values one id, so two cases have equal
+metrics exactly when their rows of value ids are equal.  That is the exact
+equality the duplicate/inconsistency definitions in
+:mod:`defectclean.quality` rely on.  Float features, labels and feature
+groups are derived from the columns and cached; :class:`Case` objects are
+built only when :attr:`Dataset.cases` is read.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,7 +75,8 @@ def canonicalize_metric(raw: str) -> Decimal:
 
     Returns a ``Decimal`` constructed exactly from the text, so values that
     differ only in formatting ("2.5" vs "2.50") are equal and hash equal.
-    Rejects non-numeric text, NaN/infinity and negative values.
+    Rejects non-numeric text, NaN/infinity, negative values and values
+    beyond the float range (their feature would be infinite).
     """
     text = raw.strip()
     if not text:
@@ -79,6 +89,8 @@ def canonicalize_metric(raw: str) -> Decimal:
         raise ParseError(f"non-finite metric value {raw!r}")
     if value < 0:
         raise ParseError(f"negative metric value {raw!r}")
+    if math.isinf(float(value)):
+        raise ParseError(f"metric value {raw!r} overflows a float")
     return value
 
 
@@ -142,16 +154,6 @@ class MetricVector:
     def from_strings(cls, cells: Iterable[str]) -> "MetricVector":
         return cls(tuple(canonicalize_metric(c) for c in cells))
 
-    @classmethod
-    def _unchecked(cls, values: tuple[Decimal, ...]) -> "MetricVector":
-        """A vector of values that :func:`canonicalize_metric` has checked."""
-        vector = object.__new__(cls)
-        object.__setattr__(vector, "values", values)
-        return vector
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(map(metric_float, self.values))
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -177,26 +179,102 @@ class Case:
         return self.bug_count >= 1
 
 
-@dataclass(frozen=True)
+def value_positions(values: Sequence[Decimal], table: Sequence[Decimal]) -> np.ndarray:
+    """Each value's index in ``table`` as int32, -1 where it is absent.
+
+    The lookup is exact ``Decimal`` equality, so "1.0" finds "1".
+    """
+    index = {v: i for i, v in enumerate(table)}
+    return np.fromiter((index.get(v, -1) for v in values), dtype=np.int32, count=len(values))
+
+
+def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the equal rows of an integer matrix by first occurrence.
+
+    Returns ``(ids, first)``: ``ids[i]`` is row ``i``'s group and
+    ``first[g]`` the row where group ``g`` occurs first.
+    """
+    rows = np.ascontiguousarray(rows)
+    width = rows.shape[1] * rows.itemsize
+    data = rows.tobytes()
+    index: dict[bytes, int] = {}
+    ids = np.fromiter(
+        (index.setdefault(data[i:i + width], len(index)) for i in range(0, len(data), width)),
+        dtype=np.int64, count=rows.shape[0],
+    )
+    # a row starts a group exactly when its id exceeds every id before it
+    starts = np.ones(ids.shape[0], dtype=bool)
+    starts[1:] = ids[1:] > np.maximum.accumulate(ids)[:-1]
+    return ids, np.flatnonzero(starts)
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """One release of one project."""
+    """One release of one project, stored by column.
+
+    ``values`` are the distinct metric values of the table, no two equal.
+    Row ``i`` of the int32 matrix ``value_ids`` holds case ``i``'s 20
+    indices into ``values``, and ``bug_counts[i]`` (int64) its bug count.
+    Both arrays are made read-only.  Datasets are equal when their names and
+    all their cases are equal, value for value, whatever order their tables
+    list the values in.
+    """
 
     project: str
     release: str
     name: str
-    cases: tuple[Case, ...]
+    class_names: tuple[str, ...]
+    values: tuple[Decimal, ...]
+    value_ids: np.ndarray
+    bug_counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.class_names)
+        ids, bugs = self.value_ids, self.bug_counts
+        if ids.dtype != np.int32 or ids.shape != (n, N_METRICS):
+            raise ValueError(
+                f"value_ids must be int32 of shape ({n}, {N_METRICS}), "
+                f"got {ids.dtype} {ids.shape}"
+            )
+        if bugs.dtype != np.int64 or bugs.shape != (n,):
+            raise ValueError(f"bug_counts must be int64 of shape ({n},), got {bugs.dtype} {bugs.shape}")
+        if n and (ids.min() < 0 or ids.max() >= len(self.values)):
+            raise ValueError(f"value ids outside the table of {len(self.values)} values")
+        if n and bugs.min() < 0:
+            raise ValueError(f"negative bug count {bugs.min()}")
+        if len(set(self.values)) != len(self.values):
+            raise ValueError("the value table holds two equal values")
+        ids.flags.writeable = False
+        bugs.flags.writeable = False
+
+    @classmethod
+    def from_cases(
+        cls, project: str, release: str, name: str, cases: Iterable[Case]
+    ) -> "Dataset":
+        """The columns of a sequence of cases (generated or hand-built data)."""
+        cases = tuple(cases)
+        index: dict[Decimal, int] = {}
+        ids = np.fromiter(
+            (index.setdefault(v, len(index)) for c in cases for v in c.metrics.values),
+            dtype=np.int32, count=N_METRICS * len(cases),
+        )
+        bugs = np.fromiter((c.bug_count for c in cases), dtype=np.int64, count=len(cases))
+        return cls(
+            project, release, name, tuple(c.class_name for c in cases), tuple(index),
+            ids.reshape(len(cases), N_METRICS), bugs,
+        )
 
     @property
     def case_count(self) -> int:
-        return len(self.cases)
+        return len(self.class_names)
 
     @cached_property
     def defective_count(self) -> int:
-        return sum(1 for c in self.cases if c.defective)
+        return int(np.count_nonzero(self.labels))
 
     @property
     def defective_ratio(self) -> float:
-        if not self.cases:
+        if not self.case_count:
             return 0.0
         return self.defective_count / self.case_count
 
@@ -204,42 +282,84 @@ class Dataset:
     def feature_matrix(self) -> np.ndarray:
         """Float64 view of the metric values, shape (case_count, 20).
 
-        Each distinct value is converted once, by :func:`metric_float`, so
+        Each table value is converted once, by :func:`metric_float`, so
         equal values (equal ``feature_ids``) get bit-identical rows.
         """
-        cells = [v for case in self.cases for v in case.metrics.values]
-        table = {v: metric_float(v) for v in set(cells)}
-        out = np.fromiter(map(table.__getitem__, cells), dtype=np.float64, count=len(cells))
-        out = out.reshape(len(self.cases), N_METRICS)
+        table = np.array([metric_float(v) for v in self.values], dtype=np.float64)
+        out = table[self.value_ids]
         out.flags.writeable = False
         return out
 
     @cached_property
     def labels(self) -> np.ndarray:
         """Boolean label vector, True = defective."""
-        out = np.fromiter((c.defective for c in self.cases), dtype=bool, count=len(self.cases))
+        out = self.bug_counts >= 1
         out.flags.writeable = False
         return out
 
     @cached_property
-    def feature_ids(self) -> tuple[np.ndarray, tuple[MetricVector, ...]]:
-        """Exact feature groups: per-case group ids and the distinct vectors.
+    def feature_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exact feature groups: per-case group ids and each group's row.
 
-        ``ids[i]`` indexes ``vectors``, the distinct metric vectors of the
-        dataset numbered by first occurrence.  Grouping uses the exact
-        ``MetricVector`` equality, never floats, so "1" and "1.00" share a
-        group and values that differ only beyond float precision do not.
+        ``ids[i]`` numbers case ``i``'s metric vector by first occurrence,
+        and ``rows[g]`` is group ``g``'s row of ``value_ids``.  Equal values
+        share one table entry, so equal id rows are exactly equal metrics:
+        "1" and "1.00" share a group, and values that differ only beyond
+        float precision do not.
         """
-        index: dict[MetricVector, int] = {}
-        ids = np.fromiter(
-            (index.setdefault(c.metrics, len(index)) for c in self.cases),
-            dtype=np.int64, count=len(self.cases),
-        )
+        ids, first = row_groups(self.value_ids)
         ids.flags.writeable = False
-        return ids, tuple(index)
+        rows = self.value_ids[first]
+        rows.flags.writeable = False
+        return ids, rows
 
-    def replace_cases(self, cases: Sequence[Case]) -> "Dataset":
-        return Dataset(self.project, self.release, self.name, tuple(cases))
+    def vector(self, ids: Iterable[int]) -> MetricVector:
+        """The metric vector of one row of value ids."""
+        return MetricVector(tuple([self.values[i] for i in ids]))
+
+    @cached_property
+    def cases(self) -> tuple[Case, ...]:
+        """The cases as objects, built on first access.
+
+        The package's own paths read the columns; this view is for callers
+        that want one object per case.
+        """
+        return tuple(
+            Case(name, self.vector(row), bug)
+            for name, row, bug in zip(
+                self.class_names, self.value_ids.tolist(), self.bug_counts.tolist()
+            )
+        )
+
+    def take(self, rows: Sequence[int] | np.ndarray) -> "Dataset":
+        """The cases at ``rows``, in that order, under the same names.
+
+        The result shares this dataset's value table.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        names = self.class_names
+        return Dataset(
+            self.project, self.release, self.name,
+            tuple([names[i] for i in rows.tolist()]), self.values,
+            self.value_ids[rows], self.bug_counts[rows],
+        )
+
+    def replace_cases(self, cases: Iterable[Case]) -> "Dataset":
+        """A dataset of the given cases under this dataset's names."""
+        return Dataset.from_cases(self.project, self.release, self.name, cases)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        if (self.project, self.release, self.name, self.class_names) != (
+            other.project, other.release, other.name, other.class_names
+        ):
+            return False
+        # other's ids in this table's numbering; a value this table lacks
+        # maps to -1 and so matches no id
+        return np.array_equal(self.bug_counts, other.bug_counts) and np.array_equal(
+            value_positions(other.values, self.values)[other.value_ids], self.value_ids
+        )
 
 
 @dataclass(frozen=True)
@@ -294,11 +414,40 @@ def _check_header(header: Sequence[str], expected: Sequence[str]) -> None:
         raise SchemaError(f"unexpected extra column {got[len(want)]!r}")
 
 
+#: largest bug count the int64 column holds
+_MAX_BUG_COUNT = int(np.iinfo(np.int64).max)
+
+
 def _parse_bug_count(raw: str) -> int:
     bug = canonicalize_metric(raw)
     if bug != bug.to_integral_value():
         raise ParseError(f"bug count {raw!r} is not an integer")
+    if bug > _MAX_BUG_COUNT:
+        raise ParseError(f"bug count {raw!r} is too large")
     return int(bug)
+
+
+class _CheckedCells(dict):
+    """Cell text -> ``convert(text)``, computed once per distinct text.
+
+    A text that ``convert`` rejects maps to -1, and its message is kept in
+    ``errors``, so a whole column converts in one pass and the first bad
+    row is found afterwards.
+    """
+
+    def __init__(self, convert: Callable[[str], int]) -> None:
+        super().__init__()
+        self.convert = convert
+        self.errors: dict[str, str] = {}
+
+    def __missing__(self, text: str) -> int:
+        try:
+            result = self.convert(text)
+        except ParseError as exc:
+            self.errors[text] = str(exc)
+            result = -1
+        self[text] = result
+        return result
 
 
 def parse_dataset(
@@ -313,7 +462,10 @@ def parse_dataset(
     first data row; project and release are then derived with
     :func:`split_project`.  Raises :class:`SchemaError` on a bad header,
     :class:`ParseError` (with the data row number) on a bad cell and
-    :class:`EmptyDatasetError` when there are no data rows.
+    :class:`EmptyDatasetError` when there are no data rows.  Blank lines
+    are skipped but counted in row numbers.  When several rows are bad,
+    the first one is reported: its width, else its first bad metric cell,
+    else its bug count.
     """
     reader = csv.reader(source)
     try:
@@ -322,71 +474,69 @@ def parse_dataset(
         raise EmptyDatasetError("no header row") from None
     _check_header(header, expected_schema)
 
-    # Exact duplicate strings are common in these files: each distinct cell
-    # text is parsed and checked once, and equal texts share one Decimal,
-    # which keeps memory flat on large corpora.  The vectors are built from
-    # checked values only, so they skip MetricVector's own check.
-    cells: dict[str, Decimal] = {}
-    bugs: dict[str, int] = {}
-    cases: list[Case] = []
-    first_row: list[str] | None = None
-    for row_no, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(expected_schema):
-            raise ParseError(f"row {row_no}: expected {len(expected_schema)} cells, got {len(row)}")
-        metric_cells = row[3:3 + N_METRICS]
-        try:
-            # the list gives the tuple its exact size; tuple(map(...)) would
-            # leave each row's tuple in a larger allocation (+2.7 MB on the
-            # 86k-case twin)
-            try:
-                values = tuple([cells[cell] for cell in metric_cells])
-            except KeyError:  # a cell text not seen before
-                for cell in metric_cells:
-                    if cell not in cells:
-                        cells[cell] = canonicalize_metric(cell)
-                values = tuple([cells[cell] for cell in metric_cells])
-            bug = bugs.get(row[-1])
-            if bug is None:
-                bug = bugs[row[-1]] = _parse_bug_count(row[-1])
-        except ParseError as exc:
-            raise ParseError(f"row {row_no}: {exc}") from None
-        if first_row is None:
-            first_row = row
-        cases.append(Case(row[2], MetricVector._unchecked(values), bug))
+    lines = list(reader)
+    rows = lines if all(lines) else [row for row in lines if row]
+    width = len(expected_schema)
+    # cells are checked only in the rows before the first one of the wrong
+    # width; a bad cell there is reported first
+    n = len(rows)
+    if set(map(len, rows)) - {width}:
+        n = next(i for i, row in enumerate(rows) if len(row) != width)
+    checked = rows[:n]
 
-    if first_row is None:
+    # Each distinct cell text is parsed and checked once, and equal values
+    # share one table entry, whatever their spelling.
+    index: dict[Decimal, int] = {}
+    cells = _CheckedCells(lambda text: index.setdefault(canonicalize_metric(text), len(index)))
+    bugs = _CheckedCells(_parse_bug_count)
+    metric_cells = itemgetter(slice(3, 3 + N_METRICS))
+    value_ids = np.fromiter(
+        map(cells.__getitem__, chain.from_iterable(map(metric_cells, checked))),
+        dtype=np.int32, count=n * N_METRICS,
+    ).reshape(n, N_METRICS)
+    bug_counts = np.fromiter(
+        map(bugs.__getitem__, map(itemgetter(-1), checked)), dtype=np.int64, count=n,
+    )
+
+    bad = (value_ids < 0).any(axis=1) | (bug_counts < 0)
+    if bad.any() or n < len(rows):
+        i = int(np.argmax(bad)) if bad.any() else n
+        if i < n:
+            row = rows[i]
+            text = next((t for t in metric_cells(row) if t in cells.errors), None)
+            message = cells.errors[text] if text is not None else bugs.errors[row[-1]]
+        else:
+            message = f"expected {width} cells, got {len(rows[i])}"
+        row_no = [no for no, line in enumerate(lines, start=1) if line][i]
+        raise ParseError(f"row {row_no}: {message}")
+    if not rows:
         raise EmptyDatasetError("no data rows")
     if name is None:
-        name = first_row[0].strip() + first_row[1].strip()
+        name = rows[0][0].strip() + rows[0][1].strip()
     project, release = split_project(name, aliases)
-    return Dataset(project, release, name, tuple(cases))
+    return Dataset(
+        project, release, name, tuple(map(itemgetter(2), rows)), tuple(index),
+        value_ids, bug_counts,
+    )
 
 
 def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
     """Write a dataset back to CSV in the expected schema.
 
     Metric cells use :func:`canonical_str`, so two equal datasets always
-    serialize to identical bytes.  Each distinct value is formatted once per
-    call: equal values share a memo entry and, by the same rule, a text.
+    serialize to identical bytes.  Each table value is formatted once per
+    call and its text is shared by every cell that holds its id.
     """
-    memo: dict[Decimal, str] = {}
-
-    def cell(value: Decimal) -> str:
-        text = memo.get(value)
-        if text is None:
-            text = memo[value] = canonical_str(value)
-        return text
-
+    texts = np.array([canonical_str(v) for v in dataset.values], dtype=object)
+    head = (dataset.project, dataset.release)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(PROMISE_HEADER)
-    for case in dataset.cases:
-        row = [dataset.project, dataset.release, case.class_name]
-        row.extend(map(cell, case.metrics.values))
-        row.append(str(case.bug_count))
-        writer.writerow(row)
-
+    writer.writerows(
+        (*head, class_name, *cells, bug)
+        for class_name, cells, bug in zip(
+            dataset.class_names, texts[dataset.value_ids].tolist(), dataset.bug_counts.tolist()
+        )
+    )
 
 def load_corpus(
     directory: str | Path,

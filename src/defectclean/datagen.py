@@ -78,7 +78,7 @@ def synthetic_dataset(
     rows = base + extras
     order = rng.permutation(len(rows))
     project, release = split_project(name)
-    return Dataset(project, release, name, tuple(rows[i] for i in order))
+    return Dataset.from_cases(project, release, name, (rows[i] for i in order))
 
 
 def synthetic_corpus(
@@ -142,4 +142,4 @@ def collision_dataset(
             )
         )
     project, release = split_project(name)
-    return Dataset(project, release, name, tuple(rows))
+    return Dataset.from_cases(project, release, name, rows)

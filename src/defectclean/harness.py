@@ -251,7 +251,7 @@ def _cap_dataset(ds: Dataset, cap: int, seed: int) -> Dataset:
             rng.choice(clean, size=quota_clean, replace=False),
         ])
     )
-    return ds.replace_cases([ds.cases[i] for i in keep])
+    return ds.take(keep)
 
 
 def _apply_cap(corpus: Corpus, config: ExperimentConfig) -> Corpus:

@@ -9,12 +9,10 @@ defect-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from dataclasses import dataclass
+from typing import Protocol, runtime_checkable
 
 import numpy as np
-
-from ..data import Case
 
 
 @dataclass(frozen=True)
@@ -31,13 +29,6 @@ class TrainingMatrix:
             raise ValueError(f"row mismatch: {self.X.shape[0]} features vs {self.y.shape[0]} labels")
         if self.X.shape[0] == 0:
             raise ValueError("training set is empty")
-
-    @classmethod
-    def from_cases(cls, cases: Iterable[Case]) -> "TrainingMatrix":
-        cases = list(cases)
-        X = np.array([c.metrics.as_floats() for c in cases], dtype=np.float64)
-        y = np.fromiter((c.defective for c in cases), dtype=bool, count=len(cases))
-        return cls(X, y)
 
     @property
     def n_rows(self) -> int:

@@ -4,7 +4,10 @@ Splits are binary numeric tests ``x[f] <= t`` with thresholds at midpoints
 between sorted distinct values.  The split maximising gain ratio wins; ties
 go to the lower feature index, then the lower threshold.  A node becomes a
 leaf when it is pure, smaller than the minimum split size, or has no
-separating threshold at all.  When every candidate has zero information
+separating threshold at all.  It also becomes a leaf when the chosen
+threshold separates nothing: the midpoint of two adjacent floats can round
+up onto the upper value (and the midpoint with ``inf`` is ``inf``), so when
+that value is the node's largest, ``x <= t`` holds for every row.  When every candidate has zero information
 gain but the node is still impure (classic example: an XOR-style pattern),
 the first candidate (lowest feature, lowest threshold) is taken instead of
 giving up, so consistent training data is always fit exactly.
@@ -291,6 +294,10 @@ def grow_tree_arrays(
         # the left child is the sorted prefix with x <= t: i + 1 rows,
         # unless the midpoint rounded up onto the next value
         n_left = int(np.searchsorted(values[row], best_t, side="right"))
+        if n_left == end - start:
+            # it rounded onto the largest value (or the upper value is inf):
+            # x <= t holds for every row, so the split separates nothing
+            continue
         members[start:end] = ranked[row]
         left_sums = int(sums[row, n_left - 1]) if n_left else 0
         left_n, left_p = left_sums >> 32, left_sums & LOW

@@ -7,24 +7,31 @@ counted once as identical if it has at least one full-row-equal partner, and
 once as inconsistent if its feature group carries both labels.
 
 Both analyses work on :attr:`Dataset.feature_ids`: one exact group id per
-case, numbered by first occurrence, so every count is integer arithmetic on
-id arrays.  Within a release, ``np.bincount`` over the row keys
-``2 * id + label`` counts each group's cases per label: a row key held by
-two or more cases marks identical cases, a group with both labels
-inconsistent ones.  Across two releases of one project, the distinct
-vectors of the newer release are mapped into the older release's numbering
-through a dict, and the pair counts are dot products of the per-group label
-counts: ``pos_a @ pos_b + neg_a @ neg_b`` identical pairs and
+case, numbered by first occurrence from the rows of value ids, so every
+count is integer arithmetic on id arrays.  Within a release,
+``np.bincount`` over the row keys ``2 * id + label`` counts each group's
+cases per label: a row key held by two or more cases marks identical cases,
+a group with both labels inconsistent ones.  The groups themselves, with
+their metric vectors, are built only when a report's ``identical_groups``
+or ``inconsistent_groups`` is read.
+
+Across two releases of one project, the newer release's value table is
+mapped into the older one's through a dict over the distinct values (far
+fewer than the cases), which turns the newer release's group rows into rows of
+the older release's value ids; equal int rows then give each newer group
+its older group, if any.  The pair counts are dot products of the per-group
+label counts: ``pos_a @ pos_b + neg_a @ neg_b`` identical pairs and
 ``pos_a @ neg_b + neg_a @ pos_b`` inconsistent ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .data import Corpus, Dataset, MetricVector
+from .data import Corpus, Dataset, MetricVector, row_groups, value_positions
 
 
 @dataclass(frozen=True)
@@ -47,18 +54,47 @@ class FeatureGroup:
 
 @dataclass(frozen=True)
 class WithinQualityReport:
-    """Identical/inconsistent counts for one dataset."""
+    """Identical/inconsistent counts for one dataset.
+
+    The groups behind the counts are built from ``source`` on first access.
+    """
 
     dataset: str
     case_count: int
     identical_case_count: int
     inconsistent_case_count: int
-    identical_groups: tuple[FeatureGroup, ...]
-    inconsistent_groups: tuple[FeatureGroup, ...]
+    source: Dataset = field(repr=False, compare=False)
 
     @property
     def problem_free(self) -> bool:
         return self.identical_case_count == 0 and self.inconsistent_case_count == 0
+
+    @cached_property
+    def identical_groups(self) -> tuple[FeatureGroup, ...]:
+        """Groups of two or more full-row-equal cases, first occurrence first."""
+        row_keys, twinned, _ = _problem_rows(self.source)
+        _, rows = self.source.feature_ids
+        return tuple(
+            FeatureGroup(
+                self.source.vector(rows[key >> 1].tolist()), tuple(members),
+                (bool(key & 1),) * len(members),
+            )
+            for key, members in _members(row_keys, twinned).items()
+        )
+
+    @cached_property
+    def inconsistent_groups(self) -> tuple[FeatureGroup, ...]:
+        """Feature groups carrying both labels, first occurrence first."""
+        _, _, conflicted = _problem_rows(self.source)
+        ids, rows = self.source.feature_ids
+        labels = self.source.labels
+        return tuple(
+            FeatureGroup(
+                self.source.vector(rows[key].tolist()), tuple(members),
+                tuple(labels[members].tolist()),
+            )
+            for key, members in _members(ids, conflicted).items()
+        )
 
 
 @dataclass(frozen=True)
@@ -80,36 +116,28 @@ def _members(keys: np.ndarray, rows: np.ndarray) -> dict[int, list[int]]:
     return members
 
 
+def _problem_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row keys, identical rows, inconsistent rows) of one dataset."""
+    ids, rows = dataset.feature_ids
+    row_keys = 2 * ids + dataset.labels
+    row_sizes = np.bincount(row_keys, minlength=2 * len(rows))
+    mixed = (row_sizes[0::2] > 0) & (row_sizes[1::2] > 0)
+    return row_keys, np.flatnonzero(row_sizes[row_keys] >= 2), np.flatnonzero(mixed[ids])
+
+
 def within_quality(dataset: Dataset) -> WithinQualityReport:
     """Count identical and inconsistent cases inside one dataset.
 
     Both counts are invariant under row permutation.  Groups are reported in
     first-occurrence order.
     """
-    ids, vectors = dataset.feature_ids
-    labels = dataset.labels
-    row_keys = 2 * ids + labels
-    row_sizes = np.bincount(row_keys, minlength=2 * len(vectors))
-    neg, pos = row_sizes[0::2], row_sizes[1::2]
-    mixed = (neg > 0) & (pos > 0)
-
-    twinned = np.flatnonzero(row_sizes[row_keys] >= 2)
-    identical = tuple(
-        FeatureGroup(vectors[key >> 1], tuple(members), (bool(key & 1),) * len(members))
-        for key, members in _members(row_keys, twinned).items()
-    )
-    conflicted = np.flatnonzero(mixed[ids])
-    inconsistent = tuple(
-        FeatureGroup(vectors[key], tuple(members), tuple(labels[members].tolist()))
-        for key, members in _members(ids, conflicted).items()
-    )
+    _, twinned, conflicted = _problem_rows(dataset)
     return WithinQualityReport(
         dataset=dataset.name,
         case_count=dataset.case_count,
         identical_case_count=int(twinned.size),
         inconsistent_case_count=int(conflicted.size),
-        identical_groups=identical,
-        inconsistent_groups=inconsistent,
+        source=dataset,
     )
 
 
@@ -138,17 +166,16 @@ def cross_release_quality(older: Dataset, newer: Dataset) -> CrossReleaseReport:
     if older.name == newer.name:
         raise ValueError(f"cannot compare release {older.name!r} with itself")
 
-    ids_a, vectors_a = older.feature_ids
-    ids_b, vectors_b = newer.feature_ids
-    groups = len(vectors_a)
-    index_a = {vector: i for i, vector in enumerate(vectors_a)}
-    # each of newer's groups in older's numbering; -1 when older lacks it
-    to_a = np.fromiter(
-        (index_a.get(vector, -1) for vector in vectors_b),
-        dtype=np.int64, count=len(vectors_b),
-    )
-    mapped = to_a[ids_b]
-    shared = mapped >= 0
+    ids_a, rows_a = older.feature_ids
+    ids_b, rows_b = newer.feature_ids
+    groups = len(rows_a)
+    # newer's group rows in older's value ids (-1 for a value older lacks),
+    # numbered after older's distinct rows: a group older has gets older's
+    # id, any other an id of its own past them
+    to_a = value_positions(newer.values, older.values)
+    joint, _ = row_groups(np.concatenate([rows_a, to_a[rows_b]]))
+    mapped = joint[groups:][ids_b]
+    shared = mapped < groups
     pos_a, neg_a = _label_counts(ids_a, older.labels, groups)
     pos_b, neg_b = _label_counts(mapped[shared], newer.labels[shared], groups)
 

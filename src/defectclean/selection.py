@@ -23,8 +23,8 @@ feature values.
 
 A pool holds its admitted datasets (``SourcePool.sources``), not one object
 per case: its feature matrix and labels are the datasets' cached arrays
-stacked in corpus order, and ``SourcePool.entries`` (each row's case and
-provenance) is derived from them only when asked for.  The nearest-neighbour
+stacked in corpus order, and ``SourcePool.origins`` (each row's dataset name
+and row there) is derived from them only when asked for.  The nearest-neighbour
 and clustering filters compute distances in row blocks bounded by
 ``_BLOCK_CELLS``, a memory bound, while k-means assigns points in smaller,
 cache-sized blocks (:mod:`defectclean.clustering`); both fold a lone
@@ -41,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .clustering import _block_rows, _blocks, default_k, kmeans, pairwise_sq
-from .data import Case, Corpus, Dataset
+from .data import Corpus, Dataset
 
 logger = logging.getLogger(__name__)
 
@@ -51,15 +51,6 @@ logger = logging.getLogger(__name__)
 #: pool (or cluster) once, so smaller blocks re-read it more often (burak on
 #: the ``select`` benchmark went from 0.31 to 0.47 s with cache-sized blocks)
 _BLOCK_CELLS = 1 << 20
-
-
-@dataclass(frozen=True)
-class PoolEntry:
-    """One pool case with its provenance."""
-
-    case: Case
-    origin: str
-    origin_row: int
 
 
 @dataclass(frozen=True)
@@ -90,13 +81,12 @@ class SourcePool:
         return out
 
     @cached_property
-    def entries(self) -> tuple[PoolEntry, ...]:
-        """Each pool row's case with its dataset name and row there."""
-        return tuple(
-            PoolEntry(case, ds.name, row)
-            for ds in self.sources
-            for row, case in enumerate(ds.cases)
-        )
+    def origins(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each pool row's dataset name and its row in that dataset."""
+        sizes = [ds.case_count for ds in self.sources]
+        names = np.repeat(np.array([ds.name for ds in self.sources], dtype=object), sizes)
+        rows = np.concatenate([np.arange(size) for size in sizes])
+        return names, rows
 
     def __len__(self) -> int:
         return sum(ds.case_count for ds in self.sources)

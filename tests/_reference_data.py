@@ -1,0 +1,74 @@
+"""Row-wise reference for ``parse_dataset``.
+
+The parser as it was before datasets became columns: read the CSV one row
+at a time, check the row's width, parse each of its cells (each distinct
+text once) and build one :class:`Case` per row.  The per-cell rules
+(``canonicalize_metric``, ``_parse_bug_count``) are shared with the
+package; what this oracle pins is everything around them: which rows are
+read, which error is raised first and with which row number, the name,
+and the cases themselves.
+"""
+
+from __future__ import annotations
+
+import csv
+from decimal import Decimal
+from typing import IO, Iterable, Mapping, Sequence
+
+from defectclean.data import (
+    Case,
+    Dataset,
+    EmptyDatasetError,
+    MetricVector,
+    N_METRICS,
+    PROMISE_HEADER,
+    ParseError,
+    _check_header,
+    _parse_bug_count,
+    canonicalize_metric,
+    split_project,
+)
+
+
+def reference_parse(
+    source: IO[str] | Iterable[str],
+    name: str | None = None,
+    expected_schema: Sequence[str] = PROMISE_HEADER,
+    aliases: Mapping[str, str] | None = None,
+) -> Dataset:
+    """Same contract and result as ``parse_dataset``."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDatasetError("no header row") from None
+    _check_header(header, expected_schema)
+
+    cells: dict[str, Decimal] = {}
+    bugs: dict[str, int] = {}
+    cases: list[Case] = []
+    first_row: list[str] | None = None
+    for row_no, row in enumerate(reader, start=1):
+        if not row:
+            continue
+        if len(row) != len(expected_schema):
+            raise ParseError(f"row {row_no}: expected {len(expected_schema)} cells, got {len(row)}")
+        try:
+            for cell in row[3:3 + N_METRICS]:
+                if cell not in cells:
+                    cells[cell] = canonicalize_metric(cell)
+            values = tuple(cells[cell] for cell in row[3:3 + N_METRICS])
+            if row[-1] not in bugs:
+                bugs[row[-1]] = _parse_bug_count(row[-1])
+        except ParseError as exc:
+            raise ParseError(f"row {row_no}: {exc}") from None
+        if first_row is None:
+            first_row = row
+        cases.append(Case(row[2], MetricVector(values), bugs[row[-1]]))
+
+    if first_row is None:
+        raise EmptyDatasetError("no data rows")
+    if name is None:
+        name = first_row[0].strip() + first_row[1].strip()
+    project, release = split_project(name, aliases)
+    return Dataset.from_cases(project, release, name, cases)

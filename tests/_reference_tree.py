@@ -65,6 +65,8 @@ def reference_grow(X, y, sample_idx, feature_table, min_node_size):
 
         left = [s for s in members if X[s, best_f] <= best_t]
         right = [s for s in members if not X[s, best_f] <= best_t]
+        if not right:  # a split that separates nothing leaves a leaf
+            continue
         idx[start:end] = left + right
         left_id, right_id = node_count, node_count + 1
         node_count += 2

@@ -48,7 +48,7 @@ def case(name: str, defective: bool, *values: object) -> Case:
 
 def dataset(name: str, cases: list[Case]) -> Dataset:
     project, release = split_project(name)
-    return Dataset(project, release, name, tuple(cases))
+    return Dataset.from_cases(project, release, name, cases)
 
 
 def random_vector(rng: np.random.Generator, grid: int = 4, active: int = 4) -> MetricVector:

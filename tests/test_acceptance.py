@@ -134,7 +134,7 @@ def _inject_problems(base: Dataset, rng: np.random.Generator) -> Dataset:
         victim = cases[int(idx)]
         flipped = 0 if victim.bug_count >= 1 else 1
         cases.append(Case(victim.class_name + "x", victim.metrics, flipped))
-    return Dataset(base.project, base.release, base.name, tuple(cases))
+    return base.replace_cases(cases)
 
 
 def test_criterion_3_oracle_equivalence():

@@ -9,7 +9,7 @@ import pytest
 from defectclean.cleaning import clean_corpus
 from defectclean import cli
 from defectclean.cli import main
-from defectclean.data import Corpus, load_corpus, write_corpus
+from defectclean.data import Case, Corpus, load_corpus, write_corpus
 from defectclean.datagen import synthetic_corpus
 from defectclean.quality import within_quality
 from defectclean.selection import build_pool, burak_filter
@@ -104,6 +104,24 @@ class TestCleanCommand:
             return write_corpus(damaged, directory)
 
         monkeypatch.setattr(cli, "write_corpus", drop_a_row)
+        out = tmp_path / "cleaned"
+        rc = main(["clean", "--corpus", str(corpus_dir), "--out", str(out)])
+        assert rc == 2
+        assert "alpha1.0.csv does not read back" in capsys.readouterr().err
+        assert not (out / "clean_summary.json").exists()
+
+    def test_written_file_must_read_back_value_for_value(
+        self, corpus_dir, tmp_path, monkeypatch, capsys
+    ):
+        # a writer that keeps every row but adds a bug to the first case
+        def add_a_bug(corpus, directory):
+            first, *rest = corpus.datasets
+            head, *tail = first.cases
+            damaged = first.replace_cases(
+                [Case(head.class_name, head.metrics, head.bug_count + 1), *tail])
+            return write_corpus(Corpus((damaged, *rest)), directory)
+
+        monkeypatch.setattr(cli, "write_corpus", add_a_bug)
         out = tmp_path / "cleaned"
         rc = main(["clean", "--corpus", str(corpus_dir), "--out", str(out)])
         assert rc == 2

@@ -30,6 +30,7 @@ from defectclean.data import (
     canonical_str,
     canonicalize_metric,
     load_corpus,
+    metric_float,
     parse_dataset,
     serialize_dataset,
     split_project,
@@ -375,7 +376,7 @@ class TestRoundTrip:
         ds = synthetic_dataset("m1.0", seed=3, cases=25)
         matrix = ds.feature_matrix
         assert matrix.shape == (25, N_METRICS)
-        assert matrix[4].tolist() == list(ds.cases[4].metrics.as_floats())
+        assert matrix[4].tolist() == [metric_float(v) for v in ds.cases[4].metrics.values]
         assert ds.labels.tolist() == [c.defective for c in ds.cases]
 
 
@@ -394,7 +395,7 @@ class TestFeatureMatrix:
             assert matrix[0].tobytes() == matrix[1].tobytes()
             assert not np.signbit(matrix).any()
             assert matrix.tobytes() == np.array(
-                [c.metrics.as_floats() for c in ds.cases]).tobytes()
+                [[metric_float(v) for v in c.metrics.values] for c in ds.cases]).tobytes()
             pool = build_pool(Corpus((other, ds)), other)
             assert pool.feature_matrix[0].tobytes() == pool.feature_matrix[1].tobytes()
             assert pool.feature_matrix.tobytes() == matrix.tobytes()
@@ -427,6 +428,20 @@ class TestCorpus:
         bad = tmp_path / "beta2.0.csv"
         bad.write_text(bad.read_text() + "x,y\n")
         with pytest.raises(ParseError, match="beta2.0.csv"):
+            load_corpus(tmp_path)
+
+    def test_overflowing_metric_names_file_and_row(self, tmp_path):
+        # 1e400 is a finite decimal but an infinite float feature
+        write_corpus(synthetic_corpus(seed=1), tmp_path)
+        bad = tmp_path / "beta2.0.csv"
+        lines = bad.read_text().splitlines(keepends=True)
+        cells = lines[3].split(",")
+        cells[5] = "1e400"
+        lines[3] = ",".join(cells)
+        bad.write_text("".join(lines))
+        with pytest.raises(
+            ParseError, match=r"^beta2\.0\.csv: row 3: metric value '1e400' overflows a float$"
+        ):
             load_corpus(tmp_path)
 
     def test_duplicate_names_rejected(self):

@@ -1,0 +1,206 @@
+"""The columnar parser against the row-wise reference, and ``Dataset.take``.
+
+``parse_dataset`` reads a whole file into value-id columns and locates a bad
+row afterwards; ``tests/_reference_data.py`` reads one row at a time and
+builds one ``Case`` per row.  On any text the two must agree: equal
+datasets (cases, float features, labels, feature groups) or the same
+exception class with the same message.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from defectclean.data import (
+    Dataset, MetricVector, N_METRICS, PROMISE_HEADER, metric_float, parse_dataset,
+)
+
+from ._reference_data import reference_parse
+from .conftest import dataset, case, problem_datasets
+
+#: spellings of a few values: respelled integers, zeros with a sign,
+#: trailing zeros, exponents, and long exponent-free decimals
+VALUES: tuple[tuple[str, ...], ...] = (
+    ("3", "3.0", "3.00", "03", "3e0", "0.3E1"),
+    ("0", "-0", "0.000", "-0.0", "0e5"),
+    ("0.25", "0.250", "2.5e-1", "25E-2"),
+    ("12345678901234567890.123456789012345678901234567890",
+     "12345678901234567890.1234567890123456789012345678900"),
+    ("0.1", "0.10"),
+    ("0.10000000000000001",),
+    ("1.7976931348623157e308",),
+)
+
+#: bad metric cells: empty, non-numeric, negative, non-finite, overflowing
+BAD_CELLS = ("", "abc", "1.2.3", "-1", "-0.5", "nan", "inf", "1e400", "2E+309")
+
+#: bug cells: good spellings, then non-integer, negative, overflowing and
+#: out-of-range ones
+GOOD_BUGS = ("0", "1", "2", "1.0", "02", "0.00", "-0", "3e0")
+BAD_BUGS = ("1.5", "-1", "x", "1e400", "1e30", "")
+
+CLASS_NAMES = ("a.B", "org.x.Y", "with,comma", 'with "quote"', "  padded ", "a,b,c")
+
+
+def csv_line(cells: list[str]) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(cells)
+    return out.getvalue()
+
+
+@st.composite
+def csv_documents(draw) -> str:
+    """CSV text with respelled values, blank lines and quoted names, and
+    now and then a bad row or cell (several, to pin which comes first)."""
+    if draw(st.integers(0, 30)) == 0:
+        return draw(st.sampled_from(["", "\n", csv_line(list(PROMISE_HEADER)), "x,y\n"]))
+    values = draw(st.lists(st.integers(0, len(VALUES) - 1), min_size=1, max_size=4))
+    bad_rate = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
+    lines = [csv_line(list(PROMISE_HEADER))]
+    for i in range(draw(st.integers(0, 12))):
+        while draw(st.integers(0, 5)) == 0:
+            lines.append("\n")
+        metrics = [draw(st.sampled_from(VALUES[draw(st.sampled_from(values))]))
+                   for _ in range(N_METRICS)]
+        bug = draw(st.sampled_from(GOOD_BUGS))
+        name = draw(st.sampled_from(CLASS_NAMES)) + str(i)
+        row = [draw(st.sampled_from(["demo", "x,y"])), "1.0", name, *metrics, bug]
+        if bad_rate and draw(st.floats(0, 1)) < bad_rate:
+            kind = draw(st.sampled_from(["short", "long", "cell", "cells", "bug", "cell+bug"]))
+            if kind == "short":
+                row = row[:draw(st.integers(1, len(row) - 1))]
+            elif kind == "long":
+                row = row + ["1"]
+            if kind in ("cell", "cells", "cell+bug"):
+                for _ in range(2 if kind == "cells" else 1):
+                    row[3 + draw(st.integers(0, N_METRICS - 1))] = draw(st.sampled_from(BAD_CELLS))
+            if kind in ("bug", "cell+bug"):
+                row[-1] = draw(st.sampled_from(BAD_BUGS))
+        lines.append(csv_line(row))
+    if draw(st.booleans()):
+        lines.append("\n")
+    return "".join(lines)
+
+
+def outcome(parse, text: str):
+    try:
+        return parse(io.StringIO(text)), None
+    except ValueError as exc:
+        return None, (type(exc), str(exc))
+
+
+def reference_ids(ds: Dataset) -> tuple[list[int], list[MetricVector]]:
+    """Feature groups numbered by first occurrence, over the cases."""
+    index: dict[MetricVector, int] = {}
+    ids = [index.setdefault(c.metrics, len(index)) for c in ds.cases]
+    return ids, list(index)
+
+
+def assert_same_dataset(got: Dataset, want: Dataset) -> None:
+    assert got == want and want == got
+    assert got.cases == want.cases
+    assert got.class_names == tuple(c.class_name for c in want.cases)
+    assert got.bug_counts.tolist() == [c.bug_count for c in want.cases]
+    assert got.feature_matrix.tobytes() == np.array(
+        [[metric_float(v) for v in c.metrics.values] for c in want.cases],
+        dtype=np.float64).reshape(-1, N_METRICS).tobytes()
+    assert got.labels.tolist() == [c.defective for c in want.cases]
+    ids, rows = got.feature_ids
+    want_ids, want_vectors = reference_ids(want)
+    assert ids.tolist() == want_ids
+    assert [got.vector(row) for row in rows.tolist()] == want_vectors
+
+
+class TestParseAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_documents())
+    def test_same_dataset_or_same_error(self, text):
+        got, got_error = outcome(parse_dataset, text)
+        want, want_error = outcome(reference_parse, text)
+        assert got_error == want_error
+        if want is not None:
+            assert_same_dataset(got, want)
+            assert (got.project, got.release, got.name) == (want.project, want.release, want.name)
+
+    @pytest.mark.parametrize("rows,message", [
+        # the first bad row wins, whatever kind its fault is
+        ([["1"] * 20 + ["0"], ["x"] * 20 + ["0"], ["1"] * 3], "row 2: non-numeric metric value 'x'"),
+        ([["1"] * 20 + ["0"], ["1"] * 3, ["x"] * 20 + ["0"]], "row 2: expected 24 cells, got 6"),
+        # in a row: the first bad metric cell, then the bug count
+        ([["1"] * 18 + ["-1", "y", "1.5"]], "row 1: negative metric value '-1'"),
+        ([["1"] * 20 + ["1.5"]], "row 1: bug count '1.5' is not an integer"),
+        ([["1"] * 20 + ["0"], ["1e400"] + ["1"] * 19 + ["0"]],
+         "row 2: metric value '1e400' overflows a float"),
+        ([["1"] * 20 + ["1e30"]], "row 1: bug count '1e30' is too large"),
+    ])
+    def test_first_fault_is_reported(self, rows, message):
+        lines = [csv_line(list(PROMISE_HEADER))]
+        lines += [csv_line(["p", "1", "C", *cells]) for cells in rows]
+        text = "".join(lines)
+        _, got = outcome(parse_dataset, text)
+        _, want = outcome(reference_parse, text)
+        assert got == want
+        assert got[1] == message
+
+    def test_blank_lines_count_in_row_numbers(self):
+        text = csv_line(list(PROMISE_HEADER)) + "\n\n" + csv_line(["p", "1", "C"] + ["z"] * 21)
+        _, got = outcome(parse_dataset, text)
+        assert got[1] == "row 3: non-numeric metric value 'z'"
+        assert outcome(reference_parse, text)[1] == got
+
+
+class TestTake:
+    @settings(max_examples=200, deadline=None)
+    @given(problem_datasets(), st.data())
+    def test_equals_a_dataset_of_the_picked_cases(self, ds, data):
+        rows = data.draw(st.lists(st.integers(0, ds.case_count - 1), max_size=2 * ds.case_count))
+        taken = ds.take(rows)
+        want = Dataset.from_cases(ds.project, ds.release, ds.name, [ds.cases[i] for i in rows])
+        assert_same_dataset(taken, want)
+        assert taken.values is ds.values
+        ids, _ = taken.feature_ids
+        assert ids.tolist() == reference_ids(want)[0]
+
+    def test_take_nothing(self):
+        ds = dataset("t1.0", [case("a", True, 1), case("b", False, 2)])
+        empty = ds.take([])
+        assert empty.case_count == 0 and empty.feature_matrix.shape == (0, N_METRICS)
+        assert empty == ds.replace_cases(())
+
+
+class TestColumns:
+    def test_equality_ignores_table_order(self):
+        a = dataset("e1.0", [case("a", True, 1, 2), case("b", False, 2, 1)])
+        b = Dataset(a.project, a.release, a.name, a.class_names, a.values[::-1],
+                    (len(a.values) - 1 - a.value_ids).astype(np.int32), a.bug_counts.copy())
+        assert a == b
+        c = Dataset(a.project, a.release, a.name, a.class_names, a.values,
+                    a.value_ids[::-1].copy(), a.bug_counts.copy())
+        assert a != c
+
+    def test_columns_are_read_only(self):
+        ds = dataset("r1.0", [case("a", True, 1)])
+        for array in (ds.value_ids, ds.bug_counts, ds.feature_matrix, ds.labels, *ds.feature_ids):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    @pytest.mark.parametrize("change,match", [
+        (lambda ds: {"values": ds.values + ds.values[:1]}, "equal values"),
+        (lambda ds: {"value_ids": ds.value_ids.astype(np.int64)}, "int32"),
+        (lambda ds: {"value_ids": np.full((1, N_METRICS), 9, dtype=np.int32)}, "outside"),
+        (lambda ds: {"bug_counts": np.array([-1], dtype=np.int64)}, "negative"),
+        (lambda ds: {"class_names": ("a", "b")}, "shape"),
+    ])
+    def test_bad_columns_rejected(self, change, match):
+        ds = dataset("b1.0", [case("a", True, 1, 2)])
+        fields = dict(project=ds.project, release=ds.release, name=ds.name,
+                      class_names=ds.class_names, values=ds.values,
+                      value_ids=ds.value_ids.copy(), bug_counts=ds.bug_counts.copy())
+        fields.update(change(ds))
+        with pytest.raises(ValueError, match=match):
+            Dataset(**fields)

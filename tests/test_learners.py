@@ -34,7 +34,7 @@ from defectclean.learners.tree import (
 )
 
 from ._reference_tree import reference_grow, reference_predict
-from .conftest import case
+from .conftest import case, dataset
 
 
 def matrix(X, y) -> TrainingMatrix:
@@ -49,8 +49,9 @@ def separable(rng, n=60, d=6, gap=8.0) -> TrainingMatrix:
 
 
 class TestTrainingMatrix:
-    def test_from_cases(self):
-        data = TrainingMatrix.from_cases([case("a", True, 1, 2), case("b", False, 3)])
+    def test_from_dataset_columns(self):
+        ds = dataset("tm1.0", [case("a", True, 1, 2), case("b", False, 3)])
+        data = TrainingMatrix(ds.feature_matrix, ds.labels)
         assert data.n_rows == 2 and data.n_features == 20
         assert data.y.tolist() == [True, False]
         assert data.X[0, 1] == 2.0
@@ -376,6 +377,40 @@ class TestKernelAgainstReference:
         assert fast[4][1] == np.count_nonzero(idx <= 1)
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("lo,hi", [(5.0, math.inf), (1 + 2**-52, 1 + 2**-51)])
+    def test_split_that_separates_nothing_leaves_a_leaf(self, lo, hi):
+        # the midpoint is the upper value itself, so ``x <= t`` sends both
+        # rows left; the node must stop as a leaf, not repeat the split
+        # until the node arrays overflow
+        assert (lo + hi) / 2 == hi
+        X = np.array([[lo], [hi]])
+        y = np.array([True, False])
+        model = train_tree(TrainingMatrix(X, y))
+        assert model.node_feature.tolist() == [-1]
+        assert (model.node_n[0], model.node_pos[0]) == (2, 1)
+        assert predict(model, X)[1].tolist() == [0.5, 0.5]
+        table = np.zeros((1, 1), dtype=np.int64)
+        for rows in ([0, 1], [0, 0, 1], [0, 1, 1]):
+            idx = np.array(rows, dtype=np.int64)
+            for a, b in zip(grow_tree_arrays(X, y, idx, table, 2),
+                            reference_grow(X, y, idx, table, 2)):
+                assert np.array_equal(a, b)
+
+    def test_degenerate_split_below_a_real_one(self):
+        # the root splits 0 from the rest; its right child holds 5 and inf
+        # with both labels and can only be a leaf
+        X = np.array([[0.0], [0.0], [5.0], [math.inf]])
+        y = np.array([False, False, True, False])
+        idx = np.arange(4, dtype=np.int64)
+        table = np.zeros((1, 1), dtype=np.int64)
+        fast = grow_tree_arrays(X, y, idx, table, 2)
+        for a, b in zip(fast, reference_grow(X, y, idx, table, 2)):
+            assert np.array_equal(a, b)
+        assert fast[0].tolist() == [0, -1, -1]
+        assert fast[4].tolist() == [4, 2, 2] and fast[5].tolist() == [1, 0, 1]
+        forest = train_forest(TrainingMatrix(X, y), ForestConfig(trees=5), seed=0)
+        assert forest.predict_proba(X).shape == (4, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_cases())

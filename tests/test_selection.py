@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from defectclean import selection
 from defectclean.clustering import default_k, kmeans
-from defectclean.data import Corpus, Dataset
+from defectclean.data import Corpus, Dataset, metric_float
 from defectclean.selection import (
     FILTERS,
     build_pool,
@@ -29,6 +29,12 @@ from defectclean.selection import (
 )
 
 from .conftest import case, dataset, problem_datasets, random_vector
+
+
+def pool_rows(pool, corpus) -> list[tuple[str, int]]:
+    """Each pool row's (dataset name, row there), from ``pool.origins``."""
+    names, rows = pool.origins
+    return list(zip(names.tolist(), rows.tolist()))
 
 
 def random_dataset(rng, name, n, grid=6, active=6) -> Dataset:
@@ -83,28 +89,33 @@ class TestBuildPool:
     def test_strict_excludes_whole_project(self, rng):
         corpus = random_corpus(rng)
         pool = build_pool(corpus, corpus.get("p1.1"), mode="strict")
-        assert {e.origin for e in pool.entries} == {"q1.0", "r2.0"}
+        assert {origin for origin, _ in pool_rows(pool, corpus)} == {"q1.0", "r2.0"}
         assert pool.excluded_project == "p"
         assert pool.mode == "strict"
 
     def test_mixed_admits_older_same_project_releases(self, rng):
         corpus = random_corpus(rng)
         pool = build_pool(corpus, corpus.get("p1.1"), mode="mixed")
-        assert {e.origin for e in pool.entries} == {"p1.0", "q1.0", "r2.0"}
+        assert {origin for origin, _ in pool_rows(pool, corpus)} == {"p1.0", "q1.0", "r2.0"}
         older = build_pool(corpus, corpus.get("p1.0"), mode="mixed")
-        assert {e.origin for e in older.entries} == {"q1.0", "r2.0"}
+        assert {origin for origin, _ in pool_rows(older, corpus)} == {"q1.0", "r2.0"}
 
     def test_entries_carry_origin_rows(self, rng):
         corpus = random_corpus(rng)
         pool = build_pool(corpus, corpus.get("q1.0"))
-        for entry in pool.entries:
-            assert corpus.get(entry.origin).cases[entry.origin_row] == entry.case
+        origins = pool_rows(pool, corpus)
+        assert origins == [
+            (ds.name, row) for ds in pool.sources for row in range(ds.case_count)
+        ]
+        stacked = [corpus.get(origin).cases[row] for origin, row in origins]
+        assert pool.labels.tolist() == [c.defective for c in stacked]
 
     def test_pool_matrices_align_with_entries(self, rng):
         corpus = random_corpus(rng)
         pool = build_pool(corpus, corpus.get("q1.0"))
         assert pool.feature_matrix.shape == (len(pool), 20)
-        assert pool.labels[3] == pool.entries[3].case.defective
+        origin, row = pool_rows(pool, corpus)[3]
+        assert pool.labels[3] == corpus.get(origin).cases[row].defective
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -122,20 +133,20 @@ class TestBuildPool:
         corpus = Corpus(tuple(datasets))
         target = corpus.get(target_name)
         pool = build_pool(corpus, target, mode=mode)
-        entries = pool.entries
-        assert len(pool) == len(entries) == pool.feature_matrix.shape[0] > 0
-        want = np.array([e.case.metrics.as_floats() for e in entries], dtype=np.float64)
+        origins = pool_rows(pool, corpus)
+        stacked = [corpus.get(origin).cases[row] for origin, row in origins]
+        assert len(pool) == len(origins) == pool.feature_matrix.shape[0] > 0
+        want = np.array(
+            [[metric_float(v) for v in c.metrics.values] for c in stacked], dtype=np.float64)
         assert pool.feature_matrix.tobytes() == want.tobytes()
-        assert pool.labels.tolist() == [e.case.defective for e in entries]
+        assert pool.labels.tolist() == [c.defective for c in stacked]
         admitted = [
             ds for ds in datasets
             if ds.project != target.project or (mode == "mixed" and ds.name < target_name)
         ]
-        assert [(e.origin, e.origin_row) for e in entries] == [
+        assert origins == [
             (ds.name, row) for ds in admitted for row in range(ds.case_count)
         ]
-        for entry in entries:
-            assert corpus.get(entry.origin).cases[entry.origin_row] is entry.case
 
     def test_single_project_corpus_has_no_pool(self, rng):
         corpus = Corpus((random_dataset(rng, "solo1.0", 10),))
