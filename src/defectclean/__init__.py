@@ -47,7 +47,6 @@ from .harness import (
     run_experiment,
 )
 from .learners import (
-    ForestConfig,
     TrainingMatrix,
     TreeConfig,
     predict,
@@ -97,7 +96,7 @@ __all__ = [
     "global_filter", "burak_filter", "peters_filter", "select_training_data",
     "Clustering", "kmeans",
     # learners
-    "TrainingMatrix", "TreeConfig", "ForestConfig",
+    "TrainingMatrix", "TreeConfig",
     "train", "train_naive_bayes", "train_tree", "train_forest", "predict",
     # evaluation
     "ConfusionMatrix", "ChangeRate", "precision", "recall",

@@ -118,7 +118,7 @@ def metric_float(value: Decimal) -> float:
     return float(value) + 0.0
 
 
-def split_project(name: str, aliases: Mapping[str, str] | None = None) -> tuple[str, str]:
+def split_project(name: str) -> tuple[str, str]:
     """Split a dataset name into (project, release).
 
     The project is the maximal leading alphabetic prefix of the name
@@ -127,9 +127,8 @@ def split_project(name: str, aliases: Mapping[str, str] | None = None) -> tuple[
     whatever follows the project prefix, possibly empty for single-release
     datasets named after the project alone ("berek").
     """
-    table = DEFAULT_PROJECT_ALIASES if aliases is None else aliases
-    if name in table:
-        project = table[name]
+    if name in DEFAULT_PROJECT_ALIASES:
+        project = DEFAULT_PROJECT_ALIASES[name]
         release = name[len(project):] if name.startswith(project) else name
         return project, release
     match = re.match(r"[A-Za-z]+", name)
@@ -149,10 +148,6 @@ class MetricVector:
         for v in self.values:
             if not isinstance(v, Decimal) or not v.is_finite() or v < 0:
                 raise ValueError(f"invalid metric value {v!r}")
-
-    @classmethod
-    def from_strings(cls, cells: Iterable[str]) -> "MetricVector":
-        return cls(tuple(canonicalize_metric(c) for c in cells))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -271,12 +266,6 @@ class Dataset:
     @cached_property
     def defective_count(self) -> int:
         return int(np.count_nonzero(self.labels))
-
-    @property
-    def defective_ratio(self) -> float:
-        if not self.case_count:
-            return 0.0
-        return self.defective_count / self.case_count
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
@@ -400,18 +389,17 @@ class Corpus:
             raise CorpusError(f"no dataset named {name!r} in corpus") from None
 
 
-def _check_header(header: Sequence[str], expected: Sequence[str]) -> None:
+def _check_header(header: Sequence[str]) -> None:
     got = [cell.strip().lower() for cell in header]
-    want = [cell.strip().lower() for cell in expected]
-    for pos, name in enumerate(want):
+    for pos, name in enumerate(PROMISE_HEADER):
         if pos >= len(got):
             raise SchemaError(f"missing column {name!r} (expected at position {pos + 1})")
         if got[pos] != name:
             raise SchemaError(
                 f"column {pos + 1} is {got[pos]!r}, expected {name!r}"
             )
-    if len(got) > len(want):
-        raise SchemaError(f"unexpected extra column {got[len(want)]!r}")
+    if len(got) > len(PROMISE_HEADER):
+        raise SchemaError(f"unexpected extra column {got[len(PROMISE_HEADER)]!r}")
 
 
 #: largest bug count the int64 column holds
@@ -450,12 +438,7 @@ class _CheckedCells(dict):
         return result
 
 
-def parse_dataset(
-    source: IO[str] | Iterable[str],
-    name: str | None = None,
-    expected_schema: Sequence[str] = PROMISE_HEADER,
-    aliases: Mapping[str, str] | None = None,
-) -> Dataset:
+def parse_dataset(source: IO[str] | Iterable[str], name: str | None = None) -> Dataset:
     """Parse one CSV stream into a Dataset.
 
     The dataset name defaults to the project and version columns of the
@@ -472,11 +455,11 @@ def parse_dataset(
         header = next(reader)
     except StopIteration:
         raise EmptyDatasetError("no header row") from None
-    _check_header(header, expected_schema)
+    _check_header(header)
 
     lines = list(reader)
     rows = lines if all(lines) else [row for row in lines if row]
-    width = len(expected_schema)
+    width = len(PROMISE_HEADER)
     # cells are checked only in the rows before the first one of the wrong
     # width; a bad cell there is reported first
     n = len(rows)
@@ -513,7 +496,7 @@ def parse_dataset(
         raise EmptyDatasetError("no data rows")
     if name is None:
         name = rows[0][0].strip() + rows[0][1].strip()
-    project, release = split_project(name, aliases)
+    project, release = split_project(name)
     return Dataset(
         project, release, name, tuple(map(itemgetter(2), rows)), tuple(index),
         value_ids, bug_counts,
@@ -538,34 +521,22 @@ def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
         )
     )
 
-def load_corpus(
-    directory: str | Path,
-    manifest: Iterable[str] | None = None,
-    aliases: Mapping[str, str] | None = None,
-) -> Corpus:
+def load_corpus(directory: str | Path) -> Corpus:
     """Load every ``*.csv`` in a directory as one corpus.
 
-    Dataset names are the file stems.  ``manifest`` optionally restricts
-    loading to the named datasets.  Files are read in sorted name order so
-    corpus order is stable across platforms.
+    Dataset names are the file stems.  Files are read in sorted name order
+    so corpus order is stable across platforms.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise CorpusError(f"corpus directory {str(directory)!r} does not exist")
-    wanted = set(manifest) if manifest is not None else None
     datasets: list[Dataset] = []
     for path in sorted(directory.glob("*.csv")):
-        if wanted is not None and path.stem not in wanted:
-            continue
         with open(path, newline="", encoding="utf-8") as handle:
             try:
-                datasets.append(parse_dataset(handle, name=path.stem, aliases=aliases))
+                datasets.append(parse_dataset(handle, name=path.stem))
             except ValueError as exc:
                 raise type(exc)(f"{path.name}: {exc}") from None
-    if wanted is not None:
-        missing = wanted - {ds.name for ds in datasets}
-        if missing:
-            raise CorpusError(f"datasets missing from {directory}: {sorted(missing)}")
     if not datasets:
         raise CorpusError(f"no CSV datasets found in {directory}")
     return Corpus(tuple(datasets))

@@ -32,7 +32,7 @@ import numpy as np
 from .cleaning import clean_corpus
 from .data import Corpus, Dataset, load_corpus
 from .evaluation import ChangeRate, ConfusionMatrix, auc, change_rate, f_measure
-from .learners import LEARNER_NAMES, ForestConfig, TrainingMatrix, predict, train
+from .learners import LEARNER_NAMES, TrainingMatrix, predict, train
 from .rng import derive_seed
 from .selection import FILTERS, build_pool, select_training_data
 
@@ -89,6 +89,14 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{key}: unknown name {unknown[0]!r}; expected some of {', '.join(known)}"
                 )
+        # a repeated name would run its cells twice and report every row twice
+        for key, names in (
+            ("targets", self.targets if isinstance(self.targets, tuple) else ()),
+            ("filters", self.filters), ("learners", self.learners),
+        ):
+            repeated = [name for i, name in enumerate(names) if name in names[:i]]
+            if repeated:
+                raise ValueError(f"{key}: duplicate name {repeated[0]!r}")
         if self.pool_mode not in ("strict", "mixed"):
             raise ValueError(f"pool_mode must be strict or mixed, got {self.pool_mode!r}")
         if self.sample_cap is not None and self.sample_cap < 2:
@@ -326,10 +334,7 @@ def _variant_scores(target_name: str, variant: str) -> tuple[dict, dict, dict]:
             learner_seed = derive_seed(
                 config.seed, target_name, variant, filter_name, learner
             )
-            model = train(
-                learner, training, seed=learner_seed,
-                forest_config=ForestConfig(trees=config.forest_trees),
-            )
+            model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
             labels, case_scores = predict(model, test_X)
             cm = ConfusionMatrix.from_predictions(test_y, labels)
             scores[(filter_name, learner, "fmeasure")] = f_measure(cm)

@@ -1,7 +1,7 @@
 """Defect prediction learners: naive Bayes, decision tree, random forest."""
 
-from .base import Model, TrainingMatrix, model_from_dict, predict
-from .forest import ForestConfig, RandomForestModel, default_feature_count, train_forest
+from .base import Model, TrainingMatrix, predict
+from .forest import RandomForestModel, default_feature_count, train_forest
 from .naive_bayes import GaussianNBModel, train_naive_bayes
 from .tree import DecisionTreeModel, TreeConfig, train_tree
 
@@ -9,20 +9,15 @@ from .tree import DecisionTreeModel, TreeConfig, train_tree
 LEARNER_NAMES = ("naive_bayes", "decision_tree", "random_forest")
 
 
-def train(
-    name: str,
-    data: TrainingMatrix,
-    seed: int = 0,
-    tree_config: TreeConfig | None = None,
-    forest_config: ForestConfig | None = None,
-) -> Model:
-    """Train one learner by name (only the forest consumes the seed)."""
+def train(name: str, data: TrainingMatrix, seed: int = 0, trees: int = 100) -> Model:
+    """Train one learner by name (only the forest consumes the seed and the
+    tree count)."""
     if name == "naive_bayes":
         return train_naive_bayes(data)
     if name == "decision_tree":
-        return train_tree(data, tree_config)
+        return train_tree(data)
     if name == "random_forest":
-        return train_forest(data, forest_config, seed=seed)
+        return train_forest(data, trees, seed=seed)
     raise ValueError(f"unknown learner {name!r}; expected one of {LEARNER_NAMES}")
 
 
@@ -33,7 +28,6 @@ __all__ = [
     "DecisionTreeModel",
     "RandomForestModel",
     "TreeConfig",
-    "ForestConfig",
     "LEARNER_NAMES",
     "train",
     "train_naive_bayes",
@@ -41,5 +35,4 @@ __all__ = [
     "train_forest",
     "default_feature_count",
     "predict",
-    "model_from_dict",
 ]

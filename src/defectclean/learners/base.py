@@ -1,6 +1,6 @@
-"""Shared learner plumbing: training matrices, prediction, serialization.
+"""Shared learner plumbing: training matrices and prediction.
 
-Every model exposes ``kind``, ``n_features``, ``train_meta`` and
+Every model exposes ``kind``, ``n_features`` and
 ``predict_proba(X) -> (n, 2)`` with column 0 the defect-free and column 1
 the defective probability (rows sum to 1).  :func:`predict` turns scores
 into labels with the fixed 0.5 threshold; the tie score 0.5 maps to
@@ -43,11 +43,8 @@ class TrainingMatrix:
 class Model(Protocol):
     kind: str
     n_features: int
-    train_meta: dict
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray: ...
-
-    def to_dict(self) -> dict: ...
 
 
 def check_features(model_features: int, X: np.ndarray) -> np.ndarray:
@@ -68,18 +65,3 @@ def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     scores = model.predict_proba(X)[:, 1]
     return scores > 0.5, scores
-
-
-def model_from_dict(payload: dict) -> Model:
-    """Rebuild a serialized model; inverse of each model's ``to_dict``."""
-    from .naive_bayes import GaussianNBModel
-    from .forest import RandomForestModel
-    from .tree import DecisionTreeModel
-
-    if payload.get("format") != 1:
-        raise ValueError(f"unsupported model format {payload.get('format')!r}")
-    kind = payload.get("kind")
-    for cls in (GaussianNBModel, DecisionTreeModel, RandomForestModel):
-        if kind == cls.kind:
-            return cls.from_dict(payload)
-    raise ValueError(f"unknown model kind {kind!r}")

@@ -12,12 +12,12 @@ mean of the trees' leaf probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .base import TrainingMatrix, check_features
-from .tree import grow_tree_arrays, nodes_from_dict, nodes_to_dict, predict_kernel
+from .tree import grow_tree_arrays, predict_kernel
 
 
 def default_feature_count(n_features: int) -> int:
@@ -26,29 +26,12 @@ def default_feature_count(n_features: int) -> int:
     return int(math.floor(math.log2(n_features))) + 1
 
 
-@dataclass(frozen=True)
-class ForestConfig:
-    trees: int = 100
-    max_features: int | None = None  # None: floor(log2(d)) + 1
-    bootstrap: bool = True
-    min_node_size: int = 2
-
-    def __post_init__(self) -> None:
-        if self.trees < 1:
-            raise ValueError("a forest needs at least one tree")
-        if self.max_features is not None and self.max_features < 1:
-            raise ValueError("max_features must be at least 1")
-
-
 @dataclass
 class RandomForestModel:
     kind = "random_forest"
 
     n_features: int
-    config: ForestConfig
-    seed: int
     trees: list[tuple[np.ndarray, ...]]
-    train_meta: dict = field(default_factory=dict)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = check_features(self.n_features, X)
@@ -57,27 +40,6 @@ class RandomForestModel:
             total += predict_kernel(*arrays, X)
         scores = total / len(self.trees)
         return np.column_stack([1.0 - scores, scores])
-
-    def to_dict(self) -> dict:
-        return {
-            "format": 1,
-            "kind": self.kind,
-            "n_features": self.n_features,
-            "config": asdict(self.config),
-            "seed": self.seed,
-            "trees": [nodes_to_dict(arrays) for arrays in self.trees],
-            "train_meta": self.train_meta,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RandomForestModel":
-        return cls(
-            n_features=payload["n_features"],
-            config=ForestConfig(**payload["config"]),
-            seed=payload["seed"],
-            trees=[nodes_from_dict(t) for t in payload["trees"]],
-            train_meta=dict(payload["train_meta"]),
-        )
 
 
 class FeatureSubsets:
@@ -116,33 +78,22 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tree_index])
 
 
-def train_forest(
-    data: TrainingMatrix, config: ForestConfig | None = None, seed: int = 0
-) -> RandomForestModel:
-    """Fit the ensemble; identical (data, config, seed) gives an identical
+def train_forest(data: TrainingMatrix, trees: int = 100, seed: int = 0) -> RandomForestModel:
+    """Fit the ensemble; identical (data, trees, seed) gives an identical
     model and identical predictions."""
-    config = config or ForestConfig()
+    if trees < 1:
+        raise ValueError("a forest needs at least one tree")
     n, d = data.n_rows, data.n_features
-    m = min(d, config.max_features or default_feature_count(d))
+    m = default_feature_count(d)
 
-    trees = []
-    for t in range(config.trees):
+    grown = []
+    for t in range(trees):
         rng = _tree_rng(seed, t)
-        if config.bootstrap:
-            sample_idx = rng.integers(0, n, size=n, dtype=np.int64)
-        else:
-            sample_idx = np.arange(n, dtype=np.int64)
+        sample_idx = rng.integers(0, n, size=n, dtype=np.int64)
         if m == d:
             feature_table = np.arange(d, dtype=np.int64)[None, :]
         else:
             feature_table = FeatureSubsets(rng, d, m, rows=2 * n + 1)
-        trees.append(
-            grow_tree_arrays(data.X, data.y, sample_idx, feature_table, config.min_node_size)
-        )
-    return RandomForestModel(
-        n_features=d,
-        config=config,
-        seed=seed,
-        trees=trees,
-        train_meta={"n_train": n, "m_features": m},
-    )
+        # unpruned: only single-case nodes (pure anyway) stop the growth
+        grown.append(grow_tree_arrays(data.X, data.y, sample_idx, feature_table, 2))
+    return RandomForestModel(n_features=d, trees=grown)

@@ -9,7 +9,7 @@ with probability 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class GaussianNBModel:
     means: np.ndarray | None  # shape (2, d); None for single-class models
     variances: np.ndarray | None
     single_class: bool
-    train_meta: dict = field(default_factory=dict)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = check_features(self.n_features, X)
@@ -49,38 +48,12 @@ class GaussianNBModel:
         likel = np.exp(shifted)
         return likel / likel.sum(axis=1, keepdims=True)
 
-    def to_dict(self) -> dict:
-        return {
-            "format": 1,
-            "kind": self.kind,
-            "n_features": self.n_features,
-            "log_prior": self.log_prior.tolist(),
-            "means": None if self.means is None else self.means.tolist(),
-            "variances": None if self.variances is None else self.variances.tolist(),
-            "single_class": self.single_class,
-            "train_meta": self.train_meta,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GaussianNBModel":
-        return cls(
-            n_features=payload["n_features"],
-            log_prior=np.array(payload["log_prior"], dtype=np.float64),
-            means=None if payload["means"] is None else np.array(payload["means"]),
-            variances=None
-            if payload["variances"] is None
-            else np.array(payload["variances"]),
-            single_class=payload["single_class"],
-            train_meta=dict(payload["train_meta"]),
-        )
-
 
 def train_naive_bayes(data: TrainingMatrix) -> GaussianNBModel:
     """Fit class-conditional Gaussians with Laplace-smoothed priors."""
     n = data.n_rows
     counts = np.array([int(np.sum(~data.y)), int(np.sum(data.y))])
     log_prior = np.log((counts + 1.0) / (n + 2.0))
-    meta = {"n_train": n, "class_counts": counts.tolist()}
 
     if counts.min() == 0:
         return GaussianNBModel(
@@ -89,7 +62,6 @@ def train_naive_bayes(data: TrainingMatrix) -> GaussianNBModel:
             means=None,
             variances=None,
             single_class=True,
-            train_meta=meta,
         )
 
     means = np.empty((2, data.n_features), dtype=np.float64)
@@ -104,5 +76,4 @@ def train_naive_bayes(data: TrainingMatrix) -> GaussianNBModel:
         means=means,
         variances=variances,
         single_class=False,
-        train_meta=meta,
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,19 +96,6 @@ def predict_kernel(node_feature, node_threshold, node_left, node_right,
     return node_pos[node] / node_n[node]
 
 
-#: serialized name and dtype of each node array, in kernel order
-NODE_FIELDS = (("feature", np.int64), ("threshold", np.float64), ("left", np.int64),
-               ("right", np.int64), ("n", np.int64), ("pos", np.int64))
-
-
-def nodes_to_dict(arrays) -> dict:
-    return {name: a.tolist() for (name, _), a in zip(NODE_FIELDS, arrays)}
-
-
-def nodes_from_dict(nodes: dict) -> tuple[np.ndarray, ...]:
-    return tuple(np.array(nodes[name], dtype=dtype) for name, dtype in NODE_FIELDS)
-
-
 def _pessimistic_errors(n: int, errors: int, z: float) -> float:
     """Continuity-corrected upper confidence bound on the error count."""
     f = min(1.0, (errors + 0.5) / n)
@@ -159,14 +146,12 @@ class DecisionTreeModel:
     kind = "decision_tree"
 
     n_features: int
-    config: TreeConfig
     node_feature: np.ndarray
     node_threshold: np.ndarray
     node_left: np.ndarray
     node_right: np.ndarray
     node_n: np.ndarray
     node_pos: np.ndarray
-    train_meta: dict = field(default_factory=dict)
 
     @property
     def node_count(self) -> int:
@@ -192,25 +177,6 @@ class DecisionTreeModel:
             self.node_right, self.node_n, self.node_pos, X,
         )
         return np.column_stack([1.0 - scores, scores])
-
-    def to_dict(self) -> dict:
-        return {
-            "format": 1,
-            "kind": self.kind,
-            "n_features": self.n_features,
-            "config": asdict(self.config),
-            "nodes": nodes_to_dict((
-                self.node_feature, self.node_threshold, self.node_left,
-                self.node_right, self.node_n, self.node_pos)),
-            "train_meta": self.train_meta,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DecisionTreeModel":
-        return cls(
-            payload["n_features"], TreeConfig(**payload["config"]),
-            *nodes_from_dict(payload["nodes"]), train_meta=dict(payload["train_meta"]),
-        )
 
 
 def grow_tree_arrays(
@@ -323,11 +289,4 @@ def train_tree(data: TrainingMatrix, config: TreeConfig | None = None) -> Decisi
     )
     if config.prune:
         prune_tree(*arrays, confidence=config.confidence)
-    return DecisionTreeModel(
-        n_features=data.n_features,
-        config=config,
-        node_feature=arrays[0], node_threshold=arrays[1],
-        node_left=arrays[2], node_right=arrays[3],
-        node_n=arrays[4], node_pos=arrays[5],
-        train_meta={"n_train": data.n_rows},
-    )
+    return DecisionTreeModel(data.n_features, *arrays)

@@ -12,14 +12,12 @@ import csv
 import io
 import json
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .cleaning import CleanSummaryRow
 from .evaluation import ChangeRate, average_change
 from .harness import ExperimentRun, METRICS
 from .quality import CrossReleaseReport, WithinQualityReport
-
-_FORMATS = ("csv", "json", "markdown")
 
 
 def _float_cell(value: float | None) -> str:
@@ -242,60 +240,33 @@ def experiment_json(run: ExperimentRun) -> dict:
                 "cleaned": r.cleaned,
                 "change_percent": r.change.rate_percent,
                 "note": r.note,
-                "provenance": _plain(r.provenance),
+                "provenance": r.provenance,
             }
             for r in run.results
         ],
     }
 
 
-def _plain(value):
-    """Recursively coerce provenance values to JSON-friendly types."""
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    if isinstance(value, Path):
-        return str(value)
-    if hasattr(value, "item"):  # numpy scalars
-        return value.item()
-    return str(value)
-
-
-def write_experiment_reports(
-    run: ExperimentRun,
-    out_dir: str | Path,
-    formats: Iterable[str] = _FORMATS,
-) -> dict[str, Path]:
+def write_experiment_reports(run: ExperimentRun, out_dir: str | Path) -> dict[str, Path]:
     """Write fmeasure_change.{csv,md}, auc_change.{csv,md} and results.json.
 
-    Restricted by ``formats``; re-running an identical experiment rewrites
-    byte-identical files.
+    Re-running an identical experiment rewrites byte-identical files.
     """
-    formats = set(formats)
-    unknown = formats - set(_FORMATS)
-    if unknown:
-        raise ValueError(f"unknown report formats: {sorted(unknown)}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     stems = {"fmeasure": "fmeasure_change", "auc": "auc_change"}
     for metric in METRICS:
-        if "csv" in formats:
-            path = out_dir / f"{stems[metric]}.csv"
-            path.write_text(experiment_grid_csv(run, metric), encoding="utf-8")
-            paths[f"{metric}_csv"] = path
-        if "markdown" in formats:
-            path = out_dir / f"{stems[metric]}.md"
-            path.write_text(experiment_grid_markdown(run, metric), encoding="utf-8")
-            paths[f"{metric}_markdown"] = path
-    if "json" in formats:
-        path = out_dir / "results.json"
-        path.write_text(
-            json.dumps(experiment_json(run), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        paths["json"] = path
+        path = out_dir / f"{stems[metric]}.csv"
+        path.write_text(experiment_grid_csv(run, metric), encoding="utf-8")
+        paths[f"{metric}_csv"] = path
+        path = out_dir / f"{stems[metric]}.md"
+        path.write_text(experiment_grid_markdown(run, metric), encoding="utf-8")
+        paths[f"{metric}_markdown"] = path
+    path = out_dir / "results.json"
+    path.write_text(
+        json.dumps(experiment_json(run), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    paths["json"] = path
     return paths

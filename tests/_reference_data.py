@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from decimal import Decimal
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable
 
 from defectclean.data import (
     Case,
@@ -33,8 +33,6 @@ from defectclean.data import (
 def reference_parse(
     source: IO[str] | Iterable[str],
     name: str | None = None,
-    expected_schema: Sequence[str] = PROMISE_HEADER,
-    aliases: Mapping[str, str] | None = None,
 ) -> Dataset:
     """Same contract and result as ``parse_dataset``."""
     reader = csv.reader(source)
@@ -42,7 +40,7 @@ def reference_parse(
         header = next(reader)
     except StopIteration:
         raise EmptyDatasetError("no header row") from None
-    _check_header(header, expected_schema)
+    _check_header(header)
 
     cells: dict[str, Decimal] = {}
     bugs: dict[str, int] = {}
@@ -51,8 +49,8 @@ def reference_parse(
     for row_no, row in enumerate(reader, start=1):
         if not row:
             continue
-        if len(row) != len(expected_schema):
-            raise ParseError(f"row {row_no}: expected {len(expected_schema)} cells, got {len(row)}")
+        if len(row) != len(PROMISE_HEADER):
+            raise ParseError(f"row {row_no}: expected {len(PROMISE_HEADER)} cells, got {len(row)}")
         try:
             for cell in row[3:3 + N_METRICS]:
                 if cell not in cells:
@@ -70,5 +68,5 @@ def reference_parse(
         raise EmptyDatasetError("no data rows")
     if name is None:
         name = first_row[0].strip() + first_row[1].strip()
-    project, release = split_project(name, aliases)
+    project, release = split_project(name)
     return Dataset.from_cases(project, release, name, cases)

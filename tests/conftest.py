@@ -78,6 +78,43 @@ def random_problem_dataset(
     return dataset(name, cases)
 
 
+
+def collision_dataset(
+    seed: int,
+    cases: int = 80,
+    name: str = "grid1.0",
+    active_features: int = 3,
+    grid: int = 3,
+    defect_rate: float = 0.4,
+) -> Dataset:
+    """Dataset drawn from a tiny discrete feature grid.
+
+    With few active features over a small value grid, exact feature
+    collisions (hence duplicates and inconsistencies) occur naturally, which
+    is what the cleaning and quality property tests need.  Formatting of the
+    constant features varies ("1" vs "1.0" vs "1.00") to exercise canonical
+    numeric equality end to end.
+    """
+    rng = np.random.default_rng(seed)
+    spellings = ("1", "1.0", "1.00")
+    rows = []
+    for i in range(cases):
+        values = []
+        for col in range(N_METRICS):
+            if col < active_features:
+                values.append(Decimal(int(rng.integers(0, grid))))
+            else:
+                values.append(Decimal(spellings[int(rng.integers(len(spellings)))]))
+        defective = bool(rng.random() < defect_rate)
+        rows.append(
+            Case(
+                class_name=f"G{i:03d}",
+                metrics=MetricVector(tuple(values)),
+                bug_count=int(rng.integers(1, 3)) if defective else 0,
+            )
+        )
+    return dataset(name, rows)
+
 #: spellings of the values drawn by :func:`problem_datasets`, one tuple per
 #: value.  "-0.0" equals 0.  The last two are distinct decimals that round
 #: to the same float as 0.1 and 1.

@@ -20,7 +20,7 @@ import pytest
 from defectclean.cleaning import clean, clean_corpus
 from defectclean.clustering import default_k, kmeans
 from defectclean.data import Case, Corpus, Dataset, load_corpus
-from defectclean.datagen import collision_dataset, synthetic_corpus
+from defectclean.datagen import synthetic_corpus
 from defectclean.evaluation import ConfusionMatrix, auc, f_measure
 from defectclean.harness import ExperimentConfig, run_experiment
 from defectclean.quality import corpus_quality, within_quality
@@ -31,6 +31,7 @@ from . import _reference_tables as ref
 from ._reference_cleaning import clean_oracle
 from .conftest import (
     case,
+    collision_dataset,
     dataset,
     random_problem_dataset,
     real_corpus_dir,

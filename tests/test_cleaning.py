@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 
 from defectclean.cleaning import clean, clean_corpus
-from defectclean.datagen import collision_dataset, synthetic_corpus
+from defectclean.datagen import synthetic_corpus
 from defectclean.quality import within_quality
 
 from ._reference_cleaning import clean_oracle
-from .conftest import case, dataset, problem_datasets, random_problem_dataset
+from .conftest import (
+    case, collision_dataset, dataset, problem_datasets, random_problem_dataset,
+)
 
 
 class TestCleanFixtures:

@@ -223,11 +223,6 @@ class TestParseDataset:
         assert ds.cases[2].bug_count == 5
         assert ds.cases[0].class_name == "A"
 
-    def test_defective_ratio(self):
-        rows = [data_row(bug="1")] * 3 + [data_row(bug="0")]
-        ds = parse_dataset(make_csv(rows))
-        assert ds.defective_ratio == pytest.approx(0.75)
-
     def test_name_override_controls_identity(self):
         ds = parse_dataset(make_csv([data_row()]), name="xercesinit")
         assert (ds.project, ds.release) == ("xerces", "init")
@@ -278,7 +273,7 @@ class TestParseDataset:
     def test_parsed_vectors_equal_checked_vectors(self):
         cells = ["0.0", "-0", "1.50", "2", "0.25"] + ["3"] * (N_METRICS - 5)
         ds = parse_dataset(make_csv([data_row(metrics=cells)]))
-        checked = MetricVector.from_strings(cells)
+        checked = MetricVector(tuple(map(canonicalize_metric, cells)))
         assert ds.cases[0].metrics == checked
         assert hash(ds.cases[0].metrics) == hash(checked)
 
@@ -412,16 +407,17 @@ class TestCorpus:
         }
         assert loaded.projects["alpha"] == ("alpha1.0", "alpha1.1")
 
-    def test_manifest_filters_and_validates(self, tmp_path):
-        write_corpus(synthetic_corpus(seed=1), tmp_path)
-        loaded = load_corpus(tmp_path, manifest=["alpha1.0", "beta2.0"])
-        assert [ds.name for ds in loaded] == ["alpha1.0", "beta2.0"]
-        with pytest.raises(CorpusError, match="missing"):
-            load_corpus(tmp_path, manifest=["alpha1.0", "nosuch1.0"])
-
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CorpusError, match="does not exist"):
             load_corpus(tmp_path / "nope")
+
+    def test_only_csv_files_are_datasets(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a dataset\n")
+        with pytest.raises(CorpusError, match="no CSV datasets found"):
+            load_corpus(tmp_path)
+        write_corpus(synthetic_corpus(seed=1), tmp_path)
+        names = [ds.name for ds in load_corpus(tmp_path)]
+        assert "notes" not in names and len(names) == len(synthetic_corpus(seed=1))
 
     def test_parse_error_names_offending_file(self, tmp_path):
         write_corpus(synthetic_corpus(seed=1), tmp_path)

@@ -148,6 +148,11 @@ class TestParseConfig:
             ("burak_k = many\n", "line 1: burak_k: expected an integer"),
             ("peters_clusters = 0\n", "line 1: peters_clusters"),
             ("sample_cap = lots\n", "line 1: sample_cap: expected an integer"),
+            ("filters = global, global\n", "^line 1: filters: duplicate name 'global'$"),
+            ("seed = 1\nlearners = naive_bayes, random_forest, naive_bayes\n",
+             "^line 2: learners: duplicate name 'naive_bayes'$"),
+            ("targets = alpha1.0, beta2.0, alpha1.0\n",
+             "^line 1: targets: duplicate name 'alpha1.0'$"),
         ],
     )
     def test_rejects_bad_input(self, text, message):

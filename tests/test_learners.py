@@ -17,14 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from defectclean.learners import (
     LEARNER_NAMES,
-    ForestConfig,
     TreeConfig,
     train,
     train_forest,
     train_naive_bayes,
     train_tree,
 )
-from defectclean.learners.base import TrainingMatrix, model_from_dict, predict
+from defectclean.learners.base import TrainingMatrix, predict
 from defectclean.learners.forest import FeatureSubsets, default_feature_count, _tree_rng
 from defectclean.learners.tree import (
     _pessimistic_errors,
@@ -117,13 +116,6 @@ class TestNaiveBayes:
         assert model.variances[:, 0].min() == 1e-9
         probs = model.predict_proba(X)
         assert np.isfinite(probs).all()
-
-    def test_serialization_round_trip(self, rng):
-        data = separable(rng, n=20)
-        model = train_naive_bayes(data)
-        clone = model_from_dict(model.to_dict())
-        assert np.array_equal(clone.predict_proba(data.X), model.predict_proba(data.X))
-
 
 def reachable_nodes(model) -> int:
     count = 0
@@ -246,14 +238,6 @@ class TestDecisionTree:
         with pytest.raises(ValueError):
             TreeConfig(confidence=0.5)
 
-    def test_serialization_round_trip(self, rng):
-        data = separable(rng, n=30, d=5)
-        model = train_tree(data)
-        clone = model_from_dict(model.to_dict())
-        assert clone.config == model.config
-        assert np.array_equal(clone.predict_proba(data.X), model.predict_proba(data.X))
-
-
 class TestPessimisticBound:
     def test_matches_numeric_root(self):
         # the bound U solves f_obs = U - z * sqrt(U (1-U) / n); invert it by
@@ -279,6 +263,8 @@ class TestPessimisticBound:
 
 
 @st.composite
+
+
 def kernel_cases(draw):
     """Small trees with every awkward input the kernel must handle."""
     n = draw(st.integers(1, 40))
@@ -336,7 +322,7 @@ class TestKernelAgainstReference:
 
     def test_grow_equals_reference_on_forest_trees(self, rng):
         data = separable(rng, n=120, d=20, gap=0.5)
-        forest = train_forest(data, ForestConfig(trees=3), seed=4)
+        forest = train_forest(data, 3, seed=4)
         for t, arrays in enumerate(forest.trees):
             gen = _tree_rng(4, t)
             idx = gen.integers(0, 120, size=120, dtype=np.int64)
@@ -350,7 +336,7 @@ class TestKernelAgainstReference:
         # ids beyond the first 256-row chunk of lazily drawn subsets
         n = 800
         data = matrix(rng.random((n, 20)), rng.random(n) < 0.5)
-        forest = train_forest(data, ForestConfig(trees=2), seed=7)
+        forest = train_forest(data, 2, seed=7)
         for t, arrays in enumerate(forest.trees):
             assert np.flatnonzero(arrays[0] != -1).max() >= 256
             gen = _tree_rng(7, t)
@@ -409,7 +395,7 @@ class TestKernelAgainstReference:
             assert np.array_equal(a, b)
         assert fast[0].tolist() == [0, -1, -1]
         assert fast[4].tolist() == [4, 2, 2] and fast[5].tolist() == [1, 0, 1]
-        forest = train_forest(TrainingMatrix(X, y), ForestConfig(trees=5), seed=0)
+        forest = train_forest(TrainingMatrix(X, y), 5, seed=0)
         assert forest.predict_proba(X).shape == (4, 2)
 
     @settings(max_examples=100, deadline=None)
@@ -431,28 +417,38 @@ class TestKernelAgainstReference:
 class TestRandomForest:
     def test_deterministic_per_seed(self, rng):
         data = separable(rng, n=40, d=8, gap=1.0)
-        a = train_forest(data, ForestConfig(trees=10), seed=5)
-        b = train_forest(data, ForestConfig(trees=10), seed=5)
-        assert a.to_dict() == b.to_dict()
+        a = train_forest(data, 10, seed=5)
+        b = train_forest(data, 10, seed=5)
+        assert len(a.trees) == len(b.trees) == 10
+        for tree_a, tree_b in zip(a.trees, b.trees):
+            for x, y in zip(tree_a, tree_b):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
         assert np.array_equal(a.predict_proba(data.X), b.predict_proba(data.X))
 
     def test_seed_changes_the_forest(self, rng):
         data = separable(rng, n=40, d=8, gap=1.0)
-        a = train_forest(data, ForestConfig(trees=5), seed=1)
-        b = train_forest(data, ForestConfig(trees=5), seed=2)
-        assert a.to_dict() != b.to_dict()
+        a = train_forest(data, 5, seed=1)
+        b = train_forest(data, 5, seed=2)
+        assert any(
+            not np.array_equal(x, y)
+            for tree_a, tree_b in zip(a.trees, b.trees)
+            for x, y in zip(tree_a, tree_b)
+        )
 
     def test_degenerate_forest_equals_plain_tree(self, rng):
-        data = separable(rng, n=50, d=6, gap=1.0)
-        forest = train_forest(
-            data, ForestConfig(trees=1, bootstrap=False, max_features=6), seed=0)
-        tree = train_tree(data, TreeConfig(prune=False))
-        grid = rng.random((30, 6)) * 2
+        # with two features every node considers both (m == d), so a
+        # one-tree forest is an unpruned tree on that tree's bootstrap sample
+        data = separable(rng, n=50, d=2, gap=0.3)
+        assert default_feature_count(2) == 2
+        forest = train_forest(data, 1, seed=6)
+        idx = _tree_rng(6, 0).integers(0, 50, size=50, dtype=np.int64)
+        tree = train_tree(matrix(data.X[idx], data.y[idx]), TreeConfig(prune=False))
+        grid = rng.random((40, 2)) * 1.3
         assert np.array_equal(forest.predict_proba(grid), tree.predict_proba(grid))
 
     def test_score_is_mean_of_tree_scores(self, rng):
         data = separable(rng, n=30, d=5, gap=1.0)
-        model = train_forest(data, ForestConfig(trees=7), seed=3)
+        model = train_forest(data, 7, seed=3)
         X = np.ascontiguousarray(rng.random((12, 5)))
         per_tree = np.empty((7, 12))
         for t, arrays in enumerate(model.trees):
@@ -463,7 +459,7 @@ class TestRandomForest:
         # the per-tree substream is derived from (seed, tree index); tree 0
         # must equal a tree grown from exactly those draws
         data = separable(rng, n=25, d=20, gap=1.0)
-        model = train_forest(data, ForestConfig(trees=2), seed=9)
+        model = train_forest(data, 2, seed=9)
         gen = _tree_rng(9, 0)
         idx = gen.integers(0, 25, size=25, dtype=np.int64)
         perms = np.tile(np.arange(20, dtype=np.int64), (51, 1))
@@ -501,46 +497,28 @@ class TestRandomForest:
         assert default_feature_count(16) == 5
         assert default_feature_count(1) == 1
 
-    def test_train_meta_and_config_validation(self, rng):
+    def test_tree_count(self, rng):
         data = separable(rng, n=20, d=20, gap=1.0)
-        model = train_forest(data, seed=0)
-        assert model.train_meta == {"n_train": 20, "m_features": 5}
-        with pytest.raises(ValueError):
-            ForestConfig(trees=0)
-        with pytest.raises(ValueError):
-            ForestConfig(max_features=0)
-
-    def test_serialization_round_trip(self, rng):
-        data = separable(rng, n=20, d=4, gap=1.0)
-        model = train_forest(data, ForestConfig(trees=3), seed=7)
-        clone = model_from_dict(model.to_dict())
-        assert np.array_equal(clone.predict_proba(data.X), model.predict_proba(data.X))
-        assert clone.config == model.config
-
+        assert len(train_forest(data, seed=0).trees) == 100
+        with pytest.raises(ValueError, match="at least one tree"):
+            train_forest(data, 0)
 
 class TestDispatch:
     def test_learner_names(self):
         assert LEARNER_NAMES == ("naive_bayes", "decision_tree", "random_forest")
 
-    def test_train_routes_and_forwards_config(self, rng):
-        data = separable(rng, n=20, d=4)
+    def test_train_routes_and_forwards_trees_and_seed(self, rng):
+        data = separable(rng, n=20, d=4, gap=1.0)
         assert train("naive_bayes", data).kind == "naive_bayes"
-        tree = train("decision_tree", data, tree_config=TreeConfig(prune=False))
-        assert tree.kind == "decision_tree" and tree.config.prune is False
-        forest = train("random_forest", data, seed=3,
-                       forest_config=ForestConfig(trees=4))
+        assert train("decision_tree", data).kind == "decision_tree"
+        forest = train("random_forest", data, seed=3, trees=4)
         assert forest.kind == "random_forest" and len(forest.trees) == 4
-        assert forest.seed == 3
+        X = rng.random((30, 4)) * 2
+        expected = train_forest(data, 4, seed=3).predict_proba(X)
+        assert np.array_equal(forest.predict_proba(X), expected)
+        assert not np.array_equal(train_forest(data, 4, seed=4).predict_proba(X), expected)
 
     def test_unknown_learner(self, rng):
         with pytest.raises(ValueError, match="unknown learner"):
             train("svm", separable(rng, n=10, d=3))
 
-    def test_model_from_dict_rejects_bad_payloads(self, rng):
-        model = train("naive_bayes", separable(rng, n=10, d=3))
-        good = model.to_dict()
-        assert model_from_dict(good).kind == "naive_bayes"
-        with pytest.raises(ValueError, match="format"):
-            model_from_dict({**good, "format": 2})
-        with pytest.raises(ValueError, match="kind"):
-            model_from_dict({**good, "kind": "perceptron"})

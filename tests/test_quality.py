@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from defectclean.data import Dataset
-from defectclean.datagen import collision_dataset, synthetic_corpus
+from defectclean.datagen import synthetic_corpus
 from defectclean.quality import (
     CrossReleaseReport,
     FeatureGroup,
@@ -23,7 +23,9 @@ from defectclean.quality import (
     within_quality,
 )
 
-from .conftest import case, dataset, problem_datasets, random_problem_dataset, vector
+from .conftest import (
+    case, collision_dataset, dataset, problem_datasets, random_problem_dataset, vector,
+)
 
 
 def quadratic_counts(ds: Dataset) -> tuple[int, int]:

@@ -176,11 +176,11 @@ class TestExperimentGrids:
         again = write_experiment_reports(run, tmp_path / "again")
         assert {p.name: p.read_bytes() for p in again.values()} == first
 
-    def test_format_subset_and_validation(self, run, tmp_path):
-        paths = write_experiment_reports(run, tmp_path, formats=("json",))
-        assert [p.name for p in paths.values()] == ["results.json"]
-        with pytest.raises(ValueError, match="unknown report formats"):
-            write_experiment_reports(run, tmp_path, formats=("yaml",))
+    def test_results_json_round_trips_the_payload(self, run, tmp_path):
+        # the payload holds only JSON types (no tuples), so the written file
+        # reads back as exactly what experiment_json returned
+        path = write_experiment_reports(run, tmp_path)["json"]
+        assert json.loads(path.read_text(encoding="utf-8")) == experiment_json(run)
 
     def test_undefined_cells_render_na_everywhere(self, tmp_path):
         # a corpus whose only valid target has a single-class test set:
