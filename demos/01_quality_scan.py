@@ -9,7 +9,9 @@ labels differ.  Both kinds inflate or contradict the training signal, so the
 first step of any study on this data should be counting them.
 """
 
-from defectclean.data import Case, Corpus, Dataset
+import numpy as np
+
+from defectclean.data import Corpus, Dataset
 from defectclean.datagen import synthetic_corpus, synthetic_dataset
 from defectclean.quality import corpus_quality, within_quality
 
@@ -29,22 +31,35 @@ for ds in corpus:
 worst = max((within_quality(ds) for ds in corpus),
             key=lambda r: r.inconsistent_case_count)
 print(f"\nmost conflicted dataset: {worst.dataset}")
-for group in worst.inconsistent_groups[:3]:
-    labels = ["defective" if d else "clean" for d in group.labels]
-    print(f"  rows {list(group.member_indices)} share one metric vector "
+# A dataset numbers its distinct metric vectors by first occurrence
+# (feature_ids); a group is inconsistent when its labels disagree.
+ds = corpus.get(worst.dataset)
+ids, vectors = ds.feature_ids
+groups = [np.flatnonzero(ids == g) for g in range(len(vectors))]
+mixed = [rows for rows in groups if len(set(ds.labels[rows].tolist())) > 1]
+for rows in mixed[:3]:
+    labels = ["defective" if d else "clean" for d in ds.labels[rows]]
+    print(f"  rows {rows.tolist()} share one metric vector "
           f"but are labelled {labels}")
 
 # Releases of the same project overlap heavily because most classes do not
 # change between versions, which matters if you plan to mix releases in one
 # training pool.  Model that here: delta1.1 carries 25 classes over from
 # delta1.0 unchanged, relabels 5 of them, and adds 30 new ones.
+# A release is built from plain (class name, 20 metric values, bug count)
+# rows.
+def rows_of(ds: Dataset) -> list[tuple]:
+    return [(name, tuple(ds.values[i] for i in ids), bugs) for name, ids, bugs
+            in zip(ds.class_names, ds.value_ids.tolist(), ds.bug_counts.tolist())]
+
+
 old = synthetic_dataset("delta1.0", seed=41, cases=50)
-carried = list(old.cases[:25])
+carried = rows_of(old.take(range(25)))
 for i in range(5):
-    c = carried[i]
-    carried[i] = Case(c.class_name, c.metrics, 0 if c.defective else 1)
+    name, metrics, bugs = carried[i]
+    carried[i] = (name, metrics, 0 if bugs else 1)
 new = synthetic_dataset("delta1.1", seed=42, cases=30)
-evolved = Dataset.from_cases("delta", "1.1", "delta1.1", carried + list(new.cases))
+evolved = Dataset.from_cases("delta", "1.1", "delta1.1", carried + rows_of(new))
 project = Corpus((old, evolved))
 
 # Pair counts are cross products: a metric vector seen a times in release A

@@ -13,13 +13,11 @@ __version__ = "0.1.0"
 from .cleaning import CleanResult, CleanSummaryRow, clean, clean_corpus
 from .clustering import Clustering, kmeans
 from .data import (
-    Case,
     Corpus,
     CorpusError,
     Dataset,
     EmptyDatasetError,
     METRIC_NAMES,
-    MetricVector,
     ParseError,
     SchemaError,
     canonicalize_metric,
@@ -48,7 +46,6 @@ from .harness import (
 )
 from .learners import (
     TrainingMatrix,
-    TreeConfig,
     predict,
     train,
     train_forest,
@@ -57,7 +54,6 @@ from .learners import (
 )
 from .quality import (
     CrossReleaseReport,
-    FeatureGroup,
     WithinQualityReport,
     corpus_quality,
     cross_release_quality,
@@ -82,12 +78,12 @@ from .selection import (
 __all__ = [
     "__version__",
     # data
-    "METRIC_NAMES", "MetricVector", "Case", "Dataset", "Corpus",
+    "METRIC_NAMES", "Dataset", "Corpus",
     "SchemaError", "ParseError", "EmptyDatasetError", "CorpusError",
     "canonicalize_metric", "split_project", "parse_dataset",
     "serialize_dataset", "load_corpus", "write_corpus",
     # quality
-    "FeatureGroup", "WithinQualityReport", "CrossReleaseReport",
+    "WithinQualityReport", "CrossReleaseReport",
     "within_quality", "cross_release_quality", "release_pairs", "corpus_quality",
     # cleaning
     "CleanResult", "CleanSummaryRow", "clean", "clean_corpus",
@@ -96,7 +92,7 @@ __all__ = [
     "global_filter", "burak_filter", "peters_filter", "select_training_data",
     "Clustering", "kmeans",
     # learners
-    "TrainingMatrix", "TreeConfig",
+    "TrainingMatrix",
     "train", "train_naive_bayes", "train_tree", "train_forest", "predict",
     # evaluation
     "ConfusionMatrix", "ChangeRate", "precision", "recall",

@@ -4,7 +4,7 @@ A dataset is one release of one software project: a table of cases
 (classes), each carrying 20 static code metrics and a bug count.  A case is
 *defective* exactly when its bug count is at least 1.
 
-A :class:`Dataset` is stored by column.  Its metric values are
+A :class:`Dataset` exists only as columns.  Its metric values are
 :class:`decimal.Decimal` numbers kept once each in a table of distinct
 values, and the cases hold indices into that table: a read-only int32
 ``(n, 20)`` matrix of value ids.  Decimals make textually different
@@ -13,8 +13,9 @@ rounding, and the table gives equal values one id, so two cases have equal
 metrics exactly when their rows of value ids are equal.  That is the exact
 equality the duplicate/inconsistency definitions in
 :mod:`defectclean.quality` rely on.  Float features, labels and feature
-groups are derived from the columns and cached; :class:`Case` objects are
-built only when :attr:`Dataset.cases` is read.
+groups are derived from the columns and cached.  Hand-made or generated
+data enters through :meth:`Dataset.from_cases`, one plain
+``(class_name, metric_values, bug_count)`` tuple per case.
 """
 
 from __future__ import annotations
@@ -136,42 +137,9 @@ def split_project(name: str) -> tuple[str, str]:
     return project, name[len(project):]
 
 
-@dataclass(frozen=True)
-class MetricVector:
-    """The 20 metric values of one case, in :data:`METRIC_NAMES` order."""
-
-    values: tuple[Decimal, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != N_METRICS:
-            raise ValueError(f"expected {N_METRICS} metric values, got {len(self.values)}")
-        for v in self.values:
-            if not isinstance(v, Decimal) or not v.is_finite() or v < 0:
-                raise ValueError(f"invalid metric value {v!r}")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> Decimal:
-        return self.values[i]
-
-
-@dataclass(frozen=True)
-class Case:
-    """One class of one release: name, metric vector, observed bug count."""
-
-    class_name: str
-    metrics: MetricVector
-    bug_count: int
-
-    def __post_init__(self) -> None:
-        if self.bug_count < 0:
-            raise ValueError(f"negative bug count {self.bug_count}")
-
-    @property
-    def defective(self) -> bool:
-        """A case is defective exactly when it has at least one bug."""
-        return self.bug_count >= 1
+#: one hand-made case: class name, its 20 metric values in
+#: :data:`METRIC_NAMES` order, and its bug count
+Row = tuple[str, Sequence[Decimal], int]
 
 
 def value_positions(values: Sequence[Decimal], table: Sequence[Decimal]) -> np.ndarray:
@@ -210,9 +178,10 @@ class Dataset:
     ``values`` are the distinct metric values of the table, no two equal.
     Row ``i`` of the int32 matrix ``value_ids`` holds case ``i``'s 20
     indices into ``values``, and ``bug_counts[i]`` (int64) its bug count.
-    Both arrays are made read-only.  Datasets are equal when their names and
-    all their cases are equal, value for value, whatever order their tables
-    list the values in.
+    Both arrays are made read-only.  Every value must be a finite,
+    non-negative ``Decimal`` and every bug count non-negative.  Datasets
+    are equal when their names and all their cases are equal, value for
+    value, whatever order their tables list the values in.
     """
 
     project: str
@@ -237,6 +206,9 @@ class Dataset:
             raise ValueError(f"value ids outside the table of {len(self.values)} values")
         if n and bugs.min() < 0:
             raise ValueError(f"negative bug count {bugs.min()}")
+        for v in self.values:
+            if not isinstance(v, Decimal) or not v.is_finite() or v < 0:
+                raise ValueError(f"invalid metric value {v!r}")
         if len(set(self.values)) != len(self.values):
             raise ValueError("the value table holds two equal values")
         ids.flags.writeable = False
@@ -244,19 +216,29 @@ class Dataset:
 
     @classmethod
     def from_cases(
-        cls, project: str, release: str, name: str, cases: Iterable[Case]
+        cls, project: str, release: str, name: str, cases: Iterable[Row]
     ) -> "Dataset":
-        """The columns of a sequence of cases (generated or hand-built data)."""
+        """The columns of ``(class_name, metric_values, bug_count)`` rows
+        (generated or hand-built data); each row holds 20 values."""
         cases = tuple(cases)
-        index: dict[Decimal, int] = {}
-        ids = np.fromiter(
-            (index.setdefault(v, len(index)) for c in cases for v in c.metrics.values),
-            dtype=np.int32, count=N_METRICS * len(cases),
-        )
-        bugs = np.fromiter((c.bug_count for c in cases), dtype=np.int64, count=len(cases))
+        for _, values, _ in cases:
+            if len(values) != N_METRICS:
+                raise ValueError(f"expected {N_METRICS} metric values, got {len(values)}")
+        # keyed by type too, so a non-Decimal equal to a Decimal (1.0 and
+        # Decimal(1)) gets a table entry of its own and is rejected
+        index: dict[tuple[type, Decimal], int] = {}
+        try:
+            ids = np.fromiter(
+                (index.setdefault((type(v), v), len(index))
+                 for _, values, _ in cases for v in values),
+                dtype=np.int32, count=N_METRICS * len(cases),
+            )
+        except TypeError as exc:  # an unhashable value, such as Decimal("sNaN")
+            raise ValueError(f"invalid metric value: {exc}") from None
+        bugs = np.fromiter((bug for _, _, bug in cases), dtype=np.int64, count=len(cases))
         return cls(
-            project, release, name, tuple(c.class_name for c in cases), tuple(index),
-            ids.reshape(len(cases), N_METRICS), bugs,
+            project, release, name, tuple(class_name for class_name, _, _ in cases),
+            tuple(v for _, v in index), ids.reshape(len(cases), N_METRICS), bugs,
         )
 
     @property
@@ -302,24 +284,6 @@ class Dataset:
         rows.flags.writeable = False
         return ids, rows
 
-    def vector(self, ids: Iterable[int]) -> MetricVector:
-        """The metric vector of one row of value ids."""
-        return MetricVector(tuple([self.values[i] for i in ids]))
-
-    @cached_property
-    def cases(self) -> tuple[Case, ...]:
-        """The cases as objects, built on first access.
-
-        The package's own paths read the columns; this view is for callers
-        that want one object per case.
-        """
-        return tuple(
-            Case(name, self.vector(row), bug)
-            for name, row, bug in zip(
-                self.class_names, self.value_ids.tolist(), self.bug_counts.tolist()
-            )
-        )
-
     def take(self, rows: Sequence[int] | np.ndarray) -> "Dataset":
         """The cases at ``rows``, in that order, under the same names.
 
@@ -333,8 +297,8 @@ class Dataset:
             self.value_ids[rows], self.bug_counts[rows],
         )
 
-    def replace_cases(self, cases: Iterable[Case]) -> "Dataset":
-        """A dataset of the given cases under this dataset's names."""
+    def replace_cases(self, cases: Iterable[Row]) -> "Dataset":
+        """A dataset of the given rows under this dataset's names."""
         return Dataset.from_cases(self.project, self.release, self.name, cases)
 
     def __eq__(self, other: object) -> bool:

@@ -13,13 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Case, Corpus, Dataset, MetricVector, N_METRICS, split_project
+from .data import Corpus, Dataset, N_METRICS, Row, split_project
 
 #: metric positions generated as 2-decimal ratios instead of counts
 _RATIO_COLUMNS = frozenset({9, 11, 13, 14, 19})  # lcom3, dam, mfa, cam, avg_cc
 
 
-def _random_metrics(rng: np.random.Generator, defective: bool) -> MetricVector:
+def _random_metrics(rng: np.random.Generator, defective: bool) -> tuple[Decimal, ...]:
     """Counts and ratios with a mild shift for defective cases, so the
     label is learnable but noisy."""
     shift = 4 if defective else 0
@@ -29,16 +29,7 @@ def _random_metrics(rng: np.random.Generator, defective: bool) -> MetricVector:
             values.append(Decimal(int(rng.integers(0, 101))) / Decimal(100))
         else:
             values.append(Decimal(int(rng.integers(0, 12 + shift))))
-    return MetricVector(tuple(values))
-
-
-def random_case(rng: np.random.Generator, name: str, defect_rate: float) -> Case:
-    defective = bool(rng.random() < defect_rate)
-    return Case(
-        class_name=name,
-        metrics=_random_metrics(rng, defective),
-        bug_count=int(rng.integers(1, 4)) if defective else 0,
-    )
+    return tuple(values)
 
 
 def synthetic_dataset(
@@ -56,26 +47,22 @@ def synthetic_dataset(
     ``inconsistent_rate`` appends copies with the opposite label (the copy
     of a defective case gets bug count 0 and vice versa).  Appended rows are
     shuffled into the dataset, so problems are not clustered at the end.
+    Each base row draws its defect flag, then its 20 metric cells, then its
+    bug count; the copies and the shuffle draw after all base rows.
     """
     rng = np.random.default_rng(seed)
-    base = [
-        random_case(rng, f"{class_prefix}.C{i:04d}", defect_rate)
-        for i in range(cases)
-    ]
-    extras: list[Case] = []
+    rows: list[Row] = []
+    for i in range(cases):
+        defective = bool(rng.random() < defect_rate)
+        metrics = _random_metrics(rng, defective)
+        bugs = int(rng.integers(1, 4)) if defective else 0
+        rows.append((f"{class_prefix}.C{i:04d}", metrics, bugs))
     for _ in range(int(round(duplicate_rate * cases))):
-        source = base[int(rng.integers(len(base)))]
-        extras.append(Case(source.class_name + "Copy", source.metrics, source.bug_count))
+        class_name, metrics, bugs = rows[int(rng.integers(cases))]
+        rows.append((class_name + "Copy", metrics, bugs))
     for _ in range(int(round(inconsistent_rate * cases))):
-        source = base[int(rng.integers(len(base)))]
-        extras.append(
-            Case(
-                source.class_name + "Flip",
-                source.metrics,
-                0 if source.defective else 1,
-            )
-        )
-    rows = base + extras
+        class_name, metrics, bugs = rows[int(rng.integers(cases))]
+        rows.append((class_name + "Flip", metrics, 0 if bugs else 1))
     order = rng.permutation(len(rows))
     project, release = split_project(name)
     return Dataset.from_cases(project, release, name, (rows[i] for i in order))

@@ -3,7 +3,7 @@
 from .base import Model, TrainingMatrix, predict
 from .forest import RandomForestModel, default_feature_count, train_forest
 from .naive_bayes import GaussianNBModel, train_naive_bayes
-from .tree import DecisionTreeModel, TreeConfig, train_tree
+from .tree import DecisionTreeModel, train_tree
 
 #: learner names accepted by the experiment harness and CLI
 LEARNER_NAMES = ("naive_bayes", "decision_tree", "random_forest")
@@ -27,7 +27,6 @@ __all__ = [
     "GaussianNBModel",
     "DecisionTreeModel",
     "RandomForestModel",
-    "TreeConfig",
     "LEARNER_NAMES",
     "train",
     "train_naive_bayes",

@@ -94,6 +94,6 @@ def train_forest(data: TrainingMatrix, trees: int = 100, seed: int = 0) -> Rando
             feature_table = np.arange(d, dtype=np.int64)[None, :]
         else:
             feature_table = FeatureSubsets(rng, d, m, rows=2 * n + 1)
-        # unpruned: only single-case nodes (pure anyway) stop the growth
-        grown.append(grow_tree_arrays(data.X, data.y, sample_idx, feature_table, 2))
+        # unpruned: only pure nodes and unsplittable ones stop the growth
+        grown.append(grow_tree_arrays(data.X, data.y, sample_idx, feature_table))
     return RandomForestModel(n_features=d, trees=grown)

@@ -3,19 +3,19 @@
 Splits are binary numeric tests ``x[f] <= t`` with thresholds at midpoints
 between sorted distinct values.  The split maximising gain ratio wins; ties
 go to the lower feature index, then the lower threshold.  A node becomes a
-leaf when it is pure, smaller than the minimum split size, or has no
-separating threshold at all.  It also becomes a leaf when the chosen
-threshold separates nothing: the midpoint of two adjacent floats can round
-up onto the upper value (and the midpoint with ``inf`` is ``inf``), so when
-that value is the node's largest, ``x <= t`` holds for every row.  When every candidate has zero information
+leaf when it is pure or has no separating threshold at all.  It also
+becomes a leaf when the chosen threshold separates nothing: the midpoint of
+two adjacent floats can round up onto the upper value (and the midpoint
+with ``inf`` is ``inf``), so when that value is the node's largest,
+``x <= t`` holds for every row.  When every candidate has zero information
 gain but the node is still impure (classic example: an XOR-style pattern),
 the first candidate (lowest feature, lowest threshold) is taken instead of
 giving up, so consistent training data is always fit exactly.
 
 Pruning replaces a subtree by a leaf when the leaf's pessimistic error
-estimate (continuity-corrected upper confidence bound at confidence 0.25)
-does not exceed the sum over the subtree's leaves.  Subtree raising is not
-performed.
+estimate (continuity-corrected upper confidence bound at
+:data:`CONFIDENCE`) does not exceed the sum over the subtree's leaves.
+Subtree raising is not performed.
 
 Growth is one numpy kernel over the distinct sampled rows, each weighted
 by its sample count and its defective count.  Instead of presorting every
@@ -49,24 +49,8 @@ GAIN_EPS = 1e-12
 #: mask of the defective count in a packed per-row weight
 LOW = (1 << 32) - 1
 
-
-@dataclass(frozen=True)
-class TreeConfig:
-    """Growth and pruning knobs.
-
-    min_node_size: nodes with fewer cases than this become leaves (the
-    default 2 only stops at single-case nodes, which are pure anyway).
-    """
-
-    min_node_size: int = 2
-    prune: bool = True
-    confidence: float = 0.25
-
-    def __post_init__(self) -> None:
-        if self.min_node_size < 1:
-            raise ValueError("min_node_size must be at least 1")
-        if not 0.0 < self.confidence < 0.5:
-            raise ValueError("confidence must be in (0, 0.5)")
+#: confidence of the pessimistic error bound used in pruning (C4.5's default)
+CONFIDENCE = 0.25
 
 
 def entropy_table(n: int) -> np.ndarray:
@@ -108,14 +92,14 @@ def _pessimistic_errors(n: int, errors: int, z: float) -> float:
 
 
 def prune_tree(node_feature, node_threshold, node_left, node_right,
-               node_n, node_pos, confidence: float) -> None:
+               node_n, node_pos) -> None:
     """Collapse subtrees whose pessimistic error a single leaf can match.
 
     Works bottom-up in place; collapsed internal nodes become leaves and
     their descendants turn unreachable.  Iterative post-order walk, so
     arbitrarily deep trees are fine.
     """
-    z = statistics.NormalDist().inv_cdf(1.0 - confidence)
+    z = statistics.NormalDist().inv_cdf(1.0 - CONFIDENCE)
     estimate = np.empty(node_feature.shape[0], dtype=np.float64)
     stack: list[tuple[int, bool]] = [(0, False)]
     while stack:
@@ -184,7 +168,6 @@ def grow_tree_arrays(
     y: np.ndarray,
     sample_idx: np.ndarray,
     feature_table,
-    min_node_size: int,
 ) -> tuple[np.ndarray, ...]:
     """Grow a tree over the samples ``sample_idx`` (duplicates allowed).
 
@@ -215,7 +198,7 @@ def grow_tree_arrays(
     while stack:
         node, start, end, n_node, pos = stack.pop()
         node_n[node], node_pos[node] = n_node, pos
-        if not (0 < pos < n_node and n_node >= min_node_size):
+        if not 0 < pos < n_node:
             continue
 
         feats = feature_table[node if len(feature_table) > 1 else 0]
@@ -279,14 +262,11 @@ def grow_tree_arrays(
         node_feature, node_threshold, node_left, node_right, node_n, node_pos))
 
 
-def train_tree(data: TrainingMatrix, config: TreeConfig | None = None) -> DecisionTreeModel:
-    """Grow (and by default prune) a tree on the full training set."""
-    config = config or TreeConfig()
+def train_tree(data: TrainingMatrix) -> DecisionTreeModel:
+    """Grow and prune a tree on the full training set."""
     feature_table = np.arange(data.n_features, dtype=np.int64)[None, :]
     arrays = grow_tree_arrays(
-        data.X, data.y, np.arange(data.n_rows, dtype=np.int64),
-        feature_table, config.min_node_size,
+        data.X, data.y, np.arange(data.n_rows, dtype=np.int64), feature_table,
     )
-    if config.prune:
-        prune_tree(*arrays, confidence=config.confidence)
+    prune_tree(*arrays)
     return DecisionTreeModel(data.n_features, *arrays)

@@ -11,9 +11,9 @@ case, numbered by first occurrence from the rows of value ids, so every
 count is integer arithmetic on id arrays.  Within a release,
 ``np.bincount`` over the row keys ``2 * id + label`` counts each group's
 cases per label: a row key held by two or more cases marks identical cases,
-a group with both labels inconsistent ones.  The groups themselves, with
-their metric vectors, are built only when a report's ``identical_groups``
-or ``inconsistent_groups`` is read.
+a group with both labels inconsistent ones.  Reports carry the counts
+only; the groups behind them are ``Dataset.feature_ids`` and
+``Dataset.labels``.
 
 Across two releases of one project, the newer release's value table is
 mapped into the older one's through a dict over the distinct values (far
@@ -26,75 +26,25 @@ label counts: ``pos_a @ pos_b + neg_a @ neg_b`` identical pairs and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, Dataset, MetricVector, row_groups, value_positions
-
-
-@dataclass(frozen=True)
-class FeatureGroup:
-    """All cases of one dataset sharing one metric vector."""
-
-    key: MetricVector
-    member_indices: tuple[int, ...]
-    labels: tuple[bool, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.member_indices)
-
-    @property
-    def mixed(self) -> bool:
-        """True when the group carries both labels."""
-        return len(set(self.labels)) > 1
+from .data import Corpus, Dataset, row_groups, value_positions
 
 
 @dataclass(frozen=True)
 class WithinQualityReport:
-    """Identical/inconsistent counts for one dataset.
-
-    The groups behind the counts are built from ``source`` on first access.
-    """
+    """Identical/inconsistent counts for one dataset."""
 
     dataset: str
     case_count: int
     identical_case_count: int
     inconsistent_case_count: int
-    source: Dataset = field(repr=False, compare=False)
 
     @property
     def problem_free(self) -> bool:
         return self.identical_case_count == 0 and self.inconsistent_case_count == 0
-
-    @cached_property
-    def identical_groups(self) -> tuple[FeatureGroup, ...]:
-        """Groups of two or more full-row-equal cases, first occurrence first."""
-        row_keys, twinned, _ = _problem_rows(self.source)
-        _, rows = self.source.feature_ids
-        return tuple(
-            FeatureGroup(
-                self.source.vector(rows[key >> 1].tolist()), tuple(members),
-                (bool(key & 1),) * len(members),
-            )
-            for key, members in _members(row_keys, twinned).items()
-        )
-
-    @cached_property
-    def inconsistent_groups(self) -> tuple[FeatureGroup, ...]:
-        """Feature groups carrying both labels, first occurrence first."""
-        _, _, conflicted = _problem_rows(self.source)
-        ids, rows = self.source.feature_ids
-        labels = self.source.labels
-        return tuple(
-            FeatureGroup(
-                self.source.vector(rows[key].tolist()), tuple(members),
-                tuple(labels[members].tolist()),
-            )
-            for key, members in _members(ids, conflicted).items()
-        )
 
 
 @dataclass(frozen=True)
@@ -108,36 +58,20 @@ class CrossReleaseReport:
     inconsistent_pair_count: int
 
 
-def _members(keys: np.ndarray, rows: np.ndarray) -> dict[int, list[int]]:
-    """Row indices per key, keys in first-occurrence order."""
-    members: dict[int, list[int]] = {}
-    for key, i in zip(keys[rows].tolist(), rows.tolist()):
-        members.setdefault(key, []).append(i)
-    return members
+def within_quality(dataset: Dataset) -> WithinQualityReport:
+    """Count identical and inconsistent cases inside one dataset.
 
-
-def _problem_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row keys, identical rows, inconsistent rows) of one dataset."""
+    Both counts are invariant under row permutation.
+    """
     ids, rows = dataset.feature_ids
     row_keys = 2 * ids + dataset.labels
     row_sizes = np.bincount(row_keys, minlength=2 * len(rows))
     mixed = (row_sizes[0::2] > 0) & (row_sizes[1::2] > 0)
-    return row_keys, np.flatnonzero(row_sizes[row_keys] >= 2), np.flatnonzero(mixed[ids])
-
-
-def within_quality(dataset: Dataset) -> WithinQualityReport:
-    """Count identical and inconsistent cases inside one dataset.
-
-    Both counts are invariant under row permutation.  Groups are reported in
-    first-occurrence order.
-    """
-    _, twinned, conflicted = _problem_rows(dataset)
     return WithinQualityReport(
         dataset=dataset.name,
         case_count=dataset.case_count,
-        identical_case_count=int(twinned.size),
-        inconsistent_case_count=int(conflicted.size),
-        source=dataset,
+        identical_case_count=int(np.count_nonzero(row_sizes[row_keys] >= 2)),
+        inconsistent_case_count=int(np.count_nonzero(mixed[ids])),
     )
 
 

@@ -64,9 +64,6 @@ class SourcePool:
     """
 
     sources: tuple[Dataset, ...]
-    target: str
-    excluded_project: str
-    mode: str
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
@@ -117,7 +114,7 @@ def build_pool(corpus: Corpus, target: Dataset, mode: str = "strict") -> SourceP
         ds for ds in corpus
         if ds.project != target.project or (mode == "mixed" and ds.name < target.name)
     )
-    pool = SourcePool(sources, target.name, target.project, mode)
+    pool = SourcePool(sources)
     if not len(pool):
         raise ValueError(
             f"empty source pool for target {target.name!r} (mode={mode}); "

@@ -3,14 +3,19 @@ pairwise deletion procedure.
 
 It walks the case list with explicit index loops and compares metric
 vectors pair by pair, sharing nothing with the package's grouped
-implementation but the data model.  ``clean`` must agree with it on every
+implementation but the data model: it reads the cases as rows of
+``Decimal`` values, not as value ids.  ``clean`` must agree with it on every
 ``CleanResult`` field.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 from defectclean.cleaning import CleanResult
-from defectclean.data import Dataset, MetricVector
+from defectclean.data import Dataset
+
+from .conftest import decimal_rows
 
 
 def clean_oracle(dataset: Dataset, size_bound: int = 2000) -> CleanResult:
@@ -27,8 +32,9 @@ def clean_oracle(dataset: Dataset, size_bound: int = 2000) -> CleanResult:
             f"oracle is quadratic; dataset has {dataset.case_count} cases, "
             f"bound is {size_bound}"
         )
-    rows: list[tuple[int, MetricVector, bool]] = [
-        (i, c.metrics, c.defective) for i, c in enumerate(dataset.cases)
+    cases = decimal_rows(dataset)
+    rows: list[tuple[int, tuple[Decimal, ...], bool]] = [
+        (i, metrics, bugs >= 1) for i, (_, metrics, bugs) in enumerate(cases)
     ]
 
     removed_dup = 0
@@ -64,9 +70,9 @@ def clean_oracle(dataset: Dataset, size_bound: int = 2000) -> CleanResult:
     surviving = [idx for idx, _, _ in rows]
     removed = sorted(set(range(dataset.case_count)) - set(surviving))
     return CleanResult(
-        cleaned=dataset.replace_cases([dataset.cases[i] for i in surviving]),
+        cleaned=dataset.replace_cases([cases[i] for i in surviving]),
         removed_duplicates=removed_dup,
         removed_inconsistent=removed_inc,
-        removed_defective=sum(1 for i in removed if dataset.cases[i].defective),
+        removed_defective=sum(1 for i in removed if cases[i][2] >= 1),
         removed_indices=tuple(removed),
     )

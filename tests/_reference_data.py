@@ -2,7 +2,8 @@
 
 The parser as it was before datasets became columns: read the CSV one row
 at a time, check the row's width, parse each of its cells (each distinct
-text once) and build one :class:`Case` per row.  The per-cell rules
+text once) and build one ``(class_name, metric_values, bug_count)`` row
+per line.  The per-cell rules
 (``canonicalize_metric``, ``_parse_bug_count``) are shared with the
 package; what this oracle pins is everything around them: which rows are
 read, which error is raised first and with which row number, the name,
@@ -16,10 +17,8 @@ from decimal import Decimal
 from typing import IO, Iterable
 
 from defectclean.data import (
-    Case,
     Dataset,
     EmptyDatasetError,
-    MetricVector,
     N_METRICS,
     PROMISE_HEADER,
     ParseError,
@@ -44,7 +43,7 @@ def reference_parse(
 
     cells: dict[str, Decimal] = {}
     bugs: dict[str, int] = {}
-    cases: list[Case] = []
+    cases: list[tuple[str, tuple[Decimal, ...], int]] = []
     first_row: list[str] | None = None
     for row_no, row in enumerate(reader, start=1):
         if not row:
@@ -62,7 +61,7 @@ def reference_parse(
             raise ParseError(f"row {row_no}: {exc}") from None
         if first_row is None:
             first_row = row
-        cases.append(Case(row[2], MetricVector(values), bugs[row[-1]]))
+        cases.append((row[2], values, bugs[row[-1]]))
 
     if first_row is None:
         raise EmptyDatasetError("no data rows")

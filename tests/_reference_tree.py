@@ -14,7 +14,7 @@ import numpy as np
 from defectclean.learners.tree import GAIN_EPS, entropy_table
 
 
-def reference_grow(X, y, sample_idx, feature_table, min_node_size):
+def reference_grow(X, y, sample_idx, feature_table):
     """Same contract and output as ``grow_tree_arrays``."""
     X = np.asarray(X, dtype=np.float64)
     y = [int(v) for v in np.asarray(y, dtype=np.int64)]
@@ -31,7 +31,7 @@ def reference_grow(X, y, sample_idx, feature_table, min_node_size):
         n = len(members)
         pos = sum(y[s] for s in members)
         nodes[node] = [-1, 0.0, -1, -1, n, pos]
-        if not (0 < pos < n and n >= min_node_size):
+        if not 0 < pos < n:
             continue
 
         best_f, best_t, best_ratio = -1, 0.0, -1.0

@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from defectclean.data import (
-    Case, Dataset, MetricVector, N_METRICS, canonicalize_metric, split_project,
-)
+from defectclean.data import Dataset, N_METRICS, Row, canonicalize_metric, split_project
 
 #: directory holding the real public corpus CSVs, when available
 REAL_CORPUS_ENV = "JURECZKO_DATA_DIR"
@@ -36,26 +34,35 @@ requires_real_corpus = pytest.mark.skipif(
 )
 
 
-def vector(*values: object) -> MetricVector:
-    """Build a 20-dim metric vector from a short prefix, padding with zeros."""
+def vector(*values: object) -> tuple[Decimal, ...]:
+    """Build 20 metric values from a short prefix, padding with zeros."""
     padded = list(values) + [0] * (N_METRICS - len(values))
-    return MetricVector(tuple(Decimal(str(v)) for v in padded))
+    return tuple(Decimal(str(v)) for v in padded)
 
 
-def case(name: str, defective: bool, *values: object) -> Case:
-    return Case(name, vector(*values), 1 if defective else 0)
+def case(name: str, defective: bool, *values: object) -> Row:
+    return (name, vector(*values), 1 if defective else 0)
 
 
-def dataset(name: str, cases: list[Case]) -> Dataset:
+def dataset(name: str, cases: list[Row]) -> Dataset:
     project, release = split_project(name)
     return Dataset.from_cases(project, release, name, cases)
 
 
-def random_vector(rng: np.random.Generator, grid: int = 4, active: int = 4) -> MetricVector:
-    """Low-cardinality vector; collisions across draws are likely."""
+def decimal_rows(ds: Dataset) -> list[Row]:
+    """The cases of a dataset as ``(class_name, metric values, bug count)``
+    rows, for oracles that compare Decimal values."""
+    return [(name, tuple(ds.values[i] for i in ids), bug) for name, ids, bug
+            in zip(ds.class_names, ds.value_ids.tolist(), ds.bug_counts.tolist())]
+
+
+def random_vector(
+    rng: np.random.Generator, grid: int = 4, active: int = 4
+) -> tuple[Decimal, ...]:
+    """Low-cardinality metric values; collisions across draws are likely."""
     values = [Decimal(int(rng.integers(0, grid))) for _ in range(active)]
     values += [Decimal(0)] * (N_METRICS - active)
-    return MetricVector(tuple(values))
+    return tuple(values)
 
 
 def random_problem_dataset(
@@ -68,13 +75,11 @@ def random_problem_dataset(
     n = int(rng.integers(1, max_cases + 1))
     cases = []
     for i in range(n):
-        cases.append(
-            Case(
-                f"C{i}",
-                random_vector(rng),
-                int(rng.integers(0, 3)),  # bug counts 0..2, so both labels occur
-            )
-        )
+        cases.append((
+            f"C{i}",
+            random_vector(rng),
+            int(rng.integers(0, 3)),  # bug counts 0..2, so both labels occur
+        ))
     return dataset(name, cases)
 
 
@@ -106,13 +111,9 @@ def collision_dataset(
             else:
                 values.append(Decimal(spellings[int(rng.integers(len(spellings)))]))
         defective = bool(rng.random() < defect_rate)
-        rows.append(
-            Case(
-                class_name=f"G{i:03d}",
-                metrics=MetricVector(tuple(values)),
-                bug_count=int(rng.integers(1, 3)) if defective else 0,
-            )
-        )
+        rows.append((
+            f"G{i:03d}", tuple(values), int(rng.integers(1, 3)) if defective else 0,
+        ))
     return dataset(name, rows)
 
 #: spellings of the values drawn by :func:`problem_datasets`, one tuple per
@@ -153,7 +154,7 @@ def problem_datasets(draw, name: str = "hyp1.0") -> Dataset:
         ids = fixed if kind == "all_identical" else rng.integers(0, values, size=active)
         cells = [spell(int(v)) for v in ids] + [spell(1) for _ in range(N_METRICS - active)]
         bugs = fixed_bugs if kind == "all_identical" else int(rng.integers(0, 3))
-        cases.append(Case(f"H{i}", MetricVector(tuple(map(canonicalize_metric, cells))), bugs))
+        cases.append((f"H{i}", tuple(map(canonicalize_metric, cells)), bugs))
     return dataset(name, cases)
 
 

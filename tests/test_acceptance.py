@@ -19,7 +19,7 @@ import pytest
 
 from defectclean.cleaning import clean, clean_corpus
 from defectclean.clustering import default_k, kmeans
-from defectclean.data import Case, Corpus, Dataset, load_corpus
+from defectclean.data import Corpus, Dataset, Row, load_corpus
 from defectclean.datagen import synthetic_corpus
 from defectclean.evaluation import ConfusionMatrix, auc, f_measure
 from defectclean.harness import ExperimentConfig, run_experiment
@@ -33,10 +33,10 @@ from .conftest import (
     case,
     collision_dataset,
     dataset,
+    decimal_rows,
     random_problem_dataset,
     real_corpus_dir,
     requires_real_corpus,
-    vector,
 )
 from .test_evaluation import F_FIXTURES, trapezoid_auc
 from .test_selection import (
@@ -128,13 +128,12 @@ def test_criterion_2_zero_problem_passthrough(real_corpus):
 def _inject_problems(base: Dataset, rng: np.random.Generator) -> Dataset:
     """Copy random rows back in, half verbatim (duplicates) and half with the
     label flipped (inconsistencies)."""
-    cases = list(base.cases)
+    cases = decimal_rows(base)
     for idx in rng.integers(0, len(cases), size=int(rng.integers(1, 21))):
         cases.append(cases[int(idx)])
     for idx in rng.integers(0, len(cases), size=int(rng.integers(1, 21))):
-        victim = cases[int(idx)]
-        flipped = 0 if victim.bug_count >= 1 else 1
-        cases.append(Case(victim.class_name + "x", victim.metrics, flipped))
+        class_name, metrics, bugs = cases[int(idx)]
+        cases.append((class_name + "x", metrics, 0 if bugs >= 1 else 1))
     return base.replace_cases(cases)
 
 
@@ -156,17 +155,17 @@ def test_criterion_3_oracle_equivalence():
     _verdict(3, "1000/1000 datasets identical to the pairwise oracle, 0 divergences")
 
 
-def _swapped_order_survivors(ds: Dataset) -> list[Case]:
+def _swapped_order_survivors(ds: Dataset) -> list[Row]:
     """The rejected step order: pairwise inconsistency deletion first, then
     duplicate removal."""
-    cases = list(ds.cases)
+    cases = decimal_rows(ds)
     i = 0
     while i < len(cases):
         conflicted = False
         j = i + 1
         while j < len(cases):
-            if (cases[j].metrics == cases[i].metrics
-                    and cases[j].defective != cases[i].defective):
+            if (cases[j][1] == cases[i][1]
+                    and (cases[j][2] >= 1) != (cases[i][2] >= 1)):
                 del cases[j]
                 conflicted = True
             else:
@@ -175,13 +174,13 @@ def _swapped_order_survivors(ds: Dataset) -> list[Case]:
             del cases[i]
         else:
             i += 1
-    survivors: list[Case] = []
+    survivors: list[Row] = []
     seen = set()
-    for c in cases:
-        key = (c.metrics, c.defective)
+    for row in cases:
+        key = (row[1], row[2] >= 1)
         if key not in seen:
             seen.add(key)
-            survivors.append(c)
+            survivors.append(row)
     return survivors
 
 
@@ -204,17 +203,17 @@ def test_criterion_4_cleaning_properties():
         again = clean(result.cleaned)
         assert again.cleaned == result.cleaned
         assert again.removed_total == 0
-        keys = [c.metrics for c in result.cleaned.cases]
+        keys = [metrics for _, metrics, _ in decimal_rows(result.cleaned)]
         assert len(set(keys)) == len(keys)
 
     fixture = dataset("ord1.0", [
         case("a", True, 1), case("b", True, 1), case("c", False, 1),
     ])
-    ours = clean(fixture).cleaned.cases
+    ours = clean(fixture).cleaned.class_names
     swapped = _swapped_order_survivors(fixture)
     assert ours == ()
     # swapping deletes the first conflicting pair, leaving a residual X+
-    assert [c.defective for c in swapped] == [True]
+    assert [bugs >= 1 for _, _, bugs in swapped] == [True]
     _verdict(
         4,
         f"idempotence + uniqueness on {len(datasets)} datasets "

@@ -17,7 +17,7 @@ from defectclean.quality import within_quality
 
 from ._reference_cleaning import clean_oracle
 from .conftest import (
-    case, collision_dataset, dataset, problem_datasets, random_problem_dataset,
+    case, collision_dataset, dataset, decimal_rows, problem_datasets, random_problem_dataset,
 )
 
 
@@ -35,7 +35,7 @@ class TestCleanFixtures:
         assert result.removed_total == 3
         assert result.removed_defective == 2
         assert result.removed_indices == (0, 1, 2)
-        assert [c.class_name for c in result.cleaned.cases] == ["d"]
+        assert result.cleaned.class_names == ("d",)
 
     def test_step_order_is_not_swappable(self):
         # {X,+} {X,+} {X,-}: dedup first leaves {X,+} {X,-}, then the mixed
@@ -63,7 +63,7 @@ class TestCleanFixtures:
             case("z", True, 4), case("m", True, 4), case("a", True, 4),
         ])
         result = clean(ds)
-        assert [c.class_name for c in result.cleaned.cases] == ["z"]
+        assert result.cleaned.class_names == ("z",)
         assert result.removed_duplicates == 2
 
     def test_survivors_keep_relative_order(self):
@@ -72,7 +72,7 @@ class TestCleanFixtures:
             case("c", False, 5), case("d", False, 7),
         ])
         result = clean(ds)
-        assert [c.class_name for c in result.cleaned.cases] == ["a", "b", "d"]
+        assert result.cleaned.class_names == ("a", "b", "d")
 
     def test_identity_preserved(self):
         ds = dataset("xercesinit", [case("a", True, 1)])
@@ -100,7 +100,7 @@ class TestCleanProperties:
         for _ in range(50):
             ds = random_problem_dataset(rng, max_cases=60)
             cleaned = clean(ds).cleaned
-            keys = [c.metrics for c in cleaned.cases]
+            keys = [metrics for _, metrics, _ in decimal_rows(cleaned)]
             assert len(keys) == len(set(keys))
 
     def test_counts_are_consistent(self, rng):
@@ -111,8 +111,8 @@ class TestCleanProperties:
             assert ds.case_count == result.cleaned.case_count + result.removed_total
             assert result.removed_defective <= result.removed_total
             removed_set = set(result.removed_indices)
-            survivors = [c for i, c in enumerate(ds.cases) if i not in removed_set]
-            assert tuple(survivors) == cleaned_cases(result)
+            survivors = [c for i, c in enumerate(decimal_rows(ds)) if i not in removed_set]
+            assert survivors == decimal_rows(result.cleaned)
 
     def test_agrees_with_quadratic_oracle(self, rng):
         for _ in range(300):
@@ -141,10 +141,6 @@ class TestCleanAgainstReference:
         again = clean(result.cleaned)
         assert again.cleaned == result.cleaned
         assert again.removed_indices == ()
-
-
-def cleaned_cases(result):
-    return result.cleaned.cases
 
 
 class TestCleanCorpus:

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from defectclean.cleaning import clean_corpus
 from defectclean import cli
 from defectclean.cli import main
-from defectclean.data import Case, Corpus, load_corpus, write_corpus
+from defectclean.data import Corpus, load_corpus, write_corpus
 from defectclean.datagen import synthetic_corpus
 from defectclean.quality import within_quality
 from defectclean.selection import build_pool, burak_filter
 
-from .conftest import case, dataset
+from .conftest import case, dataset, decimal_rows
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ class TestCleanCommand:
         # a writer that loses the first row of the first dataset
         def drop_a_row(corpus, directory):
             first, *rest = corpus.datasets
-            damaged = Corpus((first.replace_cases(first.cases[1:]), *rest))
+            damaged = Corpus((first.take(np.arange(1, first.case_count)), *rest))
             return write_corpus(damaged, directory)
 
         monkeypatch.setattr(cli, "write_corpus", drop_a_row)
@@ -116,9 +117,8 @@ class TestCleanCommand:
         # a writer that keeps every row but adds a bug to the first case
         def add_a_bug(corpus, directory):
             first, *rest = corpus.datasets
-            head, *tail = first.cases
-            damaged = first.replace_cases(
-                [Case(head.class_name, head.metrics, head.bug_count + 1), *tail])
+            (class_name, metrics, bugs), *tail = decimal_rows(first)
+            damaged = first.replace_cases([(class_name, metrics, bugs + 1), *tail])
             return write_corpus(Corpus((damaged, *rest)), directory)
 
         monkeypatch.setattr(cli, "write_corpus", add_a_bug)
@@ -143,7 +143,7 @@ class TestSelectCommand:
         assert payload["selected_count"] == len(expected)
         assert [e["pool_index"] for e in payload["selected"]] == list(expected.selected)
         sample = payload["selected"][0]
-        assert corpus.get(sample["origin"]).cases[sample["origin_row"]] is not None
+        assert 0 <= sample["origin_row"] < corpus.get(sample["origin"]).case_count
 
     def test_out_file(self, corpus_dir, tmp_path):
         out = tmp_path / "sel" / "selection.json"

@@ -16,13 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectclean.data import (
-    Case,
     Corpus,
     CorpusError,
     Dataset,
     EmptyDatasetError,
     METRIC_NAMES,
-    MetricVector,
     N_METRICS,
     ParseError,
     PROMISE_HEADER,
@@ -39,7 +37,7 @@ from defectclean.data import (
 from defectclean.datagen import synthetic_corpus, synthetic_dataset
 from defectclean.selection import build_pool
 
-from .conftest import case, dataset, vector
+from .conftest import case, dataset, decimal_rows, vector
 
 
 def make_csv(rows: list[list[str]], header=PROMISE_HEADER) -> io.StringIO:
@@ -114,31 +112,56 @@ class TestCanonicalize:
             assert canonical_str(a) == canonical_str(b)
 
 
-class TestMetricVectorAndCase:
+def direct_dataset(values, bugs=(0,)) -> Dataset:
+    """A dataset built straight from its columns: one case per bug count,
+    every case holding value 0 of ``values`` in all 20 metrics."""
+    return Dataset(
+        "d", "1.0", "d1.0", tuple(f"C{i}" for i in range(len(bugs))), tuple(values),
+        np.zeros((len(bugs), N_METRICS), dtype=np.int32), np.array(bugs, dtype=np.int64),
+    )
+
+
+class TestRowChecks:
+    """Every constructor holds rows of 20 finite, non-negative Decimals
+    and non-negative bug counts."""
+
     def test_equality_ignores_formatting(self):
-        a = MetricVector(tuple(Decimal(s) for s in ["1.0"] * N_METRICS))
-        b = MetricVector(tuple(Decimal(s) for s in ["1.00"] * N_METRICS))
-        assert a == b and hash(a) == hash(b)
+        a = dataset("f1.0", [("a", tuple(Decimal("1.0") for _ in range(N_METRICS)), 0)])
+        b = dataset("f1.0", [("a", tuple(Decimal("1.00") for _ in range(N_METRICS)), 0)])
+        assert a == b
+        assert decimal_rows(a) == decimal_rows(b)
+        assert hash(decimal_rows(a)[0][1]) == hash(decimal_rows(b)[0][1])
 
-    def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            MetricVector(tuple(Decimal(1) for _ in range(N_METRICS - 1)))
+    @pytest.mark.parametrize("width", [0, N_METRICS - 1, N_METRICS + 1])
+    def test_wrong_arity_rejected(self, width):
+        row = ("x", tuple(Decimal(1) for _ in range(width)), 0)
+        with pytest.raises(ValueError, match="metric values"):
+            dataset("w1.0", [case("a", False, 1), row])
+        with pytest.raises(ValueError, match="metric values"):
+            dataset("w1.0", [case("a", False, 1)]).replace_cases([row])
 
-    def test_negative_and_nonfinite_rejected(self):
-        bad = [Decimal(1)] * N_METRICS
-        bad[3] = Decimal("-1")
-        with pytest.raises(ValueError):
-            MetricVector(tuple(bad))
-        bad[3] = Decimal("NaN")
-        with pytest.raises(ValueError):
-            MetricVector(tuple(bad))
+    @pytest.mark.parametrize("bad", [
+        Decimal("-1"), Decimal("-0.5"), Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"),
+        1.0, 2, "3", [4],
+    ])
+    def test_negative_nonfinite_and_non_decimal_values_rejected(self, bad):
+        values = list(vector(1))
+        values[3] = bad
+        with pytest.raises(ValueError, match="invalid metric value"):
+            dataset("v1.0", [("x", tuple(values), 0)])
+        with pytest.raises(ValueError, match="invalid metric value"):
+            direct_dataset([Decimal(1), bad])
+
+    def test_negative_zero_accepted(self):
+        assert direct_dataset([Decimal("-0")]).feature_matrix.tolist() == [[0.0] * N_METRICS]
 
     def test_label_follows_bug_count(self):
-        assert not case("a", False).defective
-        assert case("a", True).defective
-        assert Case("x", vector(1), 3).defective
-        with pytest.raises(ValueError):
-            Case("x", vector(1), -1)
+        ds = dataset("l1.0", [case("a", False), case("b", True), ("x", vector(1), 3)])
+        assert ds.labels.tolist() == [False, True, True]
+        with pytest.raises(ValueError, match="negative bug count"):
+            dataset("l1.0", [("x", vector(1), -1)])
+        with pytest.raises(ValueError, match="negative bug count"):
+            direct_dataset([Decimal(1)], bugs=(0, -1))
 
 
 class TestSplitProject:
@@ -220,8 +243,8 @@ class TestParseDataset:
         assert ds.project == "demo" and ds.release == "1.0"
         assert ds.case_count == 3
         assert ds.defective_count == 2
-        assert ds.cases[2].bug_count == 5
-        assert ds.cases[0].class_name == "A"
+        assert ds.bug_counts[2] == 5
+        assert ds.class_names[0] == "A"
 
     def test_name_override_controls_identity(self):
         ds = parse_dataset(make_csv([data_row()]), name="xercesinit")
@@ -262,8 +285,8 @@ class TestParseDataset:
     def test_bug_count_spellings_parse_to_the_same_integer(self):
         rows = [data_row(name=n, bug=b) for n, b in (("A", "2"), ("B", "2.0"), ("C", "2.00"))]
         ds = parse_dataset(make_csv(rows))
-        assert [c.bug_count for c in ds.cases] == [2, 2, 2]
-        assert all(type(c.bug_count) is int for c in ds.cases)
+        assert ds.bug_counts.tolist() == [2, 2, 2]
+        assert all(type(bug) is int for _, _, bug in decimal_rows(ds))
 
     def test_repeated_bad_bug_count_names_its_first_row(self):
         rows = [data_row(bug="1"), data_row(bug="1.5"), data_row(bug="1.5")]
@@ -273,9 +296,10 @@ class TestParseDataset:
     def test_parsed_vectors_equal_checked_vectors(self):
         cells = ["0.0", "-0", "1.50", "2", "0.25"] + ["3"] * (N_METRICS - 5)
         ds = parse_dataset(make_csv([data_row(metrics=cells)]))
-        checked = MetricVector(tuple(map(canonicalize_metric, cells)))
-        assert ds.cases[0].metrics == checked
-        assert hash(ds.cases[0].metrics) == hash(checked)
+        checked = tuple(map(canonicalize_metric, cells))
+        _, parsed, _ = decimal_rows(ds)[0]
+        assert parsed == checked
+        assert hash(parsed) == hash(checked)
 
     def test_empty_file_and_headerless_file(self):
         with pytest.raises(EmptyDatasetError):
@@ -370,9 +394,10 @@ class TestRoundTrip:
     def test_feature_matrix_matches_cases(self):
         ds = synthetic_dataset("m1.0", seed=3, cases=25)
         matrix = ds.feature_matrix
+        cases = decimal_rows(ds)
         assert matrix.shape == (25, N_METRICS)
-        assert matrix[4].tolist() == [metric_float(v) for v in ds.cases[4].metrics.values]
-        assert ds.labels.tolist() == [c.defective for c in ds.cases]
+        assert matrix[4].tolist() == [metric_float(v) for v in cases[4][1]]
+        assert ds.labels.tolist() == [bug >= 1 for _, _, bug in cases]
 
 
 class TestFeatureMatrix:
@@ -390,7 +415,8 @@ class TestFeatureMatrix:
             assert matrix[0].tobytes() == matrix[1].tobytes()
             assert not np.signbit(matrix).any()
             assert matrix.tobytes() == np.array(
-                [[metric_float(v) for v in c.metrics.values] for c in ds.cases]).tobytes()
+                [[metric_float(v) for v in values] for _, values, _ in decimal_rows(ds)]
+            ).tobytes()
             pool = build_pool(Corpus((other, ds)), other)
             assert pool.feature_matrix[0].tobytes() == pool.feature_matrix[1].tobytes()
             assert pool.feature_matrix.tobytes() == matrix.tobytes()

@@ -2,9 +2,9 @@
 
 ``parse_dataset`` reads a whole file into value-id columns and locates a bad
 row afterwards; ``tests/_reference_data.py`` reads one row at a time and
-builds one ``Case`` per row.  On any text the two must agree: equal
-datasets (cases, float features, labels, feature groups) or the same
-exception class with the same message.
+builds one ``(class_name, metric_values, bug_count)`` row per line.  On any
+text the two must agree: equal datasets (cases, float features, labels,
+feature groups) or the same exception class with the same message.
 """
 
 from __future__ import annotations
@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decimal import Decimal
+
 from defectclean.data import (
-    Dataset, MetricVector, N_METRICS, PROMISE_HEADER, metric_float, parse_dataset,
+    Dataset, N_METRICS, PROMISE_HEADER, metric_float, parse_dataset,
 )
 
 from ._reference_data import reference_parse
-from .conftest import dataset, case, problem_datasets
+from .conftest import case, dataset, decimal_rows, problem_datasets
 
 #: spellings of a few values: respelled integers, zeros with a sign,
 #: trailing zeros, exponents, and long exponent-free decimals
@@ -94,26 +96,27 @@ def outcome(parse, text: str):
         return None, (type(exc), str(exc))
 
 
-def reference_ids(ds: Dataset) -> tuple[list[int], list[MetricVector]]:
-    """Feature groups numbered by first occurrence, over the cases."""
-    index: dict[MetricVector, int] = {}
-    ids = [index.setdefault(c.metrics, len(index)) for c in ds.cases]
+def reference_ids(ds: Dataset) -> tuple[list[int], list[tuple[Decimal, ...]]]:
+    """Feature groups numbered by first occurrence, over the Decimal rows."""
+    index: dict[tuple[Decimal, ...], int] = {}
+    ids = [index.setdefault(metrics, len(index)) for _, metrics, _ in decimal_rows(ds)]
     return ids, list(index)
 
 
 def assert_same_dataset(got: Dataset, want: Dataset) -> None:
     assert got == want and want == got
-    assert got.cases == want.cases
-    assert got.class_names == tuple(c.class_name for c in want.cases)
-    assert got.bug_counts.tolist() == [c.bug_count for c in want.cases]
+    cases = decimal_rows(want)
+    assert decimal_rows(got) == cases
+    assert got.class_names == tuple(class_name for class_name, _, _ in cases)
+    assert got.bug_counts.tolist() == [bugs for _, _, bugs in cases]
     assert got.feature_matrix.tobytes() == np.array(
-        [[metric_float(v) for v in c.metrics.values] for c in want.cases],
+        [[metric_float(v) for v in metrics] for _, metrics, _ in cases],
         dtype=np.float64).reshape(-1, N_METRICS).tobytes()
-    assert got.labels.tolist() == [c.defective for c in want.cases]
+    assert got.labels.tolist() == [bugs >= 1 for _, _, bugs in cases]
     ids, rows = got.feature_ids
     want_ids, want_vectors = reference_ids(want)
     assert ids.tolist() == want_ids
-    assert [got.vector(row) for row in rows.tolist()] == want_vectors
+    assert [tuple(got.values[i] for i in row) for row in rows.tolist()] == want_vectors
 
 
 class TestParseAgainstReference:
@@ -160,7 +163,8 @@ class TestTake:
     def test_equals_a_dataset_of_the_picked_cases(self, ds, data):
         rows = data.draw(st.lists(st.integers(0, ds.case_count - 1), max_size=2 * ds.case_count))
         taken = ds.take(rows)
-        want = Dataset.from_cases(ds.project, ds.release, ds.name, [ds.cases[i] for i in rows])
+        cases = decimal_rows(ds)
+        want = Dataset.from_cases(ds.project, ds.release, ds.name, [cases[i] for i in rows])
         assert_same_dataset(taken, want)
         assert taken.values is ds.values
         ids, _ = taken.feature_ids

@@ -19,15 +19,15 @@ import numpy as np
 import pytest
 
 from defectclean.cleaning import clean_corpus
-from defectclean.data import (
-    Case, N_METRICS, load_corpus, serialize_dataset, write_corpus,
-)
-from defectclean.datagen import synthetic_corpus
+from defectclean.data import N_METRICS, load_corpus, serialize_dataset, write_corpus
+from defectclean.datagen import synthetic_corpus, synthetic_dataset
 from defectclean.harness import ExperimentConfig, WORKERS_ENV, run_experiment
 from defectclean.quality import corpus_quality
 from defectclean.reports import (
     write_clean_summary, write_experiment_reports, write_quality_reports,
 )
+
+from .conftest import decimal_rows
 
 GOLDEN = {
     "results.json":
@@ -99,13 +99,14 @@ def salted_corpus_dir(directory):
     )
     previous = None
     for ds in corpus:
-        cases = list(ds.cases)
+        cases = decimal_rows(ds)
         if previous is not None and previous.project == ds.project:
+            old = decimal_rows(previous)
             for i in rng.choice(previous.case_count, size=12, replace=False):
-                source = previous.cases[int(i)]
-                bugs = source.bug_count if rng.random() < 0.6 else int(not source.defective)
+                class_name, metrics, bugs = old[int(i)]
+                bugs = bugs if rng.random() < 0.6 else int(not bugs)
                 cases.insert(int(rng.integers(len(cases) + 1)),
-                             Case(source.class_name + "Old", source.metrics, bugs))
+                             (class_name + "Old", metrics, bugs))
         buffer = io.StringIO()
         serialize_dataset(ds.replace_cases(cases), buffer)
         lines = buffer.getvalue().splitlines()
@@ -159,3 +160,34 @@ def test_salted_corpus_has_every_problem_kind(tmp_path):
 
 def test_corpus_digests_are_pinned(tmp_path):
     assert corpus_digests(tmp_path) == GOLDEN_CORPUS
+
+
+# ----------------------------------------------------------------- datagen
+
+#: the benchmark's synthetic twin is built by ``synthetic_dataset``, so any
+#: change to its random draws or their order moves these digests
+GOLDEN_DATAGEN = {
+    "synthetic_corpus":
+        "f97c7bb9bbba686550f7dd0a06b741448578437f37517d4f5de3ebd4eff24e02",
+    "synthetic_dataset":
+        "b9f0cf8bbd1cd82c7e37a04a6bdab5d949b1c8c83b84d30d53573a6f388643b9",
+}
+
+
+def csv_digest(datasets) -> str:
+    tree = hashlib.sha256()
+    for ds in datasets:
+        buffer = io.StringIO()
+        serialize_dataset(ds, buffer)
+        tree.update(ds.name.encode() + b"\0" + buffer.getvalue().encode() + b"\0")
+    return tree.hexdigest()
+
+
+def test_datagen_digests_are_pinned():
+    assert {
+        "synthetic_corpus": csv_digest(
+            synthetic_corpus(seed=31, duplicate_rate=0.2, inconsistent_rate=0.1)),
+        "synthetic_dataset": csv_digest([synthetic_dataset(
+            "large2.0", seed=8, cases=4000, defect_rate=0.2,
+            duplicate_rate=0.3, inconsistent_rate=0.05)]),
+    } == GOLDEN_DATAGEN

@@ -31,7 +31,7 @@ from defectclean.harness import (
 from defectclean.reports import experiment_json
 from defectclean.rng import derive_seed
 
-from .conftest import case, dataset, vector
+from .conftest import case, dataset, decimal_rows, vector
 
 
 def loc(j: int):
@@ -51,11 +51,11 @@ def sensitivity_corpus() -> Corpus:
     """
     src_cases = []
     for j in range(1, 21):
-        src_cases.append(case(f"s{j}", False, *loc(j).values))
+        src_cases.append(case(f"s{j}", False, *loc(j)))
         if j <= 10:
             for copy in range(4):
-                src_cases.append(case(f"s{j}x{copy}", True, *loc(j).values))
-    tgt_cases = [case(f"t{j}", j <= 10, *loc(j).values) for j in range(1, 21)]
+                src_cases.append(case(f"s{j}x{copy}", True, *loc(j)))
+    tgt_cases = [case(f"t{j}", j <= 10, *loc(j)) for j in range(1, 21)]
     return Corpus((dataset("src1.0", src_cases), dataset("tgt1.0", tgt_cases)))
 
 
@@ -68,13 +68,13 @@ def shadow_corpus() -> Corpus:
     scores F=0; the cleaned run trains on the genuine case and scores F=1.
     """
     pool_cases = [
-        case("junk_neg", False, *loc(5).values),
-        case("junk_pos", True, *loc(5).values),
-        case("near", True, *vector(5, Decimal("2.1"), 10).values),
+        case("junk_neg", False, *loc(5)),
+        case("junk_pos", True, *loc(5)),
+        case("near", True, *vector(5, Decimal("2.1"), 10)),
     ]
     return Corpus((
         dataset("pool1.0", pool_cases),
-        dataset("one1.0", [case("t", True, *loc(5).values)]),
+        dataset("one1.0", [case("t", True, *loc(5))]),
     ))
 
 
@@ -189,7 +189,8 @@ class TestSampleCap:
     def test_row_order_preserved(self):
         ds = synthetic_corpus(seed=3, cases=80).datasets[0]
         capped = _cap_dataset(ds, 15, seed=5)
-        positions = [ds.cases.index(c) for c in capped.cases]
+        cases = decimal_rows(ds)
+        positions = [cases.index(row) for row in decimal_rows(capped)]
         assert positions == sorted(positions)
 
     def test_deterministic(self):

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from defectclean.learners import (
     LEARNER_NAMES,
-    TreeConfig,
     train,
     train_forest,
     train_naive_bayes,
@@ -26,6 +25,7 @@ from defectclean.learners import (
 from defectclean.learners.base import TrainingMatrix, predict
 from defectclean.learners.forest import FeatureSubsets, default_feature_count, _tree_rng
 from defectclean.learners.tree import (
+    DecisionTreeModel,
     _pessimistic_errors,
     entropy_table,
     grow_tree_arrays,
@@ -38,6 +38,13 @@ from .conftest import case, dataset
 
 def matrix(X, y) -> TrainingMatrix:
     return TrainingMatrix(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=bool))
+
+
+def unpruned_tree(data: TrainingMatrix) -> DecisionTreeModel:
+    """The tree ``train_tree`` grows on ``data``, before pruning."""
+    return DecisionTreeModel(data.n_features, *grow_tree_arrays(
+        data.X, data.y, np.arange(data.n_rows, dtype=np.int64),
+        np.arange(data.n_features, dtype=np.int64)[None, :]))
 
 
 def separable(rng, n=60, d=6, gap=8.0) -> TrainingMatrix:
@@ -132,7 +139,7 @@ class TestDecisionTree:
     def test_xor_is_fit_exactly(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([False, True, True, False])
-        model = train_tree(matrix(X, y), TreeConfig(prune=False))
+        model = unpruned_tree(matrix(X, y))
         labels, _ = predict(model, X)
         assert np.array_equal(labels, y)
         assert model.depth == 2
@@ -142,7 +149,7 @@ class TestDecisionTree:
         # lowest one must be taken
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([False, True, False, True])
-        model = train_tree(matrix(X, y), TreeConfig(prune=False))
+        model = unpruned_tree(matrix(X, y))
         assert model.node_feature[0] == 0
         assert model.node_threshold[0] == 0.5
         labels, _ = predict(model, X)
@@ -153,7 +160,7 @@ class TestDecisionTree:
             n = int(rng.integers(5, 60))
             X = rng.random((n, 4))
             y = rng.random(n) < 0.5
-            model = train_tree(matrix(X, y), TreeConfig(prune=False))
+            model = unpruned_tree(matrix(X, y))
             labels, _ = predict(model, X)
             assert np.array_equal(labels, y)
 
@@ -161,7 +168,7 @@ class TestDecisionTree:
         # both features separate perfectly; feature 0 must win
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([False, False, True, True])
-        model = train_tree(matrix(X, y), TreeConfig(prune=False))
+        model = unpruned_tree(matrix(X, y))
         assert model.node_feature[0] == 0
 
     def test_mirror_image_splits_tie_exactly(self):
@@ -172,13 +179,13 @@ class TestDecisionTree:
         low = np.arange(9.0)
         high = low[::-1]
         for X in (np.column_stack([low, high]), np.column_stack([high, low])):
-            model = train_tree(matrix(X, y), TreeConfig(prune=False))
+            model = unpruned_tree(matrix(X, y))
             assert model.node_feature[0] == 0
 
     def test_unseparable_node_scores_class_fraction(self):
         X = np.array([[1.0], [1.0], [1.0]])
         y = np.array([True, True, False])
-        model = train_tree(matrix(X, y), TreeConfig(prune=False))
+        model = unpruned_tree(matrix(X, y))
         assert model.depth == 0
         assert model.predict_proba(X)[0, 1] == pytest.approx(2 / 3)
 
@@ -190,25 +197,14 @@ class TestDecisionTree:
         assert scores[0] == 0.5
         assert not labels.any()
 
-    def test_min_node_size_limits_splits(self, rng):
-        X = rng.random((40, 3))
-        y = rng.random(40) < 0.5
-        model = train_tree(matrix(X, y), TreeConfig(min_node_size=8, prune=False))
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            if model.node_feature[node] != -1:
-                assert model.node_n[node] >= 8
-                stack.extend((int(model.node_left[node]), int(model.node_right[node])))
-
     def test_pruning_collapses_noise_only_structure(self):
         # 19 clean cases and one stray defect: the pessimistic estimate of
         # one root leaf beats the deep perfect subtree, so everything folds
         X = np.arange(20, dtype=np.float64)[:, None]
         y = np.zeros(20, dtype=bool)
         y[7] = True
-        unpruned = train_tree(matrix(X, y), TreeConfig(prune=False))
-        pruned = train_tree(matrix(X, y), TreeConfig(prune=True))
+        unpruned = unpruned_tree(matrix(X, y))
+        pruned = train_tree(matrix(X, y))
         assert unpruned.depth > 0
         assert pruned.depth == 0
         assert not predict(pruned, X)[0].any()
@@ -223,20 +219,14 @@ class TestDecisionTree:
         for _ in range(10):
             X = rng.integers(0, 4, size=(50, 3)).astype(float)
             y = rng.random(50) < 0.4
-            full = train_tree(matrix(X, y), TreeConfig(prune=False))
-            cut = train_tree(matrix(X, y), TreeConfig(prune=True))
+            full = unpruned_tree(matrix(X, y))
+            cut = train_tree(matrix(X, y))
             assert reachable_nodes(cut) <= reachable_nodes(full)
 
     def test_feature_dimension_checked(self, rng):
         model = train_tree(separable(rng, n=10, d=4))
         with pytest.raises(ValueError, match="dimension"):
             model.predict_proba(np.zeros((2, 5)))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TreeConfig(min_node_size=0)
-        with pytest.raises(ValueError):
-            TreeConfig(confidence=0.5)
 
 class TestPessimisticBound:
     def test_matches_numeric_root(self):
@@ -298,7 +288,7 @@ def kernel_cases(draw):
         table = np.sort(perms[:, :m], axis=1).astype(np.int64)
     else:
         table = np.arange(d, dtype=np.int64)[None, :]
-    return X, y, idx, table, draw(st.integers(1, 6))
+    return X, y, idx, table
 
 
 def eager_subsets(gen, n, d, m):
@@ -312,9 +302,9 @@ class TestKernelAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases())
     def test_grow_equals_scalar_reference(self, case_args):
-        X, y, idx, table, min_node_size = case_args
-        fast = grow_tree_arrays(X, y, idx, table, min_node_size)
-        slow = reference_grow(X, y, idx, table, min_node_size)
+        X, y, idx, table = case_args
+        fast = grow_tree_arrays(X, y, idx, table)
+        slow = reference_grow(X, y, idx, table)
         assert len(fast) == len(slow) == 6
         for a, b in zip(fast, slow):
             assert a.dtype == b.dtype
@@ -328,7 +318,7 @@ class TestKernelAgainstReference:
             idx = gen.integers(0, 120, size=120, dtype=np.int64)
             perms = gen.permuted(np.tile(np.arange(20, dtype=np.int64), (241, 1)), axis=1)
             table = np.sort(perms[:, :5], axis=1)
-            for a, b in zip(arrays, reference_grow(data.X, data.y, idx, table, 2)):
+            for a, b in zip(arrays, reference_grow(data.X, data.y, idx, table)):
                 assert np.array_equal(a, b)
 
     def test_lazy_subsets_past_the_first_chunk_equal_the_eager_table(self, rng):
@@ -342,7 +332,7 @@ class TestKernelAgainstReference:
             gen = _tree_rng(7, t)
             idx = gen.integers(0, n, size=n, dtype=np.int64)
             table = eager_subsets(gen, n, 20, 5)
-            for a, b in zip(arrays, reference_grow(data.X, data.y, idx, table, 2)):
+            for a, b in zip(arrays, reference_grow(data.X, data.y, idx, table)):
                 assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 
@@ -357,8 +347,8 @@ class TestKernelAgainstReference:
         y = np.array([True, False, False, False])
         idx = np.array(idx, dtype=np.int64)
         table = np.zeros((1, 1), dtype=np.int64)
-        fast = grow_tree_arrays(X, y, idx, table, 4)
-        slow = reference_grow(X, y, idx, table, 4)
+        fast = grow_tree_arrays(X, y, idx, table)
+        slow = reference_grow(X, y, idx, table)
         assert fast[0][0] == 0 and fast[1][0] == hi
         assert fast[4][1] == np.count_nonzero(idx <= 1)
         for a, b in zip(fast, slow):
@@ -379,8 +369,8 @@ class TestKernelAgainstReference:
         table = np.zeros((1, 1), dtype=np.int64)
         for rows in ([0, 1], [0, 0, 1], [0, 1, 1]):
             idx = np.array(rows, dtype=np.int64)
-            for a, b in zip(grow_tree_arrays(X, y, idx, table, 2),
-                            reference_grow(X, y, idx, table, 2)):
+            for a, b in zip(grow_tree_arrays(X, y, idx, table),
+                            reference_grow(X, y, idx, table)):
                 assert np.array_equal(a, b)
 
     def test_degenerate_split_below_a_real_one(self):
@@ -390,8 +380,8 @@ class TestKernelAgainstReference:
         y = np.array([False, False, True, False])
         idx = np.arange(4, dtype=np.int64)
         table = np.zeros((1, 1), dtype=np.int64)
-        fast = grow_tree_arrays(X, y, idx, table, 2)
-        for a, b in zip(fast, reference_grow(X, y, idx, table, 2)):
+        fast = grow_tree_arrays(X, y, idx, table)
+        for a, b in zip(fast, reference_grow(X, y, idx, table)):
             assert np.array_equal(a, b)
         assert fast[0].tolist() == [0, -1, -1]
         assert fast[4].tolist() == [4, 2, 2] and fast[5].tolist() == [1, 0, 1]
@@ -401,8 +391,8 @@ class TestKernelAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(kernel_cases())
     def test_predict_equals_scalar_reference(self, case_args):
-        X, y, idx, table, min_node_size = case_args
-        arrays = grow_tree_arrays(X, y, idx, table, min_node_size)
+        X, y, idx, table = case_args
+        arrays = grow_tree_arrays(X, y, idx, table)
         queries = np.vstack([X, X + 0.05, X - 0.05])
         assert np.array_equal(
             predict_kernel(*arrays, queries), reference_predict(*arrays, queries))
@@ -442,7 +432,7 @@ class TestRandomForest:
         assert default_feature_count(2) == 2
         forest = train_forest(data, 1, seed=6)
         idx = _tree_rng(6, 0).integers(0, 50, size=50, dtype=np.int64)
-        tree = train_tree(matrix(data.X[idx], data.y[idx]), TreeConfig(prune=False))
+        tree = unpruned_tree(matrix(data.X[idx], data.y[idx]))
         grid = rng.random((40, 2)) * 1.3
         assert np.array_equal(forest.predict_proba(grid), tree.predict_proba(grid))
 
@@ -466,7 +456,7 @@ class TestRandomForest:
         perms = gen.permuted(perms, axis=1)
         table = np.ascontiguousarray(np.sort(perms[:, :5], axis=1))
         expected = grow_tree_arrays(
-            np.ascontiguousarray(data.X), data.y, idx, table, 2)
+            np.ascontiguousarray(data.X), data.y, idx, table)
         for a, b in zip(model.trees[0], expected):
             assert np.array_equal(a, b)
 

@@ -16,7 +16,6 @@ from defectclean.data import Dataset
 from defectclean.datagen import synthetic_corpus
 from defectclean.quality import (
     CrossReleaseReport,
-    FeatureGroup,
     corpus_quality,
     cross_release_quality,
     release_pairs,
@@ -24,58 +23,48 @@ from defectclean.quality import (
 )
 
 from .conftest import (
-    case, collision_dataset, dataset, problem_datasets, random_problem_dataset, vector,
+    case, collision_dataset, dataset, decimal_rows, problem_datasets, random_problem_dataset,
 )
 
 
 def quadratic_counts(ds: Dataset) -> tuple[int, int]:
     """Per-case verdicts via the literal all-pairs definition."""
+    cases = [(metrics, bugs >= 1) for _, metrics, bugs in decimal_rows(ds)]
     identical = 0
     inconsistent = 0
-    for i, a in enumerate(ds.cases):
+    for i, (metrics, defective) in enumerate(cases):
         has_twin = any(
-            j != i and b.metrics == a.metrics and b.defective == a.defective
-            for j, b in enumerate(ds.cases)
+            j != i and other == metrics and label == defective
+            for j, (other, label) in enumerate(cases)
         )
         has_conflict = any(
-            b.metrics == a.metrics and b.defective != a.defective
-            for b in ds.cases
+            other == metrics and label != defective for other, label in cases
         )
         identical += has_twin
         inconsistent += has_conflict
     return identical, inconsistent
 
 
-def quadratic_groups(ds: Dataset) -> tuple[list[FeatureGroup], list[FeatureGroup]]:
-    """Identical and inconsistent groups by a scan from each first member."""
-    cases = ds.cases
-    identical, inconsistent = [], []
-    seen_rows, seen_features = set(), set()
-    for i, a in enumerate(cases):
-        if i not in seen_rows:
-            twins = [j for j in range(i, len(cases))
-                     if cases[j].metrics == a.metrics and cases[j].defective == a.defective]
-            seen_rows.update(twins)
-            if len(twins) >= 2:
-                identical.append(
-                    FeatureGroup(a.metrics, tuple(twins), (a.defective,) * len(twins)))
-        if i not in seen_features:
-            group = [j for j in range(i, len(cases)) if cases[j].metrics == a.metrics]
-            seen_features.update(group)
-            labels = tuple(cases[j].defective for j in group)
-            if len(set(labels)) > 1:
-                inconsistent.append(FeatureGroup(a.metrics, tuple(group), labels))
-    return identical, inconsistent
+def quadratic_groups(ds: Dataset) -> list[tuple[int, ...]]:
+    """Members of every feature group, by a scan from each first member."""
+    metrics = [values for _, values, _ in decimal_rows(ds)]
+    groups, seen = [], set()
+    for i, key in enumerate(metrics):
+        if i not in seen:
+            group = tuple(j for j in range(i, len(metrics)) if metrics[j] == key)
+            seen.update(group)
+            groups.append(group)
+    return groups
 
 
 def quadratic_cross(a: Dataset, b: Dataset) -> tuple[int, int]:
     identical = 0
     inconsistent = 0
-    for ca in a.cases:
-        for cb in b.cases:
-            if ca.metrics != cb.metrics:
+    for _, metrics_a, bugs_a in decimal_rows(a):
+        for _, metrics_b, bugs_b in decimal_rows(b):
+            if metrics_a != metrics_b:
                 continue
-            if ca.defective == cb.defective:
+            if (bugs_a >= 1) == (bugs_b >= 1):
                 identical += 1
             else:
                 inconsistent += 1
@@ -95,18 +84,14 @@ class TestWithinQuality:
         assert report.identical_case_count == 2
         assert report.inconsistent_case_count == 3
         assert not report.problem_free
-        assert len(report.identical_groups) == 1
-        assert report.identical_groups[0].member_indices == (0, 1)
-        assert len(report.inconsistent_groups) == 1
-        assert report.inconsistent_groups[0].member_indices == (0, 1, 2)
-        assert report.inconsistent_groups[0].mixed
+        ids, rows = ds.feature_ids
+        assert ids.tolist() == [0, 0, 0, 1]
+        assert rows.tolist() == ds.value_ids[[0, 3]].tolist()
 
     def test_clean_dataset_is_problem_free(self):
         ds = dataset("ok1.0", [case("a", False, 1), case("b", True, 2)])
         report = within_quality(ds)
         assert report.problem_free
-        assert report.identical_groups == ()
-        assert report.inconsistent_groups == ()
 
     def test_identical_requires_equal_label(self):
         ds = dataset("lbl1.0", [case("a", True, 5), case("b", False, 5)])
@@ -138,16 +123,19 @@ class TestWithinQuality:
         report = within_quality(ds)
         assert (report.identical_case_count,
                 report.inconsistent_case_count) == quadratic_counts(ds)
-        identical, inconsistent = quadratic_groups(ds)
-        assert list(report.identical_groups) == identical
-        assert list(report.inconsistent_groups) == inconsistent
+        ids, rows = ds.feature_ids
+        groups = quadratic_groups(ds)
+        assert [tuple(np.flatnonzero(ids == g).tolist())
+                for g in range(len(rows))] == groups
+        assert rows.tolist() == ds.value_ids[[g[0] for g in groups]].tolist()
 
     def test_permutation_invariance(self, rng):
         for _ in range(50):
             ds = random_problem_dataset(rng, max_cases=40)
             base = within_quality(ds)
-            perm = rng.permutation(len(ds.cases))
-            shuffled = ds.replace_cases([ds.cases[i] for i in perm])
+            cases = decimal_rows(ds)
+            perm = rng.permutation(len(cases))
+            shuffled = ds.replace_cases([cases[i] for i in perm])
             got = within_quality(shuffled)
             assert got.identical_case_count == base.identical_case_count
             assert got.inconsistent_case_count == base.inconsistent_case_count
@@ -163,8 +151,8 @@ class TestWithinQuality:
             case("a", True, 3), case("b", True, 1),
             case("c", True, 3), case("d", True, 1),
         ])
-        groups = within_quality(ds).identical_groups
-        assert [g.member_indices for g in groups] == [(0, 2), (1, 3)]
+        ids, _ = ds.feature_ids
+        assert ids.tolist() == [0, 1, 0, 1]
 
 
 class TestCrossReleaseQuality:
@@ -193,7 +181,7 @@ class TestCrossReleaseQuality:
         for _ in range(100):
             a = random_problem_dataset(rng, max_cases=40)
             b = random_problem_dataset(rng, max_cases=40)
-            b = Dataset.from_cases(a.project, "9.9", a.project + "9.9", b.cases)
+            b = Dataset.from_cases(a.project, "9.9", a.project + "9.9", decimal_rows(b))
             report = cross_release_quality(a, b)
             assert (report.identical_pair_count,
                     report.inconsistent_pair_count) == quadratic_cross(a, b)

@@ -28,7 +28,7 @@ from defectclean.selection import (
     select_training_data,
 )
 
-from .conftest import case, dataset, problem_datasets, random_vector
+from .conftest import case, dataset, decimal_rows, problem_datasets, random_vector
 
 
 def pool_rows(pool, corpus) -> list[tuple[str, int]]:
@@ -39,7 +39,7 @@ def pool_rows(pool, corpus) -> list[tuple[str, int]]:
 
 def random_dataset(rng, name, n, grid=6, active=6) -> Dataset:
     cases = [
-        case(f"c{i}", bool(rng.random() < 0.4), *random_vector(rng, grid, active).values)
+        case(f"c{i}", bool(rng.random() < 0.4), *random_vector(rng, grid, active))
         for i in range(n)
     ]
     return dataset(name, cases)
@@ -90,8 +90,6 @@ class TestBuildPool:
         corpus = random_corpus(rng)
         pool = build_pool(corpus, corpus.get("p1.1"), mode="strict")
         assert {origin for origin, _ in pool_rows(pool, corpus)} == {"q1.0", "r2.0"}
-        assert pool.excluded_project == "p"
-        assert pool.mode == "strict"
 
     def test_mixed_admits_older_same_project_releases(self, rng):
         corpus = random_corpus(rng)
@@ -107,15 +105,15 @@ class TestBuildPool:
         assert origins == [
             (ds.name, row) for ds in pool.sources for row in range(ds.case_count)
         ]
-        stacked = [corpus.get(origin).cases[row] for origin, row in origins]
-        assert pool.labels.tolist() == [c.defective for c in stacked]
+        stacked = [corpus.get(origin).labels[row] for origin, row in origins]
+        assert pool.labels.tolist() == stacked
 
     def test_pool_matrices_align_with_entries(self, rng):
         corpus = random_corpus(rng)
         pool = build_pool(corpus, corpus.get("q1.0"))
         assert pool.feature_matrix.shape == (len(pool), 20)
         origin, row = pool_rows(pool, corpus)[3]
-        assert pool.labels[3] == corpus.get(origin).cases[row].defective
+        assert pool.labels[3] == corpus.get(origin).labels[row]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -128,18 +126,18 @@ class TestBuildPool:
         # respelled cells, one dataset emptied; the stacked per-dataset
         # arrays must hold each entry's floats and label, bit for bit
         names = ("p1.0", "p1.1", "q1.0", "r2.0")
-        datasets = [dataset(name, list(ds.cases)) for name, ds in zip(names, drawn)]
+        datasets = [dataset(name, decimal_rows(ds)) for name, ds in zip(names, drawn)]
         datasets[emptied] = datasets[emptied].replace_cases(())
         corpus = Corpus(tuple(datasets))
         target = corpus.get(target_name)
         pool = build_pool(corpus, target, mode=mode)
         origins = pool_rows(pool, corpus)
-        stacked = [corpus.get(origin).cases[row] for origin, row in origins]
+        stacked = [decimal_rows(corpus.get(origin))[row] for origin, row in origins]
         assert len(pool) == len(origins) == pool.feature_matrix.shape[0] > 0
         want = np.array(
-            [[metric_float(v) for v in c.metrics.values] for c in stacked], dtype=np.float64)
+            [[metric_float(v) for v in metrics] for _, metrics, _ in stacked], dtype=np.float64)
         assert pool.feature_matrix.tobytes() == want.tobytes()
-        assert pool.labels.tolist() == [c.defective for c in stacked]
+        assert pool.labels.tolist() == [bugs >= 1 for _, _, bugs in stacked]
         admitted = [
             ds for ds in datasets
             if ds.project != target.project or (mode == "mixed" and ds.name < target_name)
