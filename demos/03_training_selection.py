@@ -15,6 +15,8 @@ a target-relevant subset first:
 
 from collections import Counter
 
+import numpy as np
+
 from defectclean.datagen import synthetic_corpus
 from defectclean.selection import FILTERS, build_pool, select_training_data
 
@@ -30,14 +32,14 @@ print(f"target {target.name}: {target.case_count} cases, "
 
 for name in FILTERS:
     selection = select_training_data(name, pool, target, k=10, seed=0)
-    origins = Counter(origin[list(selection.selected)])
+    origins = Counter(origin[selection.selected])
     print(f"{name:<7} selected {len(selection):>3} cases  {dict(origins)}")
 
 # Distances run over min-max scaled features by default (scaled over pool
 # and target together); normalize=False uses raw metric values instead.
 raw = select_training_data("burak", pool, target, k=10, seed=0, normalize=False)
 scaled = select_training_data("burak", pool, target, k=10, seed=0)
-overlap = len(set(raw.selected) & set(scaled.selected))
+overlap = np.intersect1d(raw.selected, scaled.selected).size
 print(f"\nburak raw vs scaled distance: {overlap} shared picks of "
       f"{len(raw)} / {len(scaled)}")
 

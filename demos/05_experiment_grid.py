@@ -35,7 +35,7 @@ print(experiment_grid_markdown(run, "fmeasure"))
 
 # Undefined cells are honest: a change rate is None when the original score
 # is 0 and the cleaned one is not, and AUC is None on single-class targets.
-undefined = [r for r in run.results if r.change.rate_percent is None]
+undefined = [r for r in run.results if r.change_percent is None]
 for row in undefined:
     print(f"undefined: {row.target}/{row.filter_name}/{row.learner}"
           f"/{row.metric}: {row.note}")

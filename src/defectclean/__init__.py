@@ -28,7 +28,6 @@ from .data import (
     write_corpus,
 )
 from .evaluation import (
-    ChangeRate,
     ConfusionMatrix,
     auc,
     average_change,
@@ -95,7 +94,7 @@ __all__ = [
     "TrainingMatrix",
     "train", "train_naive_bayes", "train_tree", "train_forest", "predict",
     # evaluation
-    "ConfusionMatrix", "ChangeRate", "precision", "recall",
+    "ConfusionMatrix", "precision", "recall",
     "f_measure", "auc", "change_rate", "average_change",
     # harness + reports
     "ExperimentConfig", "ExperimentResult", "ExperimentRun",

@@ -178,7 +178,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         normalize=not args.raw_distance,
     )
     names, rows = pool.origins
-    selected = list(selection.selected)
+    selected = selection.selected
     payload = {
         "filter": selection.filter_name,
         "target": target.name,
@@ -188,7 +188,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         "selected": [
             {"pool_index": i, "origin": origin, "origin_row": row}
             for i, origin, row in zip(
-                selection.selected, names[selected].tolist(), rows[selected].tolist()
+                selected.tolist(), names[selected].tolist(), rows[selected].tolist()
             )
         ],
     }
@@ -208,9 +208,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     )
     run = run_experiment(config)
     paths = write_experiment_reports(run, args.out)
-    defined = sum(
-        1 for r in run.results if r.change.rate_percent is not None
-    )
+    defined = sum(1 for r in run.results if r.change_percent is not None)
     print(
         f"{len(run.results)} result rows "
         f"({defined} with defined change rates), seed {config.seed}"

@@ -106,33 +106,20 @@ def auc(scores: Sequence[float] | np.ndarray, labels: Sequence[bool] | np.ndarra
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass(frozen=True)
-class ChangeRate:
-    """Relative change of one metric after cleaning, in percent.
-
-    ``rate_percent`` is None when the change is undefined: the original
-    value was 0 while the cleaned one is not, or either side is missing.
-    """
-
-    original: float | None
-    cleaned: float | None
-    rate_percent: float | None
-
-
-def change_rate(original: float | None, cleaned: float | None) -> ChangeRate:
+def change_rate(original: float | None, cleaned: float | None) -> float | None:
     """(cleaned - original) / original in percent, with the zero conventions:
-    0 -> 0 counts as 0% change; 0 -> positive is undefined."""
+    0 -> 0 counts as 0% change; 0 -> positive is undefined (None), and so is
+    a change with either side missing."""
     if original is None or cleaned is None:
-        return ChangeRate(original, cleaned, None)
+        return None
     if original == 0.0:
-        rate = 0.0 if cleaned == 0.0 else None
-        return ChangeRate(original, cleaned, rate)
-    return ChangeRate(original, cleaned, (cleaned - original) / original * 100.0)
+        return 0.0 if cleaned == 0.0 else None
+    return (cleaned - original) / original * 100.0
 
 
-def average_change(rates: Iterable[ChangeRate]) -> float | None:
+def average_change(rates: Iterable[float | None]) -> float | None:
     """Mean of the defined change rates; None when none are defined."""
-    defined = [r.rate_percent for r in rates if r.rate_percent is not None]
+    defined = [r for r in rates if r is not None]
     if not defined:
         return None
     return float(np.mean(defined))

@@ -6,15 +6,18 @@ the original corpus and once against the corpus with identical and
 inconsistent cases removed.  For each variant the harness builds the target's
 source pool from that same variant, applies each training-data filter,
 trains each learner on the filtered cases, predicts the target and scores
-F-measure and AUC.  The paired scores become change rates.
+F-measure and AUC.  Every cell is scored in :func:`_variant_scores`, and
+:func:`_target_results` pairs each cell's two variants into one result row
+with its change rate and note.
 
 Determinism: every randomized step (clustering inits, forest bootstraps,
 subsampling) derives its seed from the run seed plus the combination's
 identifying strings, so results do not depend on evaluation order or worker
 count.  Re-running a config yields byte-identical reports.
 
-Config files are plain ``key = value`` text (see :data:`CONFIG_KEYS`);
-lists are comma-separated, ``#`` starts a comment.
+Config files are plain ``key = value`` text, one key per
+:class:`ExperimentConfig` field (:data:`CONFIG_KEYS`); lists are
+comma-separated, ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -31,10 +34,10 @@ import numpy as np
 
 from .cleaning import clean_corpus
 from .data import Corpus, Dataset, load_corpus
-from .evaluation import ChangeRate, ConfusionMatrix, auc, change_rate, f_measure
+from .evaluation import ConfusionMatrix, auc, change_rate, f_measure
 from .learners import LEARNER_NAMES, TrainingMatrix, predict, train
 from .rng import derive_seed
-from .selection import FILTERS, build_pool, select_training_data
+from .selection import FILTERS, SourcePool, build_pool, select_training_data
 
 logger = logging.getLogger(__name__)
 
@@ -43,23 +46,6 @@ VARIANTS = ("original", "cleaned")
 
 #: environment variable consulted for the worker count (the only env knob)
 WORKERS_ENV = "DEFECTCLEAN_WORKERS"
-
-#: accepted config-file keys and their parsed types
-CONFIG_KEYS = {
-    "corpus": "path to the corpus directory",
-    "targets": '"all" or comma-separated dataset names',
-    "filters": "subset of global,burak,peters",
-    "learners": "subset of naive_bayes,decision_tree,random_forest",
-    "seed": "integer run seed",
-    "burak_k": "neighbours per target case (default 10)",
-    "peters_clusters": '"auto" or a cluster count',
-    "normalize": "true/false: min-max scale features for distances",
-    "pool_mode": "strict or mixed",
-    "sample_cap": '"none" or per-dataset case cap (seeded stratified subsample)',
-    "clean_pool_only": "true/false: evaluate cleaned runs on the original target",
-    "forest_trees": "trees per random forest (default 100)",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -109,26 +95,32 @@ class ExperimentConfig:
             raise ValueError("forest_trees must be at least 1")
 
     def as_dict(self) -> dict:
-        return {
-            "corpus": None if self.corpus_dir is None else str(self.corpus_dir),
-            "targets": list(self.targets) if isinstance(self.targets, tuple) else self.targets,
-            "filters": list(self.filters),
-            "learners": list(self.learners),
-            "seed": self.seed,
-            "burak_k": self.burak_k,
-            "peters_clusters": self.peters_clusters,
-            "normalize": self.normalize,
-            "pool_mode": self.pool_mode,
-            "sample_cap": self.sample_cap,
-            "clean_pool_only": self.clean_pool_only,
-            "forest_trees": self.forest_trees,
-        }
+        """The config under its file keys, as JSON values."""
+        out = {}
+        for key, f in zip(CONFIG_KEYS, fields(self)):
+            value = getattr(self, f.name)
+            out[key] = (
+                str(value) if isinstance(value, Path)
+                else list(value) if isinstance(value, tuple)
+                else value
+            )
+        return out
+
+
+#: config-file key of each :class:`ExperimentConfig` field, in field order;
+#: ``corpus_dir`` is the only field read from a key of another name
+CONFIG_KEYS = tuple(
+    "corpus" if f.name == "corpus_dir" else f.name for f in fields(ExperimentConfig)
+)
+
+#: the words that stand for None, per optional integer key
+_NONE_WORDS = {"peters_clusters": ("auto",), "sample_cap": ("none", "off")}
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Scores of one (target, filter, learner, metric) combination in both
-    variants, with their change rate."""
+    """Scores of one (target, filter, learner, metric) cell in both
+    variants, with their change rate (see :func:`change_rate`)."""
 
     target: str
     filter_name: str
@@ -136,7 +128,7 @@ class ExperimentResult:
     metric: str
     original: float | None
     cleaned: float | None
-    change: ChangeRate
+    change_percent: float | None
     note: str = ""
     provenance: Mapping[str, object] = field(default_factory=dict)
 
@@ -201,39 +193,29 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
 
 
 def _config_kwargs(raw: dict[str, str], base_dir: Path | None) -> dict[str, object]:
-    kwargs: dict[str, object] = {}
-    if "corpus" in raw:
-        path = Path(raw["corpus"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        kwargs["corpus_dir"] = path
-    else:
-        kwargs["corpus_dir"] = None
-    if "targets" in raw:
-        kwargs["targets"] = "all" if raw["targets"].strip() == "all" else _parse_list(raw["targets"])
-    if "filters" in raw:
-        kwargs["filters"] = _parse_list(raw["filters"])
-    if "learners" in raw:
-        kwargs["learners"] = _parse_list(raw["learners"])
-    for key in ("seed", "burak_k", "forest_trees"):
+    kwargs: dict[str, object] = {"corpus_dir": None}
+    for key, f in zip(CONFIG_KEYS, fields(ExperimentConfig)):
         if key in raw:
-            kwargs[key] = _parse_int(key, raw[key])
-    if "peters_clusters" in raw:
-        value = raw["peters_clusters"]
-        kwargs["peters_clusters"] = (
-            None if value.lower() == "auto" else _parse_int("peters_clusters", value)
-        )
-    if "sample_cap" in raw:
-        value = raw["sample_cap"]
-        kwargs["sample_cap"] = (
-            None if value.lower() in ("none", "off") else _parse_int("sample_cap", value)
-        )
-    for key in ("normalize", "clean_pool_only"):
-        if key in raw:
-            kwargs[key] = _parse_bool(key, raw[key])
-    if "pool_mode" in raw:
-        kwargs["pool_mode"] = raw["pool_mode"]
+            kwargs[f.name] = _parse_value(key, f.type, raw[key], base_dir)
     return kwargs
+
+
+def _parse_value(key: str, kind: str, value: str, base_dir: Path | None) -> object:
+    """One config value, parsed by the annotated type of its field."""
+    if kind == "Path | None":
+        path = Path(value)
+        return base_dir / path if base_dir is not None and not path.is_absolute() else path
+    if kind == "tuple[str, ...] | str" and value == "all":
+        return value
+    if kind.startswith("tuple[str, ...]"):
+        return _parse_list(value)
+    if kind == "bool":
+        return _parse_bool(key, value)
+    if kind in ("int", "int | None"):
+        return None if value.lower() in _NONE_WORDS.get(key, ()) else _parse_int(key, value)
+    if kind == "str":
+        return value
+    raise TypeError(f"{key}: no parser for a {kind} field")
 
 
 def _cap_dataset(ds: Dataset, cap: int, seed: int) -> Dataset:
@@ -276,12 +258,9 @@ def _apply_cap(corpus: Corpus, config: ExperimentConfig) -> Corpus:
 _STATE: dict = {}
 
 
-def _variant_scores(target_name: str, variant: str) -> tuple[dict, dict, dict]:
-    """Score every (filter, learner, metric) of one target in one variant.
-
-    Returns (scores, notes, info) keyed by combination tuples; a None score
-    always comes with a reason in notes.
-    """
+def _variant_inputs(target_name: str, variant: str) -> str | tuple[SourcePool, Dataset]:
+    """The source pool and evaluation target of one target in one variant,
+    or the reason the whole variant is undefined."""
     config: ExperimentConfig = _STATE["config"]
     corpus: Corpus = _STATE[variant]
     target = corpus.get(target_name)
@@ -290,31 +269,32 @@ def _variant_scores(target_name: str, variant: str) -> tuple[dict, dict, dict]:
         if variant == "cleaned" and config.clean_pool_only
         else target
     )
-
-    scores: dict[tuple[str, str, str], float | None] = {}
-    notes: dict[tuple[str, str, str], str] = {}
-    info: dict[str, dict] = {}
-
-    def mark_all(reason: str) -> None:
-        for f in config.filters:
-            for l in config.learners:
-                for metric in METRICS:
-                    scores[(f, l, metric)] = None
-                    notes[(f, l, metric)] = reason
-
     if eval_target.case_count == 0:
-        mark_all(f"{variant}: target has no cases left to evaluate")
-        return scores, notes, info
+        return f"{variant}: target has no cases left to evaluate"
     try:
-        pool = build_pool(corpus, target, config.pool_mode)
+        return build_pool(corpus, target, config.pool_mode), eval_target
     except ValueError as exc:
-        mark_all(f"{variant}: {exc}")
-        return scores, notes, info
+        return f"{variant}: {exc}"
 
+
+def _variant_scores(target_name: str, variant: str) -> str | tuple[dict, dict]:
+    """Score every (filter, learner) cell of one target in one variant.
+
+    Returns the reason the whole variant is undefined, or the cells'
+    ``(fmeasure, auc)`` keyed by ``(filter, learner)`` together with each
+    filter's selection info.  AUC is None exactly when the evaluation
+    target is single-class.
+    """
+    inputs = _variant_inputs(target_name, variant)
+    if isinstance(inputs, str):
+        return inputs
+    pool, eval_target = inputs
+    config: ExperimentConfig = _STATE["config"]
     test_X = eval_target.feature_matrix
     test_y = eval_target.labels
-    single_class_test = bool(test_y.all() or not test_y.any())
 
+    cells: dict[tuple[str, str], tuple[float, float | None]] = {}
+    info: dict[str, dict] = {}
     for filter_name in config.filters:
         filter_seed = derive_seed(config.seed, target_name, variant, "filter", filter_name)
         selection = select_training_data(
@@ -322,7 +302,7 @@ def _variant_scores(target_name: str, variant: str) -> tuple[dict, dict, dict]:
             k=config.burak_k, k_clusters=config.peters_clusters,
             seed=filter_seed, normalize=config.normalize,
         )
-        rows = np.fromiter(selection.selected, dtype=np.int64, count=len(selection))
+        rows = selection.selected
         training = TrainingMatrix(pool.feature_matrix[rows], pool.labels[rows])
         info[filter_name] = {
             "selection_size": len(selection),
@@ -337,63 +317,69 @@ def _variant_scores(target_name: str, variant: str) -> tuple[dict, dict, dict]:
             model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
             labels, case_scores = predict(model, test_X)
             cm = ConfusionMatrix.from_predictions(test_y, labels)
-            scores[(filter_name, learner, "fmeasure")] = f_measure(cm)
-            notes[(filter_name, learner, "fmeasure")] = ""
-            auc_score = auc(case_scores, test_y)
-            scores[(filter_name, learner, "auc")] = auc_score
-            notes[(filter_name, learner, "auc")] = (
-                f"{variant}: auc undefined, target labels are single-class"
-                if auc_score is None and single_class_test
-                else ""
-            )
-    return scores, notes, info
+            cells[(filter_name, learner)] = (f_measure(cm), auc(case_scores, test_y))
+    return cells, info
 
 
 def _target_results(target_name: str) -> list[ExperimentResult]:
+    """Pair the two variants' scores of every cell of one target into
+    result rows, each note naming why a score or change is undefined."""
     config: ExperimentConfig = _STATE["config"]
-    per_variant = {v: _variant_scores(target_name, v) for v in VARIANTS}
+    scored = {v: _variant_scores(target_name, v) for v in VARIANTS}
 
     results = []
     for filter_name in config.filters:
+        provenance = {
+            "seed": config.seed,
+            "pool_mode": config.pool_mode,
+            "normalize": config.normalize,
+            "sample_cap": config.sample_cap,
+            "selection": {
+                v: None if isinstance(s, str) else s[1][filter_name]
+                for v, s in scored.items()
+            },
+        }
         for learner in config.learners:
-            for metric in METRICS:
-                key = (filter_name, learner, metric)
-                original = per_variant["original"][0].get(key)
-                cleaned = per_variant["cleaned"][0].get(key)
-                change = change_rate(original, cleaned)
-                reasons = [
-                    per_variant[v][1].get(key, "") for v in VARIANTS
-                ]
-                if (
-                    change.rate_percent is None
-                    and original is not None
-                    and cleaned is not None
-                ):
-                    reasons.append("change undefined: original score is 0")
-                note = "; ".join(r for r in reasons if r)
-                provenance = {
-                    "seed": config.seed,
-                    "pool_mode": config.pool_mode,
-                    "normalize": config.normalize,
-                    "sample_cap": config.sample_cap,
-                    "selection": {
-                        v: per_variant[v][2].get(filter_name) for v in VARIANTS
-                    },
+            for i, metric in enumerate(METRICS):
+                values = {
+                    v: None if isinstance(s, str) else s[0][(filter_name, learner)][i]
+                    for v, s in scored.items()
                 }
-                results.append(
-                    ExperimentResult(
-                        target=target_name,
-                        filter_name=filter_name,
-                        learner=learner,
-                        metric=metric,
-                        original=original,
-                        cleaned=cleaned,
-                        change=change,
-                        note=note,
-                        provenance=provenance,
-                    )
-                )
+                reasons = [
+                    s if isinstance(s, str)
+                    else f"{v}: auc undefined, target labels are single-class"
+                    for v, s in scored.items() if values[v] is None
+                ]
+                change = change_rate(values["original"], values["cleaned"])
+                if change is None and None not in values.values():
+                    reasons.append("change undefined: original score is 0")
+                results.append(ExperimentResult(
+                    target_name, filter_name, learner, metric, **values,
+                    change_percent=change, note="; ".join(reasons), provenance=provenance,
+                ))
     return results
+
+
+def _check_peters_clusters(targets: list[str]) -> None:
+    """Reject an explicit cluster count above the number of points k-means
+    would get (pool plus target cases) for any target and variant, before
+    any target is scored.  Variants that are undefined anyway are skipped."""
+    config: ExperimentConfig = _STATE["config"]
+    k = config.peters_clusters
+    if k is None or "peters" not in config.filters:
+        return
+    for name in targets:
+        for variant in VARIANTS:
+            inputs = _variant_inputs(name, variant)
+            if isinstance(inputs, str):
+                continue
+            pool, eval_target = inputs
+            points = len(pool) + eval_target.case_count
+            if k > points:
+                raise ValueError(
+                    f"peters_clusters: {k} clusters exceed the {points} cases of "
+                    f"target {name!r} and its pool in the {variant} variant"
+                )
 
 
 def _worker_count() -> int:
@@ -435,6 +421,7 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
 
     global _STATE
     _STATE = {"config": config, "original": original, "cleaned": cleaned}
+    _check_peters_clusters(targets)
     workers = _worker_count()
     if workers > 1 and len(targets) > 1:
         # fork inherits _STATE; results are reassembled in target order, so

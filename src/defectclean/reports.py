@@ -4,6 +4,9 @@ All emitters are deterministic: given equal inputs they produce byte-equal
 files.  CSV cells carry full-precision ``repr`` floats (so averages can be
 recomputed exactly from the file); markdown rounds to two decimals for
 reading.  Undefined values render as ``n/a`` and never enter averages.
+Every file is written through :func:`_write`: whole, to a temp file next to
+it, then renamed over the target, so a crash leaves either the previous
+report or the new one, never a half-written file.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .cleaning import CleanSummaryRow
-from .evaluation import ChangeRate, average_change
+from .evaluation import average_change
 from .harness import ExperimentRun, METRICS
 from .quality import CrossReleaseReport, WithinQualityReport
 
@@ -26,6 +30,20 @@ def _float_cell(value: float | None) -> str:
 
 def _round_cell(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.2f}"
+
+
+def _write(path: Path, content: str | dict) -> Path:
+    """Write text, or a JSON payload (sorted keys, two-space indent, final
+    newline), to ``path`` through a temp file and an atomic rename."""
+    if isinstance(content, dict):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        temp.write_text(content, encoding="utf-8")
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)  # gone already after a successful rename
+    return path
 
 
 def _markdown_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -103,16 +121,10 @@ def write_quality_reports(
 ) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "json": out_dir / "quality.json",
-        "markdown": out_dir / "quality.md",
+    return {
+        "json": _write(out_dir / "quality.json", quality_json(within, cross)),
+        "markdown": _write(out_dir / "quality.md", quality_markdown(within, cross)),
     }
-    paths["json"].write_text(
-        json.dumps(quality_json(within, cross), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    paths["markdown"].write_text(quality_markdown(within, cross), encoding="utf-8")
-    return paths
 
 
 # ---------------------------------------------------------------- cleaning
@@ -150,16 +162,10 @@ def write_clean_summary(
 ) -> dict[str, Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "json": out_dir / "clean_summary.json",
-        "markdown": out_dir / "clean_summary.md",
+    return {
+        "json": _write(out_dir / "clean_summary.json", clean_summary_json(rows)),
+        "markdown": _write(out_dir / "clean_summary.md", clean_summary_markdown(rows)),
     }
-    paths["json"].write_text(
-        json.dumps(clean_summary_json(rows), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    paths["markdown"].write_text(clean_summary_markdown(rows), encoding="utf-8")
-    return paths
 
 
 # -------------------------------------------------------------- experiment
@@ -177,20 +183,19 @@ def _grid_rows(
 ) -> tuple[list[str], dict[tuple[str, tuple[str, str]], float | None], list[float | None]]:
     """Targets in report order, change rates per (target, column), and the
     per-column averages of :func:`average_change`."""
-    changes: dict[tuple[str, tuple[str, str]], ChangeRate] = {}
+    changes: dict[tuple[str, tuple[str, str]], float | None] = {}
     targets: list[str] = []
     for result in run.results:
         if result.metric != metric:
             continue
         if result.target not in targets:
             targets.append(result.target)
-        changes[(result.target, (result.learner, result.filter_name))] = result.change
+        changes[(result.target, (result.learner, result.filter_name))] = result.change_percent
     averages = [
         average_change(changes[(t, column)] for t in targets if (t, column) in changes)
         for column in _grid_columns(run)
     ]
-    cells = {key: change.rate_percent for key, change in changes.items()}
-    return targets, cells, averages
+    return targets, changes, averages
 
 
 def experiment_grid_csv(run: ExperimentRun, metric: str) -> str:
@@ -238,7 +243,7 @@ def experiment_json(run: ExperimentRun) -> dict:
                 "metric": r.metric,
                 "original": r.original,
                 "cleaned": r.cleaned,
-                "change_percent": r.change.rate_percent,
+                "change_percent": r.change_percent,
                 "note": r.note,
                 "provenance": r.provenance,
             }
@@ -257,16 +262,10 @@ def write_experiment_reports(run: ExperimentRun, out_dir: str | Path) -> dict[st
     paths: dict[str, Path] = {}
     stems = {"fmeasure": "fmeasure_change", "auc": "auc_change"}
     for metric in METRICS:
-        path = out_dir / f"{stems[metric]}.csv"
-        path.write_text(experiment_grid_csv(run, metric), encoding="utf-8")
-        paths[f"{metric}_csv"] = path
-        path = out_dir / f"{stems[metric]}.md"
-        path.write_text(experiment_grid_markdown(run, metric), encoding="utf-8")
-        paths[f"{metric}_markdown"] = path
-    path = out_dir / "results.json"
-    path.write_text(
-        json.dumps(experiment_json(run), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    paths["json"] = path
+        stem = out_dir / stems[metric]
+        paths[f"{metric}_csv"] = _write(
+            stem.with_suffix(".csv"), experiment_grid_csv(run, metric))
+        paths[f"{metric}_markdown"] = _write(
+            stem.with_suffix(".md"), experiment_grid_markdown(run, metric))
+    paths["json"] = _write(out_dir / "results.json", experiment_json(run))
     return paths

@@ -89,13 +89,18 @@ class SourcePool:
         return sum(ds.case_count for ds in self.sources)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingSelection:
-    """Sorted pool indices chosen by one filter."""
+    """Sorted pool rows chosen by one filter, as a read-only int64 array."""
 
     filter_name: str
-    selected: tuple[int, ...]
+    selected: np.ndarray
     parameters: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.selected, dtype=np.int64)
+        rows.flags.writeable = False
+        object.__setattr__(self, "selected", rows)
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -143,7 +148,7 @@ def _spaces(pool: SourcePool, target: Dataset, normalize: bool) -> tuple[np.ndar
 
 def global_filter(pool: SourcePool) -> TrainingSelection:
     """Use the entire pool as training data."""
-    return TrainingSelection("global", tuple(range(len(pool))))
+    return TrainingSelection("global", np.arange(len(pool)))
 
 
 def burak_filter(
@@ -164,9 +169,7 @@ def burak_filter(
                 "pool for %s has only %d cases; k=%d selects all of them",
                 target.name, n_pool, k,
             )
-        return TrainingSelection(
-            "burak", tuple(range(n_pool)), {"k": k, "normalize": normalize}
-        )
+        return TrainingSelection("burak", np.arange(n_pool), {"k": k, "normalize": normalize})
 
     pool_space, target_space = _spaces(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
@@ -181,11 +184,7 @@ def burak_filter(
         at_kth = d2 == kth
         take_at_kth = at_kth & (np.cumsum(at_kth, axis=1, dtype=np.int64) <= need)
         chosen |= (below | take_at_kth).any(axis=0)
-    return TrainingSelection(
-        "burak",
-        tuple(np.flatnonzero(chosen).tolist()),
-        {"k": k, "normalize": normalize},
-    )
+    return TrainingSelection("burak", np.flatnonzero(chosen), {"k": k, "normalize": normalize})
 
 
 def peters_filter(
@@ -217,13 +216,11 @@ def peters_filter(
     target_clusters = clustering.assignments[n_pool:]
 
     retained = np.unique(target_clusters)
-    chosen: set[int] = set()
-    any_pool_case = False
+    picks: list[np.ndarray] = []
     for cid in retained:
         pool_members = np.flatnonzero(pool_clusters == cid)
         if pool_members.size == 0:
             continue
-        any_pool_case = True
         target_members = np.flatnonzero(target_clusters == cid)
         # attach each pool case to its nearest target case (ties: lower
         # target index); then give each target case its nearest attached
@@ -241,12 +238,12 @@ def peters_filter(
                 if row_min[r] < best_d[t]:
                     best_d[t] = row_min[r]
                     best_pool[t] = rows[r]
-        chosen.update(int(p) for p in best_pool if p >= 0)
+        picks.append(best_pool[best_pool >= 0])
 
     params: dict[str, object] = {
         "k_clusters": int(k), "seed": seed, "normalize": normalize, "fallback": False,
     }
-    if not any_pool_case:
+    if not picks:
         logger.warning(
             "no retained cluster for %s contains pool cases; "
             "falling back to the nearest-neighbour filter", target.name,
@@ -255,7 +252,7 @@ def peters_filter(
         params.update({"fallback": True, "k": fallback_k})
         return TrainingSelection("peters", fallback.selected, params)
 
-    return TrainingSelection("peters", tuple(sorted(chosen)), params)
+    return TrainingSelection("peters", np.unique(np.concatenate(picks)), params)
 
 
 FILTERS = ("global", "burak", "peters")

@@ -365,8 +365,8 @@ def test_criterion_7_experiment_sensitivity(tmp_path):
     run = run_experiment(config, corpus=noisy)
     fm = {(r.filter_name, r.metric): r for r in run.results}[("burak", "fmeasure")]
     assert fm.original is not None and fm.original > 0
-    assert fm.change.rate_percent is not None
-    assert fm.change.rate_percent != 0
+    assert fm.change_percent is not None
+    assert fm.change_percent != 0
 
     again = run_experiment(config, corpus=noisy)
     first = json.dumps(experiment_json(run), indent=2, sort_keys=True)
@@ -377,11 +377,11 @@ def test_criterion_7_experiment_sensitivity(tmp_path):
     clean_run = run_experiment(config, corpus=quiet)
     for row in clean_run.results:
         assert row.original == row.cleaned
-        assert row.change.rate_percent == 0.0 or (
-            row.original is None and row.change.rate_percent is None)
+        assert row.change_percent == 0.0 or (
+            row.original is None and row.change_percent is None)
     _verdict(
         7,
-        f"burak F change {fm.change.rate_percent:+.1f}% with junk, all 0 "
+        f"burak F change {fm.change_percent:+.1f}% with junk, all 0 "
         "without, reports byte-identical across runs",
     )
 

@@ -141,7 +141,7 @@ class TestSelectCommand:
         expected = burak_filter(pool, target, k=3)
         assert payload["filter"] == "burak"
         assert payload["selected_count"] == len(expected)
-        assert [e["pool_index"] for e in payload["selected"]] == list(expected.selected)
+        assert [e["pool_index"] for e in payload["selected"]] == expected.selected.tolist()
         sample = payload["selected"][0]
         assert 0 <= sample["origin_row"] < corpus.get(sample["origin"]).case_count
 

@@ -15,6 +15,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+from defectclean import harness
 from defectclean.data import Corpus, CorpusError
 from defectclean.datagen import synthetic_corpus
 from defectclean.evaluation import change_rate
@@ -169,6 +170,37 @@ class TestParseConfig:
             "peters_clusters", "normalize", "pool_mode", "sample_cap",
             "clean_pool_only", "forest_trees",
         }
+        assert set(ExperimentConfig(corpus_dir=None).as_dict()) == set(CONFIG_KEYS)
+
+    def test_as_dict_round_trips_through_the_file_format(self, tmp_path):
+        configs = [
+            ExperimentConfig(corpus_dir=None),
+            ExperimentConfig(
+                corpus_dir=tmp_path / "corpus", targets=("b2.0", "a1.0"),
+                filters=("peters", "global"), learners=("random_forest",),
+                seed=-3, burak_k=7, peters_clusters=12, normalize=False,
+                pool_mode="mixed", sample_cap=500, clean_pool_only=True,
+                forest_trees=25,
+            ),
+            ExperimentConfig(
+                corpus_dir=tmp_path, peters_clusters=None, sample_cap=None,
+                normalize=True, clean_pool_only=False,
+            ),
+        ]
+        for config in configs:
+            lines = []
+            for key, value in config.as_dict().items():
+                assert key in CONFIG_KEYS
+                if value is None:
+                    if key == "corpus":
+                        continue
+                    value = "auto" if key == "peters_clusters" else "none"
+                elif isinstance(value, list):
+                    value = ", ".join(value)
+                lines.append(f"{key} = {value}")
+            # relative paths would resolve against base_dir; these are absolute
+            parsed = parse_config("\n".join(lines), base_dir=tmp_path / "elsewhere")
+            assert parsed == config
 
 
 class TestSampleCap:
@@ -258,7 +290,7 @@ class TestRunExperiment:
         for r in run.results:
             for value in (r.original, r.cleaned):
                 assert value is None or 0.0 <= value <= 1.0
-            assert r.change == change_rate(r.original, r.cleaned)
+            assert r.change_percent == change_rate(r.original, r.cleaned)
             if r.original is None or r.cleaned is None:
                 assert r.note  # undefined scores always carry a reason
 
@@ -292,7 +324,7 @@ class TestRunExperiment:
         # and fits the target; cleaned training is single-class defect-free
         assert f_row.original > 0.9
         assert f_row.cleaned == 0.0
-        assert f_row.change.rate_percent == pytest.approx(-100.0)
+        assert f_row.change_percent == pytest.approx(-100.0)
         auc_row = by_metric["auc"]
         assert auc_row.original > 0.9
         assert auc_row.cleaned == pytest.approx(0.5)  # constant scores
@@ -303,7 +335,7 @@ class TestRunExperiment:
         by_metric = {r.metric: r for r in run.results}
         f_row = by_metric["fmeasure"]
         assert f_row.original == 0.0 and f_row.cleaned == 1.0
-        assert f_row.change.rate_percent is None
+        assert f_row.change_percent is None
         assert "change undefined: original score is 0" in f_row.note
         auc_row = by_metric["auc"]
         assert auc_row.original is None and auc_row.cleaned is None
@@ -320,7 +352,7 @@ class TestRunExperiment:
         for r in run_grid(corpus).results:
             assert r.original == r.cleaned
             if r.original not in (None, 0.0):
-                assert r.change.rate_percent == 0.0
+                assert r.change_percent == 0.0
 
     def test_clean_pool_only_keeps_original_test_set(self):
         # every pool1.0 case on location 5 is mixed away and the one1.0
@@ -379,6 +411,30 @@ class TestRunExperiment:
         b = run_grid(corpus, seed=2, filters=("peters",),
                      learners=("random_forest",), forest_trees=5)
         assert a.results != b.results
+
+    def test_too_many_peters_clusters_rejected_before_any_scoring(self, monkeypatch):
+        # capped to 2 cases per release, alpha1.0's pool plus target hold
+        # 8 cases, fewer than the 50 clusters asked for
+        def train(*args, **kwargs):
+            raise AssertionError("a cell was trained before the config was checked")
+
+        monkeypatch.setattr(harness, "train", train)
+        with pytest.raises(
+            ValueError,
+            match=r"^peters_clusters: 50 clusters exceed the 8 cases of target "
+                  r"'alpha1.0' and its pool in the original variant$",
+        ):
+            run_grid(synthetic_corpus(seed=3, cases=40), sample_cap=2,
+                     peters_clusters=50, filters=("global", "peters"))
+
+    def test_peters_clusters_check_skips_undefined_variants(self):
+        # one project only: every pool is empty, so no k-means would run
+        corpus = Corpus((
+            dataset("p1.0", [case("a", True, 1), case("b", False, 2)]),
+            dataset("p1.1", [case("c", True, 3), case("d", False, 4)]),
+        ))
+        run = run_grid(corpus, filters=("peters",), peters_clusters=50)
+        assert all("empty source pool" in r.note for r in run.results)
 
     def test_variants_and_metrics_constants(self):
         assert VARIANTS == ("original", "cleaned")

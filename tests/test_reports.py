@@ -135,10 +135,10 @@ class TestExperimentGrids:
             if result.metric != "fmeasure":
                 continue
             cell = cells[(result.target, f"{result.learner}/{result.filter_name}")]
-            if result.change.rate_percent is None:
+            if result.change_percent is None:
                 assert cell == "n/a"
             else:
-                assert float(cell) == result.change.rate_percent
+                assert float(cell) == result.change_percent
 
     def test_markdown_grid(self, run):
         text = experiment_grid_markdown(run, "fmeasure")
@@ -160,7 +160,7 @@ class TestExperimentGrids:
         }
         json.dumps(payload)  # fully serializable
         for entry, result in zip(payload["results"], run.results):
-            assert entry["change_percent"] == result.change.rate_percent
+            assert entry["change_percent"] == result.change_percent
             selection = entry["provenance"]["selection"]
             assert set(selection) == {"original", "cleaned"}
             if selection["original"] is not None:
@@ -202,3 +202,31 @@ class TestExperimentGrids:
         rows = list(csv.reader(text.splitlines()))
         assert rows[1][1] == "n/a"
         assert rows[-1][1] == "n/a"  # AVG over nothing defined
+
+
+class TestAtomicWrites:
+    def test_failed_rename_keeps_previous_file_and_leaves_no_temp(
+        self, run, tmp_path, monkeypatch
+    ):
+        paths = write_experiment_reports(run, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_experiment_reports(run, tmp_path)
+        with pytest.raises(OSError, match="disk full"):
+            write_clean_summary([], tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert set(before) == {p.name for p in paths.values()}
+
+    def test_rewrite_replaces_the_file(self, tmp_path):
+        corpus = synthetic_corpus(seed=23, inconsistent_rate=0.1)
+        within, cross = corpus_quality(corpus)
+        path = write_quality_reports(within, [], tmp_path)["markdown"]
+        assert "Cross-release" not in path.read_text(encoding="utf-8")
+        write_quality_reports(within, cross, tmp_path)
+        assert "Cross-release" in path.read_text(encoding="utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["quality.json", "quality.md"]

@@ -163,7 +163,27 @@ class TestGlobalFilter:
         pool = build_pool(corpus, corpus.get("q1.0"))
         selection = global_filter(pool)
         assert selection.filter_name == "global"
-        assert selection.selected == tuple(range(len(pool)))
+        assert selection.selected.tolist() == list(range(len(pool)))
+
+
+def same_selection(a, b) -> bool:
+    """Selections compare by value (their rows are an array)."""
+    return (a.filter_name == b.filter_name and a.parameters == b.parameters
+            and np.array_equal(a.selected, b.selected))
+
+
+class TestTrainingSelection:
+    def test_every_filter_returns_read_only_int64_rows(self, rng):
+        corpus = random_corpus(rng)
+        target = corpus.get("q1.0")
+        pool = build_pool(corpus, target)
+        for name in FILTERS:
+            rows = select_training_data(name, pool, target, k=3, seed=1).selected
+            assert rows.dtype == np.int64 and rows.ndim == 1
+            assert not rows.flags.writeable
+            assert np.all(np.diff(rows) > 0)  # sorted, no repeats
+            with pytest.raises(ValueError):
+                rows[0] = 0
 
 
 class TestBurakFilter:
@@ -210,9 +230,10 @@ class TestBurakFilter:
             for rows in block_rows:
                 step = target.case_count - 1 if rows == -1 else rows
                 monkeypatch.setattr(selection, "_block_rows", lambda columns, cells: step)
-                assert burak_filter(pool, target, k=k, normalize=normalize).selected == default
-                assert peters_filter(
-                    pool, target, k_clusters=2, normalize=normalize).selected == clustered
+                assert np.array_equal(
+                    burak_filter(pool, target, k=k, normalize=normalize).selected, default)
+                assert np.array_equal(peters_filter(
+                    pool, target, k_clusters=2, normalize=normalize).selected, clustered)
                 monkeypatch.undo()
 
     def test_selection_size_bounds(self, rng):
@@ -232,7 +253,7 @@ class TestBurakFilter:
             exact = burak_filter(pool, target, k=len(pool))
             assert not caplog.records
             over = burak_filter(pool, target, k=len(pool) + 5)
-        assert exact.selected == over.selected == tuple(range(len(pool)))
+        assert exact.selected.tolist() == over.selected.tolist() == list(range(len(pool)))
         assert any("selects all" in r.getMessage() for r in caplog.records)
 
     def test_invalid_k(self, rng):
@@ -253,7 +274,7 @@ class TestBurakFilter:
         target = corpus.get("t1.0")
         pool = build_pool(corpus, target)
         selection = burak_filter(pool, target, k=2, normalize=False)
-        assert selection.selected == (0, 1)
+        assert selection.selected.tolist() == [0, 1]
 
 
 def peters_trace_oracle(pool, target, k_clusters, seed) -> set[int]:
@@ -327,16 +348,15 @@ class TestPetersFilter:
         assert selection.parameters["fallback"] is True
         assert any("falling back" in r.message for r in caplog.records)
         expected = burak_filter(pool, target, k=10)
-        assert selection.selected == expected.selected
+        assert np.array_equal(selection.selected, expected.selected)
         assert selection.filter_name == "peters"
 
     def test_deterministic_per_seed(self, rng):
         corpus = random_corpus(rng)
         target = corpus.get("r2.0")
         pool = build_pool(corpus, target)
-        a = peters_filter(pool, target, seed=11)
-        b = peters_filter(pool, target, seed=11)
-        assert a == b
+        assert same_selection(peters_filter(pool, target, seed=11),
+                              peters_filter(pool, target, seed=11))
 
     def test_records_parameters(self, rng):
         corpus = random_corpus(rng)
@@ -357,11 +377,13 @@ class TestDispatch:
         corpus = random_corpus(rng)
         target = corpus.get("p1.1")
         pool = build_pool(corpus, target)
-        assert select_training_data("global", pool, target) == global_filter(pool)
-        assert select_training_data("burak", pool, target, k=3) == burak_filter(
-            pool, target, k=3)
-        assert select_training_data("peters", pool, target, seed=2) == peters_filter(
-            pool, target, seed=2)
+        assert same_selection(
+            select_training_data("global", pool, target), global_filter(pool))
+        assert same_selection(
+            select_training_data("burak", pool, target, k=3), burak_filter(pool, target, k=3))
+        assert same_selection(
+            select_training_data("peters", pool, target, seed=2),
+            peters_filter(pool, target, seed=2))
 
     def test_unknown_filter(self, rng):
         corpus = random_corpus(rng)
