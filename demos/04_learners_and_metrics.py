@@ -44,8 +44,7 @@ a = train("random_forest", fit_data, seed=42, trees=TREES)
 b = train("random_forest", fit_data, seed=42, trees=TREES)
 assert np.array_equal(a.predict_proba(test_data.X),
                       b.predict_proba(test_data.X))
-nodes = sum(tree[0].shape[0] for tree in a.trees)
-print(f"\nretrained forest: {len(a.trees)} trees, {nodes} nodes, equal scores")
+print(f"\nretrained forest: {len(a.trees)} trees, {a.node_count} nodes, equal scores")
 
 # AUC is rank based (Mann-Whitney with average ranks for ties), the same
 # number as the trapezoid under the ROC curve but cheaper to compute.  It

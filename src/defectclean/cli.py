@@ -27,11 +27,12 @@ from .data import (
 from .harness import parse_config, run_experiment
 from .quality import corpus_quality, within_quality
 from .reports import (
+    _write,
     write_clean_summary,
     write_experiment_reports,
     write_quality_reports,
 )
-from .selection import FILTERS, build_pool, select_training_data
+from .selection import FILTERS, build_pool, check_cluster_count, select_training_data
 
 logger = logging.getLogger(__name__)
 
@@ -172,6 +173,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
     target = corpus.get(args.target)
     pool = build_pool(corpus, target, "mixed" if args.mixed else "strict")
+    if args.filter == "peters" and args.clusters is not None:
+        check_cluster_count(
+            "--clusters", args.clusters, len(pool) + target.case_count,
+            f"target {target.name!r} and its pool",
+        )
     selection = select_training_data(
         args.filter, pool, target,
         k=args.k, k_clusters=args.clusters, seed=args.seed,
@@ -192,13 +198,11 @@ def _cmd_select(args: argparse.Namespace) -> int:
             )
         ],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+        print(f"wrote {_write(args.out, payload)}")
     return 0
 
 

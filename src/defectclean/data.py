@@ -151,24 +151,25 @@ def value_positions(values: Sequence[Decimal], table: Sequence[Decimal]) -> np.n
     return np.fromiter((index.get(v, -1) for v in values), dtype=np.int32, count=len(values))
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque bytes key per row of an integer matrix.  Keys are equal
+    exactly when their rows are, and they sort and search like any array."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+
+
 def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Number the equal rows of an integer matrix by first occurrence.
 
     Returns ``(ids, first)``: ``ids[i]`` is row ``i``'s group and
     ``first[g]`` the row where group ``g`` occurs first.
     """
-    rows = np.ascontiguousarray(rows)
-    width = rows.shape[1] * rows.itemsize
-    data = rows.tobytes()
-    index: dict[bytes, int] = {}
-    ids = np.fromiter(
-        (index.setdefault(data[i:i + width], len(index)) for i in range(0, len(data), width)),
-        dtype=np.int64, count=rows.shape[0],
-    )
-    # a row starts a group exactly when its id exceeds every id before it
-    starts = np.ones(ids.shape[0], dtype=bool)
-    starts[1:] = ids[1:] > np.maximum.accumulate(ids)[:-1]
-    return ids, np.flatnonzero(starts)
+    _, first, ids = np.unique(row_keys(rows), return_index=True, return_inverse=True)
+    # np.unique numbers the groups in key order; renumber them by first row
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    return rank[ids], first[by_first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,6 +284,14 @@ class Dataset:
         rows = self.value_ids[first]
         rows.flags.writeable = False
         return ids, rows
+
+    @cached_property
+    def feature_order(self) -> np.ndarray:
+        """Group ids sorted by their rows' :func:`row_keys`: the ``sorter``
+        that finds a row among this dataset's groups by ``np.searchsorted``."""
+        out = np.argsort(row_keys(self.feature_ids[1]))
+        out.flags.writeable = False
+        return out
 
     def take(self, rows: Sequence[int] | np.ndarray) -> "Dataset":
         """The cases at ``rows``, in that order, under the same names.

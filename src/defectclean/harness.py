@@ -37,7 +37,7 @@ from .data import Corpus, Dataset, load_corpus
 from .evaluation import ConfusionMatrix, auc, change_rate, f_measure
 from .learners import LEARNER_NAMES, TrainingMatrix, predict, train
 from .rng import derive_seed
-from .selection import FILTERS, SourcePool, build_pool, select_training_data
+from .selection import FILTERS, SourcePool, build_pool, check_cluster_count, select_training_data
 
 logger = logging.getLogger(__name__)
 
@@ -374,12 +374,10 @@ def _check_peters_clusters(targets: list[str]) -> None:
             if isinstance(inputs, str):
                 continue
             pool, eval_target = inputs
-            points = len(pool) + eval_target.case_count
-            if k > points:
-                raise ValueError(
-                    f"peters_clusters: {k} clusters exceed the {points} cases of "
-                    f"target {name!r} and its pool in the {variant} variant"
-                )
+            check_cluster_count(
+                "peters_clusters", k, len(pool) + eval_target.case_count,
+                f"target {name!r} and its pool in the {variant} variant",
+            )
 
 
 def _worker_count() -> int:

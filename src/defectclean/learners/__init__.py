@@ -1,15 +1,17 @@
 """Defect prediction learners: naive Bayes, decision tree, random forest."""
 
-from .base import Model, TrainingMatrix, predict
-from .forest import RandomForestModel, default_feature_count, train_forest
+from .base import TrainingMatrix, predict
+from .forest import default_feature_count, train_forest
 from .naive_bayes import GaussianNBModel, train_naive_bayes
-from .tree import DecisionTreeModel, train_tree
+from .tree import TreeModel, train_tree
 
 #: learner names accepted by the experiment harness and CLI
 LEARNER_NAMES = ("naive_bayes", "decision_tree", "random_forest")
 
 
-def train(name: str, data: TrainingMatrix, seed: int = 0, trees: int = 100) -> Model:
+def train(
+    name: str, data: TrainingMatrix, seed: int = 0, trees: int = 100
+) -> GaussianNBModel | TreeModel:
     """Train one learner by name (only the forest consumes the seed and the
     tree count)."""
     if name == "naive_bayes":
@@ -22,11 +24,9 @@ def train(name: str, data: TrainingMatrix, seed: int = 0, trees: int = 100) -> M
 
 
 __all__ = [
-    "Model",
     "TrainingMatrix",
     "GaussianNBModel",
-    "DecisionTreeModel",
-    "RandomForestModel",
+    "TreeModel",
     "LEARNER_NAMES",
     "train",
     "train_naive_bayes",

@@ -1,16 +1,14 @@
 """Shared learner plumbing: training matrices and prediction.
 
-Every model exposes ``kind``, ``n_features`` and
-``predict_proba(X) -> (n, 2)`` with column 0 the defect-free and column 1
-the defective probability (rows sum to 1).  :func:`predict` turns scores
-into labels with the fixed 0.5 threshold; the tie score 0.5 maps to
+Every model exposes ``n_features`` and ``predict_proba(X) -> (n,)``, the
+probability that each case is defective.  :func:`predict` turns those
+scores into labels with the fixed 0.5 threshold; the tie score 0.5 maps to
 defect-free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -39,14 +37,6 @@ class TrainingMatrix:
         return int(self.X.shape[1])
 
 
-@runtime_checkable
-class Model(Protocol):
-    kind: str
-    n_features: int
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray: ...
-
-
 def check_features(model_features: int, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model_features:
@@ -57,11 +47,11 @@ def check_features(model_features: int, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def predict(model: Model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict(model, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score cases and threshold at 0.5.
 
     Returns (labels, scores): labels[i] is True (defective) exactly when
     scores[i] > 0.5, so a 0.5 tie predicts defect-free.
     """
-    scores = model.predict_proba(X)[:, 1]
+    scores = model.predict_proba(X)
     return scores > 0.5, scores

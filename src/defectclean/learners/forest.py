@@ -5,41 +5,25 @@ of floor(log2(d)) + 1 candidate features at every node.  All randomness
 comes from per-tree generators derived from (seed, tree index), so the same
 seed always yields the same forest regardless of how many trees other runs
 drew.  A tree's generator draws its bootstrap sample, then its per-node
-feature subsets, lazily (:class:`FeatureSubsets`).  The forest score is the
-mean of the trees' leaf probabilities.
+feature subsets, lazily (:class:`FeatureSubsets`).  The forest is a
+:class:`~.tree.TreeModel` of the grown trees, so its score is the mean of
+the trees' leaf probabilities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .base import TrainingMatrix, check_features
-from .tree import grow_tree_arrays, predict_kernel
+from .base import TrainingMatrix
+from .tree import TreeModel, grow_tree_arrays
 
 
 def default_feature_count(n_features: int) -> int:
     """Candidate features per split: floor(log2(d)) + 1 (5 for the 20
     standard metrics)."""
     return int(math.floor(math.log2(n_features))) + 1
-
-
-@dataclass
-class RandomForestModel:
-    kind = "random_forest"
-
-    n_features: int
-    trees: list[tuple[np.ndarray, ...]]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = check_features(self.n_features, X)
-        total = np.zeros(X.shape[0], dtype=np.float64)
-        for arrays in self.trees:
-            total += predict_kernel(*arrays, X)
-        scores = total / len(self.trees)
-        return np.column_stack([1.0 - scores, scores])
 
 
 class FeatureSubsets:
@@ -78,7 +62,7 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, tree_index])
 
 
-def train_forest(data: TrainingMatrix, trees: int = 100, seed: int = 0) -> RandomForestModel:
+def train_forest(data: TrainingMatrix, trees: int = 100, seed: int = 0) -> TreeModel:
     """Fit the ensemble; identical (data, trees, seed) gives an identical
     model and identical predictions."""
     if trees < 1:
@@ -96,4 +80,4 @@ def train_forest(data: TrainingMatrix, trees: int = 100, seed: int = 0) -> Rando
             feature_table = FeatureSubsets(rng, d, m, rows=2 * n + 1)
         # unpruned: only pure nodes and unsplittable ones stop the growth
         grown.append(grow_tree_arrays(data.X, data.y, sample_idx, feature_table))
-    return RandomForestModel(n_features=d, trees=grown)
+    return TreeModel(d, grown)

@@ -4,7 +4,7 @@ Per-class feature means and (population) variances with a small variance
 floor, Laplace-smoothed class priors, and log-space scoring with
 max-subtraction so extreme densities cannot overflow.  Training on a
 single-class sample yields a degenerate model that predicts that class
-with probability 1.
+with probability 1.  Scores are the defective class's posterior.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ VARIANCE_FLOOR = 1e-9
 
 @dataclass
 class GaussianNBModel:
-    kind = "naive_bayes"
-
     n_features: int
     log_prior: np.ndarray  # shape (2,): [defect-free, defective]
     means: np.ndarray | None  # shape (2, d); None for single-class models
@@ -33,9 +31,7 @@ class GaussianNBModel:
         X = check_features(self.n_features, X)
         n = X.shape[0]
         if self.single_class:
-            out = np.zeros((n, 2), dtype=np.float64)
-            out[:, int(np.argmax(self.log_prior))] = 1.0
-            return out
+            return np.full(n, float(np.argmax(self.log_prior)))
         # log joint = log prior + sum of per-feature log densities
         log_joint = np.empty((n, 2), dtype=np.float64)
         for c in range(2):
@@ -46,7 +42,7 @@ class GaussianNBModel:
             )
         shifted = log_joint - log_joint.max(axis=1, keepdims=True)
         likel = np.exp(shifted)
-        return likel / likel.sum(axis=1, keepdims=True)
+        return likel[:, 1] / likel.sum(axis=1)
 
 
 def train_naive_bayes(data: TrainingMatrix) -> GaussianNBModel:

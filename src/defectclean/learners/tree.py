@@ -14,7 +14,8 @@ giving up, so consistent training data is always fit exactly.
 
 Pruning replaces a subtree by a leaf when the leaf's pessimistic error
 estimate (continuity-corrected upper confidence bound at
-:data:`CONFIDENCE`) does not exceed the sum over the subtree's leaves.
+:data:`CONFIDENCE`) does not exceed the sum over the subtree's leaves;
+the nodes below a collapsed subtree are then dropped from the arrays.
 Subtree raising is not performed.
 
 Growth is one numpy kernel over the distinct sampled rows, each weighted
@@ -92,12 +93,13 @@ def _pessimistic_errors(n: int, errors: int, z: float) -> float:
 
 
 def prune_tree(node_feature, node_threshold, node_left, node_right,
-               node_n, node_pos) -> None:
+               node_n, node_pos) -> tuple[np.ndarray, ...]:
     """Collapse subtrees whose pessimistic error a single leaf can match.
 
-    Works bottom-up in place; collapsed internal nodes become leaves and
-    their descendants turn unreachable.  Iterative post-order walk, so
-    arbitrarily deep trees are fine.
+    Works bottom-up in place; collapsed internal nodes become leaves.
+    Iterative post-order walk, so arbitrarily deep trees are fine.  Returns
+    the arrays of the nodes still reachable, in their old order, with the
+    child ids renumbered.
     """
     z = statistics.NormalDist().inv_cdf(1.0 - CONFIDENCE)
     estimate = np.empty(node_feature.shape[0], dtype=np.float64)
@@ -124,43 +126,38 @@ def prune_tree(node_feature, node_threshold, node_left, node_right,
             else:
                 estimate[node] = subtree
 
+    keep = np.zeros(node_feature.shape[0], dtype=bool)
+    level = np.zeros(1, dtype=np.int64)
+    while level.size:
+        keep[level] = True
+        inner = level[node_feature[level] != -1]
+        level = np.concatenate([node_left[inner], node_right[inner]])
+    new_id = np.cumsum(keep) - 1
+    leaf = node_feature[keep] == -1
+    left, right = (np.where(leaf, -1, new_id[a[keep]]) for a in (node_left, node_right))
+    return (node_feature[keep], node_threshold[keep], left, right,
+            node_n[keep], node_pos[keep])
+
 
 @dataclass
-class DecisionTreeModel:
-    kind = "decision_tree"
+class TreeModel:
+    """One tree or a forest: each tree is its node arrays (feature,
+    threshold, left, right, n, pos), and a case's score is the mean of the
+    defective fractions of the leaves it reaches."""
 
     n_features: int
-    node_feature: np.ndarray
-    node_threshold: np.ndarray
-    node_left: np.ndarray
-    node_right: np.ndarray
-    node_n: np.ndarray
-    node_pos: np.ndarray
+    trees: list[tuple[np.ndarray, ...]]
 
     @property
     def node_count(self) -> int:
-        return int(self.node_feature.shape[0])
-
-    @property
-    def depth(self) -> int:
-        deepest = 0
-        stack = [(0, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if self.node_feature[node] == -1:
-                deepest = max(deepest, depth)
-            else:
-                stack.append((int(self.node_left[node]), depth + 1))
-                stack.append((int(self.node_right[node]), depth + 1))
-        return deepest
+        return sum(int(tree[0].shape[0]) for tree in self.trees)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = check_features(self.n_features, X)
-        scores = predict_kernel(
-            self.node_feature, self.node_threshold, self.node_left,
-            self.node_right, self.node_n, self.node_pos, X,
-        )
-        return np.column_stack([1.0 - scores, scores])
+        total = np.zeros(X.shape[0], dtype=np.float64)
+        for arrays in self.trees:
+            total += predict_kernel(*arrays, X)
+        return total / len(self.trees)
 
 
 def grow_tree_arrays(
@@ -262,11 +259,10 @@ def grow_tree_arrays(
         node_feature, node_threshold, node_left, node_right, node_n, node_pos))
 
 
-def train_tree(data: TrainingMatrix) -> DecisionTreeModel:
+def train_tree(data: TrainingMatrix) -> TreeModel:
     """Grow and prune a tree on the full training set."""
     feature_table = np.arange(data.n_features, dtype=np.int64)[None, :]
     arrays = grow_tree_arrays(
         data.X, data.y, np.arange(data.n_rows, dtype=np.int64), feature_table,
     )
-    prune_tree(*arrays)
-    return DecisionTreeModel(data.n_features, *arrays)
+    return TreeModel(data.n_features, [prune_tree(*arrays)])

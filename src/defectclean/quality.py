@@ -18,10 +18,11 @@ only; the groups behind them are ``Dataset.feature_ids`` and
 Across two releases of one project, the newer release's value table is
 mapped into the older one's through a dict over the distinct values (far
 fewer than the cases), which turns the newer release's group rows into rows of
-the older release's value ids; equal int rows then give each newer group
-its older group, if any.  The pair counts are dot products of the per-group
-label counts: ``pos_a @ pos_b + neg_a @ neg_b`` identical pairs and
-``pos_a @ neg_b + neg_a @ pos_b`` inconsistent ones.
+the older release's value ids.  A binary search among the older release's
+group rows, sorted once per dataset (:attr:`Dataset.feature_order`), then
+gives each newer group its older group, if any.  The pair counts are dot
+products of the per-group label counts: ``pos_a @ pos_b + neg_a @ neg_b``
+identical pairs and ``pos_a @ neg_b + neg_a @ pos_b`` inconsistent ones.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Corpus, Dataset, row_groups, value_positions
+from .data import Corpus, Dataset, row_keys, value_positions
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,15 @@ def cross_release_quality(older: Dataset, newer: Dataset) -> CrossReleaseReport:
     ids_b, rows_b = newer.feature_ids
     groups = len(rows_a)
     # newer's group rows in older's value ids (-1 for a value older lacks),
-    # numbered after older's distinct rows: a group older has gets older's
-    # id, any other an id of its own past them
-    to_a = value_positions(newer.values, older.values)
-    joint, _ = row_groups(np.concatenate([rows_a, to_a[rows_b]]))
-    mapped = joint[groups:][ids_b]
+    # searched among older's sorted rows: the first row not below each is
+    # its only candidate, and ``groups`` stands for none of older's groups
+    keys_a = row_keys(rows_a)
+    keys_b = row_keys(value_positions(newer.values, older.values)[rows_b])
+    order = older.feature_order
+    found = np.append(order, groups)[np.searchsorted(keys_a, keys_b, sorter=order)]
+    equal = found < groups
+    equal[equal] = keys_a[found[equal]] == keys_b[equal]
+    mapped = np.where(equal, found, groups)[ids_b]
     shared = mapped < groups
     pos_a, neg_a = _label_counts(ids_a, older.labels, groups)
     pos_b, neg_b = _label_counts(mapped[shared], newer.labels[shared], groups)

@@ -4,9 +4,10 @@ All emitters are deterministic: given equal inputs they produce byte-equal
 files.  CSV cells carry full-precision ``repr`` floats (so averages can be
 recomputed exactly from the file); markdown rounds to two decimals for
 reading.  Undefined values render as ``n/a`` and never enter averages.
-Every file is written through :func:`_write`: whole, to a temp file next to
-it, then renamed over the target, so a crash leaves either the previous
-report or the new one, never a half-written file.
+Every file, and the ``select`` command's ``--out`` JSON, is written through
+:func:`_write`: whole, to a temp file next to it, then renamed over the
+target, so a crash leaves either the previous report or the new one, never
+a half-written file.
 """
 
 from __future__ import annotations

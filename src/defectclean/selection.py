@@ -187,6 +187,18 @@ def burak_filter(
     return TrainingSelection("burak", np.flatnonzero(chosen), {"k": k, "normalize": normalize})
 
 
+def check_cluster_count(setting: str, k: int, points: int, where: str) -> None:
+    """Reject a cluster count k-means cannot fill: below 1 or above the
+    ``points`` (pool plus target cases) it would cluster.  The message
+    starts with ``setting`` and names ``where`` those points come from."""
+    if k < 1:
+        raise ValueError(
+            f"{setting}: {k} clusters for the {points} cases of {where}; at least 1 is needed"
+        )
+    if k > points:
+        raise ValueError(f"{setting}: {k} clusters exceed the {points} cases of {where}")
+
+
 def peters_filter(
     pool: SourcePool,
     target: Dataset,

@@ -164,6 +164,49 @@ class TestSelectCommand:
         assert "alpha1.0" in origins  # mixed mode admits the older release
         assert "alpha1.1" not in origins
 
+    def test_out_file_holds_the_stdout_payload(self, corpus_dir, tmp_path, capsys):
+        args = ["select", "--corpus", str(corpus_dir), "--filter", "burak",
+                "--target", "beta2.0", "--k", "2"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "selection.json"
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == printed.encode("utf-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["selection.json"]
+
+    def test_out_file_written_atomically(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "selection.json"
+        out.write_text("previous\n")
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", replace)
+        rc = main(["select", "--corpus", str(corpus_dir), "--filter", "global",
+                   "--target", "beta2.0", "--out", str(out)])
+        assert rc == 1
+        assert "disk full" in capsys.readouterr().err
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["selection.json"]
+
+    @pytest.mark.parametrize("clusters,problem", [
+        ("50", "50 clusters exceed the 16 cases"),
+        ("0", "0 clusters for the 16 cases"),
+    ])
+    def test_cluster_count_checked_before_selection(
+        self, tmp_path, monkeypatch, capsys, clusters, problem
+    ):
+        def select(*args, **kwargs):
+            raise AssertionError("a selection ran before --clusters was checked")
+
+        monkeypatch.setattr(cli, "select_training_data", select)
+        write_corpus(synthetic_corpus(seed=3, cases=4), tmp_path)
+        rc = main(["select", "--corpus", str(tmp_path), "--filter", "peters",
+                   "--target", "alpha1.1", "--clusters", clusters])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --clusters: {problem} of target 'alpha1.1' and its pool")
+
     def test_unknown_target_fails_cleanly(self, corpus_dir, capsys):
         rc = main(["select", "--corpus", str(corpus_dir), "--filter", "global",
                    "--target", "nosuch1.0"])

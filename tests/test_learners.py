@@ -25,11 +25,12 @@ from defectclean.learners import (
 from defectclean.learners.base import TrainingMatrix, predict
 from defectclean.learners.forest import FeatureSubsets, default_feature_count, _tree_rng
 from defectclean.learners.tree import (
-    DecisionTreeModel,
+    TreeModel,
     _pessimistic_errors,
     entropy_table,
     grow_tree_arrays,
     predict_kernel,
+    prune_tree,
 )
 
 from ._reference_tree import reference_grow, reference_predict
@@ -40,11 +41,36 @@ def matrix(X, y) -> TrainingMatrix:
     return TrainingMatrix(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=bool))
 
 
-def unpruned_tree(data: TrainingMatrix) -> DecisionTreeModel:
+def unpruned_tree(data: TrainingMatrix) -> TreeModel:
     """The tree ``train_tree`` grows on ``data``, before pruning."""
-    return DecisionTreeModel(data.n_features, *grow_tree_arrays(
+    return TreeModel(data.n_features, [grow_tree_arrays(
         data.X, data.y, np.arange(data.n_rows, dtype=np.int64),
-        np.arange(data.n_features, dtype=np.int64)[None, :]))
+        np.arange(data.n_features, dtype=np.int64)[None, :])])
+
+
+def only_tree(model: TreeModel) -> tuple[np.ndarray, ...]:
+    """The node arrays (feature, threshold, left, right, n, pos) of a
+    one-tree model."""
+    (tree,) = model.trees
+    return tree
+
+
+def root_feature(model: TreeModel) -> int:
+    return int(only_tree(model)[0][0])
+
+
+def depth(model: TreeModel) -> int:
+    """Edges on the longest path from the root to a leaf."""
+    feature, _, left, right, _, _ = only_tree(model)
+    deepest = 0
+    stack = [(0, 0)]
+    while stack:
+        node, level = stack.pop()
+        if feature[node] == -1:
+            deepest = max(deepest, level)
+        else:
+            stack.extend(((int(left[node]), level + 1), (int(right[node]), level + 1)))
+    return deepest
 
 
 def separable(rng, n=60, d=6, gap=8.0) -> TrainingMatrix:
@@ -88,7 +114,7 @@ class TestNaiveBayes:
                 prior = (3 + 1) / (6 + 2)
                 joint.append(prior * density(x, mean, var))
             expected = joint[1] / (joint[0] + joint[1])
-            got = model.predict_proba(np.array([[x]]))[0, 1]
+            got = model.predict_proba(np.array([[x]]))[0]
             assert got == pytest.approx(expected, abs=1e-12)
 
     def test_separable_data_classified_perfectly(self, rng):
@@ -98,10 +124,11 @@ class TestNaiveBayes:
         assert np.array_equal(labels, data.y)
         assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
-    def test_probability_rows_sum_to_one(self, rng):
+    def test_scores_are_probabilities(self, rng):
         data = separable(rng, n=30)
-        probs = train_naive_bayes(data).predict_proba(rng.random((50, 6)) * 10)
-        assert np.allclose(probs.sum(axis=1), 1.0)
+        scores = train_naive_bayes(data).predict_proba(rng.random((50, 6)) * 10)
+        assert scores.shape == (50,)
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
 
     def test_laplace_priors(self):
         data = matrix([[0.0], [1.0], [2.0], [9.0]], [True, True, True, False])
@@ -111,10 +138,10 @@ class TestNaiveBayes:
     def test_single_class_training(self):
         all_pos = train_naive_bayes(matrix([[1.0], [2.0]], [True, True]))
         assert all_pos.single_class
-        probs = all_pos.predict_proba(np.array([[0.0], [100.0]]))
-        assert np.array_equal(probs[:, 1], [1.0, 1.0])
+        scores = all_pos.predict_proba(np.array([[0.0], [100.0]]))
+        assert np.array_equal(scores, [1.0, 1.0])
         all_neg = train_naive_bayes(matrix([[1.0], [2.0]], [False, False]))
-        assert np.array_equal(all_neg.predict_proba(np.array([[5.0]]))[:, 1], [0.0])
+        assert np.array_equal(all_neg.predict_proba(np.array([[5.0]])), [0.0])
 
     def test_constant_feature_hits_variance_floor(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 5.0], [1.0, 6.0]])
@@ -124,14 +151,15 @@ class TestNaiveBayes:
         probs = model.predict_proba(X)
         assert np.isfinite(probs).all()
 
-def reachable_nodes(model) -> int:
+def reachable_nodes(model: TreeModel) -> int:
+    feature, _, left, right, _, _ = only_tree(model)
     count = 0
     stack = [0]
     while stack:
         node = stack.pop()
         count += 1
-        if model.node_feature[node] != -1:
-            stack.extend((int(model.node_left[node]), int(model.node_right[node])))
+        if feature[node] != -1:
+            stack.extend((int(left[node]), int(right[node])))
     return count
 
 
@@ -142,7 +170,7 @@ class TestDecisionTree:
         model = unpruned_tree(matrix(X, y))
         labels, _ = predict(model, X)
         assert np.array_equal(labels, y)
-        assert model.depth == 2
+        assert depth(model) == 2
 
     def test_zero_gain_fallback_takes_first_candidate(self):
         # alternating labels in 1-D: every threshold has zero gain, so the
@@ -150,8 +178,8 @@ class TestDecisionTree:
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([False, True, False, True])
         model = unpruned_tree(matrix(X, y))
-        assert model.node_feature[0] == 0
-        assert model.node_threshold[0] == 0.5
+        assert root_feature(model) == 0
+        assert only_tree(model)[1][0] == 0.5
         labels, _ = predict(model, X)
         assert np.array_equal(labels, y)
 
@@ -169,7 +197,7 @@ class TestDecisionTree:
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([False, False, True, True])
         model = unpruned_tree(matrix(X, y))
-        assert model.node_feature[0] == 0
+        assert root_feature(model) == 0
 
     def test_mirror_image_splits_tie_exactly(self):
         # feature "low" cuts the three defects off on the left, "high" on
@@ -180,14 +208,14 @@ class TestDecisionTree:
         high = low[::-1]
         for X in (np.column_stack([low, high]), np.column_stack([high, low])):
             model = unpruned_tree(matrix(X, y))
-            assert model.node_feature[0] == 0
+            assert root_feature(model) == 0
 
     def test_unseparable_node_scores_class_fraction(self):
         X = np.array([[1.0], [1.0], [1.0]])
         y = np.array([True, True, False])
         model = unpruned_tree(matrix(X, y))
-        assert model.depth == 0
-        assert model.predict_proba(X)[0, 1] == pytest.approx(2 / 3)
+        assert depth(model) == 0
+        assert model.predict_proba(X)[0] == pytest.approx(2 / 3)
 
     def test_half_score_predicts_defect_free(self):
         X = np.array([[1.0], [1.0]])
@@ -205,8 +233,8 @@ class TestDecisionTree:
         y[7] = True
         unpruned = unpruned_tree(matrix(X, y))
         pruned = train_tree(matrix(X, y))
-        assert unpruned.depth > 0
-        assert pruned.depth == 0
+        assert depth(unpruned) > 0
+        assert depth(pruned) == 0
         assert not predict(pruned, X)[0].any()
 
     def test_pruning_keeps_genuine_structure(self, rng):
@@ -222,6 +250,27 @@ class TestDecisionTree:
             full = unpruned_tree(matrix(X, y))
             cut = train_tree(matrix(X, y))
             assert reachable_nodes(cut) <= reachable_nodes(full)
+
+    def test_pruning_drops_unreachable_nodes(self, rng):
+        # prune_tree collapses in place, so ``full`` is left as the pruned
+        # tree before its unreachable nodes are dropped
+        X = rng.random((500, 4))
+        y = rng.random(500) < 0.3
+        data = matrix(X, y)
+        model = train_tree(data)
+        assert model.node_count == reachable_nodes(model)
+        full = unpruned_tree(data).trees[0]
+        compact = prune_tree(*full)
+        assert compact[0].shape[0] < full[0].shape[0]
+        for a, b in zip(only_tree(model), compact):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        queries = rng.random((200, 4))
+        assert np.array_equal(predict_kernel(*full, queries), predict_kernel(*compact, queries))
+        # numbered as grown: children after their parent, siblings adjacent
+        feature, _, left, right, _, _ = compact
+        inner = np.flatnonzero(feature != -1)
+        assert (left[inner] > inner).all()
+        assert np.array_equal(right[inner], left[inner] + 1)
 
     def test_feature_dimension_checked(self, rng):
         model = train_tree(separable(rng, n=10, d=4))
@@ -363,8 +412,9 @@ class TestKernelAgainstReference:
         X = np.array([[lo], [hi]])
         y = np.array([True, False])
         model = train_tree(TrainingMatrix(X, y))
-        assert model.node_feature.tolist() == [-1]
-        assert (model.node_n[0], model.node_pos[0]) == (2, 1)
+        feature, _, _, _, node_n, node_pos = only_tree(model)
+        assert feature.tolist() == [-1]
+        assert (node_n[0], node_pos[0]) == (2, 1)
         assert predict(model, X)[1].tolist() == [0.5, 0.5]
         table = np.zeros((1, 1), dtype=np.int64)
         for rows in ([0, 1], [0, 0, 1], [0, 1, 1]):
@@ -386,7 +436,7 @@ class TestKernelAgainstReference:
         assert fast[0].tolist() == [0, -1, -1]
         assert fast[4].tolist() == [4, 2, 2] and fast[5].tolist() == [1, 0, 1]
         forest = train_forest(TrainingMatrix(X, y), 5, seed=0)
-        assert forest.predict_proba(X).shape == (4, 2)
+        assert forest.predict_proba(X).shape == (4,)
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_cases())
@@ -443,7 +493,7 @@ class TestRandomForest:
         per_tree = np.empty((7, 12))
         for t, arrays in enumerate(model.trees):
             per_tree[t] = reference_predict(*arrays, X)
-        assert np.allclose(model.predict_proba(X)[:, 1], per_tree.mean(axis=0))
+        assert np.allclose(model.predict_proba(X), per_tree.mean(axis=0))
 
     def test_first_tree_reproducible_from_seed_contract(self, rng):
         # the per-tree substream is derived from (seed, tree index); tree 0
@@ -499,14 +549,23 @@ class TestDispatch:
 
     def test_train_routes_and_forwards_trees_and_seed(self, rng):
         data = separable(rng, n=20, d=4, gap=1.0)
-        assert train("naive_bayes", data).kind == "naive_bayes"
-        assert train("decision_tree", data).kind == "decision_tree"
-        forest = train("random_forest", data, seed=3, trees=4)
-        assert forest.kind == "random_forest" and len(forest.trees) == 4
         X = rng.random((30, 4)) * 2
+        nb = train("naive_bayes", data)
+        assert np.array_equal(nb.predict_proba(X), train_naive_bayes(data).predict_proba(X))
+        tree = train("decision_tree", data)
+        assert len(tree.trees) == 1
+        assert np.array_equal(tree.predict_proba(X), train_tree(data).predict_proba(X))
+        forest = train("random_forest", data, seed=3, trees=4)
+        assert len(forest.trees) == 4
         expected = train_forest(data, 4, seed=3).predict_proba(X)
         assert np.array_equal(forest.predict_proba(X), expected)
         assert not np.array_equal(train_forest(data, 4, seed=4).predict_proba(X), expected)
+
+    @pytest.mark.parametrize("name", LEARNER_NAMES)
+    def test_scores_are_one_vector(self, name, rng):
+        data = separable(rng, n=20, d=4, gap=1.0)
+        scores = train(name, data, trees=3).predict_proba(rng.random((7, 4)))
+        assert scores.shape == (7,) and scores.dtype == np.float64
 
     def test_unknown_learner(self, rng):
         with pytest.raises(ValueError, match="unknown learner"):

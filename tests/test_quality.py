@@ -8,10 +8,14 @@ The grouped implementation must reproduce those per-case verdicts exactly.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from defectclean import data, quality
 from defectclean.data import Dataset
 from defectclean.datagen import synthetic_corpus
 from defectclean.quality import (
@@ -209,6 +213,13 @@ class TestCrossReleaseQuality:
         assert report.inconsistent_pair_count == 0
 
 
+    def test_empty_release_on_either_side_reports_zero(self):
+        cases = [case("a", True, 1), case("b", False, 2)]
+        for older, newer in (([], cases), (cases, [])):
+            report = cross_release_quality(dataset("p1.0", older), dataset("p1.1", newer))
+            assert (report.identical_pair_count, report.inconsistent_pair_count) == (0, 0)
+
+
 class TestCorpusQuality:
     def test_release_pairs_enumeration(self):
         corpus = synthetic_corpus(seed=3)
@@ -230,6 +241,39 @@ class TestCorpusQuality:
         within_only, no_cross = corpus_quality(corpus, include_pairs=False)
         assert no_cross == []
         assert [r.dataset for r in within_only] == [r.dataset for r in within]
+
+    def test_each_release_is_grouped_and_sorted_once(self, monkeypatch):
+        # four releases of one project make six pairs: every release's rows
+        # are grouped once, and each older release's groups sorted once
+        corpus = synthetic_corpus(
+            seed=5, releases=("p1.0", "p1.1", "p1.2", "p1.3"), duplicate_rate=0.2)
+        grouped, sorted_groups = Counter(), Counter()
+        real_groups = data.row_groups
+
+        def row_groups(rows):
+            grouped[len(rows)] += 1
+            return real_groups(rows)
+
+        real_order = Dataset.feature_order.func
+
+        def feature_order(ds):
+            sorted_groups[ds.name] += 1
+            return real_order(ds)
+
+        order = cached_property(feature_order)
+        order.__set_name__(Dataset, "feature_order")
+        monkeypatch.setattr(data, "row_groups", row_groups)
+        # quality does not group rows itself; if it did, this would count it
+        monkeypatch.setattr(quality, "row_groups", row_groups, raising=False)
+        monkeypatch.setattr(Dataset, "feature_order", order)
+        _, cross = corpus_quality(corpus, include_pairs=True)
+        assert len(cross) == 6
+        assert grouped == Counter(ds.case_count for ds in corpus)
+        assert sorted_groups == {"p1.0": 1, "p1.1": 1, "p1.2": 1}
+        for a, b in release_pairs(corpus):
+            report = cross_release_quality(a, b)
+            assert (report.identical_pair_count,
+                    report.inconsistent_pair_count) == quadratic_cross(a, b)
 
     def test_synthetic_corpus_injects_known_problem_kinds(self):
         corpus = synthetic_corpus(seed=11, duplicate_rate=0.2, inconsistent_rate=0.2)
