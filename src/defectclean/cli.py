@@ -14,7 +14,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -27,10 +26,11 @@ from .data import (
 from .harness import parse_config, run_experiment
 from .quality import corpus_quality, within_quality
 from .reports import (
-    _write,
+    json_text,
     write_clean_summary,
     write_experiment_reports,
     write_quality_reports,
+    write_report,
 )
 from .selection import FILTERS, build_pool, check_cluster_count, select_training_data
 
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--k", type=int, default=10,
                           help="neighbours per target case (default 10)")
     p_select.add_argument("--clusters", type=int, default=None,
-                          help="cluster count (default: auto)")
+                          help="cluster count, --filter peters only (default: auto)")
     p_select.add_argument("--seed", type=int, default=0)
     p_select.add_argument(
         "--raw-distance", action="store_true",
@@ -170,10 +170,16 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 
 
 def _cmd_select(args: argparse.Namespace) -> int:
+    if args.clusters is not None and args.filter != "peters":
+        raise ValueError(f"--clusters applies only to --filter peters, not {args.filter!r}")
+    if args.k < 1:
+        raise ValueError(
+            f"--k: {args.k} neighbours for target {args.target!r}; at least 1 is needed"
+        )
     corpus = load_corpus(args.corpus)
     target = corpus.get(args.target)
     pool = build_pool(corpus, target, "mixed" if args.mixed else "strict")
-    if args.filter == "peters" and args.clusters is not None:
+    if args.clusters is not None:  # only set with --filter peters
         check_cluster_count(
             "--clusters", args.clusters, len(pool) + target.case_count,
             f"target {target.name!r} and its pool",
@@ -199,10 +205,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
         ],
     }
     if args.out is None:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(payload))
     else:
         args.out.parent.mkdir(parents=True, exist_ok=True)
-        print(f"wrote {_write(args.out, payload)}")
+        print(f"wrote {write_report(args.out, payload)}")
     return 0
 
 

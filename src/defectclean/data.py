@@ -22,14 +22,16 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, localcontext
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -515,14 +517,33 @@ def load_corpus(directory: str | Path) -> Corpus:
     return Corpus(tuple(datasets))
 
 
+@contextmanager
+def atomic_writer(path: Path) -> Iterator[IO[str]]:
+    """Yield a UTF-8 text stream whose contents replace ``path`` whole.
+
+    The text goes to a temp file next to ``path``, which is renamed over it
+    once the block ends without an exception.  An exception or a killed
+    process leaves either the previous file or the new one, never a
+    truncated file; an exception also leaves no temp file.
+    """
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(temp, "w", newline="", encoding="utf-8") as stream:
+            yield stream
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)  # gone already after a successful rename
+
+
 def write_corpus(corpus: Corpus, directory: str | Path) -> list[Path]:
-    """Write every dataset of a corpus as ``<name>.csv`` under a directory."""
+    """Write every dataset of a corpus as ``<name>.csv`` under a directory,
+    each through :func:`atomic_writer`."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for ds in corpus.datasets:
         path = directory / f"{ds.name}.csv"
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            serialize_dataset(ds, handle)
+        with atomic_writer(path) as stream:
+            serialize_dataset(ds, stream)
         paths.append(path)
     return paths

@@ -26,7 +26,7 @@ import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -129,8 +129,8 @@ class ExperimentResult:
     original: float | None
     cleaned: float | None
     change_percent: float | None
-    note: str = ""
-    provenance: Mapping[str, object] = field(default_factory=dict)
+    note: str
+    provenance: Mapping[str, object]
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,10 @@ files.  CSV cells carry full-precision ``repr`` floats (so averages can be
 recomputed exactly from the file); markdown rounds to two decimals for
 reading.  Undefined values render as ``n/a`` and never enter averages.
 Every file, and the ``select`` command's ``--out`` JSON, is written through
-:func:`_write`: whole, to a temp file next to it, then renamed over the
-target, so a crash leaves either the previous report or the new one, never
-a half-written file.
+:func:`write_report`, which uses :func:`defectclean.data.atomic_writer`: a
+crash leaves either the previous report or the new one, never a
+half-written file.  Each quality and cleaning table is declared once, as a
+column list that both its JSON and its markdown render from.
 """
 
 from __future__ import annotations
@@ -15,14 +16,42 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cleaning import CleanSummaryRow
+from .data import atomic_writer
 from .evaluation import average_change
 from .harness import ExperimentRun, METRICS
 from .quality import CrossReleaseReport, WithinQualityReport
+
+#: one table column: JSON key, markdown header (None: JSON only) and the
+#: attribute of the report row it shows
+Column = tuple[str, str | None, str]
+
+
+def json_text(payload: dict) -> str:
+    """A JSON payload as report text: sorted keys, two-space indent, final
+    newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_report(path: Path, content: str | dict) -> Path:
+    """Write text, or a JSON payload as :func:`json_text`, atomically to
+    ``path``."""
+    with atomic_writer(path) as stream:
+        stream.write(content if isinstance(content, str) else json_text(content))
+    return path
+
+
+def _write_reports(
+    out_dir: str | Path, files: dict[str, tuple[str, str | dict]]
+) -> dict[str, Path]:
+    """Create ``out_dir`` and write each ``key: (file name, content)`` into
+    it; returns the paths by key."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return {key: write_report(out_dir / name, content) for key, (name, content) in files.items()}
 
 
 def _float_cell(value: float | None) -> str:
@@ -33,56 +62,51 @@ def _round_cell(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.2f}"
 
 
-def _write(path: Path, content: str | dict) -> Path:
-    """Write text, or a JSON payload (sorted keys, two-space indent, final
-    newline), to ``path`` through a temp file and an atomic rename."""
-    if isinstance(content, dict):
-        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
-    temp = path.with_name(f".{path.name}.tmp")
-    try:
-        temp.write_text(content, encoding="utf-8")
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)  # gone already after a successful rename
-    return path
+def _markdown_table(rows: Sequence[Sequence[str]]) -> str:
+    """Rows of text cells as a markdown table; the first row is the header."""
+    header, *body = rows
+    return "".join(
+        "| " + " | ".join(row) + " |\n" for row in [header, ["---"] * len(header), *body]
+    )
 
 
-def _markdown_table(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+def _records(columns: Sequence[Column], rows: Iterable[object]) -> list[dict]:
+    return [{key: getattr(row, attr) for key, _, attr in columns} for row in rows]
+
+
+def _table(columns: Sequence[Column], rows: Iterable[object]) -> str:
+    shown = [(header, attr) for _, header, attr in columns if header is not None]
+    return _markdown_table([
+        [header for header, _ in shown],
+        *([str(getattr(row, attr)) for _, attr in shown] for row in rows),
+    ])
 
 
 # ---------------------------------------------------------------- quality
+
+_WITHIN_COLUMNS: tuple[Column, ...] = (
+    ("dataset", "dataset", "dataset"),
+    ("cases", "cases", "case_count"),
+    ("inconsistent_cases", "inconsistent", "inconsistent_case_count"),
+    ("identical_cases", "identical", "identical_case_count"),
+)
+
+_CROSS_COLUMNS: tuple[Column, ...] = (
+    ("project", None, "project"),
+    ("release_a", "release 1", "release_a"),
+    ("release_b", "release 2", "release_b"),
+    ("identical_pairs", "identical", "identical_pair_count"),
+    ("inconsistent_pairs", "inconsistent", "inconsistent_pair_count"),
+)
+
 
 def quality_json(
     within: Sequence[WithinQualityReport], cross: Sequence[CrossReleaseReport]
 ) -> dict:
     return {
         "format": 1,
-        "within": [
-            {
-                "dataset": r.dataset,
-                "cases": r.case_count,
-                "inconsistent_cases": r.inconsistent_case_count,
-                "identical_cases": r.identical_case_count,
-            }
-            for r in within
-        ],
-        "cross_release": [
-            {
-                "project": r.project,
-                "release_a": r.release_a,
-                "release_b": r.release_b,
-                "identical_pairs": r.identical_pair_count,
-                "inconsistent_pairs": r.inconsistent_pair_count,
-            }
-            for r in cross
-        ],
+        "within": _records(_WITHIN_COLUMNS, within),
+        "cross_release": _records(_CROSS_COLUMNS, cross),
     }
 
 
@@ -90,28 +114,10 @@ def quality_markdown(
     within: Sequence[WithinQualityReport], cross: Sequence[CrossReleaseReport]
 ) -> str:
     parts = ["# Data quality report", "", "## Within-release problem cases", ""]
-    parts.append(
-        _markdown_table(
-            ("dataset", "cases", "inconsistent", "identical"),
-            (
-                (r.dataset, str(r.case_count), str(r.inconsistent_case_count),
-                 str(r.identical_case_count))
-                for r in within
-            ),
-        )
-    )
+    parts.append(_table(_WITHIN_COLUMNS, within))
     if cross:
         parts.extend(["", "## Cross-release problem pairs", ""])
-        parts.append(
-            _markdown_table(
-                ("release 1", "release 2", "identical", "inconsistent"),
-                (
-                    (r.release_a, r.release_b, str(r.identical_pair_count),
-                     str(r.inconsistent_pair_count))
-                    for r in cross
-                ),
-            )
-        )
+        parts.append(_table(_CROSS_COLUMNS, cross))
     return "\n".join(parts)
 
 
@@ -120,114 +126,74 @@ def write_quality_reports(
     cross: Sequence[CrossReleaseReport],
     out_dir: str | Path,
 ) -> dict[str, Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return {
-        "json": _write(out_dir / "quality.json", quality_json(within, cross)),
-        "markdown": _write(out_dir / "quality.md", quality_markdown(within, cross)),
-    }
+    return _write_reports(out_dir, {
+        "json": ("quality.json", quality_json(within, cross)),
+        "markdown": ("quality.md", quality_markdown(within, cross)),
+    })
 
 
 # ---------------------------------------------------------------- cleaning
 
+_CLEAN_COLUMNS: tuple[Column, ...] = (
+    ("dataset", "dataset", "dataset"),
+    ("cases", "cases", "case_count"),
+    ("removed_cases", "removed", "removed_cases"),
+    ("defective", "defective", "defective_count"),
+    ("removed_defective", "removed defective", "removed_defective"),
+)
+
+
 def clean_summary_json(rows: Sequence[CleanSummaryRow]) -> dict:
-    return {
-        "format": 1,
-        "datasets": [
-            {
-                "dataset": r.dataset,
-                "cases": r.case_count,
-                "removed_cases": r.removed_cases,
-                "defective": r.defective_count,
-                "removed_defective": r.removed_defective,
-            }
-            for r in rows
-        ],
-    }
+    return {"format": 1, "datasets": _records(_CLEAN_COLUMNS, rows)}
 
 
 def clean_summary_markdown(rows: Sequence[CleanSummaryRow]) -> str:
-    table = _markdown_table(
-        ("dataset", "cases", "removed", "defective", "removed defective"),
-        (
-            (r.dataset, str(r.case_count), str(r.removed_cases),
-             str(r.defective_count), str(r.removed_defective))
-            for r in rows
-        ),
-    )
-    return "# Cleaning summary (post-cleaning counts)\n\n" + table
+    return "# Cleaning summary (post-cleaning counts)\n\n" + _table(_CLEAN_COLUMNS, rows)
 
 
 def write_clean_summary(
     rows: Sequence[CleanSummaryRow], out_dir: str | Path
 ) -> dict[str, Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return {
-        "json": _write(out_dir / "clean_summary.json", clean_summary_json(rows)),
-        "markdown": _write(out_dir / "clean_summary.md", clean_summary_markdown(rows)),
-    }
+    return _write_reports(out_dir, {
+        "json": ("clean_summary.json", clean_summary_json(rows)),
+        "markdown": ("clean_summary.md", clean_summary_markdown(rows)),
+    })
 
 
 # -------------------------------------------------------------- experiment
 
-def _grid_columns(run: ExperimentRun) -> list[tuple[str, str]]:
-    return [
-        (learner, filter_name)
-        for learner in run.config.learners
-        for filter_name in run.config.filters
-    ]
-
-
-def _grid_rows(
-    run: ExperimentRun, metric: str
-) -> tuple[list[str], dict[tuple[str, tuple[str, str]], float | None], list[float | None]]:
-    """Targets in report order, change rates per (target, column), and the
-    per-column averages of :func:`average_change`."""
-    changes: dict[tuple[str, tuple[str, str]], float | None] = {}
-    targets: list[str] = []
-    for result in run.results:
-        if result.metric != metric:
-            continue
-        if result.target not in targets:
-            targets.append(result.target)
-        changes[(result.target, (result.learner, result.filter_name))] = result.change_percent
-    averages = [
-        average_change(changes[(t, column)] for t in targets if (t, column) in changes)
-        for column in _grid_columns(run)
-    ]
-    return targets, changes, averages
+def _grid(
+    run: ExperimentRun, metric: str, cell: Callable[[float | None], str]
+) -> list[list[str]]:
+    """The change grid of one metric as rows of text: the header, one row
+    per target in report order, then (when there is a target) the per-column
+    averages of :func:`average_change`.  ``cell`` formats each rate."""
+    columns = [(l, f) for l in run.config.learners for f in run.config.filters]
+    changes: dict[str, dict[tuple[str, str], float | None]] = {}
+    for r in run.results:
+        if r.metric == metric:
+            changes.setdefault(r.target, {})[(r.learner, r.filter_name)] = r.change_percent
+    rows = [["target"] + [f"{l}/{f}" for l, f in columns]]
+    rows += [[target] + [cell(row.get(c)) for c in columns] for target, row in changes.items()]
+    if changes:
+        rows.append(["AVG"] + [
+            cell(average_change(row[c] for row in changes.values() if c in row))
+            for c in columns
+        ])
+    return rows
 
 
 def experiment_grid_csv(run: ExperimentRun, metric: str) -> str:
-    columns = _grid_columns(run)
-    targets, cells, averages = _grid_rows(run, metric)
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["target"] + [f"{l}/{f}" for l, f in columns])
-    for target in targets:
-        writer.writerow(
-            [target] + [_float_cell(cells.get((target, c))) for c in columns]
-        )
-    if targets:
-        writer.writerow(["AVG"] + [_float_cell(v) for v in averages])
+    csv.writer(buffer, lineterminator="\n").writerows(_grid(run, metric, _float_cell))
     return buffer.getvalue()
 
 
 def experiment_grid_markdown(run: ExperimentRun, metric: str) -> str:
-    columns = _grid_columns(run)
-    targets, cells, averages = _grid_rows(run, metric)
-    header = ["target"] + [f"{l}/{f}" for l, f in columns]
-    rows = [
-        [target] + [_round_cell(cells.get((target, c))) for c in columns]
-        for target in targets
-    ]
-    if targets:
-        rows.append(["AVG"] + [_round_cell(v) for v in averages])
     title = {"fmeasure": "F-measure", "auc": "AUC"}.get(metric, metric)
     return (
         f"# Rate of {title} change after cleaning (%)\n\n"
-        + _markdown_table(header, rows)
+        + _markdown_table(_grid(run, metric, _round_cell))
     )
 
 
@@ -258,15 +224,9 @@ def write_experiment_reports(run: ExperimentRun, out_dir: str | Path) -> dict[st
 
     Re-running an identical experiment rewrites byte-identical files.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    stems = {"fmeasure": "fmeasure_change", "auc": "auc_change"}
+    files: dict[str, tuple[str, str | dict]] = {}
     for metric in METRICS:
-        stem = out_dir / stems[metric]
-        paths[f"{metric}_csv"] = _write(
-            stem.with_suffix(".csv"), experiment_grid_csv(run, metric))
-        paths[f"{metric}_markdown"] = _write(
-            stem.with_suffix(".md"), experiment_grid_markdown(run, metric))
-    paths["json"] = _write(out_dir / "results.json", experiment_json(run))
-    return paths
+        files[f"{metric}_csv"] = (f"{metric}_change.csv", experiment_grid_csv(run, metric))
+        files[f"{metric}_markdown"] = (f"{metric}_change.md", experiment_grid_markdown(run, metric))
+    files["json"] = ("results.json", experiment_json(run))
+    return _write_reports(out_dir, files)

@@ -129,6 +129,24 @@ class TestCleanCommand:
         assert not (out / "clean_summary.json").exists()
 
 
+    def test_failed_rename_writes_nothing(self, corpus_dir, tmp_path, monkeypatch, capsys):
+        # the first cleaned CSV cannot be renamed into place: the file from
+        # an earlier run stays as it was, and no summary is written
+        out = tmp_path / "cleaned"
+        out.mkdir()
+        (out / "alpha1.0.csv").write_text("previous\n")
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", replace)
+        rc = main(["clean", "--corpus", str(corpus_dir), "--out", str(out)])
+        assert rc == 1
+        assert "disk full" in capsys.readouterr().err
+        assert (out / "alpha1.0.csv").read_text() == "previous\n"
+        assert sorted(p.name for p in out.iterdir()) == ["alpha1.0.csv"]
+
+
 class TestSelectCommand:
     def test_stdout_payload_matches_library(self, corpus_dir, capsys):
         rc = main(["select", "--corpus", str(corpus_dir), "--filter", "burak",
@@ -206,6 +224,31 @@ class TestSelectCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: --clusters: {problem} of target 'alpha1.1' and its pool")
+
+    @pytest.mark.parametrize("filter_name", ["burak", "peters"])
+    def test_k_checked_before_selection(self, corpus_dir, monkeypatch, capsys, filter_name):
+        def select(*args, **kwargs):
+            raise AssertionError("a selection ran before --k was checked")
+
+        monkeypatch.setattr(cli, "select_training_data", select)
+        rc = main(["select", "--corpus", str(corpus_dir), "--filter", filter_name,
+                   "--target", "alpha1.1", "--k", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --k: 0 neighbours for target 'alpha1.1'; at least 1")
+
+    @pytest.mark.parametrize("filter_name", ["global", "burak"])
+    def test_clusters_only_with_peters(self, corpus_dir, monkeypatch, capsys, filter_name):
+        def select(*args, **kwargs):
+            raise AssertionError("a selection ran with --clusters it ignores")
+
+        monkeypatch.setattr(cli, "select_training_data", select)
+        rc = main(["select", "--corpus", str(corpus_dir), "--filter", filter_name,
+                   "--target", "alpha1.1", "--clusters", "3"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: --clusters applies only to --filter peters, not {filter_name!r}"
+        )
 
     def test_unknown_target_fails_cleanly(self, corpus_dir, capsys):
         rc = main(["select", "--corpus", str(corpus_dir), "--filter", "global",

@@ -433,6 +433,20 @@ class TestCorpus:
         }
         assert loaded.projects["alpha"] == ("alpha1.0", "alpha1.1")
 
+    def test_failed_rename_keeps_previous_file_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        write_corpus(synthetic_corpus(seed=1), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("os.replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_corpus(synthetic_corpus(seed=2), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CorpusError, match="does not exist"):
             load_corpus(tmp_path / "nope")
