@@ -84,8 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_corpus_arg(p_select)
     p_select.add_argument("--filter", required=True, choices=FILTERS)
     p_select.add_argument("--target", required=True, help="target dataset name")
-    p_select.add_argument("--k", type=int, default=10,
-                          help="neighbours per target case (default 10)")
+    p_select.add_argument("--k", type=int, default=None,
+                          help="neighbours per target case, for --filter burak and "
+                               "peters's fallback (default 10)")
     p_select.add_argument("--clusters", type=int, default=None,
                           help="cluster count, --filter peters only (default: auto)")
     p_select.add_argument("--seed", type=int, default=0)
@@ -172,7 +173,9 @@ def _cmd_clean(args: argparse.Namespace) -> int:
 def _cmd_select(args: argparse.Namespace) -> int:
     if args.clusters is not None and args.filter != "peters":
         raise ValueError(f"--clusters applies only to --filter peters, not {args.filter!r}")
-    if args.k < 1:
+    if args.k is not None and args.filter == "global":
+        raise ValueError("--k applies only to --filter burak or peters, not 'global'")
+    if args.k is not None and args.k < 1:
         raise ValueError(
             f"--k: {args.k} neighbours for target {args.target!r}; at least 1 is needed"
         )
@@ -186,7 +189,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         )
     selection = select_training_data(
         args.filter, pool, target,
-        k=args.k, k_clusters=args.clusters, seed=args.seed,
+        k=10 if args.k is None else args.k, k_clusters=args.clusters, seed=args.seed,
         normalize=not args.raw_distance,
     )
     names, rows = pool.origins

@@ -1,4 +1,5 @@
-"""Seeded k-means (Lloyd iterations with k-means++ style initialisation).
+"""Seeded k-means (Lloyd iterations with k-means++ style initialisation)
+and :class:`PointSet`, the package's one squared-distance helper.
 
 Deterministic for a given (points, k, seed): randomness is confined to
 initial centroid choice, assignment ties go to the lowest cluster id, and
@@ -6,47 +7,44 @@ empty clusters are repaired by moving the farthest point out of the largest
 cluster.  The within-cluster squared-distance objective never increases
 from one iteration to the next.
 
-The Lloyd loop repeats no work that does not depend on the centroids and
-allocates no ``n x k`` array:
+A :class:`PointSet` computes ``|x|^2`` and ``-2 x`` once and measures its
+points against centres in row blocks of about ``cells`` distances.
+Scaling by a power of two is exact, so ``(|x|^2 + |c|^2) + (-2 x) . c``
+rounds exactly like ``(|x|^2 + |c|^2) - 2 x . c``.  A block never holds a
+single row (:func:`_blocks`): a one-row product goes through BLAS gemv
+instead of gemm and rounds differently in the last bit, which would let
+the block layout decide distance ties.  k-means blocks are cache-sized
+(``_ASSIGN_BLOCK_CELLS``), so a block stays in cache across the add,
+matmul, add, clip, argmin and gather that pass over it.  The selection
+filters' blocks are memory-sized (``selection._BLOCK_CELLS``), because each
+of them streams the whole pool or cluster once.
 
-* ``|x|^2`` and ``-2 x`` are computed once per call.  Scaling by a power of
-  two is exact, so ``(|x|^2 + |c|^2) + (-2 x) . c`` rounds exactly like
-  ``(|x|^2 + |c|^2) - 2 x . c``, and the clip at 0 (which decides ties
-  between coincident centroids) sees the same values.
-* Points are assigned in row blocks of about ``_ASSIGN_BLOCK_CELLS``
-  distances, written into two block-sized buffers allocated once per call.
-  A block stays in cache across the add, matmul, add, clip, argmin and
-  gather that pass over it, where two ``n x k`` buffers made each of those
-  a trip to main memory.  Each row's nearest centroid and its distance go
-  into two n-vectors; the inertia is the sum of the distance vector, so it
-  adds the same values in the same order whatever the block size.
-* The centroid update takes cluster sizes and per-feature sums from
-  ``np.bincount``.  A weighted bincount adds each cluster's members in row
-  order starting from 0.0, which is how numpy's mean over the rows of a
-  C-ordered ``(m, d)`` array adds them when ``d >= 2``.
+The Lloyd loop allocates no ``n x k`` array.  The inertia is the sum of
+the points' nearest distances, so it adds the same values in the same
+order whatever the block size.  The centroid update takes cluster sizes
+and per-feature sums from ``np.bincount``.  A weighted bincount adds each
+cluster's members in row order starting from 0.0, which is how numpy's
+mean over the rows of a C-ordered ``(m, d)`` array adds them when
+``d >= 2``.
 
 So for two or more features every assignment, centroid, iteration count
 and inertia is bit-identical to the plain loop that computes each
 cluster's mean on its own (kept as a test oracle), at every block size.
 With a single feature numpy sums a cluster's column pairwise instead, so
 centroids may differ from that loop in the last bit.
-
-Distance blocks never hold a single row (:func:`_blocks`): a one-row
-product goes through BLAS gemv instead of gemm and rounds differently in
-the last bit, which would let the block layout decide distance ties.  The
-selection filters block their distances by the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-#: distances per k-means assignment block.  Sized to the cache: two
-#: float64 buffers of 2**15 cells take 512 KB, well inside a 2 MB L2.  On
-#: the ``select`` benchmark's two k-means inputs (2-core Xeon, one BLAS
-#: thread) 2**12 to 2**17 cells gave the same bits and 2**15 was fastest
+#: distances per k-means block.  Sized to the cache: a float64 block of
+#: 2**15 cells and its product take 512 KB, well inside a 2 MB L2.  On the
+#: ``select`` benchmark's two k-means inputs (2-core Xeon, one BLAS thread)
+#: 2**12 to 2**17 cells gave the same bits and 2**15 was fastest
 _ASSIGN_BLOCK_CELLS = 1 << 15
 
 
@@ -73,66 +71,71 @@ def _block_rows(columns: int, cells: int) -> int:
 
 
 def _blocks(rows: int, step: int) -> list[tuple[int, int]]:
-    """``(start, stop)`` of consecutive blocks of ``step`` rows.
-
-    A lone trailing row joins the previous block: a one-row product goes
-    through BLAS gemv instead of gemm and rounds differently in the last
-    bit, which would let the block layout decide distance ties.
-    """
+    """``(start, stop)`` of consecutive blocks of ``step`` rows; a lone
+    trailing row joins the previous block."""
     bounds = list(range(0, rows, step)) + [rows]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _sq_distances_into(
-    out: np.ndarray,
-    scratch: np.ndarray,
-    points_sq: np.ndarray,
-    neg2_points: np.ndarray,
-    centers: np.ndarray,
-) -> np.ndarray:
-    """Write ``max(|x|^2 + |c|^2 - 2 x.c, 0)`` for every point and centre.
+class PointSet:
+    """Points measured repeatedly against sets of centres.
 
-    ``points_sq`` holds ``|x|^2`` and ``neg2_points`` holds ``-2 x``, so a
-    caller that measures the same points repeatedly computes them once.
-    ``out`` and ``scratch`` have shape (points, centres).  The clip guards
-    against float cancellation.
+    ``blocks`` yields ``max(|x|^2 + |c|^2 - 2 x.c, 0)`` in row blocks of
+    about ``cells`` distances; the clip guards against float cancellation.
     """
-    np.add(
-        points_sq[:, None], np.einsum("ij,ij->i", centers, centers)[None, :], out=out
-    )
-    np.matmul(neg2_points, centers.T, out=scratch)
-    np.add(out, scratch, out=out)
-    np.maximum(out, 0.0, out=out)
-    return out
+
+    def __init__(self, points: np.ndarray, cells: int) -> None:
+        self.points = points
+        self.cells = cells
+        self.sq = np.einsum("ij,ij->i", points, points)
+        self.neg2 = -2.0 * points
+        self._out = np.empty(0)
+        self._rows = np.arange(points.shape[0])
+
+    def blocks(self, centers: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+        """Yield ``(start, stop, d2)``: the squared distances of points
+        ``start:stop`` to every centre.  ``d2`` is one reused buffer, valid
+        until the next block."""
+        k = centers.shape[0]
+        layout = _blocks(self.sq.size, _block_rows(k, self.cells))
+        widest = max((stop - start for start, stop in layout), default=0)
+        if self._out.size < widest * k:
+            self._out = np.empty(widest * k)
+        centers_sq = np.einsum("ij,ij->i", centers, centers)
+        for start, stop in layout:
+            d2 = self._out[:(stop - start) * k].reshape(stop - start, k)
+            np.add(self.sq[start:stop, None], centers_sq[None, :], out=d2)
+            # the product is a per-block temporary: a second cached buffer
+            # would outlive the block, and a filter's blocks are 8 MB
+            np.add(d2, self.neg2[start:stop] @ centers.T, out=d2)
+            np.maximum(d2, 0.0, out=d2)
+            yield start, stop, d2
+
+    def nearest(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's nearest centre (ties: lowest index) and its squared
+        distance."""
+        index = np.empty(self.sq.size, dtype=np.int64)
+        dist = np.empty(self.sq.size)
+        for start, stop, d2 in self.blocks(centers):
+            d2.argmin(axis=1, out=index[start:stop])
+            dist[start:stop] = d2[self._rows[:stop - start], index[start:stop]]
+        return index, dist
 
 
-def pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (len(points), len(centers))."""
-    shape = (points.shape[0], centers.shape[0])
-    return _sq_distances_into(
-        np.empty(shape), np.empty(shape),
-        np.einsum("ij,ij->i", points, points), -2.0 * points, centers,
-    )
-
-
-def _plus_plus_init(
-    points: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    points_sq: np.ndarray,
-    neg2_points: np.ndarray,
-) -> np.ndarray:
+def _plus_plus_init(space: PointSet, k: int, rng: np.random.Generator) -> np.ndarray:
+    points = space.points
     n = points.shape[0]
-    out, scratch = np.empty((n, 1)), np.empty((n, 1))
+    d2 = np.full(n, np.inf)
 
-    def distances_to(i: int) -> np.ndarray:
-        center = points[i][None, :]
-        return _sq_distances_into(out, scratch, points_sq, neg2_points, center)[:, 0]
+    def measure_to(i: int) -> None:
+        """Lower each point's distance to its nearest chosen centroid."""
+        for start, stop, block in space.blocks(points[i:i + 1]):
+            np.minimum(d2[start:stop], block[:, 0], out=d2[start:stop])
 
     chosen = [int(rng.integers(n))]
-    d2 = distances_to(chosen[-1]).copy()
+    measure_to(chosen[-1])
     while len(chosen) < k:
         total = d2.sum()
         if total > 0.0:
@@ -142,7 +145,7 @@ def _plus_plus_init(
             taken = set(chosen)
             idx = next(i for i in range(n) if i not in taken)
         chosen.append(idx)
-        np.minimum(d2, distances_to(idx), out=d2)
+        measure_to(idx)
     return points[chosen].copy()
 
 
@@ -156,7 +159,9 @@ def _repair_empty(
             continue
         donor = int(np.argmax(counts))
         members = np.flatnonzero(assignments == donor)
-        d2 = pairwise_sq(points[members], centroids[donor][None, :])[:, 0]
+        _, d2 = PointSet(points[members], _ASSIGN_BLOCK_CELLS).nearest(
+            centroids[donor:donor + 1]
+        )
         steal = int(members[np.argmax(d2)])
         assignments[steal] = cid
         counts[donor] -= 1
@@ -182,31 +187,15 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points ({n})")
 
-    points_sq = np.einsum("ij,ij->i", points, points)
-    neg2_points = -2.0 * points
+    space = PointSet(points, _ASSIGN_BLOCK_CELLS)
     columns = np.ascontiguousarray(points.T)
-    rng = np.random.default_rng(seed)
-    centroids = _plus_plus_init(points, k, rng, points_sq, neg2_points)
-
-    blocks = _blocks(n, _block_rows(k, _ASSIGN_BLOCK_CELLS))
-    widest = max(stop - start for start, stop in blocks)
-    d2, scratch = np.empty((widest, k)), np.empty((widest, k))
-    rows = np.arange(widest)
-    nearest_d2 = np.empty(n)
+    centroids = _plus_plus_init(space, k, np.random.default_rng(seed))
     sums = np.empty((k, points.shape[1]))
     history: list[float] = []
 
     def assign() -> np.ndarray:
-        nearest = np.empty(n, dtype=np.int64)
-        for start, stop in blocks:
-            m = stop - start
-            block = _sq_distances_into(
-                d2[:m], scratch[:m], points_sq[start:stop], neg2_points[start:stop],
-                centroids,
-            )
-            block.argmin(axis=1, out=nearest[start:stop])
-            nearest_d2[start:stop] = block[rows[:m], nearest[start:stop]]
-        history.append(float(nearest_d2.sum()))
+        nearest, d2 = space.nearest(centroids)
+        history.append(float(d2.sum()))
         return nearest
 
     assignments = assign()

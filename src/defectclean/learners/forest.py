@@ -74,10 +74,7 @@ def train_forest(data: TrainingMatrix, trees: int = 100, seed: int = 0) -> TreeM
     for t in range(trees):
         rng = _tree_rng(seed, t)
         sample_idx = rng.integers(0, n, size=n, dtype=np.int64)
-        if m == d:
-            feature_table = np.arange(d, dtype=np.int64)[None, :]
-        else:
-            feature_table = FeatureSubsets(rng, d, m, rows=2 * n + 1)
+        feature_table = FeatureSubsets(rng, d, m, rows=2 * n + 1)
         # unpruned: only pure nodes and unsplittable ones stop the growth
         grown.append(grow_tree_arrays(data.X, data.y, sample_idx, feature_table))
     return TreeModel(d, grown)

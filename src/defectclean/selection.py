@@ -24,11 +24,9 @@ feature values.
 A pool holds its admitted datasets (``SourcePool.sources``), not one object
 per case: its feature matrix and labels are the datasets' cached arrays
 stacked in corpus order, and ``SourcePool.origins`` (each row's dataset name
-and row there) is derived from them only when asked for.  The nearest-neighbour
-and clustering filters compute distances in row blocks bounded by
-``_BLOCK_CELLS``, a memory bound, while k-means assigns points in smaller,
-cache-sized blocks (:mod:`defectclean.clustering`); both fold a lone
-trailing row into the block before it.
+and row there) is derived from them only when asked for.  Both distance
+filters measure through :class:`~defectclean.clustering.PointSet`, in
+memory-sized blocks of ``_BLOCK_CELLS``.
 """
 
 from __future__ import annotations
@@ -40,16 +38,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .clustering import _block_rows, _blocks, default_k, kmeans, pairwise_sq
+from .clustering import PointSet, default_k, kmeans
 from .data import Corpus, Dataset
 
 logger = logging.getLogger(__name__)
 
 #: cells (rows x columns) per burak and peters distance block; bounds each
-#: block temporary to about 8 MB whatever the pool size.  These blocks are
-#: memory-sized, not cache-sized like k-means': each block streams the whole
-#: pool (or cluster) once, so smaller blocks re-read it more often (burak on
-#: the ``select`` benchmark went from 0.31 to 0.47 s with cache-sized blocks)
+#: block temporary to about 8 MB whatever the pool size (burak on the
+#: ``select`` benchmark went from 0.31 to 0.47 s with cache-sized blocks)
 _BLOCK_CELLS = 1 << 20
 
 
@@ -173,8 +169,7 @@ def burak_filter(
 
     pool_space, target_space = _spaces(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
-    for start, stop in _blocks(target_space.shape[0], _block_rows(n_pool, _BLOCK_CELLS)):
-        d2 = pairwise_sq(target_space[start:stop], pool_space)
+    for _, _, d2 in PointSet(target_space, _BLOCK_CELLS).blocks(pool_space):
         # exact k-nearest with ties to the lower pool index: everything
         # strictly below the k-th smallest value, then the lowest-index
         # cases at the k-th value until k are taken
@@ -227,35 +222,25 @@ def peters_filter(
     pool_clusters = clustering.assignments[:n_pool]
     target_clusters = clustering.assignments[n_pool:]
 
-    retained = np.unique(target_clusters)
-    picks: list[np.ndarray] = []
-    for cid in retained:
+    # attach each pool case to its nearest target case in its cluster (ties:
+    # lower target index)
+    rows, dist, attached = [], [], []
+    for cid in np.unique(target_clusters):
         pool_members = np.flatnonzero(pool_clusters == cid)
         if pool_members.size == 0:
             continue
         target_members = np.flatnonzero(target_clusters == cid)
-        # attach each pool case to its nearest target case (ties: lower
-        # target index); then give each target case its nearest attached
-        # pool case (ties: lower pool index, hence the strict <)
-        best_d = np.full(target_members.size, np.inf)
-        best_pool = np.full(target_members.size, -1, dtype=np.int64)
-        step = _block_rows(target_members.size, _BLOCK_CELLS)
-        for start, stop in _blocks(pool_members.size, step):
-            rows = pool_members[start:stop]
-            d2 = pairwise_sq(pool_space[rows], target_space[target_members])
-            attached_to = d2.argmin(axis=1)
-            row_min = d2[np.arange(rows.size), attached_to]
-            for r in range(rows.size):
-                t = attached_to[r]
-                if row_min[r] < best_d[t]:
-                    best_d[t] = row_min[r]
-                    best_pool[t] = rows[r]
-        picks.append(best_pool[best_pool >= 0])
+        nearest, d2 = PointSet(pool_space[pool_members], _BLOCK_CELLS).nearest(
+            target_space[target_members]
+        )
+        rows.append(pool_members)
+        dist.append(d2)
+        attached.append(target_members[nearest])
 
     params: dict[str, object] = {
         "k_clusters": int(k), "seed": seed, "normalize": normalize, "fallback": False,
     }
-    if not picks:
+    if not rows:
         logger.warning(
             "no retained cluster for %s contains pool cases; "
             "falling back to the nearest-neighbour filter", target.name,
@@ -264,7 +249,14 @@ def peters_filter(
         params.update({"fallback": True, "k": fallback_k})
         return TrainingSelection("peters", fallback.selected, params)
 
-    return TrainingSelection("peters", np.unique(np.concatenate(picks)), params)
+    # each target case takes its nearest attached pool case (ties: lower
+    # pool index): the first of its group in (target, distance, row) order
+    rows, dist, attached = (np.concatenate(a) for a in (rows, dist, attached))
+    order = np.lexsort((rows, dist, attached))
+    attached = attached[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = attached[1:] != attached[:-1]
+    return TrainingSelection("peters", np.sort(rows[order[first]]), params)
 
 
 FILTERS = ("global", "burak", "peters")

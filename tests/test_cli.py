@@ -13,7 +13,7 @@ from defectclean.cli import main
 from defectclean.data import Corpus, load_corpus, write_corpus
 from defectclean.datagen import synthetic_corpus
 from defectclean.quality import within_quality
-from defectclean.selection import build_pool, burak_filter
+from defectclean.selection import build_pool, burak_filter, global_filter
 
 from .conftest import case, dataset, decimal_rows
 
@@ -249,6 +249,29 @@ class TestSelectCommand:
         assert capsys.readouterr().err.startswith(
             f"error: --clusters applies only to --filter peters, not {filter_name!r}"
         )
+
+    def test_k_rejected_with_global_before_loading(self, tmp_path, capsys):
+        # the corpus does not exist, so reaching the loader would fail differently
+        rc = main(["select", "--corpus", str(tmp_path / "missing"), "--filter", "global",
+                   "--target", "alpha1.1", "--k", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --k applies only to --filter burak or peters, not 'global'"
+        )
+
+    @pytest.mark.parametrize("filter_name", ["burak", "peters"])
+    def test_k_defaults_to_ten(self, corpus_dir, monkeypatch, filter_name):
+        seen = {}
+
+        def select(name, pool, target, **kwargs):
+            seen.update(kwargs)
+            return global_filter(pool)
+
+        monkeypatch.setattr(cli, "select_training_data", select)
+        rc = main(["select", "--corpus", str(corpus_dir), "--filter", filter_name,
+                   "--target", "alpha1.1"])
+        assert rc == 0
+        assert seen["k"] == 10
 
     def test_unknown_target_fails_cleanly(self, corpus_dir, capsys):
         rc = main(["select", "--corpus", str(corpus_dir), "--filter", "global",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from defectclean import clustering
-from defectclean.clustering import default_k, kmeans
+from defectclean.clustering import PointSet, default_k, kmeans
 
 
 def blob_points(rng, centers, per_blob=30, spread=0.05):
@@ -131,3 +131,51 @@ class TestKmeansInvariants:
             result.assignments[0] = 1
         with pytest.raises(ValueError):
             result.centroids[0, 0] = 1.0
+
+
+def brute_force_sq(points, centers):
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+class TestPointSet:
+    """``PointSet`` against a brute-force argmin.  Integer coordinates keep
+    every distance exact on every BLAS path, and a grid of three values per
+    feature makes most rows tie between several centres."""
+
+    @pytest.mark.parametrize("height", [2, 3, "n-1"])
+    def test_blocks_and_nearest_match_brute_force(self, rng, height):
+        for _ in range(40):
+            n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
+            points = rng.integers(0, 3, (n, d)).astype(np.float64)
+            space = PointSet(points, 0)
+            # the same set measured against several centre counts reuses
+            # (and regrows) its one buffer
+            for k in (1, int(rng.integers(2, 9)), int(rng.integers(1, 4))):
+                centers = rng.integers(0, 3, (k, d)).astype(np.float64)
+                rows = max(2, n - 1) if height == "n-1" else height
+                space.cells = rows * k
+                want = brute_force_sq(points, centers)
+
+                layout = []
+                for start, stop, d2 in space.blocks(centers):
+                    layout.append((start, stop))
+                    assert np.array_equal(d2, want[start:stop])
+                assert [start for start, _ in layout] == [0] + [stop for _, stop in layout[:-1]]
+                assert layout[-1][1] == n
+                heights = [stop - start for start, stop in layout]
+                assert set(heights[:-1]) <= {rows}
+                # a lone trailing row folds into the block before it
+                assert 2 <= heights[-1] <= rows + 1
+
+                index, dist = space.nearest(centers)
+                assert np.array_equal(index, want.argmin(axis=1))
+                assert np.array_equal(dist, want.min(axis=1))
+
+    def test_one_point(self):
+        space = PointSet(np.array([[1.0, 2.0]]), 1 << 15)
+        centers = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
+        [(start, stop, d2)] = list(space.blocks(centers))
+        assert (start, stop) == (0, 1)
+        assert d2.tolist() == [[4.0, 1.0, 4.0]]
+        index, dist = space.nearest(centers)
+        assert index.tolist() == [1] and dist.tolist() == [1.0]

@@ -127,21 +127,29 @@ class TestKmeansAgainstReference:
 
 def assert_bit_identical_in_blocks(points, k, seed, rows, max_iter=100):
     """Run k-means in blocks of ``rows`` rows and compare it with the
-    reference.  Every block holds ``rows`` rows except the last, which holds
-    2 to ``rows + 1``: a lone trailing row joins the block before it."""
+    reference.  Every assignment block holds ``rows`` rows except the last,
+    which holds 2 to ``rows + 1``: a lone trailing row joins the block
+    before it.  Initialisation and repair measure against one centre, so
+    their blocks are ``rows * k`` high; only the assignment layout is
+    checked here."""
+    n = points.shape[0]
     layouts = []
     real = clustering._blocks
 
     def spy(n_rows, step):
-        layouts.append(real(n_rows, step))
-        return layouts[-1]
+        layout = real(n_rows, step)
+        if (n_rows, step) == (n, rows):
+            layouts.append(layout)
+        return layout
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "_ASSIGN_BLOCK_CELLS", rows * k)
         patch.setattr(clustering, "_blocks", spy)
         result = kmeans(points, k, seed, max_iter=max_iter)
-    n = points.shape[0]
-    [blocks] = layouts
+    # one assignment per iteration, all in the same layout
+    assert len(layouts) >= result.iterations
+    blocks = layouts[0]
+    assert all(layout == blocks for layout in layouts)
     assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
     assert blocks[-1][1] == n
     heights = [stop - start for start, stop in blocks]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defectclean import selection
+from defectclean import clustering
 from defectclean.clustering import default_k, kmeans
 from defectclean.data import Corpus, Dataset, metric_float
 from defectclean.selection import (
@@ -229,7 +229,7 @@ class TestBurakFilter:
             clustered = peters_filter(pool, target, k_clusters=2, normalize=normalize).selected
             for rows in block_rows:
                 step = target.case_count - 1 if rows == -1 else rows
-                monkeypatch.setattr(selection, "_block_rows", lambda columns, cells: step)
+                monkeypatch.setattr(clustering, "_block_rows", lambda columns, cells: step)
                 assert np.array_equal(
                     burak_filter(pool, target, k=k, normalize=normalize).selected, default)
                 assert np.array_equal(peters_filter(
