@@ -32,11 +32,12 @@ worst = max((within_quality(ds) for ds in corpus),
             key=lambda r: r.inconsistent_case_count)
 print(f"\nmost conflicted dataset: {worst.dataset}")
 # A dataset numbers its distinct metric vectors by first occurrence
-# (feature_ids); a group is inconsistent when its labels disagree.
+# (feature_ids gives each case's group and each group's first row) and
+# counts each group's clean and defective cases (label_counts); a group is
+# inconsistent when both of its counts are nonzero.
 ds = corpus.get(worst.dataset)
-ids, vectors = ds.feature_ids
-groups = [np.flatnonzero(ids == g) for g in range(len(vectors))]
-mixed = [rows for rows in groups if len(set(ds.labels[rows].tolist())) > 1]
+ids, _ = ds.feature_ids
+mixed = [np.flatnonzero(ids == g) for g in np.flatnonzero(ds.label_counts.all(1))]
 for rows in mixed[:3]:
     labels = ["defective" if d else "clean" for d in ds.labels[rows]]
     print(f"  rows {rows.tolist()} share one metric vector "

@@ -26,11 +26,11 @@ for ds in corpus:
 # The size identity always holds: before == after + removed.
 ds = corpus.get("alpha1.0")
 result = clean(ds)
-assert ds.case_count == result.cleaned.case_count + result.removed_total
+assert ds.case_count == result.cleaned.case_count + result.removed_cases
 
 # Cleaning is idempotent and the output carries no problem cases at all.
 again = clean(result.cleaned)
-assert again.removed_total == 0
+assert again.removed_cases == 0
 assert within_quality(result.cleaned).problem_free
 print("\nre-cleaning removes nothing; output is problem-free")
 
@@ -39,8 +39,8 @@ print("\nre-cleaning removes nothing; output is problem-free")
 print(f"{ds.name}: removed input rows {result.removed_indices[:10]}"
       f"{' ...' if len(result.removed_indices) > 10 else ''}")
 
-# clean_corpus does all datasets at once and returns a per-dataset summary,
-# which is what the `defectclean clean` command writes to disk.
+# clean_corpus does all datasets at once and returns each dataset's
+# CleanResult, the summary that the `defectclean clean` command writes to disk.
 cleaned, summary = clean_corpus(corpus)
 total = sum(row.removed_cases for row in summary)
 print(f"\nwhole corpus: removed {total} of {sum(d.case_count for d in corpus)} cases")

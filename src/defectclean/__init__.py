@@ -10,7 +10,7 @@ original versus cleaned data.
 
 __version__ = "0.1.0"
 
-from .cleaning import CleanResult, CleanSummaryRow, clean, clean_corpus
+from .cleaning import CleanResult, clean, clean_corpus
 from .clustering import Clustering, kmeans
 from .data import (
     Corpus,
@@ -85,7 +85,7 @@ __all__ = [
     "WithinQualityReport", "CrossReleaseReport",
     "within_quality", "cross_release_quality", "release_pairs", "corpus_quality",
     # cleaning
-    "CleanResult", "CleanSummaryRow", "clean", "clean_corpus",
+    "CleanResult", "clean", "clean_corpus",
     # selection
     "SourcePool", "TrainingSelection", "build_pool",
     "global_filter", "burak_filter", "peters_filter", "select_training_data",

@@ -6,11 +6,10 @@ inconsistent cases: every feature group that still carries both labels is
 dropped entirely.  The order matters; running the steps the other way round
 deletes more (see the order-sensitivity tests).
 
-:func:`clean` works on the exact group ids of :attr:`Dataset.feature_ids`:
-step 1 keeps the first row of each ``2 * id + label`` key, and a feature
-group is still mixed after it exactly when it held both labels before, so
-step 2 is one lookup per kept row.  The cleaned dataset is the input's
-columns at the kept rows (:meth:`Dataset.take`).
+:func:`clean` is arithmetic on :attr:`Dataset.label_counts`.  Step 1
+leaves one case per feature group and label, so step 2 removes exactly two
+cases per group with both labels, and the cleaned dataset is the first row
+of every single-label group, in row order (:meth:`Dataset.take`).
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from .data import Corpus, Dataset
 
 @dataclass(frozen=True)
 class CleanResult:
-    """Outcome of cleaning one dataset."""
+    """Outcome of cleaning one dataset; also its line of a corpus cleaning
+    summary, whose case and defective counts are the cleaned dataset's."""
 
     cleaned: Dataset
     removed_duplicates: int
@@ -33,19 +33,20 @@ class CleanResult:
     removed_indices: tuple[int, ...]
 
     @property
-    def removed_total(self) -> int:
+    def dataset(self) -> str:
+        return self.cleaned.name
+
+    @property
+    def case_count(self) -> int:
+        return self.cleaned.case_count
+
+    @property
+    def defective_count(self) -> int:
+        return self.cleaned.defective_count
+
+    @property
+    def removed_cases(self) -> int:
         return self.removed_duplicates + self.removed_inconsistent
-
-
-@dataclass(frozen=True)
-class CleanSummaryRow:
-    """One dataset's line of a corpus cleaning summary."""
-
-    dataset: str
-    case_count: int
-    removed_cases: int
-    defective_count: int
-    removed_defective: int
 
 
 def clean(dataset: Dataset) -> CleanResult:
@@ -55,44 +56,24 @@ def clean(dataset: Dataset) -> CleanResult:
     dataset keeps the project, release and name of the input.  Idempotent:
     cleaning a cleaned dataset removes nothing.
     """
-    ids, rows = dataset.feature_ids
-    labels = dataset.labels
-    row_keys = 2 * ids + labels
-    first = np.zeros(dataset.case_count, dtype=bool)
-    first[np.unique(row_keys, return_index=True)[1]] = True
-    labels_per_group = np.bincount(ids[first], minlength=len(rows))
-    mixed = first & (labels_per_group[ids] > 1)
-    kept = np.flatnonzero(first & ~mixed)
-    removed = np.flatnonzero(~first | mixed)
-
+    first = dataset.feature_ids[1]
+    counts = dataset.label_counts
+    mixed = counts.all(1)
+    kept = first[~mixed]
     return CleanResult(
         cleaned=dataset.take(kept),
-        removed_duplicates=int(dataset.case_count - np.count_nonzero(first)),
-        removed_inconsistent=int(np.count_nonzero(mixed)),
-        removed_defective=int(np.count_nonzero(labels[removed])),
-        removed_indices=tuple(removed.tolist()),
+        removed_duplicates=dataset.case_count - int(np.count_nonzero(counts)),
+        removed_inconsistent=2 * int(np.count_nonzero(mixed)),
+        removed_defective=dataset.defective_count - int(np.count_nonzero(counts[~mixed, 1])),
+        removed_indices=tuple(np.delete(np.arange(dataset.case_count), kept).tolist()),
     )
 
 
-def clean_corpus(corpus: Corpus) -> tuple[Corpus, list[CleanSummaryRow]]:
+def clean_corpus(corpus: Corpus) -> tuple[Corpus, list[CleanResult]]:
     """Clean every dataset of a corpus.
 
-    Returns the cleaned corpus (same dataset names, same order) and one
-    summary row per dataset with post-cleaning case/defective counts and
-    the number of removed cases.
+    Returns the cleaned corpus (same dataset names, same order) and each
+    dataset's :class:`CleanResult`, its line of the cleaning summary.
     """
-    cleaned = []
-    summary = []
-    for ds in corpus:
-        result = clean(ds)
-        cleaned.append(result.cleaned)
-        summary.append(
-            CleanSummaryRow(
-                dataset=ds.name,
-                case_count=result.cleaned.case_count,
-                removed_cases=result.removed_total,
-                defective_count=result.cleaned.defective_count,
-                removed_defective=result.removed_defective,
-            )
-        )
-    return Corpus(tuple(cleaned)), summary
+    results = [clean(ds) for ds in corpus]
+    return Corpus(tuple(r.cleaned for r in results)), results

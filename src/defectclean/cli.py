@@ -89,10 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                "peters's fallback (default 10)")
     p_select.add_argument("--clusters", type=int, default=None,
                           help="cluster count, --filter peters only (default: auto)")
-    p_select.add_argument("--seed", type=int, default=0)
+    p_select.add_argument("--seed", type=int, default=None,
+                          help="k-means seed, --filter peters only (default 0)")
     p_select.add_argument(
-        "--raw-distance", action="store_true",
-        help="skip min-max feature scaling for distances",
+        "--raw-distance", action="store_true", default=None,
+        help="skip min-max feature scaling for distances, --filter burak or peters",
     )
     p_select.add_argument(
         "--mixed", action="store_true",
@@ -170,11 +171,23 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the filters each optional ``select`` flag applies to; a flag given (not
+#: None) with any other filter is rejected
+_SELECT_FLAG_FILTERS = {
+    "clusters": ("peters",),
+    "k": ("burak", "peters"),
+    "seed": ("peters",),
+    "raw_distance": ("burak", "peters"),
+}
+
+
 def _cmd_select(args: argparse.Namespace) -> int:
-    if args.clusters is not None and args.filter != "peters":
-        raise ValueError(f"--clusters applies only to --filter peters, not {args.filter!r}")
-    if args.k is not None and args.filter == "global":
-        raise ValueError("--k applies only to --filter burak or peters, not 'global'")
+    for flag, filters in _SELECT_FLAG_FILTERS.items():
+        if getattr(args, flag) is not None and args.filter not in filters:
+            raise ValueError(
+                f"--{flag.replace('_', '-')} applies only to --filter "
+                f"{' or '.join(filters)}, not {args.filter!r}"
+            )
     if args.k is not None and args.k < 1:
         raise ValueError(
             f"--k: {args.k} neighbours for target {args.target!r}; at least 1 is needed"
@@ -189,7 +202,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
         )
     selection = select_training_data(
         args.filter, pool, target,
-        k=10 if args.k is None else args.k, k_clusters=args.clusters, seed=args.seed,
+        k=10 if args.k is None else args.k, k_clusters=args.clusters,
+        seed=0 if args.seed is None else args.seed,
         normalize=not args.raw_distance,
     )
     names, rows = pool.origins

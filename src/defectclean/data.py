@@ -273,25 +273,34 @@ class Dataset:
 
     @cached_property
     def feature_ids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exact feature groups: per-case group ids and each group's row.
+        """Exact feature groups: per-case group ids and each group's first row.
 
         ``ids[i]`` numbers case ``i``'s metric vector by first occurrence,
-        and ``rows[g]`` is group ``g``'s row of ``value_ids``.  Equal values
-        share one table entry, so equal id rows are exactly equal metrics:
-        "1" and "1.00" share a group, and values that differ only beyond
-        float precision do not.
+        and ``first[g]`` is the row where group ``g`` occurs first, so
+        ``first`` is increasing and ``value_ids[first]`` holds the groups'
+        rows.  Equal values share one table entry, so equal id rows are
+        exactly equal metrics: "1" and "1.00" share a group, and values
+        that differ only beyond float precision do not.
         """
         ids, first = row_groups(self.value_ids)
         ids.flags.writeable = False
-        rows = self.value_ids[first]
-        rows.flags.writeable = False
-        return ids, rows
+        first.flags.writeable = False
+        return ids, first
+
+    @cached_property
+    def label_counts(self) -> np.ndarray:
+        """Each feature group's case counts per label, ``(groups, 2)``:
+        column 0 counts the clean cases, column 1 the defective ones."""
+        ids, first = self.feature_ids
+        out = np.bincount(2 * ids + self.labels, minlength=2 * len(first)).reshape(-1, 2)
+        out.flags.writeable = False
+        return out
 
     @cached_property
     def feature_order(self) -> np.ndarray:
         """Group ids sorted by their rows' :func:`row_keys`: the ``sorter``
         that finds a row among this dataset's groups by ``np.searchsorted``."""
-        out = np.argsort(row_keys(self.feature_ids[1]))
+        out = np.argsort(row_keys(self.value_ids[self.feature_ids[1]]))
         out.flags.writeable = False
         return out
 

@@ -65,6 +65,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.targets or (isinstance(self.targets, str) and self.targets != "all"):
             raise ValueError('targets must be "all" or at least one dataset name')
+        if self.targets != "all":
+            object.__setattr__(self, "targets", tuple(self.targets))
         for key, names, known in (
             ("filters", self.filters, FILTERS), ("learners", self.learners, LEARNER_NAMES)
         ):
@@ -77,7 +79,7 @@ class ExperimentConfig:
                 )
         # a repeated name would run its cells twice and report every row twice
         for key, names in (
-            ("targets", self.targets if isinstance(self.targets, tuple) else ()),
+            ("targets", () if self.targets == "all" else self.targets),
             ("filters", self.filters), ("learners", self.learners),
         ):
             repeated = [name for i, name in enumerate(names) if name in names[:i]]

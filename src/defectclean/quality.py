@@ -6,23 +6,22 @@ but the opposite label.  Counts are case counts, not pair counts: a case is
 counted once as identical if it has at least one full-row-equal partner, and
 once as inconsistent if its feature group carries both labels.
 
-Both analyses work on :attr:`Dataset.feature_ids`: one exact group id per
-case, numbered by first occurrence from the rows of value ids, so every
-count is integer arithmetic on id arrays.  Within a release,
-``np.bincount`` over the row keys ``2 * id + label`` counts each group's
-cases per label: a row key held by two or more cases marks identical cases,
-a group with both labels inconsistent ones.  Reports carry the counts
-only; the groups behind them are ``Dataset.feature_ids`` and
-``Dataset.labels``.
+Both analyses read :attr:`Dataset.label_counts`: each exact feature group's
+clean and defective case counts, the groups numbered by first occurrence
+from the rows of value ids (:attr:`Dataset.feature_ids`).  Within a
+release, every count of two or more is a set of identical cases, and every
+group with both counts nonzero a set of inconsistent ones.  Reports carry
+only the counts.
 
 Across two releases of one project, the newer release's value table is
 mapped into the older one's through a dict over the distinct values (far
 fewer than the cases), which turns the newer release's group rows into rows of
 the older release's value ids.  A binary search among the older release's
 group rows, sorted once per dataset (:attr:`Dataset.feature_order`), then
-gives each newer group its older group, if any.  The pair counts are dot
-products of the per-group label counts: ``pos_a @ pos_b + neg_a @ neg_b``
-identical pairs and ``pos_a @ neg_b + neg_a @ pos_b`` inconsistent ones.
+gives each newer group its older group, if any.  For the matched groups'
+label counts ``a`` (older) and ``b`` (newer), the pair counts are
+``(a * b).sum()`` identical pairs and ``(a * b[:, ::-1]).sum()``
+inconsistent ones.
 """
 
 from __future__ import annotations
@@ -64,25 +63,12 @@ def within_quality(dataset: Dataset) -> WithinQualityReport:
 
     Both counts are invariant under row permutation.
     """
-    ids, rows = dataset.feature_ids
-    row_keys = 2 * ids + dataset.labels
-    row_sizes = np.bincount(row_keys, minlength=2 * len(rows))
-    mixed = (row_sizes[0::2] > 0) & (row_sizes[1::2] > 0)
+    counts = dataset.label_counts
     return WithinQualityReport(
         dataset=dataset.name,
         case_count=dataset.case_count,
-        identical_case_count=int(np.count_nonzero(row_sizes[row_keys] >= 2)),
-        inconsistent_case_count=int(np.count_nonzero(mixed[ids])),
-    )
-
-
-def _label_counts(
-    ids: np.ndarray, labels: np.ndarray, groups: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(defective, clean) case counts per group id."""
-    return (
-        np.bincount(ids[labels], minlength=groups),
-        np.bincount(ids[~labels], minlength=groups),
+        identical_case_count=int(counts[counts >= 2].sum()),
+        inconsistent_case_count=int(counts[counts.all(1)].sum()),
     )
 
 
@@ -101,29 +87,27 @@ def cross_release_quality(older: Dataset, newer: Dataset) -> CrossReleaseReport:
     if older.name == newer.name:
         raise ValueError(f"cannot compare release {older.name!r} with itself")
 
-    ids_a, rows_a = older.feature_ids
-    ids_b, rows_b = newer.feature_ids
-    groups = len(rows_a)
+    first_a = older.feature_ids[1]
+    groups = len(first_a)
     # newer's group rows in older's value ids (-1 for a value older lacks),
     # searched among older's sorted rows: the first row not below each is
     # its only candidate, and ``groups`` stands for none of older's groups
-    keys_a = row_keys(rows_a)
+    keys_a = row_keys(older.value_ids[first_a])
+    rows_b = newer.value_ids[newer.feature_ids[1]]
     keys_b = row_keys(value_positions(newer.values, older.values)[rows_b])
     order = older.feature_order
     found = np.append(order, groups)[np.searchsorted(keys_a, keys_b, sorter=order)]
     equal = found < groups
     equal[equal] = keys_a[found[equal]] == keys_b[equal]
-    mapped = np.where(equal, found, groups)[ids_b]
-    shared = mapped < groups
-    pos_a, neg_a = _label_counts(ids_a, older.labels, groups)
-    pos_b, neg_b = _label_counts(mapped[shared], newer.labels[shared], groups)
+    a = older.label_counts[found[equal]]
+    b = newer.label_counts[equal]
 
     return CrossReleaseReport(
         project=older.project,
         release_a=older.name,
         release_b=newer.name,
-        identical_pair_count=int(pos_a @ pos_b + neg_a @ neg_b),
-        inconsistent_pair_count=int(pos_a @ neg_b + neg_a @ pos_b),
+        identical_pair_count=int((a * b).sum()),
+        inconsistent_pair_count=int((a * b[:, ::-1]).sum()),
     )
 
 

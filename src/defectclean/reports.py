@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .cleaning import CleanSummaryRow
+from .cleaning import CleanResult
 from .data import atomic_writer
 from .evaluation import average_change
 from .harness import ExperimentRun, METRICS
@@ -143,16 +143,16 @@ _CLEAN_COLUMNS: tuple[Column, ...] = (
 )
 
 
-def clean_summary_json(rows: Sequence[CleanSummaryRow]) -> dict:
+def clean_summary_json(rows: Sequence[CleanResult]) -> dict:
     return {"format": 1, "datasets": _records(_CLEAN_COLUMNS, rows)}
 
 
-def clean_summary_markdown(rows: Sequence[CleanSummaryRow]) -> str:
+def clean_summary_markdown(rows: Sequence[CleanResult]) -> str:
     return "# Cleaning summary (post-cleaning counts)\n\n" + _table(_CLEAN_COLUMNS, rows)
 
 
 def write_clean_summary(
-    rows: Sequence[CleanSummaryRow], out_dir: str | Path
+    rows: Sequence[CleanResult], out_dir: str | Path
 ) -> dict[str, Path]:
     return _write_reports(out_dir, {
         "json": ("clean_summary.json", clean_summary_json(rows)),

@@ -116,7 +116,7 @@ def test_criterion_2_zero_problem_passthrough(real_corpus):
     for name in ref.ZERO_PROBLEM_DATASETS:
         original = real_corpus.get(name)
         result = clean(original)
-        assert result.removed_total == 0, name
+        assert result.removed_cases == 0, name
         assert result.cleaned == original, name
         kept, removed, kept_def, removed_def = ref.CLEANED_SIZES[name]
         assert (removed, removed_def) == (0, 0)
@@ -202,7 +202,7 @@ def test_criterion_4_cleaning_properties():
         result = clean(ds)
         again = clean(result.cleaned)
         assert again.cleaned == result.cleaned
-        assert again.removed_total == 0
+        assert again.removed_cases == 0
         keys = [metrics for _, metrics, _ in decimal_rows(result.cleaned)]
         assert len(set(keys)) == len(keys)
 

@@ -32,7 +32,7 @@ class TestCleanFixtures:
         result = clean(ds)
         assert result.removed_duplicates == 1
         assert result.removed_inconsistent == 2
-        assert result.removed_total == 3
+        assert result.removed_cases == 3
         assert result.removed_defective == 2
         assert result.removed_indices == (0, 1, 2)
         assert result.cleaned.class_names == ("d",)
@@ -55,7 +55,7 @@ class TestCleanFixtures:
         ds = dataset("ok1.0", [case("a", False, 1), case("b", True, 2)])
         result = clean(ds)
         assert result.cleaned == ds
-        assert result.removed_total == 0
+        assert result.removed_cases == 0
         assert result.removed_indices == ()
 
     def test_duplicates_keep_first_occurrence(self):
@@ -88,7 +88,7 @@ class TestCleanProperties:
             once = clean(ds).cleaned
             again = clean(once)
             assert again.cleaned == once
-            assert again.removed_total == 0
+            assert again.removed_cases == 0
 
     def test_output_is_problem_free(self, rng):
         for _ in range(100):
@@ -107,9 +107,9 @@ class TestCleanProperties:
         for _ in range(100):
             ds = random_problem_dataset(rng, max_cases=60)
             result = clean(ds)
-            assert result.removed_total == len(result.removed_indices)
-            assert ds.case_count == result.cleaned.case_count + result.removed_total
-            assert result.removed_defective <= result.removed_total
+            assert result.removed_cases == len(result.removed_indices)
+            assert ds.case_count == result.cleaned.case_count + result.removed_cases
+            assert result.removed_defective <= result.removed_cases
             removed_set = set(result.removed_indices)
             survivors = [c for i, c in enumerate(decimal_rows(ds)) if i not in removed_set]
             assert survivors == decimal_rows(result.cleaned)
@@ -156,6 +156,11 @@ class TestCleanCorpus:
             assert row.removed_cases == original.case_count - out.case_count
             assert row.removed_defective == (
                 original.defective_count - out.defective_count)
+
+    def test_results_are_each_datasets_clean(self):
+        corpus = synthetic_corpus(seed=9, duplicate_rate=0.15, inconsistent_rate=0.1)
+        _, results = clean_corpus(corpus)
+        assert results == [clean(ds) for ds in corpus]
 
     def test_cleaned_corpus_is_problem_free(self):
         corpus = synthetic_corpus(seed=4, duplicate_rate=0.2, inconsistent_rate=0.2)

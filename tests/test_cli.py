@@ -175,12 +175,44 @@ class TestSelectCommand:
 
     def test_raw_distance_and_mixed_flags(self, corpus_dir, capsys):
         rc = main(["select", "--corpus", str(corpus_dir), "--filter", "global",
-                   "--target", "alpha1.1", "--mixed", "--raw-distance"])
+                   "--target", "alpha1.1", "--mixed"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         origins = {e["origin"] for e in payload["selected"]}
         assert "alpha1.0" in origins  # mixed mode admits the older release
         assert "alpha1.1" not in origins
+        rc = main(["select", "--corpus", str(corpus_dir), "--filter", "burak",
+                   "--target", "alpha1.1", "--raw-distance"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["parameters"]["normalize"] is False
+
+    @pytest.mark.parametrize("flags,filter_name,message", [
+        (["--seed", "5"], "burak", "--seed applies only to --filter peters, not 'burak'"),
+        (["--seed", "0"], "global", "--seed applies only to --filter peters, not 'global'"),
+        (["--raw-distance"], "global",
+         "--raw-distance applies only to --filter burak or peters, not 'global'"),
+    ], ids=["seed-burak", "seed-global", "raw-distance-global"])
+    def test_flag_rejected_with_a_filter_it_does_not_apply_to(
+        self, tmp_path, capsys, flags, filter_name, message
+    ):
+        # the corpus does not exist, so reaching the loader would fail differently
+        rc = main(["select", "--corpus", str(tmp_path / "missing"), "--filter", filter_name,
+                   "--target", "alpha1.1", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_seed_defaults_to_zero_for_peters(self, corpus_dir, monkeypatch):
+        seen = {}
+
+        def select(name, pool, target, **kwargs):
+            seen.update(kwargs)
+            return global_filter(pool)
+
+        monkeypatch.setattr(cli, "select_training_data", select)
+        rc = main(["select", "--corpus", str(corpus_dir), "--filter", "peters",
+                   "--target", "alpha1.1"])
+        assert rc == 0
+        assert seen["seed"] == 0
 
     def test_out_file_holds_the_stdout_payload(self, corpus_dir, tmp_path, capsys):
         args = ["select", "--corpus", str(corpus_dir), "--filter", "burak",

@@ -113,9 +113,10 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
         [[metric_float(v) for v in metrics] for _, metrics, _ in cases],
         dtype=np.float64).reshape(-1, N_METRICS).tobytes()
     assert got.labels.tolist() == [bugs >= 1 for _, _, bugs in cases]
-    ids, rows = got.feature_ids
+    ids, first = got.feature_ids
     want_ids, want_vectors = reference_ids(want)
     assert ids.tolist() == want_ids
+    rows = got.value_ids[first]
     assert [tuple(got.values[i] for i in row) for row in rows.tolist()] == want_vectors
 
 
@@ -189,7 +190,8 @@ class TestColumns:
 
     def test_columns_are_read_only(self):
         ds = dataset("r1.0", [case("a", True, 1)])
-        for array in (ds.value_ids, ds.bug_counts, ds.feature_matrix, ds.labels, *ds.feature_ids):
+        for array in (ds.value_ids, ds.bug_counts, ds.feature_matrix, ds.labels, *ds.feature_ids,
+                      ds.label_counts):
             with pytest.raises(ValueError):
                 array[0] = 0
 

@@ -160,6 +160,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=message):
             parse_config(text)
 
+    def test_list_targets_are_checked_and_stored_as_a_tuple(self):
+        with pytest.raises(ValueError, match="^targets: duplicate name 'alpha1.1'$"):
+            ExperimentConfig(
+                corpus_dir=None, targets=["alpha1.1", "alpha1.1"],
+                filters=("global",), learners=("naive_bayes",),
+            )
+        config = ExperimentConfig(corpus_dir=None, targets=["alpha1.1"])
+        assert config.targets == ("alpha1.1",)
+        assert config.as_dict()["targets"] == ["alpha1.1"]
+        assert config == ExperimentConfig(corpus_dir=None, targets=("alpha1.1",))
+
     def test_error_names_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_config("seed = 1\n\nwat = 9\n")

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from defectclean import data, quality
+from defectclean import cleaning, data, quality
+from defectclean.cleaning import clean_corpus
 from defectclean.data import Dataset
 from defectclean.datagen import synthetic_corpus
 from defectclean.quality import (
@@ -88,9 +89,10 @@ class TestWithinQuality:
         assert report.identical_case_count == 2
         assert report.inconsistent_case_count == 3
         assert not report.problem_free
-        ids, rows = ds.feature_ids
+        ids, first = ds.feature_ids
         assert ids.tolist() == [0, 0, 0, 1]
-        assert rows.tolist() == ds.value_ids[[0, 3]].tolist()
+        assert first.tolist() == [0, 3]
+        assert ds.label_counts.tolist() == [[1, 2], [0, 1]]
 
     def test_clean_dataset_is_problem_free(self):
         ds = dataset("ok1.0", [case("a", False, 1), case("b", True, 2)])
@@ -127,11 +129,24 @@ class TestWithinQuality:
         report = within_quality(ds)
         assert (report.identical_case_count,
                 report.inconsistent_case_count) == quadratic_counts(ds)
-        ids, rows = ds.feature_ids
+        ids, first = ds.feature_ids
         groups = quadratic_groups(ds)
         assert [tuple(np.flatnonzero(ids == g).tolist())
-                for g in range(len(rows))] == groups
-        assert rows.tolist() == ds.value_ids[[g[0] for g in groups]].tolist()
+                for g in range(len(first))] == groups
+        assert first.tolist() == [g[0] for g in groups]
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem_datasets())
+    def test_label_counts_count_each_metric_vector_and_label(self, ds):
+        want = Counter((metrics, bugs >= 1) for _, metrics, bugs in decimal_rows(ds))
+        _, first = ds.feature_ids
+        got = Counter()
+        for row, (clean, defective) in zip(ds.value_ids[first].tolist(),
+                                           ds.label_counts.tolist()):
+            vector = tuple(ds.values[i] for i in row)
+            got.update({(vector, False): clean, (vector, True): defective})
+        assert +got == want
+        assert (np.diff(first) > 0).all()
 
     def test_permutation_invariance(self, rng):
         for _ in range(50):
@@ -244,31 +259,40 @@ class TestCorpusQuality:
 
     def test_each_release_is_grouped_and_sorted_once(self, monkeypatch):
         # four releases of one project make six pairs: every release's rows
-        # are grouped once, and each older release's groups sorted once
+        # are grouped and label-counted once, by quality and cleaning
+        # together, and each older release's groups sorted once
         corpus = synthetic_corpus(
             seed=5, releases=("p1.0", "p1.1", "p1.2", "p1.3"), duplicate_rate=0.2)
-        grouped, sorted_groups = Counter(), Counter()
+        grouped, counted, sorted_groups = Counter(), Counter(), Counter()
         real_groups = data.row_groups
 
         def row_groups(rows):
             grouped[len(rows)] += 1
             return real_groups(rows)
 
-        real_order = Dataset.feature_order.func
+        def counting(attr, calls):
+            real = getattr(Dataset, attr).func
 
-        def feature_order(ds):
-            sorted_groups[ds.name] += 1
-            return real_order(ds)
+            def compute(ds):
+                calls[ds.name] += 1
+                return real(ds)
 
-        order = cached_property(feature_order)
-        order.__set_name__(Dataset, "feature_order")
+            prop = cached_property(compute)
+            prop.__set_name__(Dataset, attr)
+            monkeypatch.setattr(Dataset, attr, prop)
+
         monkeypatch.setattr(data, "row_groups", row_groups)
-        # quality does not group rows itself; if it did, this would count it
+        # quality and cleaning do not group rows themselves; if one did,
+        # this would count it
         monkeypatch.setattr(quality, "row_groups", row_groups, raising=False)
-        monkeypatch.setattr(Dataset, "feature_order", order)
+        monkeypatch.setattr(cleaning, "row_groups", row_groups, raising=False)
+        counting("label_counts", counted)
+        counting("feature_order", sorted_groups)
         _, cross = corpus_quality(corpus, include_pairs=True)
+        clean_corpus(corpus)
         assert len(cross) == 6
         assert grouped == Counter(ds.case_count for ds in corpus)
+        assert counted == {ds.name: 1 for ds in corpus}
         assert sorted_groups == {"p1.0": 1, "p1.1": 1, "p1.2": 1}
         for a, b in release_pairs(corpus):
             report = cross_release_quality(a, b)
