@@ -8,30 +8,54 @@ cluster.  The within-cluster squared-distance objective never increases
 from one iteration to the next.
 
 A :class:`PointSet` computes ``|x|^2`` and ``-2 x`` once and measures its
-points against centres in row blocks of about ``cells`` distances.
-Scaling by a power of two is exact, so ``(|x|^2 + |c|^2) + (-2 x) . c``
-rounds exactly like ``(|x|^2 + |c|^2) - 2 x . c``.  A block never holds a
-single row (:func:`_blocks`): a one-row product goes through BLAS gemv
-instead of gemm and rounds differently in the last bit, which would let
-the block layout decide distance ties.  k-means blocks are cache-sized
+points (all of them, or chosen rows) against centres in row blocks of about
+``cells`` distances.  Scaling by a power of two is exact, so
+``(|x|^2 + |c|^2) + (-2 x) . c`` rounds exactly like
+``(|x|^2 + |c|^2) - 2 x . c``.  A block never holds a single row
+(:func:`_blocks`): a one-row product goes through BLAS gemv instead of gemm
+and rounds differently in the last bit, which would let the block layout
+decide distance ties.  k-means blocks are cache-sized
 (``_ASSIGN_BLOCK_CELLS``), so a block stays in cache across the add,
 matmul, add, clip, argmin and gather that pass over it.  The selection
 filters' blocks are memory-sized (``selection._BLOCK_CELLS``), because each
 of them streams the whole pool or cluster once.
 
-The Lloyd loop allocates no ``n x k`` array.  The inertia is the sum of
-the points' nearest distances, so it adds the same values in the same
-order whatever the block size.  The centroid update takes cluster sizes
+Bounded assignment (Hamerly, SDM 2010).  Each point keeps an upper bound
+``u`` on its exact distance to its own centre and a lower bound ``l`` on its
+exact distance to every other centre.  When the centres move, ``u`` grows by
+its own centre's drift and ``l`` shrinks by the largest drift of any other
+centre (triangle inequality).  An iteration measures only the points that
+fail the strict test ``(u^2 + 2Δ)(1 + 8ε) < l|l|(1 - 8ε)``; the others keep
+their centre.  ``Δ = (2d + 8) ε (|x|^2 + max |c|^2)`` bounds how far a
+computed squared distance over ``d`` features sits from the exact one in
+any summation order: ``|x|^2`` and ``|c|^2`` are each off by at most ``d ε``
+times themselves and ``2 x . c`` by at most ``d ε (|x|^2 + |c|^2)`` (since
+``2|x||c| <= |x|^2 + |c|^2``), the two additions add at most
+``3 ε (|x|^2 + |c|^2)``, and the clip at 0 only moves a value towards the
+exact one; the remaining ``5 ε`` covers second-order terms.  So a point
+that passes has computed distances with its own centre strictly below every
+other, whatever order the BLAS adds in, which is exactly what a full pass
+would find.  The ``8 ε`` factors cover the rounding of the test itself.
+Bounds are set from a measured row's smallest and second smallest distances
+widened by ``Δ``, every update is rounded outwards, and a point moved by
+empty-cluster repair loses its bounds.  NaN, infinite or overflowing bounds
+fail the test, so those points are measured.
+
+The Lloyd loop allocates no ``n x k`` array.  The inertia comes from one
+full pass at the last assignment step's centroids, the sum of the points'
+nearest distances, so it adds the same values in the same order whatever
+the block size; that pass also checks the bounded assignments and raises
+``RuntimeError`` if they differ.  The centroid update takes cluster sizes
 and per-feature sums from ``np.bincount``.  A weighted bincount adds each
 cluster's members in row order starting from 0.0, which is how numpy's
 mean over the rows of a C-ordered ``(m, d)`` array adds them when
 ``d >= 2``.
 
 So for two or more features every assignment, centroid, iteration count
-and inertia is bit-identical to the plain loop that computes each
-cluster's mean on its own (kept as a test oracle), at every block size.
-With a single feature numpy sums a cluster's column pairwise instead, so
-centroids may differ from that loop in the last bit.
+and inertia is bit-identical to the plain loop that computes every
+distance and each cluster's mean on its own (kept as a test oracle), at
+every block size.  With a single feature numpy sums a cluster's column
+pairwise instead, so centroids may differ from that loop in the last bit.
 """
 
 from __future__ import annotations
@@ -47,6 +71,10 @@ import numpy as np
 #: 2**12 to 2**17 cells gave the same bits and 2**15 was fastest
 _ASSIGN_BLOCK_CELLS = 1 << 15
 
+_EPS = float(np.finfo(np.float64).eps)
+#: factors that round a bound outwards after one or two roundings of it
+_UP, _DOWN = 1.0 + 4.0 * _EPS, 1.0 - 4.0 * _EPS
+
 
 @dataclass(frozen=True)
 class Clustering:
@@ -57,7 +85,6 @@ class Clustering:
     centroids: np.ndarray
     iterations: int
     inertia: float
-    inertia_history: tuple[float, ...]
 
 
 def default_k(n_points: int) -> int:
@@ -94,22 +121,31 @@ class PointSet:
         self._out = np.empty(0)
         self._rows = np.arange(points.shape[0])
 
-    def blocks(self, centers: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    def blocks(
+        self, centers: np.ndarray, rows: np.ndarray | None = None
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield ``(start, stop, d2)``: the squared distances of points
         ``start:stop`` to every centre.  ``d2`` is one reused buffer, valid
-        until the next block."""
+        until the next block.  With ``rows`` (point indices) only those
+        points are measured, and ``start:stop`` index ``rows``; a row's
+        distances have the same bits either way."""
         k = centers.shape[0]
-        layout = _blocks(self.sq.size, _block_rows(k, self.cells))
+        count = self.sq.size if rows is None else rows.size
+        layout = _blocks(count, _block_rows(k, self.cells))
         widest = max((stop - start for start, stop in layout), default=0)
         if self._out.size < widest * k:
             self._out = np.empty(widest * k)
         centers_sq = np.einsum("ij,ij->i", centers, centers)
         for start, stop in layout:
+            if rows is None:
+                sq, neg2 = self.sq[start:stop], self.neg2[start:stop]
+            else:
+                sq, neg2 = self.sq[rows[start:stop]], self.neg2[rows[start:stop]]
             d2 = self._out[:(stop - start) * k].reshape(stop - start, k)
-            np.add(self.sq[start:stop, None], centers_sq[None, :], out=d2)
+            np.add(sq[:, None], centers_sq[None, :], out=d2)
             # the product is a per-block temporary: a second cached buffer
             # would outlive the block, and a filter's blocks are 8 MB
-            np.add(d2, self.neg2[start:stop] @ centers.T, out=d2)
+            np.add(d2, neg2 @ centers.T, out=d2)
             np.maximum(d2, 0.0, out=d2)
             yield start, stop, d2
 
@@ -170,18 +206,59 @@ def _repair_empty(
         centroids[donor] = points[assignments == donor].mean(axis=0)
 
 
+def _rounding_errors(space: PointSet, centers: np.ndarray) -> np.ndarray:
+    """Each point's ``Δ``: how far its computed squared distances to
+    ``centers`` may sit from the exact ones, in any summation order (see the
+    module docstring)."""
+    margin = (2 * centers.shape[1] + 8) * _EPS
+    return margin * (space.sq + np.einsum("ij,ij->i", centers, centers).max())
+
+
+def _measure(
+    space: PointSet, centers: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the points ``rows``: the nearest centre (ties: lowest index), its
+    squared distance and the smallest squared distance to any other centre
+    (``inf`` for a single centre)."""
+    index = np.empty(rows.size, dtype=np.int64)
+    first = np.empty(rows.size)
+    second = np.empty(rows.size)
+    offsets = np.arange(rows.size)
+    for start, stop, d2 in space.blocks(centers, rows):
+        at = (offsets[:stop - start], index[start:stop])
+        d2.argmin(axis=1, out=at[1])
+        first[start:stop] = d2[at]
+        d2[at] = np.inf
+        d2.min(axis=1, out=second[start:stop])
+    return index, first, second
+
+
+def _bounds(
+    first: np.ndarray, second: np.ndarray, delta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the exact distance to the nearest centre (upper) and to
+    every other centre (lower), from computed squared distances that sit
+    within ``delta`` of the exact ones.  Each result is rounded outwards."""
+    upper = np.sqrt(first + delta)
+    upper *= _UP
+    lower = np.sqrt(np.maximum(second - delta, 0.0))
+    lower *= _DOWN
+    return upper, lower
+
+
 def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Clustering:
     """Cluster points into k groups.
 
     Points with exactly equal coordinates always land in the same cluster
     (except for single points relocated by empty-cluster repair, which can
     only happen among exact duplicates).  Raises ValueError for k < 1 or
-    k > number of points.
+    k > number of points, and RuntimeError if the bounded assignments ever
+    disagree with a full pass (which the rounding margin rules out).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
-    n = points.shape[0]
+    n, features = points.shape
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if k > n:
@@ -190,30 +267,60 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
     space = PointSet(points, _ASSIGN_BLOCK_CELLS)
     columns = np.ascontiguousarray(points.T)
     centroids = _plus_plus_init(space, k, np.random.default_rng(seed))
-    sums = np.empty((k, points.shape[1]))
-    history: list[float] = []
+    sums = np.empty((k, features))
 
-    def assign() -> np.ndarray:
-        nearest, d2 = space.nearest(centroids)
-        history.append(float(d2.sum()))
-        return nearest
-
-    assignments = assign()
+    assignments, first, second = _measure(space, centroids, np.arange(n))
+    upper, lower = _bounds(first, second, _rounding_errors(space, centroids))
     iterations = 1
     for _ in range(max_iter - 1):
+        previous = centroids.copy()
         counts = np.bincount(assignments, minlength=k)
         filled = counts > 0
         for j, col in enumerate(columns):
             sums[:, j] = np.bincount(assignments, weights=col, minlength=k)
         centroids[filled] = sums[filled] / counts[filled, None]
-        _repair_empty(points, assignments, centroids, k)
+        if not filled.all():
+            before = assignments.copy()
+            _repair_empty(points, assignments, centroids, k)
+            # a moved point's bounds describe its old centre
+            upper[assignments != before] = np.inf
 
-        new_assignments = assign()
+        errors = _rounding_errors(space, centroids)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # each centre's drift, rounded up: the difference, squares, sum
+            # and square root leave it at most (d / 2 + 4) eps short
+            step = centroids - previous
+            shift = np.sqrt(np.einsum("ij,ij->i", step, step)) * (1.0 + (features + 8) * _EPS)
+            top = int(np.argmax(shift))
+            runner_up = np.delete(shift, top).max(initial=0.0)
+            upper += shift[assignments]
+            upper *= _UP
+            lower -= np.where(assignments == top, runner_up, shift[top])
+            lower *= _DOWN
+            # written so that NaN fails it: NaN and inf bounds are stale
+            settled = (
+                (upper * upper + 2.0 * errors) * (1.0 + 8.0 * _EPS)
+                < lower * np.abs(lower) * (1.0 - 8.0 * _EPS)
+            )
+        stale = np.flatnonzero(~settled)
+        new_assignments = assignments.copy()
+        if stale.size:
+            if stale.size == 1:
+                # a lone row would go through gemv (see _blocks); measure it twice
+                stale = np.repeat(stale, 2)
+            new_assignments[stale], first, second = _measure(space, centroids, stale)
+            upper[stale], lower[stale] = _bounds(first, second, errors[stale])
         iterations += 1
         if np.array_equal(new_assignments, assignments):
             assignments = new_assignments
             break
         assignments = new_assignments
+
+    # the inertia from one full pass, which also checks the bounded loop
+    nearest, d2 = space.nearest(centroids)
+    if not np.array_equal(nearest, assignments):
+        raise RuntimeError("bounded k-means assignments disagree with a full pass")
+    inertia = float(d2.sum())
 
     _repair_empty(points, assignments, centroids, k)
     counts = np.bincount(assignments, minlength=k)
@@ -227,6 +334,5 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
         assignments=assignments,
         centroids=centroids,
         iterations=iterations,
-        inertia=history[-1],
-        inertia_history=tuple(history),
+        inertia=inertia,
     )

@@ -67,6 +67,9 @@ class ExperimentConfig:
             raise ValueError('targets must be "all" or at least one dataset name')
         if self.targets != "all":
             object.__setattr__(self, "targets", tuple(self.targets))
+        # lists become tuples, so equal grids compare and hash equal
+        object.__setattr__(self, "filters", tuple(self.filters))
+        object.__setattr__(self, "learners", tuple(self.learners))
         for key, names, known in (
             ("filters", self.filters, FILTERS), ("learners", self.learners, LEARNER_NAMES)
         ):

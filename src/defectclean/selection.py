@@ -170,15 +170,18 @@ def burak_filter(
     pool_space, target_space = _spaces(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
     for _, _, d2 in PointSet(target_space, _BLOCK_CELLS).blocks(pool_space):
-        # exact k-nearest with ties to the lower pool index: everything
-        # strictly below the k-th smallest value, then the lowest-index
-        # cases at the k-th value until k are taken
+        # exact k-nearest with ties to the lower pool index: every case at
+        # or below the k-th smallest value, except on rows with more than k
+        # such cases, which keep only the lowest-index cases at the k-th value
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        below = d2 < kth
-        need = k - below.sum(axis=1, keepdims=True)
-        at_kth = d2 == kth
-        take_at_kth = at_kth & (np.cumsum(at_kth, axis=1, dtype=np.int64) <= need)
-        chosen |= (below | take_at_kth).any(axis=0)
+        near = d2 <= kth
+        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
+        if tied.size:
+            below = d2[tied] < kth[tied]
+            at_kth = near[tied] & ~below
+            need = k - below.sum(axis=1, keepdims=True)
+            near[tied] = below | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
+        chosen |= near.any(axis=0)
     return TrainingSelection("burak", np.flatnonzero(chosen), {"k": k, "normalize": normalize})
 
 

@@ -39,6 +39,7 @@ from .conftest import (
     requires_real_corpus,
 )
 from .test_evaluation import F_FIXTURES, trapezoid_auc
+from .test_kmeans import inertia_prefixes
 from .test_selection import (
     knn_union_oracle,
     peters_trace_oracle,
@@ -307,8 +308,8 @@ def test_criterion_6_filter_correctness():
         points = rng.random((n, 5)) * 10
         k = int(rng.choice([2, 4, default_k(n)]))
         result = kmeans(points, k, seed=trial)
-        history = np.asarray(result.inertia_history)
-        assert history.size >= 1
+        history = np.asarray(inertia_prefixes(points, k, trial, result.iterations))
+        assert history.size >= 1 and history[-1] == result.inertia
         assert np.all(np.diff(history) <= 1e-9), trial
         kmeans_runs += 1
 

@@ -171,6 +171,20 @@ class TestParseConfig:
         assert config.as_dict()["targets"] == ["alpha1.1"]
         assert config == ExperimentConfig(corpus_dir=None, targets=("alpha1.1",))
 
+    def test_list_filters_and_learners_are_stored_as_tuples(self):
+        config = ExperimentConfig(corpus_dir=None, filters=["global"])
+        same = ExperimentConfig(corpus_dir=None, filters=("global",))
+        assert hash(config) == hash(same)
+        assert config == same
+        assert config.as_dict() == same.as_dict()
+        assert config.as_dict()["filters"] == ["global"]
+        listed = ExperimentConfig(corpus_dir=None, learners=["naive_bayes", "decision_tree"])
+        assert listed.learners == ("naive_bayes", "decision_tree")
+        assert listed == ExperimentConfig(
+            corpus_dir=None, learners=("naive_bayes", "decision_tree")
+        )
+        assert listed.as_dict()["learners"] == ["naive_bayes", "decision_tree"]
+
     def test_error_names_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_config("seed = 1\n\nwat = 9\n")

@@ -2,9 +2,15 @@
 
 ``tests/_reference_kmeans.py`` keeps the original Lloyd loop: one ``n x k``
 temporary per distance term and one numpy mean per cluster.  The package's
-buffered loop must reproduce its assignments, centroids, iteration count and
-inertia history exactly, because assignment ties (duplicate rows, coincident
-centroids, small-integer grids) are decided by the last bit of a distance.
+bounded, buffered loop must reproduce its assignments, centroids, iteration
+count and inertia history exactly, because assignment ties (duplicate rows,
+coincident centroids, small-integer grids) are decided by the last bit of a
+distance.  The history is read through ``max_iter``: a run capped at t
+iterations reports the inertia after iteration t.  Rerunning every prefix
+costs O(t^2) iterations, which the generated inputs that cycle through
+empty-cluster repair until ``max_iter = 100`` cannot afford, so the
+generated tests record the same values in one run (:func:`recorded_run`),
+and :class:`TestBoundedLoop` checks that recording against the reruns.
 
 The one documented exception: with a single feature, numpy sums each
 cluster's column pairwise, while the buffered loop adds members in row
@@ -26,17 +32,42 @@ from defectclean import clustering
 from defectclean.clustering import kmeans
 
 from ._reference_kmeans import reference_kmeans
+from .test_kmeans import inertia_prefixes
 
 
-def assert_bit_identical(result, reference):
-    assignments, centroids, iterations, history = reference
+def assert_bit_identical(result, reference, points, k, seed, history=None):
+    """``result`` (``kmeans(points, k, seed, ...)``) equals the reference
+    bit for bit, and so does ``history``, the inertia after each iteration:
+    by default ``kmeans(points, k, seed, max_iter=t).inertia`` for every t."""
+    assignments, centroids, iterations, reference_history = reference
     assert result.assignments.dtype == assignments.dtype
     assert result.assignments.tobytes() == assignments.tobytes()
     assert result.centroids.dtype == centroids.dtype
     assert result.centroids.tobytes() == centroids.tobytes()
     assert result.iterations == iterations
-    assert np.array(result.inertia_history).tobytes() == np.array(history).tobytes()
-    assert result.inertia == history[-1]
+    if history is None:
+        history = inertia_prefixes(points, k, seed, iterations)
+    assert np.array(history).tobytes() == np.array(reference_history).tobytes()
+    assert np.float64(result.inertia).tobytes() == np.float64(history[-1]).tobytes()
+
+
+def recorded_run(points, k, seed, max_iter=100):
+    """Run k-means once; return its result and, for each iteration t, the
+    inertia that ``kmeans(points, k, seed, max_iter=t)`` reports: the
+    nearest-centre distances at iteration t's centroids, summed by the same
+    full pass.  ``_rounding_errors`` sees those centroids once per
+    assignment step."""
+    history = []
+    real = clustering._rounding_errors
+
+    def spy(space, centers):
+        history.append(float(space.nearest(centers)[1].sum()))
+        return real(space, centers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_rounding_errors", spy)
+        result = kmeans(points, k, seed, max_iter=max_iter)
+    return result, history
 
 
 @st.composite
@@ -82,15 +113,18 @@ class TestKmeansAgainstReference:
     @given(kmeans_cases())
     def test_bit_identical_to_reference(self, case_args):
         points, k, seed, max_iter = case_args
+        result, history = recorded_run(points, k, seed, max_iter)
         assert_bit_identical(
-            kmeans(points, k, seed, max_iter=max_iter),
-            reference_kmeans(points, k, seed, max_iter=max_iter),
+            result, reference_kmeans(points, k, seed, max_iter=max_iter),
+            points, k, seed, history,
         )
 
     @pytest.mark.parametrize("n, d, k, seed", FILTER_SCALE)
     def test_bit_identical_at_filter_scale(self, n, d, k, seed):
         points = filter_scale_points(n, d, seed)
-        assert_bit_identical(kmeans(points, k, seed), reference_kmeans(points, k, seed))
+        assert_bit_identical(
+            kmeans(points, k, seed), reference_kmeans(points, k, seed), points, k, seed
+        )
 
     def test_edge_cases_are_exercised(self, monkeypatch):
         # the generated cases must reach repair and the iteration cap; pin one
@@ -106,13 +140,13 @@ class TestKmeansAgainstReference:
         duplicates = np.repeat(np.array([[0.0, 0.1], [0.3, 0.2]]), 5, axis=0)
         result = kmeans(duplicates, 4, 0)
         assert any(repaired)
-        assert_bit_identical(result, reference_kmeans(duplicates, 4, 0))
+        assert_bit_identical(result, reference_kmeans(duplicates, 4, 0), duplicates, 4, 0)
 
         rng = np.random.default_rng(3)
         points = rng.random((80, 3))
         capped = kmeans(points, 6, 1, max_iter=2)
         assert capped.iterations == 2
-        assert_bit_identical(capped, reference_kmeans(points, 6, 1, max_iter=2))
+        assert_bit_identical(capped, reference_kmeans(points, 6, 1, max_iter=2), points, 6, 1)
 
     def test_single_feature_fractional_agrees_to_rounding(self):
         rng = np.random.default_rng(11)
@@ -122,40 +156,48 @@ class TestKmeansAgainstReference:
         assert np.array_equal(result.assignments, assignments)
         assert result.iterations == iterations
         np.testing.assert_allclose(result.centroids, centroids, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(result.inertia_history, history, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            inertia_prefixes(points, 2, 0, iterations), history, rtol=1e-12, atol=0.0
+        )
 
 
 def assert_bit_identical_in_blocks(points, k, seed, rows, max_iter=100):
     """Run k-means in blocks of ``rows`` rows and compare it with the
     reference.  Every assignment block holds ``rows`` rows except the last,
     which holds 2 to ``rows + 1``: a lone trailing row joins the block
-    before it.  Initialisation and repair measure against one centre, so
-    their blocks are ``rows * k`` high; only the assignment layout is
-    checked here."""
+    before it.  That holds for the full passes (the first assignment and
+    the final inertia) and for the rows each bounded iteration measures
+    again.  Initialisation and repair measure against one centre, so their
+    blocks are ``rows * k`` high; only the assignment layouts are checked
+    here."""
     n = points.shape[0]
     layouts = []
     real = clustering._blocks
 
     def spy(n_rows, step):
         layout = real(n_rows, step)
-        if (n_rows, step) == (n, rows):
-            layouts.append(layout)
+        if step == rows:
+            layouts.append((n_rows, layout))
         return layout
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "_ASSIGN_BLOCK_CELLS", rows * k)
         patch.setattr(clustering, "_blocks", spy)
-        result = kmeans(points, k, seed, max_iter=max_iter)
-    # one assignment per iteration, all in the same layout
-    assert len(layouts) >= result.iterations
-    blocks = layouts[0]
-    assert all(layout == blocks for layout in layouts)
-    assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
-    assert blocks[-1][1] == n
-    heights = [stop - start for start, stop in blocks]
-    assert set(heights[:-1]) <= {rows}
-    assert 2 <= heights[-1] <= rows + 1 or heights == [1] == [n]
-    assert_bit_identical(result, reference_kmeans(points, k, seed, max_iter=max_iter))
+        result, history = recorded_run(points, k, seed, max_iter)
+    # the first and the final pass (and the recording's passes) measure
+    # every point, in the same layout
+    full = [layout for n_rows, layout in layouts if n_rows == n]
+    assert len(full) >= 2
+    assert all(layout == full[0] for layout in full)
+    for n_rows, blocks in layouts:
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == n_rows
+        heights = [stop - start for start, stop in blocks]
+        assert set(heights[:-1]) <= {rows}
+        assert 2 <= heights[-1] <= rows + 1 or heights == [1] == [n]
+    assert_bit_identical(
+        result, reference_kmeans(points, k, seed, max_iter=max_iter), points, k, seed, history
+    )
 
 
 class TestKmeansBlockLayouts:
@@ -174,3 +216,161 @@ class TestKmeansBlockLayouts:
         # over n - 1 (rows == -1); 2000 mod 3 == 2
         points = filter_scale_points(n, d, seed)
         assert_bit_identical_in_blocks(points, k, seed, n - 1 if rows == -1 else rows)
+
+
+def measured_rows(monkeypatch):
+    """Record the point indices of every ``_measure`` call against two or
+    more centres (one centre is initialisation or repair)."""
+    calls = []
+    real = clustering._measure
+
+    def spy(space, centers, rows):
+        if centers.shape[0] > 1:
+            calls.append(rows.copy())
+        return real(space, centers, rows)
+
+    monkeypatch.setattr(clustering, "_measure", spy)
+    return calls
+
+
+class TestBoundedLoop:
+    """Edges of the bounded assignment step, each against the reference bit
+    for bit.  A point is measured again only when its bounds cannot prove
+    that a full pass would keep it where it is."""
+
+    def test_recorded_history_equals_capped_runs(self):
+        # the one-run recording the generated tests use, against the reruns;
+        # the duplicates cycle through repair until max_iter
+        rng = np.random.default_rng(5)
+        duplicates = np.repeat(np.array([[0.0, 0.1], [0.3, 0.2]]), 5, axis=0)
+        for points, k, max_iter in (
+            (rng.random((60, 3)), 5, 100),
+            (rng.integers(0, 3, (40, 2)).astype(np.float64), 7, 100),
+            (duplicates, 4, 30),
+        ):
+            result, history = recorded_run(points, k, 2, max_iter)
+            assert len(history) == result.iterations
+            assert history == inertia_prefixes(points, k, 2, result.iterations)
+
+    def test_single_row_recompute_is_measured_twice(self, monkeypatch):
+        # in one iteration exactly one point fails its bounds test; a lone
+        # row would go through gemv, which rounds unlike gemm, so it is
+        # measured as two copies of itself
+        rng = np.random.default_rng(77)
+        points = rng.integers(0, 20, size=(23, 2)).astype(np.float64)
+        layouts = []
+        real_blocks = clustering._blocks
+
+        def blocks_spy(n_rows, step):
+            layouts.append(real_blocks(n_rows, step))
+            return layouts[-1]
+
+        monkeypatch.setattr(clustering, "_blocks", blocks_spy)
+        calls = measured_rows(monkeypatch)
+        result = kmeans(points, 2, 77)
+        assert any(rows.size == 2 and rows[0] == rows[1] for rows in calls)
+        assert all(stop - start >= 2 for layout in layouts for start, stop in layout)
+        assert_bit_identical(result, reference_kmeans(points, 2, 77), points, 2, 77)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", ["one", "n"])
+    def test_one_cluster_and_one_point_per_cluster(self, seed, k):
+        rng = np.random.default_rng(seed)
+        points = rng.random((40, 4))
+        k = 1 if k == "one" else points.shape[0]
+        assert_bit_identical(
+            kmeans(points, k, seed), reference_kmeans(points, k, seed), points, k, seed
+        )
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_all_equal_points(self, k):
+        points = np.full((30, 3), 0.3)
+        assert_bit_identical(
+            kmeans(points, k, 4, max_iter=20), reference_kmeans(points, k, 4, max_iter=20),
+            points, k, 4,
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_grids_full_of_ties(self, seed):
+        # every point of {0, 1, 2}^3, each repeated: most distances tie
+        grid = np.array(np.meshgrid(*[np.arange(3.0)] * 3)).reshape(3, -1).T
+        points = np.repeat(grid, 1 + seed % 3, axis=0)
+        k = [2, 3, 4, 8, 9, 13][seed]
+        assert_bit_identical(
+            kmeans(points, k, seed), reference_kmeans(points, k, seed), points, k, seed
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raw_features_of_magnitude_1e5(self, seed):
+        # unscaled metrics (normalize=False): |x|^2 near 1e10 makes the
+        # rounding margin large next to the gaps between near distances
+        rng = np.random.default_rng(seed)
+        spread = np.floor(rng.pareto(1.5, size=(300, 6)) * 1e4)
+        points = np.vstack([spread, 1e5 + rng.integers(0, 40, size=(100, 6)) * 0.5])
+        k = 12
+        assert_bit_identical(
+            kmeans(points, k, seed), reference_kmeans(points, k, seed), points, k, seed
+        )
+
+    def test_points_moved_by_repair_are_measured_again(self, monkeypatch):
+        moved = []
+        real_repair = clustering._repair_empty
+
+        def repair_spy(points, assignments, centroids, k):
+            before = assignments.copy()
+            real_repair(points, assignments, centroids, k)
+            moved.append((len(calls), np.flatnonzero(assignments != before)))
+
+        calls = measured_rows(monkeypatch)
+        monkeypatch.setattr(clustering, "_repair_empty", repair_spy)
+        duplicates = np.repeat(np.array([[0.0, 0.1], [0.3, 0.2], [0.3, 0.5]]), 6, axis=0)
+        result = kmeans(duplicates, 5, 0, max_iter=12)
+        # the last repair runs after the loop, with no assignment step after it
+        in_loop = [(i, rows) for i, rows in moved if i < len(calls)]
+        assert any(rows.size for _, rows in in_loop)
+        for i, rows in in_loop:
+            assert np.isin(rows, calls[i]).all()
+        assert_bit_identical(
+            result, reference_kmeans(duplicates, 5, 0, max_iter=12), duplicates, 5, 0
+        )
+
+    @pytest.mark.parametrize("bad", ["nan upper", "nan lower", "inf upper", "overflowing upper"])
+    def test_unusable_bounds_send_every_point_to_be_measured(self, monkeypatch, bad):
+        # comparisons with NaN are false, so a bounds test written the other
+        # way round (stale when lhs >= rhs) would keep these points
+        value = {"nan": np.nan, "inf": np.inf, "overflowing": 1e200}[bad.split()[0]]
+        real_bounds = clustering._bounds
+
+        def bounds_spy(first, second, delta):
+            upper, lower = real_bounds(first, second, delta)
+            if bad.endswith("upper"):
+                upper[:] = value
+            else:
+                lower[:] = value
+            return upper, lower
+
+        monkeypatch.setattr(clustering, "_bounds", bounds_spy)
+        calls = measured_rows(monkeypatch)
+        rng = np.random.default_rng(8)
+        points = np.repeat(rng.random((30, 3)), 2, axis=0)
+        result = kmeans(points, 4, 8)
+        assert result.iterations >= 3
+        assert len(calls) == result.iterations
+        assert all(np.array_equal(rows, np.arange(60)) for rows in calls)
+        assert_bit_identical(result, reference_kmeans(points, 4, 8), points, 4, 8)
+
+    def test_too_small_margin_is_caught_by_the_final_pass(self, monkeypatch):
+        # one feature near 1e8 on a 0.1 grid: |x|^2 rounds by about 1e16 *
+        # eps, more than many gaps between distances.  With no margin some
+        # point keeps a centre a full pass would not give it.  One feature
+        # also keeps every product a single rounding on any BLAS
+        rng = np.random.default_rng(0)
+        n = int(rng.integers(30, 120))
+        points = 1e8 + rng.integers(0, 60, size=(n, 1)) * 0.1
+        k = int(rng.integers(2, 8))
+        kmeans(points, k, 0)
+        monkeypatch.setattr(
+            clustering, "_rounding_errors", lambda space, centers: np.zeros(space.sq.size)
+        )
+        with pytest.raises(RuntimeError, match="disagree with a full pass"):
+            kmeans(points, k, 0)

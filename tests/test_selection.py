@@ -188,7 +188,10 @@ class TestTrainingSelection:
 
 class TestBurakFilter:
     def test_matches_bruteforce_oracle_on_tie_heavy_grids(self, rng):
-        # integer features, no scaling: distances are exact, ties frequent
+        # integer features, no scaling: distances are exact, ties frequent.
+        # Target rows with more than k cases at their k-th distance take the
+        # tie-break path; rows with exactly k take every case at or below it
+        tied_rows = exact_rows = 0
         for _ in range(60):
             corpus = random_corpus(rng)
             target = corpus.get("p1.0")
@@ -197,6 +200,11 @@ class TestBurakFilter:
             got = burak_filter(pool, target, k=k, normalize=False)
             want = knn_union_oracle(pool.feature_matrix, target.feature_matrix, k)
             assert set(got.selected) == want
+            d2 = ((target.feature_matrix[:, None, :] - pool.feature_matrix[None]) ** 2).sum(2)
+            at_or_below = (d2 <= np.sort(d2, axis=1)[:, k - 1:k]).sum(axis=1)
+            tied_rows += int((at_or_below > k).sum())
+            exact_rows += int((at_or_below == k).sum())
+        assert tied_rows and exact_rows
 
     def test_matches_bruteforce_oracle_in_scaled_space(self, rng):
         for _ in range(30):
