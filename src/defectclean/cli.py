@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_select.add_argument(
         "--mixed", action="store_true",
-        help="also admit older releases of the target project into the pool",
+        help="also admit the target project's older releases (by version number, init first)",
     )
     p_select.add_argument("--out", type=Path, default=None,
                           help="write the JSON here instead of stdout")

@@ -139,6 +139,15 @@ def split_project(name: str) -> tuple[str, str]:
     return project, name[len(project):]
 
 
+def release_order(release: str) -> tuple[int, tuple[int, ...], str]:
+    """Sort key of a release within its project: ``init`` first, then
+    numeric versions by their number tuples ("1.10" after "1.9"), then any
+    other release by its text."""
+    if re.fullmatch(r"\d+(\.\d+)*", release):
+        return 1, tuple(map(int, release.split("."))), release
+    return 0 if release == "init" else 2, (), release
+
+
 #: one hand-made case: class name, its 20 metric values in
 #: :data:`METRIC_NAMES` order, and its bug count
 Row = tuple[str, Sequence[Decimal], int]
@@ -399,27 +408,35 @@ def _parse_bug_count(raw: str) -> int:
     return int(bug)
 
 
-class _CheckedCells(dict):
-    """Cell text -> ``convert(text)``, computed once per distinct text.
-
-    A text that ``convert`` rejects maps to -1, and its message is kept in
-    ``errors``, so a whole column converts in one pass and the first bad
-    row is found afterwards.
-    """
+class _Cells(dict):
+    """Cell text -> ``convert(text)``, computed once per distinct text; a
+    text that ``convert`` rejects raises on every lookup and is not kept."""
 
     def __init__(self, convert: Callable[[str], int]) -> None:
         super().__init__()
         self.convert = convert
-        self.errors: dict[str, str] = {}
 
     def __missing__(self, text: str) -> int:
-        try:
-            result = self.convert(text)
-        except ParseError as exc:
-            self.errors[text] = str(exc)
-            result = -1
-        self[text] = result
+        self[text] = result = self.convert(text)
         return result
+
+
+def _first_bad_row(lines: list[list[str]], cells: _Cells, bugs: _Cells) -> ParseError:
+    """The error of the first bad row in file order, blank lines counted:
+    its width, else its first bad metric cell, else its bug count."""
+    width = len(PROMISE_HEADER)
+    for row_no, row in enumerate(lines, start=1):
+        if not row:
+            continue
+        try:
+            if len(row) != width:
+                raise ParseError(f"expected {width} cells, got {len(row)}")
+            for text in row[3:-1]:
+                cells[text]
+            bugs[row[-1]]
+        except ParseError as exc:
+            return ParseError(f"row {row_no}: {exc}")
+    raise RuntimeError("a row failed to convert, yet every row parses")
 
 
 def parse_dataset(source: IO[str] | Iterable[str], name: str | None = None) -> Dataset:
@@ -435,47 +452,29 @@ def parse_dataset(source: IO[str] | Iterable[str], name: str | None = None) -> D
     else its bug count.
     """
     reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDatasetError("no header row") from None
+    header = next(reader, None)
+    if header is None:
+        raise EmptyDatasetError("no header row")
     _check_header(header)
 
     lines = list(reader)
     rows = lines if all(lines) else [row for row in lines if row]
-    width = len(PROMISE_HEADER)
-    # cells are checked only in the rows before the first one of the wrong
-    # width; a bad cell there is reported first
-    n = len(rows)
-    if set(map(len, rows)) - {width}:
-        n = next(i for i, row in enumerate(rows) if len(row) != width)
-    checked = rows[:n]
-
     # Each distinct cell text is parsed and checked once, and equal values
-    # share one table entry, whatever their spelling.
+    # share one table entry, whatever their spelling.  Only a failed
+    # conversion walks the lines again, to report the first bad row.
     index: dict[Decimal, int] = {}
-    cells = _CheckedCells(lambda text: index.setdefault(canonicalize_metric(text), len(index)))
-    bugs = _CheckedCells(_parse_bug_count)
-    metric_cells = itemgetter(slice(3, 3 + N_METRICS))
-    value_ids = np.fromiter(
-        map(cells.__getitem__, chain.from_iterable(map(metric_cells, checked))),
-        dtype=np.int32, count=n * N_METRICS,
-    ).reshape(n, N_METRICS)
-    bug_counts = np.fromiter(
-        map(bugs.__getitem__, map(itemgetter(-1), checked)), dtype=np.int64, count=n,
-    )
-
-    bad = (value_ids < 0).any(axis=1) | (bug_counts < 0)
-    if bad.any() or n < len(rows):
-        i = int(np.argmax(bad)) if bad.any() else n
-        if i < n:
-            row = rows[i]
-            text = next((t for t in metric_cells(row) if t in cells.errors), None)
-            message = cells.errors[text] if text is not None else bugs.errors[row[-1]]
-        else:
-            message = f"expected {width} cells, got {len(rows[i])}"
-        row_no = [no for no, line in enumerate(lines, start=1) if line][i]
-        raise ParseError(f"row {row_no}: {message}")
+    cells = _Cells(lambda text: index.setdefault(canonicalize_metric(text), len(index)))
+    bugs = _Cells(_parse_bug_count)
+    try:
+        if set(map(len, rows)) - {len(PROMISE_HEADER)}:
+            raise ParseError("a row of the wrong width")
+        value_ids = np.fromiter(
+            map(cells.__getitem__, chain.from_iterable(map(itemgetter(slice(3, -1)), rows))),
+            dtype=np.int32, count=len(rows) * N_METRICS,
+        ).reshape(len(rows), N_METRICS)
+        bug_counts = np.fromiter(map(bugs.__getitem__, map(itemgetter(-1), rows)), np.int64)
+    except ParseError:
+        raise _first_bad_row(lines, cells, bugs) from None
     if not rows:
         raise EmptyDatasetError("no data rows")
     if name is None:

@@ -422,20 +422,22 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
         for ds in original
     }
 
-    global _STATE
-    _STATE = {"config": config, "original": original, "cleaned": cleaned}
-    _check_peters_clusters(targets)
-    workers = _worker_count()
-    if workers > 1 and len(targets) > 1:
-        # fork inherits _STATE; results are reassembled in target order, so
-        # the outcome is identical to the serial run
-        import multiprocessing
+    _STATE.update(config=config, original=original, cleaned=cleaned)
+    try:
+        _check_peters_clusters(targets)
+        workers = _worker_count()
+        if workers > 1 and len(targets) > 1:
+            # fork inherits _STATE; results are reassembled in target order,
+            # so the outcome is identical to the serial run
+            import multiprocessing
 
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            chunks = list(pool.map(_target_results, targets))
-    else:
-        chunks = [_target_results(t) for t in targets]
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                chunks = list(pool.map(_target_results, targets))
+        else:
+            chunks = [_target_results(t) for t in targets]
+    finally:
+        _STATE.clear()  # the corpora are not kept alive after the run
 
     results = tuple(r for chunk in chunks for r in chunk)
     logger.info(

@@ -97,34 +97,27 @@ def prune_tree(node_feature, node_threshold, node_left, node_right,
     """Collapse subtrees whose pessimistic error a single leaf can match.
 
     Works bottom-up in place; collapsed internal nodes become leaves.
-    Iterative post-order walk, so arbitrarily deep trees are fine.  Returns
-    the arrays of the nodes still reachable, in their old order, with the
+    Children are numbered after their parent, so one pass from the last
+    node to the root sees every subtree before its root.  Returns the
+    arrays of the nodes still reachable, in their old order, with the
     child ids renumbered.
     """
     z = statistics.NormalDist().inv_cdf(1.0 - CONFIDENCE)
     estimate = np.empty(node_feature.shape[0], dtype=np.float64)
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        node, children_done = stack.pop()
+    for node in range(node_feature.shape[0] - 1, -1, -1):
         n = int(node_n[node])
         leaf_errors = min(int(node_pos[node]), n - int(node_pos[node]))
-        leaf_estimate = _pessimistic_errors(n, leaf_errors, z)
+        estimate[node] = _pessimistic_errors(n, leaf_errors, z)
         if node_feature[node] == -1:
-            estimate[node] = leaf_estimate
-        elif not children_done:
-            stack.append((node, True))
-            stack.append((int(node_left[node]), False))
-            stack.append((int(node_right[node]), False))
+            continue
+        subtree = estimate[int(node_left[node])] + estimate[int(node_right[node])]
+        if estimate[node] <= subtree:
+            node_feature[node] = -1
+            node_threshold[node] = 0.0
+            node_left[node] = -1
+            node_right[node] = -1
         else:
-            subtree = estimate[int(node_left[node])] + estimate[int(node_right[node])]
-            if leaf_estimate <= subtree:
-                node_feature[node] = -1
-                node_threshold[node] = 0.0
-                node_left[node] = -1
-                node_right[node] = -1
-                estimate[node] = leaf_estimate
-            else:
-                estimate[node] = subtree
+            estimate[node] = subtree
 
     keep = np.zeros(node_feature.shape[0], dtype=bool)
     level = np.zeros(1, dtype=np.int64)

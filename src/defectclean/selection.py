@@ -4,8 +4,8 @@ A source pool is the set of candidate training cases for one target
 dataset.  In strict mode the pool contains every case of every dataset
 whose *project* differs from the target's project, so no variant of the
 target system can leak into training.  Mixed mode relaxes this to also
-admit releases of the target project whose name sorts before the target
-(i.e. its history), excluding the target itself and anything newer.
+admit the target project's older releases by version number, ``init``
+first (i.e. its history), excluding the target itself and anything newer.
 
 Three filters pick training cases from the pool:
 
@@ -39,7 +39,7 @@ from typing import Mapping
 import numpy as np
 
 from .clustering import PointSet, default_k, kmeans
-from .data import Corpus, Dataset
+from .data import Corpus, Dataset, release_order
 
 logger = logging.getLogger(__name__)
 
@@ -106,14 +106,16 @@ def build_pool(corpus: Corpus, target: Dataset, mode: str = "strict") -> SourceP
     """Assemble the source pool for a target dataset.
 
     strict: exclude every release of the target's project.
-    mixed: exclude only the target itself and same-project releases whose
-    name does not sort before the target's.
+    mixed: exclude only the target itself and same-project releases that
+    do not come before it in :func:`release_order`.
     """
     if mode not in ("strict", "mixed"):
         raise ValueError(f"unknown pool mode {mode!r}")
+    target_order = release_order(target.release)
     sources = tuple(
         ds for ds in corpus
-        if ds.project != target.project or (mode == "mixed" and ds.name < target.name)
+        if ds.project != target.project
+        or (mode == "mixed" and release_order(ds.release) < target_order)
     )
     pool = SourcePool(sources)
     if not len(pool):

@@ -461,6 +461,21 @@ class TestRunExperiment:
         run = run_grid(corpus, filters=("peters",), peters_clusters=50)
         assert all("empty source pool" in r.note for r in run.results)
 
+    def test_no_state_is_kept_after_a_run(self, monkeypatch):
+        # the config and both capped corpora are dropped when the run ends:
+        # after a finished run, a run the cluster check rejects, and a run
+        # on worker processes
+        corpus = synthetic_corpus(seed=3, cases=40)
+        run_grid(corpus, targets=("alpha1.0",))
+        assert harness._STATE == {}
+        with pytest.raises(ValueError, match="^peters_clusters: "):
+            run_grid(corpus, sample_cap=2, peters_clusters=50, filters=("peters",))
+        assert harness._STATE == {}
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        run = run_grid(corpus, targets=("alpha1.0", "beta2.0"))
+        assert {r.target for r in run.results} == {"alpha1.0", "beta2.0"}
+        assert harness._STATE == {}
+
     def test_variants_and_metrics_constants(self):
         assert VARIANTS == ("original", "cleaned")
         assert METRICS == ("fmeasure", "auc")

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from defectclean import clustering
 from defectclean.clustering import default_k, kmeans
-from defectclean.data import Corpus, Dataset, metric_float
+from defectclean.data import Corpus, Dataset, metric_float, release_order, split_project
+from defectclean.datagen import synthetic_corpus
 from defectclean.selection import (
     FILTERS,
     build_pool,
@@ -28,6 +29,7 @@ from defectclean.selection import (
     select_training_data,
 )
 
+from ._reference_tables import ORIGINAL_SIZES
 from .conftest import case, dataset, decimal_rows, problem_datasets, random_vector
 
 
@@ -97,6 +99,39 @@ class TestBuildPool:
         assert {origin for origin, _ in pool_rows(pool, corpus)} == {"p1.0", "q1.0", "r2.0"}
         older = build_pool(corpus, corpus.get("p1.0"), mode="mixed")
         assert {origin for origin, _ in pool_rows(older, corpus)} == {"q1.0", "r2.0"}
+
+    def test_release_order_of_every_published_project(self):
+        # name order is release order everywhere but xerces, whose initial
+        # release sorts last by name
+        projects: dict[str, list[str]] = {}
+        for name in sorted(ORIGINAL_SIZES):
+            projects.setdefault(split_project(name)[0], []).append(name)
+        by_release = {
+            project: sorted(names, key=lambda name: release_order(split_project(name)[1]))
+            for project, names in projects.items() if len(names) > 1
+        }
+        assert len(by_release) == 12
+        assert by_release.pop("xerces") == ["xercesinit", "xerces1.2", "xerces1.3", "xerces1.4"]
+        assert all(names == projects[project] for project, names in by_release.items())
+
+    def test_release_order_is_numeric_then_textual(self):
+        releases = ["", "1.10", "rc", "init", "2", "1.9", "1.9.1", "10"]
+        assert sorted(releases, key=release_order) == [
+            "init", "1.9", "1.9.1", "1.10", "2", "10", "", "rc"]
+        assert release_order("1.0") < release_order("1.00")  # equal numbers, still ordered
+
+    def test_mixed_pool_follows_release_order(self):
+        corpus = synthetic_corpus(
+            seed=1, releases=("xerces1.2", "xerces1.3", "xerces1.4", "xercesinit", "ant1.7"))
+        sources = {
+            name: [ds.name for ds in build_pool(corpus, corpus.get(name), "mixed").sources]
+            for name in ("xercesinit", "xerces1.2", "xerces1.4")
+        }
+        assert sources == {
+            "xercesinit": ["ant1.7"],
+            "xerces1.2": ["xercesinit", "ant1.7"],
+            "xerces1.4": ["xerces1.2", "xerces1.3", "xercesinit", "ant1.7"],
+        }
 
     def test_entries_carry_origin_rows(self, rng):
         corpus = random_corpus(rng)
