@@ -9,8 +9,47 @@ defect-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+@dataclass(frozen=True)
+class RankTable:
+    """Dense ranks of every column of a feature matrix.
+
+    Each column's sorted distinct floats fill one slice of ``values``,
+    column after column; ``feature`` names the column of every slot, and
+    ``offsets[f]`` is where column f's slice starts (``offsets[d]`` is the
+    total).  ``codes[row, f]`` is the slot of ``X[row, f]``, so two rows
+    share a code exactly when their values compare equal, and codes order
+    as the values do.  All arrays are read-only.
+    """
+
+    codes: np.ndarray  # (n, d) int64
+    values: np.ndarray  # (offsets[d],) float64
+    feature: np.ndarray  # (offsets[d],) int64
+    offsets: np.ndarray  # (d + 1,) int64
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> RankTable:
+        columns = [np.unique(column, return_inverse=True) for column in X.T]
+        sizes = [values.size for values, _ in columns]
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        table = cls(
+            np.stack([inverse for _, inverse in columns], axis=1) + offsets[:-1],
+            np.concatenate([values for values, _ in columns]),
+            np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+            offsets,
+        )
+        for array in (table.codes, table.values, table.feature, table.offsets):
+            array.flags.writeable = False
+        return table
+
+
+def _reject_nan(X: np.ndarray) -> None:
+    if np.isnan(X).any():
+        raise ValueError("features hold NaN")
 
 
 @dataclass(frozen=True)
@@ -27,6 +66,9 @@ class TrainingMatrix:
             raise ValueError(f"row mismatch: {self.X.shape[0]} features vs {self.y.shape[0]} labels")
         if self.X.shape[0] == 0:
             raise ValueError("training set is empty")
+        if self.X.shape[1] == 0:
+            raise ValueError("training set has no features")
+        _reject_nan(self.X)
 
     @property
     def n_rows(self) -> int:
@@ -36,6 +78,12 @@ class TrainingMatrix:
     def n_features(self) -> int:
         return int(self.X.shape[1])
 
+    @cached_property
+    def ranks(self) -> RankTable:
+        """The rank table of ``X``, built on first use and then shared by
+        every tree trained on this matrix."""
+        return RankTable.of(self.X)
+
 
 def check_features(model_features: int, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
@@ -44,6 +92,7 @@ def check_features(model_features: int, X: np.ndarray) -> np.ndarray:
             f"feature dimension mismatch: model expects {model_features}, "
             f"got array of shape {X.shape}"
         )
+    _reject_nan(X)
     return X
 
 

@@ -76,5 +76,5 @@ def train_forest(data: TrainingMatrix, trees: int = 100, seed: int = 0) -> TreeM
         sample_idx = rng.integers(0, n, size=n, dtype=np.int64)
         feature_table = FeatureSubsets(rng, d, m, rows=2 * n + 1)
         # unpruned: only pure nodes and unsplittable ones stop the growth
-        grown.append(grow_tree_arrays(data.X, data.y, sample_idx, feature_table))
+        grown.append(grow_tree_arrays(data.X, data.y, sample_idx, feature_table, data.ranks))
     return TreeModel(d, grown)

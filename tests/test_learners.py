@@ -22,10 +22,12 @@ from defectclean.learners import (
     train_naive_bayes,
     train_tree,
 )
-from defectclean.learners.base import TrainingMatrix, predict
+from defectclean.learners.base import RankTable, TrainingMatrix, check_features, predict
 from defectclean.learners.forest import FeatureSubsets, default_feature_count, _tree_rng
 from defectclean.learners.tree import (
+    COUNT_ROWS_PER_VALUE,
     TreeModel,
+    _Histograms,
     _pessimistic_errors,
     entropy_table,
     grow_tree_arrays,
@@ -33,7 +35,7 @@ from defectclean.learners.tree import (
     prune_tree,
 )
 
-from ._reference_tree import reference_grow, reference_predict
+from ._reference_tree import reference_grow, reference_predict, sorting_grow
 from .conftest import case, dataset
 
 
@@ -80,6 +82,38 @@ def separable(rng, n=60, d=6, gap=8.0) -> TrainingMatrix:
     return matrix(X, y)
 
 
+def pool(rng, n, values, d=20) -> TrainingMatrix:
+    """A noisy pool whose features take about ``values`` distinct values
+    each: 16 integer levels, each jittered into ``values // 16`` steps."""
+    levels = rng.integers(0, 16, size=(n, d)).astype(np.float64)
+    steps = max(1, values // 16)
+    X = levels + rng.integers(0, steps, size=(n, d)) / (steps * 1000.0)
+    y = levels[:, :3].sum(axis=1) + rng.normal(0.0, 6.0, n) > 24.0
+    return matrix(X, y)
+
+
+def same_arrays(fast, slow) -> None:
+    assert len(fast) == len(slow) == 6
+    for a, b in zip(fast, slow):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.fixture
+def counted_splits(monkeypatch) -> list:
+    """Records the node sizes ``(n, pos)`` of every split read off class
+    counts rather than sorted."""
+    calls = []
+    split = _Histograms.split
+
+    def spy(self, hist, feats, n_node, pos, table):
+        calls.append((n_node, pos))
+        return split(self, hist, feats, n_node, pos, table)
+
+    monkeypatch.setattr(_Histograms, "split", spy)
+    return calls
+
+
 class TestTrainingMatrix:
     def test_from_dataset_columns(self):
         ds = dataset("tm1.0", [case("a", True, 1, 2), case("b", False, 3)])
@@ -95,6 +129,48 @@ class TestTrainingMatrix:
             matrix([[1.0], [2.0]], [True])
         with pytest.raises(ValueError, match="empty"):
             matrix(np.empty((0, 3)), np.empty(0, dtype=bool))
+        with pytest.raises(ValueError, match="no features"):
+            matrix(np.empty((2, 0)), [True, False])
+
+
+class TestRankTable:
+    def test_codes_index_each_columns_sorted_distinct_values(self):
+        lo, hi = 1 + 2**-52, 1 + 2**-51
+        X = np.array([[2.0, math.inf], [lo, 1.0], [2.0, 1.0], [hi, 0.0], [lo, math.inf]])
+        ranks = RankTable.of(X)
+        assert ranks.values.tolist() == [lo, hi, 2.0, 0.0, 1.0, math.inf]
+        assert ranks.offsets.tolist() == [0, 3, 6]
+        assert ranks.feature.tolist() == [0, 0, 0, 1, 1, 1]
+        assert ranks.codes.tolist() == [[2, 5], [0, 4], [2, 4], [1, 3], [0, 5]]
+        assert np.array_equal(ranks.values[ranks.codes], X)
+
+    def test_built_once_per_matrix_read_only_and_shared(self, monkeypatch):
+        built = []
+        of = RankTable.of.__func__
+        monkeypatch.setattr(RankTable, "of", classmethod(
+            lambda cls, X: built.append(X) or of(cls, X)))
+        used = []
+        init = _Histograms.__init__
+
+        def spy(self, ranks, *args):
+            used.append(ranks)
+            init(self, ranks, *args)
+
+        monkeypatch.setattr(_Histograms, "__init__", spy)
+        data = pool(np.random.default_rng(5), 400, 16)
+        train("naive_bayes", data)
+        assert built == []  # built in tree training, never before
+        train("decision_tree", data)
+        train("random_forest", data, seed=2, trees=3)
+        # one table, built once and counted over by the tree and every
+        # forest tree
+        assert len(built) == 1 and built[0] is data.X
+        assert len(used) == 4 and all(ranks is data.ranks for ranks in used)
+        ranks = data.ranks
+        for array in (ranks.codes, ranks.values, ranks.feature, ranks.offsets):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestNaiveBayes:
@@ -306,14 +382,23 @@ class TestPessimisticBound:
 
 def kernel_cases(draw):
     """Small trees with every awkward input the kernel must handle."""
-    n = draw(st.integers(1, 40))
+    # from a few dozen rows on, the root and other big nodes count their
+    # classes per value instead of sorting
+    n = draw(st.integers(1, 200))
     wide = draw(st.booleans())  # the 20 standard metrics, 5 per forest node
     d = 20 if wide else draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.integers(1, 6))  # 1: every value tied
     X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
-    if draw(st.booleans()):
+    values = draw(st.sampled_from(["integers", "decimals", "inf", "adjacent"]))
+    if values == "decimals":
         X *= 0.1  # decimal ratios: midpoints round
+    elif values == "inf":
+        X[X == levels - 1] = math.inf  # midpoints with inf are inf
+    elif values == "adjacent":
+        # adjacent floats: their midpoint rounds up onto the upper one
+        X[X == 0] = 1 + 2**-52
+        X[X == 1] = 1 + 2**-51
     X[:, rng.random(d) < draw(st.sampled_from([0.0, 0.3]))] = 3.0  # constant
     y = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
     if d >= 2 and draw(st.booleans()):  # XOR: no single split has gain
@@ -423,6 +508,27 @@ class TestKernelAgainstReference:
                             reference_grow(X, y, idx, table)):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("values", ["inf", "adjacent"])
+    def test_big_nodes_with_inf_and_adjacent_floats(self, values, counted_splits):
+        # 200 rows over 4 levels per feature, so the nodes near the root
+        # count their classes; feature 3's top gap has the midpoint inf, or
+        # its bottom gap a midpoint that rounds onto the upper value
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 4, size=(200, 4)).astype(np.float64)
+        y = X[:, 0] + X[:, 3] + rng.normal(0.0, 1.0, 200) > 3.0
+        if values == "inf":
+            X[X[:, 3] == 3, 3] = math.inf
+        else:
+            X[X[:, 3] == 0, 3] = 1 + 2**-52
+            X[X[:, 3] == 1, 3] = 1 + 2**-51
+        for idx in (np.arange(200), rng.integers(0, 200, size=200)):
+            for table in (np.arange(4)[None, :], np.array([[3]])):
+                counted_splits.clear()
+                fast = grow_tree_arrays(X, y, idx, table)
+                same_arrays(fast, reference_grow(X, y, idx, table))
+                same_arrays(fast, sorting_grow(X, y, idx, table))
+                assert len(counted_splits) >= 2
+
     def test_degenerate_split_below_a_real_one(self):
         # the root splits 0 from the rest; its right child holds 5 and inf
         # with both labels and can only be a leaf
@@ -452,6 +558,37 @@ class TestKernelAgainstReference:
         assert table[0] == 0.0 and table[1] == 0.0
         for k in range(2, 7):
             assert table[k] == pytest.approx(k * math.log2(k), rel=1e-15)
+
+
+class TestCountingAgainstSorting:
+    """The kernel against the all-sorting oracle on pools with thousands of
+    rows, where big nodes count their classes."""
+
+    @pytest.mark.parametrize("n,values,forest_counts", [
+        (2400, 16, True),     # the benchmark twin's narrow features
+        (2400, 480, False),   # jittered: the forest's nodes all sort
+        (6000, 2000, False),
+    ])
+    def test_pruned_tree_and_forest(self, n, values, forest_counts, counted_splits):
+        data = pool(np.random.default_rng(values), n, values)
+        assert values * 0.8 < data.ranks.values.size / 20 <= values
+        idx = np.arange(n, dtype=np.int64)
+        table = np.arange(20, dtype=np.int64)[None, :]
+        same_arrays(grow_tree_arrays(data.X, data.y, idx, table, data.ranks),
+                    sorting_grow(data.X, data.y, idx, table))
+        assert counted_splits
+        assert all(n_node >= COUNT_ROWS_PER_VALUE * data.ranks.values.size / 20
+                   for n_node, _ in counted_splits)
+        same_arrays(only_tree(train_tree(data)),
+                    prune_tree(*sorting_grow(data.X, data.y, idx, table)))
+
+        counted_splits.clear()
+        forest = train_forest(data, 5, seed=1)
+        for t, arrays in enumerate(forest.trees):
+            gen = _tree_rng(1, t)
+            idx = gen.integers(0, n, size=n, dtype=np.int64)
+            same_arrays(arrays, sorting_grow(data.X, data.y, idx, eager_subsets(gen, n, 20, 5)))
+        assert bool(counted_splits) == forest_counts
 
 
 class TestRandomForest:
@@ -566,6 +703,20 @@ class TestDispatch:
         data = separable(rng, n=20, d=4, gap=1.0)
         scores = train(name, data, trees=3).predict_proba(rng.random((7, 4)))
         assert scores.shape == (7,) and scores.dtype == np.float64
+
+    @pytest.mark.parametrize("name", LEARNER_NAMES)
+    def test_nan_features_are_rejected(self, name, rng):
+        data = separable(rng, n=20, d=4, gap=1.0)
+        X = data.X.copy()
+        X[3, 2] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            train(name, matrix(X, data.y), trees=3)
+        model = train(name, data, trees=3)
+        with pytest.raises(ValueError, match="NaN"):
+            model.predict_proba(X)
+        X[3, 2] = math.inf  # inf stays a value
+        assert matrix(X, data.y).n_rows == 20
+        assert check_features(4, X) is not None
 
     def test_unknown_learner(self, rng):
         with pytest.raises(ValueError, match="unknown learner"):
