@@ -19,6 +19,11 @@ from .base import TrainingMatrix, check_features
 VARIANCE_FLOOR = 1e-9
 
 
+def _require_finite(X: np.ndarray) -> None:
+    if not np.isfinite(X).all():
+        raise ValueError("naive Bayes needs finite features")
+
+
 @dataclass
 class GaussianNBModel:
     n_features: int
@@ -29,6 +34,7 @@ class GaussianNBModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = check_features(self.n_features, X)
+        _require_finite(X)
         n = X.shape[0]
         if self.single_class:
             return np.full(n, float(np.argmax(self.log_prior)))
@@ -47,6 +53,7 @@ class GaussianNBModel:
 
 def train_naive_bayes(data: TrainingMatrix) -> GaussianNBModel:
     """Fit class-conditional Gaussians with Laplace-smoothed priors."""
+    _require_finite(data.X)
     n = data.n_rows
     counts = np.array([int(np.sum(~data.y)), int(np.sum(data.y))])
     log_prior = np.log((counts + 1.0) / (n + 2.0))

@@ -4,13 +4,14 @@ Splits are binary numeric tests ``x[f] <= t`` with thresholds at midpoints
 between sorted distinct values.  The split maximising gain ratio wins; ties
 go to the lower feature index, then the lower threshold.  A node becomes a
 leaf when it is pure or has no separating threshold at all.  It also
-becomes a leaf when the chosen threshold separates nothing: the midpoint of
-two adjacent floats can round up onto the upper value (and the midpoint
-with ``inf`` is ``inf``), so when that value is the node's largest,
-``x <= t`` holds for every row.  When every candidate has zero information
-gain but the node is still impure (classic example: an XOR-style pattern),
-the first candidate (lowest feature, lowest threshold) is taken instead of
-giving up, so consistent training data is always fit exactly.
+becomes a leaf when the chosen threshold separates nothing: the midpoint
+of two adjacent floats can round up onto the upper value, and the
+midpoint with ``inf`` is ``inf``, so when that value is the node's
+largest, ``x <= t`` holds for every row (as it does when the two values'
+sum overflows).  When every candidate has zero information gain but the
+node is still impure (classic example: an XOR-style pattern), the first
+candidate (lowest feature, lowest threshold) is taken instead of giving
+up, so consistent training data is always fit exactly.
 
 Pruning replaces a subtree by a leaf when the leaf's pessimistic error
 estimate (continuity-corrected upper confidence bound at
@@ -19,24 +20,23 @@ the nodes below a collapsed subtree are then dropped from the arrays.
 Subtree raising is not performed.
 
 Growth is one numpy kernel over the distinct sampled rows, each weighted
-by its sample count and its defective count.  A node scores its candidate
-splits in one of two exact ways.  A small node argsorts only its candidate
-features over its own rows and scores only the gaps where adjacent sorted
-values differ: copies of a row share every value, so the prefix sums of
-the weights at a gap count every tie whatever order ties were sorted in,
-and each gap of a per-sample scan maps to one gap here, in the same
-row-major (feature, threshold) order.  A big node, one whose distinct rows
-times its candidate features reach :data:`COUNT_ROWS_PER_VALUE` times the
-distinct values of all features, reads its splits off exact integer
-class counts per (feature, value) instead.  Those are kept over the slots
-of the training matrix's :class:`~.base.RankTable`, which is built once
-per matrix and shared by every tree grown on it.  A split counts only its
-smaller child with ``np.bincount``; the larger child is the parent minus
-the smaller (the class histograms of SLIQ, Mehta et al. 1996, with the
-histogram subtraction of LightGBM, Ke et al. 2017).  The prefix counts at
-the values present in the node are the integers a sorted scan reads at
-its gaps, in the same (feature, value) order, and the threshold is the
-midpoint of the same two floats, so both ways choose the same split.
+by its sample count and its defective count.  It reads only the integer
+codes of the training matrix's :class:`~.base.RankTable` (built once per
+matrix, shared by every tree grown on it), which order as the values do;
+floats are read once per split, for its threshold, as in SLIQ (Mehta et
+al. 1996).  A small node argsorts its candidate features' codes over its
+own rows and scores only the gaps where adjacent codes differ: copies of
+a row share every code, so the prefix sums of the weights at a gap count
+every tie whatever order ties were sorted in, and each gap of a
+per-sample scan maps to one gap here, in the same row-major (feature,
+threshold) order.  A big node, one whose distinct rows times its
+candidate features reach :data:`COUNT_ROWS_PER_VALUE` times the distinct
+values of all features, reads the same prefix counts off exact integer
+class counts per code instead; a split counts only its smaller child with
+``np.bincount`` and takes the larger as the parent minus the smaller (the
+histogram subtraction of LightGBM, Ke et al. 2017).  Both kinds end in
+the winning gap's two codes, and one rule places the cut: ``x <= t`` is
+``code <= last``, for the last of the two whose value is at most ``t``.
 Entropies come from integer class counts through one ``k * log2(k)``
 table (the count form of C4.5, Quinlan 1993), so any code path that
 combines the same table entries in the same order makes bit-identical
@@ -243,9 +243,10 @@ class _Histograms:
         return hist_left if want_left else None, hist_right if want_right else None
 
     def split(self, hist: np.ndarray, feats: np.ndarray, n_node: int, pos: int,
-              table: np.ndarray) -> tuple[int, float, int, int] | None:
-        """The node's best feature and threshold and the left child's
-        (n, pos), or None when no candidate feature separates its rows.
+              table: np.ndarray) -> tuple[int, int, np.ndarray] | None:
+        """The slots ``lo < hi`` of the node's best gap, and the running
+        (n, pos) within each feature at every slot, or None when no
+        candidate feature separates the node's rows.
 
         Prefix sums at the slots present in the node are the counts a
         sorted scan takes at its gaps, in the same (feature, value) order.
@@ -266,34 +267,24 @@ class _Histograms:
             return None
         nl, pl = within[:, cand]
         lo = int(cand[_best_candidate(nl, pl, n_node, pos, table)])
-        best_f = int(ranks.feature[lo])
-        start, end = int(ranks.offsets[best_f]), int(ranks.offsets[best_f + 1])
+        end = int(ranks.offsets[ranks.feature[lo] + 1])
         hi = lo + 1 + int(np.argmax(hist[0, lo + 1:end] > 0))
-        best_t = (ranks.values[lo] + ranks.values[hi]) / 2.0
-        # x <= t holds below slot ``cut``: the midpoint may round onto the
-        # upper value, or be inf
-        cut = start + int(np.searchsorted(ranks.values[start:end], best_t, side="right"))
-        return best_f, best_t, int(within[0, cut - 1]), int(within[1, cut - 1])
+        return lo, hi, within
 
 
-def grow_tree_arrays(
-    X: np.ndarray,
-    y: np.ndarray,
-    sample_idx: np.ndarray,
-    feature_table,
-    ranks: RankTable | None = None,
-) -> tuple[np.ndarray, ...]:
+def grow_tree_arrays(ranks: RankTable, y: np.ndarray, sample_idx: np.ndarray,
+                     feature_table) -> tuple[np.ndarray, ...]:
     """Grow a tree over the samples ``sample_idx`` (duplicates allowed).
 
+    ``ranks`` is the rank table of the training matrix; growth reads only
+    its integer codes, and its floats once per split, for the threshold.
     ``feature_table[j]`` holds the sorted candidate feature indices for
-    node j; a single-row table is shared by all nodes.  ``ranks`` is the
-    rank table of ``X`` (built here when not given).  Returns the node
+    node j; a single-row table is shared by all nodes.  Returns the node
     arrays (feature, threshold, left, right, n, pos), numbered depth-first
     with the left child first.  Leaves have ``feature == -1``.
     """
-    X = np.asarray(X, dtype=np.float64)
     rows, counts = np.unique(sample_idx, return_counts=True)
-    columns = np.ascontiguousarray(X[rows].T)
+    codes = np.ascontiguousarray(ranks.codes[rows].T)
     n = int(sample_idx.shape[0])
     if n >= 1 << 31:
         raise ValueError(f"{n} samples: the packed class counts hold at most 2**31 - 1")
@@ -306,8 +297,6 @@ def grow_tree_arrays(
     # each node owns a contiguous [start, end) segment of the distinct rows
     members = np.arange(rows.shape[0])
 
-    if ranks is None:
-        ranks = RankTable.of(X)
     # counting covers every feature's slots, sorting only the candidates
     big = COUNT_ROWS_PER_VALUE * ranks.values.size / len(feature_table[0])
     counting = root_hist = None
@@ -334,11 +323,39 @@ def grow_tree_arrays(
             found = counting.split(hist, feats, n_node, pos, table)
             if found is None:
                 continue
-            best_f, best_t, left_n, left_p = found
-            if left_n == n_node:
-                # x <= t holds for every row, as in the sorted case below
+            lo, hi, within = found
+        else:
+            keys = codes[feats[:, None], segment]
+            # ties may come out in any order: the class counts below are taken
+            # only where the code changes, and there they count every tie
+            order = keys.argsort(axis=1)
+            keys = keys.ravel()[order + np.arange(0, keys.size, end - start)[:, None]]
+            # separating gaps as flat row-major indices into (features, gaps)
+            cand = np.flatnonzero(keys[:, :-1] != keys[:, 1:])
+            if not cand.size:
                 continue
-            goes_left = columns[best_f, segment] <= best_t
+            ranked = segment[order]
+            sums = np.cumsum(weights[ranked], axis=1)
+            left = sums.ravel()[cand + cand // (end - start - 1)]
+            best = _best_candidate(left >> 32, left & LOW, n_node, pos, table)
+            row, i = divmod(int(cand[best]), end - start - 1)
+            lo, hi = int(keys[row, i]), int(keys[row, i + 1])
+
+        # Python floats, whose sum overflows to inf without a warning
+        low, high = float(ranks.values[lo]), float(ranks.values[hi])
+        best_f, best_t = int(ranks.feature[lo]), (low + high) / 2.0
+        if not low <= best_t <= high:
+            # the sum overflowed (or is -inf + inf): x <= t separates nothing
+            continue
+        # x <= t is code <= last: the midpoint may round down onto the
+        # lower value or up onto the upper one, and is inf next to inf
+        last = hi if best_t == high else lo
+        if hist is not None:
+            left_n, left_p = int(within[0, last]), int(within[1, last])
+            if left_n == n_node:
+                # x <= t holds for every row, so the split separates nothing
+                continue
+            goes_left = codes[best_f, segment] <= last
             n_left = int(np.count_nonzero(goes_left))
             members[start:end] = np.concatenate((segment[goes_left], segment[~goes_left]))
             hist_left, hist_right = counting.children(
@@ -347,32 +364,12 @@ def grow_tree_arrays(
                 end - start - n_left >= big and 0 < pos - left_p < n_node - left_n,
             )
         else:
-            values = columns[feats[:, None], segment]
-            # ties may come out in any order: the class counts below are taken
-            # only where the value changes, and there they count every tie
-            order = values.argsort(axis=1)
-            values = values.ravel()[order + np.arange(0, values.size, end - start)[:, None]]
-            # separating gaps as flat row-major indices into (features, gaps)
-            cand = np.flatnonzero(values[:, :-1] != values[:, 1:])
-            if not cand.size:
-                continue
-            ranked = segment[order]
-            sums = np.cumsum(weights[ranked], axis=1)
-            left = sums.ravel()[cand + cand // (end - start - 1)]
-            best = _best_candidate(left >> 32, left & LOW, n_node, pos, table)
-            row, i = divmod(int(cand[best]), end - start - 1)
-            best_f = int(feats[row])
-            best_t = (values[row, i] + values[row, i + 1]) / 2.0
-
-            # the left child is the sorted prefix with x <= t: i + 1 rows,
-            # unless the midpoint rounded up onto the next value
-            n_left = int(np.searchsorted(values[row], best_t, side="right"))
-            if n_left == end - start:
-                # it rounded onto the largest value (or the upper value is inf):
-                # x <= t holds for every row, so the split separates nothing
+            # the left child is the sorted prefix with code <= last
+            n_left = int(np.searchsorted(keys[row], last, side="right"))
+            if n_left == end - start:  # as above, the split separates nothing
                 continue
             members[start:end] = ranked[row]
-            left_sums = int(sums[row, n_left - 1]) if n_left else 0
+            left_sums = int(sums[row, n_left - 1])
             left_n, left_p = left_sums >> 32, left_sums & LOW
             hist_left = hist_right = None
 
@@ -391,6 +388,6 @@ def train_tree(data: TrainingMatrix) -> TreeModel:
     """Grow and prune a tree on the full training set."""
     feature_table = np.arange(data.n_features, dtype=np.int64)[None, :]
     arrays = grow_tree_arrays(
-        data.X, data.y, np.arange(data.n_rows, dtype=np.int64), feature_table, data.ranks,
+        data.ranks, data.y, np.arange(data.n_rows, dtype=np.int64), feature_table,
     )
     return TreeModel(data.n_features, [prune_tree(*arrays)])

@@ -46,7 +46,7 @@ def matrix(X, y) -> TrainingMatrix:
 def unpruned_tree(data: TrainingMatrix) -> TreeModel:
     """The tree ``train_tree`` grows on ``data``, before pruning."""
     return TreeModel(data.n_features, [grow_tree_arrays(
-        data.X, data.y, np.arange(data.n_rows, dtype=np.int64),
+        data.ranks, data.y, np.arange(data.n_rows, dtype=np.int64),
         np.arange(data.n_features, dtype=np.int64)[None, :])])
 
 
@@ -219,6 +219,20 @@ class TestNaiveBayes:
         all_neg = train_naive_bayes(matrix([[1.0], [2.0]], [False, False]))
         assert np.array_equal(all_neg.predict_proba(np.array([[5.0]])), [0.0])
 
+    def test_training_rejects_non_finite_features(self):
+        # an inf feature makes a class mean inf and its variance NaN
+        with pytest.raises(ValueError, match="finite"):
+            train_naive_bayes(matrix([[0.0], [math.inf], [1.0], [2.0]],
+                                     [False, True, False, True]))
+
+    def test_prediction_rejects_non_finite_features(self, rng):
+        # both classes' log joints would be -inf, and their difference NaN
+        model = train_naive_bayes(separable(rng, n=20, d=4))
+        X = rng.random((3, 4))
+        X[1, 0] = -math.inf
+        with pytest.raises(ValueError, match="finite"):
+            model.predict_proba(X)
+
     def test_constant_feature_hits_variance_floor(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 5.0], [1.0, 6.0]])
         y = np.array([False, False, True, True])
@@ -390,7 +404,7 @@ def kernel_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     levels = draw(st.integers(1, 6))  # 1: every value tied
     X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
-    values = draw(st.sampled_from(["integers", "decimals", "inf", "adjacent"]))
+    values = draw(st.sampled_from(["integers", "decimals", "inf", "adjacent", "adjacent_down"]))
     if values == "decimals":
         X *= 0.1  # decimal ratios: midpoints round
     elif values == "inf":
@@ -399,6 +413,10 @@ def kernel_cases(draw):
         # adjacent floats: their midpoint rounds up onto the upper one
         X[X == 0] = 1 + 2**-52
         X[X == 1] = 1 + 2**-51
+    elif values == "adjacent_down":
+        # adjacent floats: their midpoint rounds down onto the lower one
+        X[X == 1] = 1 + 2**-52
+        X[X == 0] = 1.0
     X[:, rng.random(d) < draw(st.sampled_from([0.0, 0.3]))] = 3.0  # constant
     y = rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
     if d >= 2 and draw(st.booleans()):  # XOR: no single split has gain
@@ -437,7 +455,7 @@ class TestKernelAgainstReference:
     @given(kernel_cases())
     def test_grow_equals_scalar_reference(self, case_args):
         X, y, idx, table = case_args
-        fast = grow_tree_arrays(X, y, idx, table)
+        fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
         slow = reference_grow(X, y, idx, table)
         assert len(fast) == len(slow) == 6
         for a, b in zip(fast, slow):
@@ -481,12 +499,43 @@ class TestKernelAgainstReference:
         y = np.array([True, False, False, False])
         idx = np.array(idx, dtype=np.int64)
         table = np.zeros((1, 1), dtype=np.int64)
-        fast = grow_tree_arrays(X, y, idx, table)
+        fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
         slow = reference_grow(X, y, idx, table)
         assert fast[0][0] == 0 and fast[1][0] == hi
         assert fast[4][1] == np.count_nonzero(idx <= 1)
         for a, b in zip(fast, slow):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("tile", [1, 50])
+    def test_midpoint_rounding_onto_the_lower_value(self, tile, counted_splits):
+        # the midpoint of these adjacent floats rounds down to ``lo``, so
+        # ``x <= t`` sends only the ``lo`` rows left; tiled, the root counts
+        lo, hi = 1.0, 1 + 2**-52
+        assert (lo + hi) / 2 == lo
+        X = np.tile([[lo], [hi], [5.0], [6.0]], (tile, 1))
+        y = np.tile([True, False, False, False], tile)
+        idx = np.arange(4 * tile, dtype=np.int64)
+        table = np.zeros((1, 1), dtype=np.int64)
+        fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
+        assert fast[0][0] == 0 and fast[1][0] == lo and fast[4][1] == tile
+        assert bool(counted_splits) == (tile > 1)
+        same_arrays(fast, reference_grow(X, y, idx, table))
+        same_arrays(fast, sorting_grow(X, y, idx, table))
+
+    @pytest.mark.parametrize("tile", [1, 50])
+    def test_midpoint_that_overflows_leaves_a_leaf(self, tile, counted_splits):
+        # 1e308 + 1.5e308 overflows, so the best gap's midpoint is inf and
+        # ``x <= t`` holds for every row, though 1.5e308 is not the largest
+        X = np.tile([[1e308], [1.5e308], [1.7e308]], (tile, 1))
+        y = np.tile([True, False, False], tile)
+        idx = np.arange(3 * tile, dtype=np.int64)
+        table = np.zeros((1, 1), dtype=np.int64)
+        fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
+        assert fast[0].tolist() == [-1]
+        assert bool(counted_splits) == (tile > 1)
+        same_arrays(fast, reference_grow(X, y, idx, table))
+        with np.errstate(over="ignore"):  # this oracle adds numpy floats
+            same_arrays(fast, sorting_grow(X, y, idx, table))
 
     @pytest.mark.parametrize("lo,hi", [(5.0, math.inf), (1 + 2**-52, 1 + 2**-51)])
     def test_split_that_separates_nothing_leaves_a_leaf(self, lo, hi):
@@ -504,7 +553,7 @@ class TestKernelAgainstReference:
         table = np.zeros((1, 1), dtype=np.int64)
         for rows in ([0, 1], [0, 0, 1], [0, 1, 1]):
             idx = np.array(rows, dtype=np.int64)
-            for a, b in zip(grow_tree_arrays(X, y, idx, table),
+            for a, b in zip(grow_tree_arrays(RankTable.of(X), y, idx, table),
                             reference_grow(X, y, idx, table)):
                 assert np.array_equal(a, b)
 
@@ -524,7 +573,7 @@ class TestKernelAgainstReference:
         for idx in (np.arange(200), rng.integers(0, 200, size=200)):
             for table in (np.arange(4)[None, :], np.array([[3]])):
                 counted_splits.clear()
-                fast = grow_tree_arrays(X, y, idx, table)
+                fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
                 same_arrays(fast, reference_grow(X, y, idx, table))
                 same_arrays(fast, sorting_grow(X, y, idx, table))
                 assert len(counted_splits) >= 2
@@ -536,7 +585,7 @@ class TestKernelAgainstReference:
         y = np.array([False, False, True, False])
         idx = np.arange(4, dtype=np.int64)
         table = np.zeros((1, 1), dtype=np.int64)
-        fast = grow_tree_arrays(X, y, idx, table)
+        fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
         for a, b in zip(fast, reference_grow(X, y, idx, table)):
             assert np.array_equal(a, b)
         assert fast[0].tolist() == [0, -1, -1]
@@ -548,7 +597,7 @@ class TestKernelAgainstReference:
     @given(kernel_cases())
     def test_predict_equals_scalar_reference(self, case_args):
         X, y, idx, table = case_args
-        arrays = grow_tree_arrays(X, y, idx, table)
+        arrays = grow_tree_arrays(RankTable.of(X), y, idx, table)
         queries = np.vstack([X, X + 0.05, X - 0.05])
         assert np.array_equal(
             predict_kernel(*arrays, queries), reference_predict(*arrays, queries))
@@ -574,7 +623,7 @@ class TestCountingAgainstSorting:
         assert values * 0.8 < data.ranks.values.size / 20 <= values
         idx = np.arange(n, dtype=np.int64)
         table = np.arange(20, dtype=np.int64)[None, :]
-        same_arrays(grow_tree_arrays(data.X, data.y, idx, table, data.ranks),
+        same_arrays(grow_tree_arrays(data.ranks, data.y, idx, table),
                     sorting_grow(data.X, data.y, idx, table))
         assert counted_splits
         assert all(n_node >= COUNT_ROWS_PER_VALUE * data.ranks.values.size / 20
@@ -642,8 +691,7 @@ class TestRandomForest:
         perms = np.tile(np.arange(20, dtype=np.int64), (51, 1))
         perms = gen.permuted(perms, axis=1)
         table = np.ascontiguousarray(np.sort(perms[:, :5], axis=1))
-        expected = grow_tree_arrays(
-            np.ascontiguousarray(data.X), data.y, idx, table)
+        expected = grow_tree_arrays(data.ranks, data.y, idx, table)
         for a, b in zip(model.trees[0], expected):
             assert np.array_equal(a, b)
 
