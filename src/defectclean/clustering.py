@@ -2,10 +2,11 @@
 and :class:`PointSet`, the package's one squared-distance helper.
 
 Deterministic for a given (points, k, seed): randomness is confined to
-initial centroid choice, assignment ties go to the lowest cluster id, and
-empty clusters are repaired by moving the farthest point out of the largest
-cluster.  The within-cluster squared-distance objective never increases
-from one iteration to the next.
+initial centroid choice and assignment ties go to the lowest cluster id.
+An empty cluster keeps its centroid while the Lloyd loop runs; once it
+stops, each empty cluster is repaired, once, by moving the farthest point
+out of the largest cluster.  The within-cluster squared-distance objective
+never increases from one iteration to the next.
 
 A :class:`PointSet` computes ``|x|^2`` and ``-2 x`` once and measures its
 points (all of them, or chosen rows) against centres in row blocks of about
@@ -37,9 +38,8 @@ that passes has computed distances with its own centre strictly below every
 other, whatever order the BLAS adds in, which is exactly what a full pass
 would find.  The ``8 ε`` factors cover the rounding of the test itself.
 Bounds are set from a measured row's smallest and second smallest distances
-widened by ``Δ``, every update is rounded outwards, and a point moved by
-empty-cluster repair loses its bounds.  NaN, infinite or overflowing bounds
-fail the test, so those points are measured.
+widened by ``Δ``, and every update is rounded outwards.  NaN, infinite or
+overflowing bounds fail the test, so those points are measured.
 
 The Lloyd loop allocates no ``n x k`` array.  The inertia comes from one
 full pass at the last assignment step's centroids, the sum of the points'
@@ -111,6 +111,7 @@ class PointSet:
 
     ``blocks`` yields ``max(|x|^2 + |c|^2 - 2 x.c, 0)`` in row blocks of
     about ``cells`` distances; the clip guards against float cancellation.
+    ``nearest`` is the one nearest-centre query built on it.
     """
 
     def __init__(self, points: np.ndarray, cells: int) -> None:
@@ -149,15 +150,25 @@ class PointSet:
             np.maximum(d2, 0.0, out=d2)
             yield start, stop, d2
 
-    def nearest(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's nearest centre (ties: lowest index) and its squared
-        distance."""
-        index = np.empty(self.sq.size, dtype=np.int64)
-        dist = np.empty(self.sq.size)
-        for start, stop, d2 in self.blocks(centers):
-            d2.argmin(axis=1, out=index[start:stop])
-            dist[start:stop] = d2[self._rows[:stop - start], index[start:stop]]
-        return index, dist
+    def nearest(
+        self, centers: np.ndarray, rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For every point, or only the points ``rows``: the nearest centre
+        (ties: lowest index), its squared distance and the smallest squared
+        distance to any other centre (``inf`` for a single centre)."""
+        count = self.sq.size if rows is None else rows.size
+        if self._rows.size < count:  # ``rows`` may repeat a point
+            self._rows = np.arange(count)
+        index = np.empty(count, dtype=np.int64)
+        first = np.empty(count)
+        second = np.empty(count)
+        for start, stop, d2 in self.blocks(centers, rows):
+            at = (self._rows[:stop - start], index[start:stop])
+            d2.argmin(axis=1, out=at[1])
+            first[start:stop] = d2[at]
+            d2[at] = np.inf
+            d2.min(axis=1, out=second[start:stop])
+        return index, first, second
 
 
 def _plus_plus_init(space: PointSet, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,18 +197,19 @@ def _plus_plus_init(space: PointSet, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _repair_empty(
-    points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, k: int
+    space: PointSet, assignments: np.ndarray, centroids: np.ndarray, k: int
 ) -> None:
-    """Give each empty cluster the farthest point of the largest cluster."""
+    """Give each empty cluster the farthest point of the largest cluster.
+
+    While a cluster is empty the largest holds at least two points, so the
+    donor never loses its last point and its members are never a lone row
+    (see :func:`_blocks`)."""
+    points = space.points
     counts = np.bincount(assignments, minlength=k)
-    for cid in range(k):
-        if counts[cid] > 0:
-            continue
+    for cid in np.flatnonzero(counts == 0):
         donor = int(np.argmax(counts))
         members = np.flatnonzero(assignments == donor)
-        _, d2 = PointSet(points[members], _ASSIGN_BLOCK_CELLS).nearest(
-            centroids[donor:donor + 1]
-        )
+        _, d2, _ = space.nearest(centroids[donor:donor + 1], members)
         steal = int(members[np.argmax(d2)])
         assignments[steal] = cid
         counts[donor] -= 1
@@ -212,25 +224,6 @@ def _rounding_errors(space: PointSet, centers: np.ndarray) -> np.ndarray:
     module docstring)."""
     margin = (2 * centers.shape[1] + 8) * _EPS
     return margin * (space.sq + np.einsum("ij,ij->i", centers, centers).max())
-
-
-def _measure(
-    space: PointSet, centers: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the points ``rows``: the nearest centre (ties: lowest index), its
-    squared distance and the smallest squared distance to any other centre
-    (``inf`` for a single centre)."""
-    index = np.empty(rows.size, dtype=np.int64)
-    first = np.empty(rows.size)
-    second = np.empty(rows.size)
-    offsets = np.arange(rows.size)
-    for start, stop, d2 in space.blocks(centers, rows):
-        at = (offsets[:stop - start], index[start:stop])
-        d2.argmin(axis=1, out=at[1])
-        first[start:stop] = d2[at]
-        d2[at] = np.inf
-        d2.min(axis=1, out=second[start:stop])
-    return index, first, second
 
 
 def _bounds(
@@ -249,11 +242,14 @@ def _bounds(
 def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Clustering:
     """Cluster points into k groups.
 
-    Points with exactly equal coordinates always land in the same cluster
-    (except for single points relocated by empty-cluster repair, which can
-    only happen among exact duplicates).  Raises ValueError for k < 1 or
-    k > number of points, and RuntimeError if the bounded assignments ever
-    disagree with a full pass (which the rounding margin rules out).
+    Empty clusters are repaired once, after the Lloyd loop stops, so every
+    result has k non-empty clusters; ``iterations`` counts the assignment
+    steps, at most ``max_iter``.  Points with exactly equal coordinates
+    always land in the same cluster (except for single points relocated by
+    that repair, which can only happen among exact duplicates).  Raises
+    ValueError for k < 1 or k > number of points, and RuntimeError if the
+    bounded assignments ever disagree with a full pass (which the rounding
+    margin rules out).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -269,7 +265,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
     centroids = _plus_plus_init(space, k, np.random.default_rng(seed))
     sums = np.empty((k, features))
 
-    assignments, first, second = _measure(space, centroids, np.arange(n))
+    assignments, first, second = space.nearest(centroids)
     upper, lower = _bounds(first, second, _rounding_errors(space, centroids))
     iterations = 1
     for _ in range(max_iter - 1):
@@ -278,12 +274,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
         filled = counts > 0
         for j, col in enumerate(columns):
             sums[:, j] = np.bincount(assignments, weights=col, minlength=k)
+        # an empty cluster keeps its centroid until the loop stops
         centroids[filled] = sums[filled] / counts[filled, None]
-        if not filled.all():
-            before = assignments.copy()
-            _repair_empty(points, assignments, centroids, k)
-            # a moved point's bounds describe its old centre
-            upper[assignments != before] = np.inf
 
         errors = _rounding_errors(space, centroids)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -308,7 +300,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
             if stale.size == 1:
                 # a lone row would go through gemv (see _blocks); measure it twice
                 stale = np.repeat(stale, 2)
-            new_assignments[stale], first, second = _measure(space, centroids, stale)
+            new_assignments[stale], first, second = space.nearest(centroids, stale)
             upper[stale], lower[stale] = _bounds(first, second, errors[stale])
         iterations += 1
         if np.array_equal(new_assignments, assignments):
@@ -317,12 +309,12 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
         assignments = new_assignments
 
     # the inertia from one full pass, which also checks the bounded loop
-    nearest, d2 = space.nearest(centroids)
+    nearest, d2, _ = space.nearest(centroids)
     if not np.array_equal(nearest, assignments):
         raise RuntimeError("bounded k-means assignments disagree with a full pass")
     inertia = float(d2.sum())
 
-    _repair_empty(points, assignments, centroids, k)
+    _repair_empty(space, assignments, centroids, k)
     counts = np.bincount(assignments, minlength=k)
     if counts.min() == 0:
         raise RuntimeError("empty cluster survived repair")

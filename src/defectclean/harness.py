@@ -236,10 +236,9 @@ def _cap_dataset(ds: Dataset, cap: int, seed: int) -> Dataset:
     if defective.size:
         quota_def = max(quota_def, 1)
     quota_def = min(quota_def, defective.size, cap - (1 if clean.size else 0))
+    # for cap < n, cap * defective / n >= cap - clean, so the clean stratum
+    # is never asked for more cases than it holds
     quota_clean = cap - quota_def
-    if quota_clean > clean.size:
-        quota_def += quota_clean - clean.size
-        quota_clean = clean.size
     keep = np.sort(
         np.concatenate([
             rng.choice(defective, size=quota_def, replace=False),

@@ -40,11 +40,18 @@ class GaussianNBModel:
             return np.full(n, float(np.argmax(self.log_prior)))
         # log joint = log prior + sum of per-feature log densities
         log_joint = np.empty((n, 2), dtype=np.float64)
-        for c in range(2):
-            diff = X - self.means[c]
-            log_joint[:, c] = self.log_prior[c] - 0.5 * np.sum(
-                np.log(2.0 * np.pi * self.variances[c]) + diff * diff / self.variances[c],
-                axis=1,
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in range(2):
+                diff = X - self.means[c]
+                log_joint[:, c] = self.log_prior[c] - 0.5 * np.sum(
+                    np.log(2.0 * np.pi * self.variances[c]) + diff * diff / self.variances[c],
+                    axis=1,
+                )
+        bad = np.flatnonzero(~np.isfinite(log_joint).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"naive Bayes log-likelihoods of case {bad[0]} are not finite: "
+                "a feature is too large"
             )
         shifted = log_joint - log_joint.max(axis=1, keepdims=True)
         likel = np.exp(shifted)
@@ -69,10 +76,15 @@ def train_naive_bayes(data: TrainingMatrix) -> GaussianNBModel:
 
     means = np.empty((2, data.n_features), dtype=np.float64)
     variances = np.empty((2, data.n_features), dtype=np.float64)
-    for c, mask in enumerate((~data.y, data.y)):
-        rows = data.X[mask]
-        means[c] = rows.mean(axis=0)
-        variances[c] = np.maximum(rows.var(axis=0), VARIANCE_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, mask in enumerate((~data.y, data.y)):
+            rows = data.X[mask]
+            means[c] = rows.mean(axis=0)
+            variances[c] = np.maximum(rows.var(axis=0), VARIANCE_FLOOR)
+    if not (np.isfinite(means).all() and np.isfinite(variances).all()):
+        raise ValueError(
+            "naive Bayes class means and variances are not finite: a feature is too large"
+        )
     return GaussianNBModel(
         n_features=data.n_features,
         log_prior=log_prior,

@@ -235,7 +235,7 @@ def peters_filter(
         if pool_members.size == 0:
             continue
         target_members = np.flatnonzero(target_clusters == cid)
-        nearest, d2 = PointSet(pool_space[pool_members], _BLOCK_CELLS).nearest(
+        nearest, d2, _ = PointSet(pool_space[pool_members], _BLOCK_CELLS).nearest(
             target_space[target_members]
         )
         rows.append(pool_members)

@@ -89,7 +89,6 @@ def reference_kmeans(points, k, seed, max_iter=100):
             members = assignments == cid
             if members.any():
                 centroids[cid] = points[members].mean(axis=0)
-        _repair_empty(points, assignments, centroids, k)
 
         d2 = _pairwise_sq(points, centroids)
         new_assignments = d2.argmin(axis=1).astype(np.int64)

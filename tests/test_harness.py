@@ -254,6 +254,33 @@ class TestSampleCap:
         ds = synthetic_corpus(seed=4, cases=60).datasets[0]
         assert _cap_dataset(ds, 10, seed=9) == _cap_dataset(ds, 10, seed=9)
 
+    def test_every_small_allocation(self, monkeypatch):
+        # every (n, defective, cap) with n <= 30 and 2 <= cap < n: the sample
+        # has cap cases, a stratum that was non-empty stays non-empty, and
+        # neither stratum is asked for more cases than it holds
+        draws = []
+        real_rng = np.random.default_rng
+
+        class RecordingRng:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def choice(self, population, size, replace):
+                draws.append((population.size, size))
+                return self.rng.choice(population, size=size, replace=replace)
+
+        monkeypatch.setattr(harness.np.random, "default_rng", RecordingRng)
+        for n in range(3, 31):
+            for defective in range(n + 1):
+                ds = dataset("mix1.0", [case(f"c{i}", i < defective, i) for i in range(n)])
+                for cap in range(2, n):
+                    draws.clear()
+                    capped = _cap_dataset(ds, cap, seed=cap)
+                    assert capped.case_count == cap
+                    assert (capped.defective_count > 0) == (defective > 0)
+                    assert (capped.defective_count < cap) == (defective < n)
+                    assert all(size <= held for held, size in draws)
+
     def test_single_class_dataset_survives(self):
         cases = [case(f"c{i}", False, i) for i in range(30)]
         capped = _cap_dataset(dataset("neg1.0", cases), 5, seed=1)

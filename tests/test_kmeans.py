@@ -178,9 +178,18 @@ class TestPointSet:
                 # a lone trailing row folds into the block before it
                 assert 2 <= heights[-1] <= rows + 1
 
-                index, dist = space.nearest(centers)
+                # the second smallest distance, to any other centre
+                others = np.sort(want, axis=1)[:, 1] if k > 1 else np.full(n, np.inf)
+                index, first, second = space.nearest(centers)
                 assert np.array_equal(index, want.argmin(axis=1))
-                assert np.array_equal(dist, want.min(axis=1))
+                assert np.array_equal(first, want.min(axis=1))
+                assert np.array_equal(second, others)
+                # chosen points, repeats and more of them than points included
+                chosen = rng.integers(0, n, int(rng.integers(2, 2 * n + 2)))
+                index, first, second = space.nearest(centers, chosen)
+                assert np.array_equal(index, want.argmin(axis=1)[chosen])
+                assert np.array_equal(first, want.min(axis=1)[chosen])
+                assert np.array_equal(second, others[chosen])
 
     def test_one_point(self):
         space = PointSet(np.array([[1.0, 2.0]]), 1 << 15)
@@ -188,5 +197,7 @@ class TestPointSet:
         [(start, stop, d2)] = list(space.blocks(centers))
         assert (start, stop) == (0, 1)
         assert d2.tolist() == [[4.0, 1.0, 4.0]]
-        index, dist = space.nearest(centers)
-        assert index.tolist() == [1] and dist.tolist() == [1.0]
+        index, first, second = space.nearest(centers)
+        assert index.tolist() == [1] and first.tolist() == [1.0] and second.tolist() == [4.0]
+        index, first, second = space.nearest(centers[:1])
+        assert index.tolist() == [0] and first.tolist() == [4.0] and second.tolist() == [np.inf]

@@ -7,10 +7,10 @@ count and inertia history exactly, because assignment ties (duplicate rows,
 coincident centroids, small-integer grids) are decided by the last bit of a
 distance.  The history is read through ``max_iter``: a run capped at t
 iterations reports the inertia after iteration t.  Rerunning every prefix
-costs O(t^2) iterations, which the generated inputs that cycle through
-empty-cluster repair until ``max_iter = 100`` cannot afford, so the
-generated tests record the same values in one run (:func:`recorded_run`),
-and :class:`TestBoundedLoop` checks that recording against the reruns.
+costs O(t^2) iterations, more than hundreds of generated inputs can afford,
+so the generated tests record the same values in one run
+(:func:`recorded_run`), and :class:`TestBoundedLoop` checks that recording
+against the reruns.
 
 The one documented exception: with a single feature, numpy sums each
 cluster's column pairwise, while the buffered loop adds members in row
@@ -132,9 +132,9 @@ class TestKmeansAgainstReference:
         repaired = []
         real_repair = clustering._repair_empty
 
-        def spy(points, assignments, centroids, k):
+        def spy(space, assignments, centroids, k):
             repaired.append(np.bincount(assignments, minlength=k).min() == 0)
-            real_repair(points, assignments, centroids, k)
+            real_repair(space, assignments, centroids, k)
 
         monkeypatch.setattr(clustering, "_repair_empty", spy)
         duplicates = np.repeat(np.array([[0.0, 0.1], [0.3, 0.2]]), 5, axis=0)
@@ -219,17 +219,18 @@ class TestKmeansBlockLayouts:
 
 
 def measured_rows(monkeypatch):
-    """Record the point indices of every ``_measure`` call against two or
-    more centres (one centre is initialisation or repair)."""
+    """Record the point indices of every ``PointSet.nearest`` call against
+    two or more centres (one centre is repair); a call on every point
+    records ``np.arange(n)``."""
     calls = []
-    real = clustering._measure
+    real = clustering.PointSet.nearest
 
-    def spy(space, centers, rows):
+    def spy(space, centers, rows=None):
         if centers.shape[0] > 1:
-            calls.append(rows.copy())
+            calls.append(np.arange(space.sq.size) if rows is None else rows.copy())
         return real(space, centers, rows)
 
-    monkeypatch.setattr(clustering, "_measure", spy)
+    monkeypatch.setattr(clustering.PointSet, "nearest", spy)
     return calls
 
 
@@ -240,7 +241,7 @@ class TestBoundedLoop:
 
     def test_recorded_history_equals_capped_runs(self):
         # the one-run recording the generated tests use, against the reruns;
-        # the duplicates cycle through repair until max_iter
+        # the duplicates leave clusters empty until the loop stops
         rng = np.random.default_rng(5)
         duplicates = np.repeat(np.array([[0.0, 0.1], [0.3, 0.2]]), 5, axis=0)
         for points, k, max_iter in (
@@ -312,28 +313,6 @@ class TestBoundedLoop:
             kmeans(points, k, seed), reference_kmeans(points, k, seed), points, k, seed
         )
 
-    def test_points_moved_by_repair_are_measured_again(self, monkeypatch):
-        moved = []
-        real_repair = clustering._repair_empty
-
-        def repair_spy(points, assignments, centroids, k):
-            before = assignments.copy()
-            real_repair(points, assignments, centroids, k)
-            moved.append((len(calls), np.flatnonzero(assignments != before)))
-
-        calls = measured_rows(monkeypatch)
-        monkeypatch.setattr(clustering, "_repair_empty", repair_spy)
-        duplicates = np.repeat(np.array([[0.0, 0.1], [0.3, 0.2], [0.3, 0.5]]), 6, axis=0)
-        result = kmeans(duplicates, 5, 0, max_iter=12)
-        # the last repair runs after the loop, with no assignment step after it
-        in_loop = [(i, rows) for i, rows in moved if i < len(calls)]
-        assert any(rows.size for _, rows in in_loop)
-        for i, rows in in_loop:
-            assert np.isin(rows, calls[i]).all()
-        assert_bit_identical(
-            result, reference_kmeans(duplicates, 5, 0, max_iter=12), duplicates, 5, 0
-        )
-
     @pytest.mark.parametrize("bad", ["nan upper", "nan lower", "inf upper", "overflowing upper"])
     def test_unusable_bounds_send_every_point_to_be_measured(self, monkeypatch, bad):
         # comparisons with NaN are false, so a bounds test written the other
@@ -355,9 +334,22 @@ class TestBoundedLoop:
         points = np.repeat(rng.random((30, 3)), 2, axis=0)
         result = kmeans(points, 4, 8)
         assert result.iterations >= 3
-        assert len(calls) == result.iterations
+        # every assignment step, then the final full pass
+        assert len(calls) == result.iterations + 1
         assert all(np.array_equal(rows, np.arange(60)) for rows in calls)
         assert_bit_identical(result, reference_kmeans(points, 4, 8), points, 4, 8)
+
+    def test_more_clusters_than_distinct_points_converge(self):
+        # empty clusters are repaired once, after the loop: a repair inside
+        # it would move a duplicate out and the next assignment move it back,
+        # until max_iter
+        rng = np.random.default_rng(1)
+        distinct = rng.random((4, 3))
+        points = distinct[np.arange(45) % 4]
+        result = kmeans(points, 45, 1)
+        assert result.iterations <= 20
+        assert np.bincount(result.assignments, minlength=45).min() == 1
+        assert_bit_identical(result, reference_kmeans(points, 45, 1), points, 45, 1)
 
     def test_too_small_margin_is_caught_by_the_final_pass(self, monkeypatch):
         # one feature near 1e8 on a 0.1 grid: |x|^2 rounds by about 1e16 *

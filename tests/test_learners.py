@@ -233,6 +233,23 @@ class TestNaiveBayes:
         with pytest.raises(ValueError, match="finite"):
             model.predict_proba(X)
 
+    def test_training_rejects_overflowing_variances(self, rng):
+        # a finite 1e200 squares past the float range: the class variance
+        # would be inf and every score NaN
+        data = separable(rng, n=20, d=4)
+        X = data.X.copy()
+        X[0, 0] = 1e200
+        with pytest.raises(ValueError, match="not finite"):
+            train_naive_bayes(matrix(X, data.y))
+
+    def test_prediction_rejects_overflowing_likelihoods(self, rng):
+        # a finite 1e200 feature makes both classes' log-likelihoods -inf
+        model = train_naive_bayes(separable(rng, n=20, d=4))
+        X = rng.random((3, 4))
+        X[2, 1] = 1e200
+        with pytest.raises(ValueError, match="case 2 are not finite"):
+            model.predict_proba(X)
+
     def test_constant_feature_hits_variance_floor(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 5.0], [1.0, 6.0]])
         y = np.array([False, False, True, True])
