@@ -60,7 +60,7 @@ for i in range(5):
     name, metrics, bugs = carried[i]
     carried[i] = (name, metrics, 0 if bugs else 1)
 new = synthetic_dataset("delta1.1", seed=42, cases=30)
-evolved = Dataset.from_cases("delta", "1.1", "delta1.1", carried + rows_of(new))
+evolved = Dataset.from_cases("delta1.1", carried + rows_of(new))
 project = Corpus((old, evolved))
 
 # Pair counts are cross products: a metric vector seen a times in release A

@@ -20,9 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .cleaning import clean_corpus
-from .data import (
-    Dataset, EmptyDatasetError, ParseError, load_corpus, parse_dataset, write_corpus,
-)
+from .data import Dataset, ParseError, load_corpus, parse_dataset, write_corpus
 from .harness import parse_config, run_experiment
 from .quality import corpus_quality, within_quality
 from .reports import (
@@ -136,8 +134,6 @@ def _reads_back(path: Path, dataset: Dataset) -> bool:
     with open(path, newline="", encoding="utf-8") as handle:
         try:
             return parse_dataset(handle, name=dataset.name) == dataset
-        except EmptyDatasetError:  # how a dataset cleaned to nothing is written
-            return dataset.case_count == 0
         except ParseError:
             return False
 

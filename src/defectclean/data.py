@@ -1,8 +1,10 @@
 """In-memory model and CSV I/O for class-level defect datasets.
 
-A dataset is one release of one software project: a table of cases
-(classes), each carrying 20 static code metrics and a bug count.  A case is
-*defective* exactly when its bug count is at least 1.
+A dataset is one release of one software project: a name and a table of
+cases (classes), each carrying 20 static code metrics and a bug count.  A
+case is *defective* exactly when its bug count is at least 1.  The project
+and the release are not stored: they are read off the name by
+:func:`split_project` ("ant1.7" is release "1.7" of project "ant").
 
 A :class:`Dataset` exists only as columns.  Its metric values are
 :class:`decimal.Decimal` numbers kept once each in a table of distinct
@@ -14,7 +16,7 @@ metrics exactly when their rows of value ids are equal.  That is the exact
 equality the duplicate/inconsistency definitions in
 :mod:`defectclean.quality` rely on.  Float features, labels and feature
 groups are derived from the columns and cached.  Hand-made or generated
-data enters through :meth:`Dataset.from_cases`, one plain
+data enters through :meth:`Dataset.from_cases`, a name and one plain
 ``(class_name, metric_values, bug_count)`` tuple per case.
 """
 
@@ -66,7 +68,7 @@ class ParseError(ValueError):
 
 
 class EmptyDatasetError(ParseError):
-    """CSV contained a header but no data rows."""
+    """CSV had no header, or no data rows and no name to give the dataset."""
 
 
 class CorpusError(ValueError):
@@ -187,17 +189,17 @@ def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Dataset:
     """One release of one project, stored by column.
 
-    ``values`` are the distinct metric values of the table, no two equal.
-    Row ``i`` of the int32 matrix ``value_ids`` holds case ``i``'s 20
-    indices into ``values``, and ``bug_counts[i]`` (int64) its bug count.
+    ``project`` and ``release`` are read off ``name`` by
+    :func:`split_project`, never stored.  ``values`` are the distinct
+    metric values of the table, no two equal.  Row ``i`` of the int32
+    matrix ``value_ids`` holds case ``i``'s 20 indices into ``values``,
+    and ``bug_counts[i]`` (int64) its bug count.
     Both arrays are made read-only.  Every value must be a finite,
     non-negative ``Decimal`` and every bug count non-negative.  Datasets
     are equal when their names and all their cases are equal, value for
     value, whatever order their tables list the values in.
     """
 
-    project: str
-    release: str
     name: str
     class_names: tuple[str, ...]
     values: tuple[Decimal, ...]
@@ -227,9 +229,7 @@ class Dataset:
         bugs.flags.writeable = False
 
     @classmethod
-    def from_cases(
-        cls, project: str, release: str, name: str, cases: Iterable[Row]
-    ) -> "Dataset":
+    def from_cases(cls, name: str, cases: Iterable[Row]) -> "Dataset":
         """The columns of ``(class_name, metric_values, bug_count)`` rows
         (generated or hand-built data); each row holds 20 values."""
         cases = tuple(cases)
@@ -249,9 +249,17 @@ class Dataset:
             raise ValueError(f"invalid metric value: {exc}") from None
         bugs = np.fromiter((bug for _, _, bug in cases), dtype=np.int64, count=len(cases))
         return cls(
-            project, release, name, tuple(class_name for class_name, _, _ in cases),
+            name, tuple(class_name for class_name, _, _ in cases),
             tuple(v for _, v in index), ids.reshape(len(cases), N_METRICS), bugs,
         )
+
+    @property
+    def project(self) -> str:
+        return split_project(self.name)[0]
+
+    @property
+    def release(self) -> str:
+        return split_project(self.name)[1]
 
     @property
     def case_count(self) -> int:
@@ -321,21 +329,18 @@ class Dataset:
         rows = np.asarray(rows, dtype=np.intp)
         names = self.class_names
         return Dataset(
-            self.project, self.release, self.name,
-            tuple([names[i] for i in rows.tolist()]), self.values,
+            self.name, tuple([names[i] for i in rows.tolist()]), self.values,
             self.value_ids[rows], self.bug_counts[rows],
         )
 
     def replace_cases(self, cases: Iterable[Row]) -> "Dataset":
         """A dataset of the given rows under this dataset's names."""
-        return Dataset.from_cases(self.project, self.release, self.name, cases)
+        return Dataset.from_cases(self.name, cases)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        if (self.project, self.release, self.name, self.class_names) != (
-            other.project, other.release, other.name, other.class_names
-        ):
+        if (self.name, self.class_names) != (other.name, other.class_names):
             return False
         # other's ids in this table's numbering; a value this table lacks
         # maps to -1 and so matches no id
@@ -443,10 +448,12 @@ def parse_dataset(source: IO[str] | Iterable[str], name: str | None = None) -> D
     """Parse one CSV stream into a Dataset.
 
     The dataset name defaults to the project and version columns of the
-    first data row; project and release are then derived with
-    :func:`split_project`.  Raises :class:`SchemaError` on a bad header,
+    first data row.  A header-only file given a ``name`` is that dataset
+    with no cases (how :func:`write_corpus` writes a dataset cleaned to
+    nothing).  Raises :class:`SchemaError` on a bad header,
     :class:`ParseError` (with the data row number) on a bad cell and
-    :class:`EmptyDatasetError` when there are no data rows.  Blank lines
+    :class:`EmptyDatasetError` when there is no header, or no data rows
+    and no ``name``.  Blank lines
     are skipped but counted in row numbers.  When several rows are bad,
     the first one is reported: its width, else its first bad metric cell,
     else its bug count.
@@ -475,15 +482,11 @@ def parse_dataset(source: IO[str] | Iterable[str], name: str | None = None) -> D
         bug_counts = np.fromiter(map(bugs.__getitem__, map(itemgetter(-1), rows)), np.int64)
     except ParseError:
         raise _first_bad_row(lines, cells, bugs) from None
-    if not rows:
-        raise EmptyDatasetError("no data rows")
     if name is None:
+        if not rows:
+            raise EmptyDatasetError("no data rows")
         name = rows[0][0].strip() + rows[0][1].strip()
-    project, release = split_project(name)
-    return Dataset(
-        project, release, name, tuple(map(itemgetter(2), rows)), tuple(index),
-        value_ids, bug_counts,
-    )
+    return Dataset(name, tuple(map(itemgetter(2), rows)), tuple(index), value_ids, bug_counts)
 
 
 def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
@@ -507,8 +510,9 @@ def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
 def load_corpus(directory: str | Path) -> Corpus:
     """Load every ``*.csv`` in a directory as one corpus.
 
-    Dataset names are the file stems.  Files are read in sorted name order
-    so corpus order is stable across platforms.
+    Dataset names are the file stems, so a header-only file loads as its
+    dataset with no cases.  Files are read in sorted name order so corpus
+    order is stable across platforms.
     """
     directory = Path(directory)
     if not directory.is_dir():

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Corpus, Dataset, N_METRICS, Row, split_project
+from .data import Corpus, Dataset, N_METRICS, Row
 
 #: metric positions generated as 2-decimal ratios instead of counts
 _RATIO_COLUMNS = frozenset({9, 11, 13, 14, 19})  # lcom3, dam, mfa, cam, avg_cc
@@ -39,7 +39,6 @@ def synthetic_dataset(
     defect_rate: float = 0.3,
     duplicate_rate: float = 0.0,
     inconsistent_rate: float = 0.0,
-    class_prefix: str = "org.synthetic",
 ) -> Dataset:
     """One dataset with optional injected problems.
 
@@ -56,7 +55,7 @@ def synthetic_dataset(
         defective = bool(rng.random() < defect_rate)
         metrics = _random_metrics(rng, defective)
         bugs = int(rng.integers(1, 4)) if defective else 0
-        rows.append((f"{class_prefix}.C{i:04d}", metrics, bugs))
+        rows.append((f"org.synthetic.C{i:04d}", metrics, bugs))
     for _ in range(int(round(duplicate_rate * cases))):
         class_name, metrics, bugs = rows[int(rng.integers(cases))]
         rows.append((class_name + "Copy", metrics, bugs))
@@ -64,8 +63,7 @@ def synthetic_dataset(
         class_name, metrics, bugs = rows[int(rng.integers(cases))]
         rows.append((class_name + "Flip", metrics, 0 if bugs else 1))
     order = rng.permutation(len(rows))
-    project, release = split_project(name)
-    return Dataset.from_cases(project, release, name, (rows[i] for i in order))
+    return Dataset.from_cases(name, (rows[i] for i in order))
 
 
 def synthetic_corpus(

@@ -402,16 +402,12 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
             raise ValueError("config names no corpus directory and no corpus was given")
         corpus = load_corpus(config.corpus_dir)
 
-    for name in ([] if config.targets == "all" else config.targets):
+    targets = [ds.name for ds in corpus] if config.targets == "all" else list(config.targets)
+    for name in targets:
         corpus.get(name)  # raises CorpusError for unknown targets
 
     original = _apply_cap(corpus, config)
     cleaned, _ = clean_corpus(original)
-    targets = (
-        [ds.name for ds in original]
-        if config.targets == "all"
-        else list(config.targets)
-    )
     sizes = {
         ds.name: {
             "loaded": corpus.get(ds.name).case_count,

@@ -8,7 +8,8 @@ Every file, and the ``select`` command's ``--out`` JSON, is written through
 :func:`write_report`, which uses :func:`defectclean.data.atomic_writer`: a
 crash leaves either the previous report or the new one, never a
 half-written file.  Each quality and cleaning table is declared once, as a
-column list that both its JSON and its markdown render from.
+column list that both its JSON and its markdown render from; the
+experiment's result rows render to JSON from a column list too.
 """
 
 from __future__ import annotations
@@ -197,25 +198,25 @@ def experiment_grid_markdown(run: ExperimentRun, metric: str) -> str:
     )
 
 
+_RESULT_COLUMNS: tuple[Column, ...] = (
+    ("target", None, "target"),
+    ("filter", None, "filter_name"),
+    ("learner", None, "learner"),
+    ("metric", None, "metric"),
+    ("original", None, "original"),
+    ("cleaned", None, "cleaned"),
+    ("change_percent", None, "change_percent"),
+    ("note", None, "note"),
+    ("provenance", None, "provenance"),
+)
+
+
 def experiment_json(run: ExperimentRun) -> dict:
     return {
         "format": 1,
         "config": run.config.as_dict(),
         "dataset_sizes": {k: dict(v) for k, v in run.dataset_sizes.items()},
-        "results": [
-            {
-                "target": r.target,
-                "filter": r.filter_name,
-                "learner": r.learner,
-                "metric": r.metric,
-                "original": r.original,
-                "cleaned": r.cleaned,
-                "change_percent": r.change_percent,
-                "note": r.note,
-                "provenance": r.provenance,
-            }
-            for r in run.results
-        ],
+        "results": _records(_RESULT_COLUMNS, run.results),
     }
 
 

@@ -25,7 +25,6 @@ from defectclean.data import (
     _check_header,
     _parse_bug_count,
     canonicalize_metric,
-    split_project,
 )
 
 
@@ -63,9 +62,8 @@ def reference_parse(
             first_row = row
         cases.append((row[2], values, bugs[row[-1]]))
 
-    if first_row is None:
-        raise EmptyDatasetError("no data rows")
     if name is None:
+        if first_row is None:
+            raise EmptyDatasetError("no data rows")
         name = first_row[0].strip() + first_row[1].strip()
-    project, release = split_project(name)
-    return Dataset.from_cases(project, release, name, cases)
+    return Dataset.from_cases(name, cases)

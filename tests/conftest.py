@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from defectclean.data import Dataset, N_METRICS, Row, canonicalize_metric, split_project
+from defectclean.data import Dataset, N_METRICS, Row, canonicalize_metric
 
 #: directory holding the real public corpus CSVs, when available
 REAL_CORPUS_ENV = "JURECZKO_DATA_DIR"
@@ -45,8 +45,7 @@ def case(name: str, defective: bool, *values: object) -> Row:
 
 
 def dataset(name: str, cases: list[Row]) -> Dataset:
-    project, release = split_project(name)
-    return Dataset.from_cases(project, release, name, cases)
+    return Dataset.from_cases(name, cases)
 
 
 def decimal_rows(ds: Dataset) -> list[Row]:

@@ -11,7 +11,7 @@ from defectclean.cleaning import clean_corpus
 from defectclean import cli
 from defectclean.cli import main
 from defectclean.data import Corpus, load_corpus, write_corpus
-from defectclean.datagen import synthetic_corpus
+from defectclean.datagen import synthetic_corpus, synthetic_dataset
 from defectclean.quality import within_quality
 from defectclean.selection import build_pool, burak_filter, global_filter
 
@@ -96,6 +96,31 @@ class TestCleanCommand:
         out = tmp_path / "cleaned"
         assert main(["clean", "--corpus", str(tmp_path / "in"), "--out", str(out)]) == 0
         assert (out / "mixed1.0.csv").read_text().count("\n") == 1
+        assert load_corpus(out).get("mixed1.0") == conflicted.replace_cases(())
+
+    def test_cleaned_corpus_with_an_emptied_release_runs_downstream(self, tmp_path, capsys):
+        emptied = dataset("alpha1.1", [case("a", True, 1), case("b", False, 1)])
+        write_corpus(Corpus((
+            synthetic_dataset("alpha1.0", seed=1, cases=30), emptied,
+            synthetic_dataset("beta1.0", seed=2, cases=30),
+        )), tmp_path / "in")
+        cleaned = tmp_path / "cleaned"
+        assert main(["clean", "--corpus", str(tmp_path / "in"), "--out", str(cleaned)]) == 0
+        assert main(["quality", "--corpus", str(cleaned), "--pairs",
+                     "--out", str(tmp_path / "q")]) == 0
+        assert "compared 1 release pairs" in capsys.readouterr().out
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            f"corpus = {cleaned}\ntargets = alpha1.1, beta1.0\n"
+            "filters = global\nlearners = naive_bayes\n"
+        )
+        out = tmp_path / "report"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        rows = json.loads((out / "results.json").read_text())["results"]
+        assert {r["target"] for r in rows} == {"alpha1.1", "beta1.0"}
+        for r in rows:
+            emptied_target = r["target"] == "alpha1.1"
+            assert ("target has no cases left to evaluate" in r["note"]) == emptied_target
 
     def test_written_file_must_read_back(self, corpus_dir, tmp_path, monkeypatch, capsys):
         # a writer that loses the first row of the first dataset

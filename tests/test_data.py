@@ -7,6 +7,7 @@ canonicalize_metric must agree with that verdict on every pair.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from decimal import Decimal
 from fractions import Fraction
@@ -116,7 +117,7 @@ def direct_dataset(values, bugs=(0,)) -> Dataset:
     """A dataset built straight from its columns: one case per bug count,
     every case holding value 0 of ``values`` in all 20 metrics."""
     return Dataset(
-        "d", "1.0", "d1.0", tuple(f"C{i}" for i in range(len(bugs))), tuple(values),
+        "d1.0", tuple(f"C{i}" for i in range(len(bugs))), tuple(values),
         np.zeros((len(bugs), N_METRICS), dtype=np.int32), np.array(bugs, dtype=np.int64),
     )
 
@@ -124,6 +125,15 @@ def direct_dataset(values, bugs=(0,)) -> Dataset:
 class TestRowChecks:
     """Every constructor holds rows of 20 finite, non-negative Decimals
     and non-negative bug counts."""
+
+    def test_project_and_release_come_from_the_name(self):
+        assert [f.name for f in dataclasses.fields(Dataset)] == [
+            "name", "class_names", "values", "value_ids", "bug_counts",
+        ]
+        for name in ("ant1.7", "xercesinit", "log4j1.1", "berek"):
+            ds = dataset(name, [case("a", True, 1)])
+            assert (ds.project, ds.release) == split_project(name)
+            assert (ds.take([0]).project, ds.replace_cases(()).release) == split_project(name)
 
     def test_equality_ignores_formatting(self):
         a = dataset("f1.0", [("a", tuple(Decimal("1.0") for _ in range(N_METRICS)), 0)])
@@ -306,6 +316,17 @@ class TestParseDataset:
             parse_dataset(io.StringIO(""))
         with pytest.raises(EmptyDatasetError):
             parse_dataset(make_csv([]))
+        with pytest.raises(EmptyDatasetError, match="no header"):
+            parse_dataset(io.StringIO(""), name="named1.0")
+
+    def test_named_header_only_file_is_an_empty_dataset(self):
+        ds = parse_dataset(io.StringIO(make_csv([]).getvalue() + "\n"), name="xercesinit")
+        assert ds == dataset("xercesinit", [])
+        assert (ds.project, ds.release, ds.case_count) == ("xerces", "init", 0)
+        assert ds.feature_matrix.shape == (0, N_METRICS)
+        written = io.StringIO()
+        serialize_dataset(ds, written)
+        assert written.getvalue() == make_csv([]).getvalue()
 
     def test_blank_lines_skipped(self):
         stream = make_csv([data_row()])

@@ -89,9 +89,9 @@ def csv_documents(draw) -> str:
     return "".join(lines)
 
 
-def outcome(parse, text: str):
+def outcome(parse, text: str, name: str | None = None):
     try:
-        return parse(io.StringIO(text)), None
+        return parse(io.StringIO(text), name), None
     except ValueError as exc:
         return None, (type(exc), str(exc))
 
@@ -122,10 +122,10 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
 
 class TestParseAgainstReference:
     @settings(max_examples=400, deadline=None)
-    @given(csv_documents())
-    def test_same_dataset_or_same_error(self, text):
-        got, got_error = outcome(parse_dataset, text)
-        want, want_error = outcome(reference_parse, text)
+    @given(csv_documents(), st.sampled_from([None, "named1.0"]))
+    def test_same_dataset_or_same_error(self, text, name):
+        got, got_error = outcome(parse_dataset, text, name)
+        want, want_error = outcome(reference_parse, text, name)
         assert got_error == want_error
         if want is not None:
             assert_same_dataset(got, want)
@@ -165,7 +165,7 @@ class TestTake:
         rows = data.draw(st.lists(st.integers(0, ds.case_count - 1), max_size=2 * ds.case_count))
         taken = ds.take(rows)
         cases = decimal_rows(ds)
-        want = Dataset.from_cases(ds.project, ds.release, ds.name, [cases[i] for i in rows])
+        want = Dataset.from_cases(ds.name, [cases[i] for i in rows])
         assert_same_dataset(taken, want)
         assert taken.values is ds.values
         ids, _ = taken.feature_ids
@@ -181,10 +181,10 @@ class TestTake:
 class TestColumns:
     def test_equality_ignores_table_order(self):
         a = dataset("e1.0", [case("a", True, 1, 2), case("b", False, 2, 1)])
-        b = Dataset(a.project, a.release, a.name, a.class_names, a.values[::-1],
+        b = Dataset(a.name, a.class_names, a.values[::-1],
                     (len(a.values) - 1 - a.value_ids).astype(np.int32), a.bug_counts.copy())
         assert a == b
-        c = Dataset(a.project, a.release, a.name, a.class_names, a.values,
+        c = Dataset(a.name, a.class_names, a.values,
                     a.value_ids[::-1].copy(), a.bug_counts.copy())
         assert a != c
 
@@ -204,8 +204,7 @@ class TestColumns:
     ])
     def test_bad_columns_rejected(self, change, match):
         ds = dataset("b1.0", [case("a", True, 1, 2)])
-        fields = dict(project=ds.project, release=ds.release, name=ds.name,
-                      class_names=ds.class_names, values=ds.values,
+        fields = dict(name=ds.name, class_names=ds.class_names, values=ds.values,
                       value_ids=ds.value_ids.copy(), bug_counts=ds.bug_counts.copy())
         fields.update(change(ds))
         with pytest.raises(ValueError, match=match):

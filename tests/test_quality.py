@@ -200,7 +200,7 @@ class TestCrossReleaseQuality:
         for _ in range(100):
             a = random_problem_dataset(rng, max_cases=40)
             b = random_problem_dataset(rng, max_cases=40)
-            b = Dataset.from_cases(a.project, "9.9", a.project + "9.9", decimal_rows(b))
+            b = Dataset.from_cases(a.project + "9.9", decimal_rows(b))
             report = cross_release_quality(a, b)
             assert (report.identical_pair_count,
                     report.inconsistent_pair_count) == quadratic_cross(a, b)
