@@ -188,6 +188,8 @@ def _cmd_select(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--k: {args.k} neighbours for target {args.target!r}; at least 1 is needed"
         )
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed: {args.seed} for target {args.target!r}; it must be at least 0")
     corpus = load_corpus(args.corpus)
     target = corpus.get(args.target)
     pool = build_pool(corpus, target, "mixed" if args.mixed else "strict")

@@ -3,12 +3,13 @@ learners and metrics.
 
 One experiment evaluates every requested target dataset twice, once against
 the original corpus and once against the corpus with identical and
-inconsistent cases removed.  For each variant the harness builds the target's
-source pool from that same variant, applies each training-data filter,
-trains each learner on the filtered cases, predicts the target and scores
-F-measure and AUC.  Every cell is scored in :func:`_variant_scores`, and
-:func:`_target_results` pairs each cell's two variants into one result row
-with its change rate and note.
+inconsistent cases removed.  The unit of work is a job: one variant, one
+source pool drawn from that variant, and the targets that share the pool.
+A job builds its pool and trains the global naive Bayes and pruned tree
+once, then for each target applies each training-data filter, trains each
+learner on the filtered cases, predicts the target and scores F-measure and
+AUC.  :func:`_target_results` pairs each cell's two variants into one
+result row with its change rate and note.
 
 Determinism: every randomized step (clustering inits, forest bootstraps,
 subsampling) derives its seed from the run seed plus the combination's
@@ -262,74 +263,98 @@ def _apply_cap(corpus: Corpus, config: ExperimentConfig) -> Corpus:
 _STATE: dict = {}
 
 
-def _variant_inputs(target_name: str, variant: str) -> str | tuple[SourcePool, Dataset]:
-    """The source pool and evaluation target of one target in one variant,
-    or the reason the whole variant is undefined."""
+def _plan(targets: list[str]) -> tuple[dict, list]:
+    """Build the pool of every (target, variant) once and check an explicit
+    peters cluster count against it.  Returns each undefined pair's reason
+    and the jobs, one ``(variant, pool sources, evaluation targets)`` per
+    variant and pool."""
     config: ExperimentConfig = _STATE["config"]
-    corpus: Corpus = _STATE[variant]
-    target = corpus.get(target_name)
-    eval_target = (
-        _STATE["original"].get(target_name)
-        if variant == "cleaned" and config.clean_pool_only
-        else target
-    )
-    if eval_target.case_count == 0:
-        return f"{variant}: target has no cases left to evaluate"
-    try:
-        return build_pool(corpus, target, config.pool_mode), eval_target
-    except ValueError as exc:
-        return f"{variant}: {exc}"
+    clusters = config.peters_clusters if "peters" in config.filters else None
+    undefined: dict[tuple[str, str], str] = {}
+    jobs: dict[tuple, tuple[str, tuple[Dataset, ...], list[Dataset]]] = {}
+    for name in targets:
+        for variant in VARIANTS:
+            corpus: Corpus = _STATE[variant]
+            target = corpus.get(name)
+            eval_target = target
+            if variant == "cleaned" and config.clean_pool_only:
+                eval_target = _STATE["original"].get(name)
+            if eval_target.case_count == 0:
+                undefined[name, variant] = f"{variant}: target has no cases left to evaluate"
+                continue
+            try:
+                pool = build_pool(corpus, target, config.pool_mode)
+            except ValueError as exc:
+                undefined[name, variant] = f"{variant}: {exc}"
+                continue
+            if clusters is not None:
+                check_cluster_count(
+                    "peters_clusters", clusters, len(pool) + eval_target.case_count,
+                    f"target {name!r} and its pool in the {variant} variant",
+                )
+            key = (variant, tuple(ds.name for ds in pool.sources))
+            jobs.setdefault(key, (variant, pool.sources, []))[2].append(eval_target)
+    return undefined, list(jobs.values())
 
 
-def _variant_scores(target_name: str, variant: str) -> str | tuple[dict, dict]:
-    """Score every (filter, learner) cell of one target in one variant.
-
-    Returns the reason the whole variant is undefined, or the cells'
-    ``(fmeasure, auc)`` keyed by ``(filter, learner)`` together with each
-    filter's selection info.  AUC is None exactly when the evaluation
-    target is single-class.
-    """
-    inputs = _variant_inputs(target_name, variant)
-    if isinstance(inputs, str):
-        return inputs
-    pool, eval_target = inputs
+def _job_scores(job: int) -> dict[tuple[str, str], tuple[dict, dict]]:
+    """Score every (filter, learner) cell of each target of one job: the
+    cells' ``(fmeasure, auc)`` keyed by ``(filter, learner)`` and each
+    filter's selection info, per (target, variant).  AUC is None exactly
+    when the evaluation target is single-class."""
+    variant, sources, targets = _STATE["jobs"][job]
     config: ExperimentConfig = _STATE["config"]
-    test_X = eval_target.feature_matrix
-    test_y = eval_target.labels
-
-    cells: dict[tuple[str, str], tuple[float, float | None]] = {}
-    info: dict[str, dict] = {}
-    for filter_name in config.filters:
-        filter_seed = derive_seed(config.seed, target_name, variant, "filter", filter_name)
-        selection = select_training_data(
-            filter_name, pool, eval_target,
-            k=config.burak_k, k_clusters=config.peters_clusters,
-            seed=filter_seed, normalize=config.normalize,
-        )
-        rows = selection.selected
-        training = TrainingMatrix(pool.feature_matrix[rows], pool.labels[rows])
-        info[filter_name] = {
-            "selection_size": len(selection),
-            "selection_parameters": dict(selection.parameters),
-            "train_defective": int(training.y.sum()),
-            "pool_size": len(pool),
+    pool = SourcePool(sources)
+    # the global filter selects the whole pool for every target, so its
+    # training set and seedless models (all but the forest) are built once
+    whole, seedless = None, {}
+    if "global" in config.filters:
+        whole = TrainingMatrix(pool.feature_matrix, pool.labels)
+        seedless = {
+            learner: train(learner, whole)
+            for learner in config.learners if learner != "random_forest"
         }
-        for learner in config.learners:
-            learner_seed = derive_seed(
-                config.seed, target_name, variant, filter_name, learner
+    scored = {}
+    for eval_target in targets:
+        name = eval_target.name
+        cells: dict[tuple[str, str], tuple[float, float | None]] = {}
+        info: dict[str, dict] = {}
+        for filter_name in config.filters:
+            filter_seed = derive_seed(config.seed, name, variant, "filter", filter_name)
+            selection = select_training_data(
+                filter_name, pool, eval_target,
+                k=config.burak_k, k_clusters=config.peters_clusters,
+                seed=filter_seed, normalize=config.normalize,
             )
-            model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
-            labels, case_scores = predict(model, test_X)
-            cm = ConfusionMatrix.from_predictions(test_y, labels)
-            cells[(filter_name, learner)] = (f_measure(cm), auc(case_scores, test_y))
-    return cells, info
+            rows = selection.selected
+            training = whole
+            if filter_name != "global":
+                training = TrainingMatrix(pool.feature_matrix[rows], pool.labels[rows])
+            info[filter_name] = {
+                "selection_size": len(selection),
+                "selection_parameters": dict(selection.parameters),
+                "train_defective": int(training.y.sum()),
+                "pool_size": len(pool),
+            }
+            for learner in config.learners:
+                model = seedless.get(learner) if filter_name == "global" else None
+                if model is None:
+                    learner_seed = derive_seed(config.seed, name, variant, filter_name, learner)
+                    model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
+                labels, case_scores = predict(model, eval_target.feature_matrix)
+                cm = ConfusionMatrix.from_predictions(eval_target.labels, labels)
+                cells[(filter_name, learner)] = (
+                    f_measure(cm), auc(case_scores, eval_target.labels)
+                )
+        scored[name, variant] = cells, info
+    return scored
 
 
-def _target_results(target_name: str) -> list[ExperimentResult]:
+def _target_results(target_name: str, scored: dict) -> list[ExperimentResult]:
     """Pair the two variants' scores of every cell of one target into
     result rows, each note naming why a score or change is undefined."""
     config: ExperimentConfig = _STATE["config"]
-    scored = {v: _variant_scores(target_name, v) for v in VARIANTS}
+    scored = {v: scored[target_name, v] for v in VARIANTS}
 
     results = []
     for filter_name in config.filters:
@@ -362,26 +387,6 @@ def _target_results(target_name: str) -> list[ExperimentResult]:
                     change_percent=change, note="; ".join(reasons), provenance=provenance,
                 ))
     return results
-
-
-def _check_peters_clusters(targets: list[str]) -> None:
-    """Reject an explicit cluster count above the number of points k-means
-    would get (pool plus target cases) for any target and variant, before
-    any target is scored.  Variants that are undefined anyway are skipped."""
-    config: ExperimentConfig = _STATE["config"]
-    k = config.peters_clusters
-    if k is None or "peters" not in config.filters:
-        return
-    for name in targets:
-        for variant in VARIANTS:
-            inputs = _variant_inputs(name, variant)
-            if isinstance(inputs, str):
-                continue
-            pool, eval_target = inputs
-            check_cluster_count(
-                "peters_clusters", k, len(pool) + eval_target.case_count,
-                f"target {name!r} and its pool in the {variant} variant",
-            )
 
 
 def _worker_count() -> int:
@@ -419,22 +424,25 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
 
     _STATE.update(config=config, original=original, cleaned=cleaned)
     try:
-        _check_peters_clusters(targets)
-        workers = _worker_count()
-        if workers > 1 and len(targets) > 1:
-            # fork inherits _STATE; results are reassembled in target order,
-            # so the outcome is identical to the serial run
+        scored, _STATE["jobs"] = _plan(targets)
+        jobs = range(len(_STATE["jobs"]))
+        workers = min(_worker_count(), len(jobs))
+        if workers > 1:
+            # fork inherits _STATE; scores are keyed by (target, variant) and
+            # paired in target order, so the outcome is identical to serial
             import multiprocessing
 
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                chunks = list(pool.map(_target_results, targets))
+                chunks = list(pool.map(_job_scores, jobs))
         else:
-            chunks = [_target_results(t) for t in targets]
+            chunks = [_job_scores(job) for job in jobs]
+        for chunk in chunks:
+            scored.update(chunk)
+        results = tuple(r for t in targets for r in _target_results(t, scored))
     finally:
         _STATE.clear()  # the corpora are not kept alive after the run
 
-    results = tuple(r for chunk in chunks for r in chunk)
     logger.info(
         "experiment finished: %d targets, %d result rows, %.1fs",
         len(targets), len(results), time.monotonic() - started,

@@ -294,6 +294,13 @@ class TestSelectCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: --k: 0 neighbours for target 'alpha1.1'; at least 1")
 
+    def test_negative_seed_rejected_before_loading(self, tmp_path, capsys):
+        # the corpus does not exist, so reaching the loader would fail differently
+        rc = main(["select", "--corpus", str(tmp_path / "missing"), "--filter", "peters",
+                   "--target", "alpha1.1", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --seed: -1 for target 'alpha1.1'")
+
     @pytest.mark.parametrize("filter_name", ["global", "burak"])
     def test_clusters_only_with_peters(self, corpus_dir, monkeypatch, capsys, filter_name):
         def select(*args, **kwargs):

@@ -444,12 +444,77 @@ class TestRunExperiment:
         assert json.dumps(experiment_json(a), sort_keys=True) == json.dumps(
             experiment_json(b), sort_keys=True)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("overrides", [
+        {},
+        # mixed pools differ per target, so most jobs hold one target
+        {"pool_mode": "mixed"},
+        # the cleaned variant evaluates the original target
+        {"clean_pool_only": True},
+    ], ids=["default", "mixed", "clean-pool-only"])
+    def test_worker_count_does_not_change_results(self, monkeypatch, overrides):
         corpus = synthetic_corpus(seed=15, duplicate_rate=0.1, inconsistent_rate=0.1)
-        serial = run_grid(corpus, seed=1)
+        serial = run_grid(corpus, seed=1, **overrides)
         monkeypatch.setenv(WORKERS_ENV, "2")
-        parallel = run_grid(corpus, seed=1)
+        parallel = run_grid(corpus, seed=1, **overrides)
         assert experiment_json(serial) == experiment_json(parallel)
+
+    def test_workers_are_capped_at_the_number_of_jobs(self, monkeypatch):
+        # alpha1.0 and alpha1.1 share one pool per variant: two jobs, so a
+        # third and fourth worker would sit idle; the recorder runs the jobs
+        # in this process
+        asked = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers, mp_context):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        corpus = synthetic_corpus(seed=3, cases=40)
+        run = run_grid(corpus, targets=("alpha1.0", "alpha1.1"))
+        assert asked == [2]
+        monkeypatch.delenv(WORKERS_ENV)
+        assert run == run_grid(corpus, targets=("alpha1.0", "alpha1.1"))
+
+    @pytest.mark.parametrize("filters,clusters,pools,trained", [
+        # 5 targets x 2 variants, in 3 strict pools per variant
+        (("global",), None, 10,
+         {"naive_bayes": 6, "decision_tree": 6, "random_forest": 10}),
+        # peters trains per target; its cluster count is checked on the
+        # pools the jobs use, not on pools built a second time
+        (("global", "peters"), 2, 10,
+         {"naive_bayes": 16, "decision_tree": 16, "random_forest": 20}),
+    ], ids=["global", "global-peters"])
+    def test_seedless_global_models_are_trained_once_per_pool(
+        self, monkeypatch, filters, clusters, pools, trained
+    ):
+        counts = {"build_pool": 0}
+        real_train, real_build_pool = harness.train, harness.build_pool
+
+        def train(learner, *args, **kwargs):
+            counts[learner] = counts.get(learner, 0) + 1
+            return real_train(learner, *args, **kwargs)
+
+        def build_pool(*args, **kwargs):
+            counts["build_pool"] += 1
+            return real_build_pool(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", train)
+        monkeypatch.setattr(harness, "build_pool", build_pool)
+        run_grid(
+            synthetic_corpus(seed=3), filters=filters, peters_clusters=clusters,
+            learners=("naive_bayes", "decision_tree", "random_forest"), forest_trees=2,
+        )
+        assert counts == {"build_pool": pools, **trained}
 
     def test_bad_worker_env_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "many")
