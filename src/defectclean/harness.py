@@ -3,13 +3,13 @@ learners and metrics.
 
 One experiment evaluates every requested target dataset twice, once against
 the original corpus and once against the corpus with identical and
-inconsistent cases removed.  The unit of work is a job: one variant, one
-source pool drawn from that variant, and the targets that share the pool.
-A job builds its pool and trains the global naive Bayes and pruned tree
-once, then for each target applies each training-data filter, trains each
-learner on the filtered cases, predicts the target and scores F-measure and
-AUC.  :func:`_target_results` pairs each cell's two variants into one
-result row with its change rate and note.
+inconsistent cases removed.  The unit of work is one target in one variant:
+it applies each training-data filter to the target's source pool, trains
+each learner on the filtered cases, predicts the target and scores
+F-measure and AUC.  The units of one job (a variant and a pool) run in a
+row, and a process builds the pool and trains its global naive Bayes and
+pruned tree once per row.  :func:`_target_results` pairs each cell's two
+variants into one result row with its change rate and note.
 
 Determinism: every randomized step (clustering inits, forest bootstraps,
 subsampling) derives its seed from the run seed plus the combination's
@@ -297,57 +297,58 @@ def _plan(targets: list[str]) -> tuple[dict, list]:
     return undefined, list(jobs.values())
 
 
-def _job_scores(job: int) -> dict[tuple[str, str], tuple[dict, dict]]:
-    """Score every (filter, learner) cell of each target of one job: the
+def _unit_scores(unit: tuple[int, int]) -> tuple[tuple[str, str], tuple[dict, dict]]:
+    """Score every (filter, learner) cell of one target of one job: the
     cells' ``(fmeasure, auc)`` keyed by ``(filter, learner)`` and each
-    filter's selection info, per (target, variant).  AUC is None exactly
-    when the evaluation target is single-class."""
+    filter's selection info, under the target's (name, variant).  AUC is
+    None exactly when the evaluation target is single-class."""
+    job, index = unit
     variant, sources, targets = _STATE["jobs"][job]
     config: ExperimentConfig = _STATE["config"]
-    pool = SourcePool(sources)
-    # the global filter selects the whole pool for every target, so its
-    # training set and seedless models (all but the forest) are built once
-    whole, seedless = None, {}
-    if "global" in config.filters:
-        whole = TrainingMatrix(pool.feature_matrix, pool.labels)
-        seedless = {
-            learner: train(learner, whole)
-            for learner in config.learners if learner != "random_forest"
-        }
-    scored = {}
-    for eval_target in targets:
-        name = eval_target.name
-        cells: dict[tuple[str, str], tuple[float, float | None]] = {}
-        info: dict[str, dict] = {}
-        for filter_name in config.filters:
-            filter_seed = derive_seed(config.seed, name, variant, "filter", filter_name)
-            selection = select_training_data(
-                filter_name, pool, eval_target,
-                k=config.burak_k, k_clusters=config.peters_clusters,
-                seed=filter_seed, normalize=config.normalize,
-            )
-            rows = selection.selected
-            training = whole
-            if filter_name != "global":
-                training = TrainingMatrix(pool.feature_matrix[rows], pool.labels[rows])
-            info[filter_name] = {
-                "selection_size": len(selection),
-                "selection_parameters": dict(selection.parameters),
-                "train_defective": int(training.y.sum()),
-                "pool_size": len(pool),
+    if _STATE.get("built", (None,))[0] != job:
+        # a process keeps its latest job's pool, global training set and
+        # seedless global models; a serial run builds each of them once
+        _STATE.pop("built", None)  # the previous job's pool is freed first
+        pool = SourcePool(sources)
+        whole, shared = None, {}
+        if "global" in config.filters:
+            whole = TrainingMatrix(pool.feature_matrix, pool.labels)
+            shared = {
+                ("global", learner): train(learner, whole)
+                for learner in config.learners if learner != "random_forest"
             }
-            for learner in config.learners:
-                model = seedless.get(learner) if filter_name == "global" else None
-                if model is None:
-                    learner_seed = derive_seed(config.seed, name, variant, filter_name, learner)
-                    model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
-                labels, case_scores = predict(model, eval_target.feature_matrix)
-                cm = ConfusionMatrix.from_predictions(eval_target.labels, labels)
-                cells[(filter_name, learner)] = (
-                    f_measure(cm), auc(case_scores, eval_target.labels)
-                )
-        scored[name, variant] = cells, info
-    return scored
+        _STATE["built"] = (job, pool, whole, shared)
+    _, pool, whole, shared = _STATE["built"]
+    eval_target = targets[index]
+    name = eval_target.name
+    cells: dict[tuple[str, str], tuple[float, float | None]] = {}
+    info: dict[str, dict] = {}
+    for filter_name in config.filters:
+        filter_seed = derive_seed(config.seed, name, variant, "filter", filter_name)
+        selection = select_training_data(
+            filter_name, pool, eval_target,
+            k=config.burak_k, k_clusters=config.peters_clusters,
+            seed=filter_seed, normalize=config.normalize,
+        )
+        rows = selection.selected
+        training = whole if filter_name == "global" else TrainingMatrix(
+            pool.feature_matrix[rows], pool.labels[rows]
+        )
+        info[filter_name] = {
+            "selection_size": len(selection),
+            "selection_parameters": dict(selection.parameters),
+            "train_defective": int(training.y.sum()),
+            "pool_size": len(pool),
+        }
+        for learner in config.learners:
+            model = shared.get((filter_name, learner))
+            if model is None:
+                learner_seed = derive_seed(config.seed, name, variant, filter_name, learner)
+                model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
+            labels, case_scores = predict(model, eval_target.feature_matrix)
+            cm = ConfusionMatrix.from_predictions(eval_target.labels, labels)
+            cells[(filter_name, learner)] = (f_measure(cm), auc(case_scores, eval_target.labels))
+    return (name, variant), (cells, info)
 
 
 def _target_results(target_name: str, scored: dict) -> list[ExperimentResult]:
@@ -425,8 +426,9 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
     _STATE.update(config=config, original=original, cleaned=cleaned)
     try:
         scored, _STATE["jobs"] = _plan(targets)
-        jobs = range(len(_STATE["jobs"]))
-        workers = min(_worker_count(), len(jobs))
+        # one unit per (target, variant), job by job
+        units = [(job, i) for job, j in enumerate(_STATE["jobs"]) for i in range(len(j[2]))]
+        workers = min(_worker_count(), len(units))
         if workers > 1:
             # fork inherits _STATE; scores are keyed by (target, variant) and
             # paired in target order, so the outcome is identical to serial
@@ -434,11 +436,9 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
 
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                chunks = list(pool.map(_job_scores, jobs))
+                scored.update(pool.map(_unit_scores, units))
         else:
-            chunks = [_job_scores(job) for job in jobs]
-        for chunk in chunks:
-            scored.update(chunk)
+            scored.update(map(_unit_scores, units))
         results = tuple(r for t in targets for r in _target_results(t, scored))
     finally:
         _STATE.clear()  # the corpora are not kept alive after the run

@@ -458,10 +458,9 @@ class TestRunExperiment:
         parallel = run_grid(corpus, seed=1, **overrides)
         assert experiment_json(serial) == experiment_json(parallel)
 
-    def test_workers_are_capped_at_the_number_of_jobs(self, monkeypatch):
-        # alpha1.0 and alpha1.1 share one pool per variant: two jobs, so a
-        # third and fourth worker would sit idle; the recorder runs the jobs
-        # in this process
+    def test_workers_are_capped_at_the_number_of_units(self, monkeypatch):
+        # one target is two units, one per variant, so a third and fourth
+        # worker would sit idle; the recorder runs the units in this process
         asked = []
 
         class RecordingExecutor:
@@ -480,17 +479,17 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setenv(WORKERS_ENV, "4")
         corpus = synthetic_corpus(seed=3, cases=40)
-        run = run_grid(corpus, targets=("alpha1.0", "alpha1.1"))
+        run = run_grid(corpus, targets=("alpha1.1",))
         assert asked == [2]
         monkeypatch.delenv(WORKERS_ENV)
-        assert run == run_grid(corpus, targets=("alpha1.0", "alpha1.1"))
+        assert run == run_grid(corpus, targets=("alpha1.1",))
 
     @pytest.mark.parametrize("filters,clusters,pools,trained", [
         # 5 targets x 2 variants, in 3 strict pools per variant
         (("global",), None, 10,
          {"naive_bayes": 6, "decision_tree": 6, "random_forest": 10}),
         # peters trains per target; its cluster count is checked on the
-        # pools the jobs use, not on pools built a second time
+        # pools the plan builds, not on pools built a second time
         (("global", "peters"), 2, 10,
          {"naive_bayes": 16, "decision_tree": 16, "random_forest": 20}),
     ], ids=["global", "global-peters"])
@@ -510,6 +509,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "train", train)
         monkeypatch.setattr(harness, "build_pool", build_pool)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)  # the counts are of a serial run
         run_grid(
             synthetic_corpus(seed=3), filters=filters, peters_clusters=clusters,
             learners=("naive_bayes", "decision_tree", "random_forest"), forest_trees=2,
