@@ -23,12 +23,13 @@ data enters through :meth:`Dataset.from_cases`, a name and one plain
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -102,15 +103,17 @@ def canonicalize_metric(raw: str) -> Decimal:
 def canonical_str(value: Decimal) -> str:
     """Serialize a metric value without insignificant trailing zeros.
 
-    All numerically equal inputs map to the same output string, so
-    serialization of equal datasets is byte-identical.
+    The value is written in fixed point (``format(value, "f")``, which is
+    exact and needs no context); when that text has a dot, its trailing
+    zeros and then a bare dot are stripped ("2.50" -> "2.5", "3.0" -> "3",
+    "1E+2" -> "100").  Any zero, of either sign, is "0".  All numerically
+    equal inputs map to the same output string, so serialization of equal
+    datasets is byte-identical.
     """
     if not value:
-        return "0"  # normalize() keeps the sign of a negative zero ("-0.0")
-    with localcontext() as ctx:
-        ctx.prec = len(value.as_tuple().digits)  # so normalize() cannot round
-        norm = value.normalize()
-    return format(norm, "f")
+        return "0"
+    text = format(value, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def metric_float(value: Decimal) -> float:
@@ -171,18 +174,20 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
 
 
-def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the equal rows of an integer matrix by first occurrence.
 
-    Returns ``(ids, first)``: ``ids[i]`` is row ``i``'s group and
-    ``first[g]`` the row where group ``g`` occurs first.
+    Returns ``(ids, first, order)``: ``ids[i]`` is row ``i``'s group,
+    ``first[g]`` the row where group ``g`` occurs first, and ``order`` the
+    group ids sorted by their rows' :func:`row_keys`.
     """
     _, first, ids = np.unique(row_keys(rows), return_index=True, return_inverse=True)
-    # np.unique numbers the groups in key order; renumber them by first row
+    # np.unique numbers the groups in key order; renumber them by first row,
+    # so rank maps each key-order position to its group's id
     by_first = np.argsort(first)
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(by_first.size)
-    return rank[ids], first[by_first]
+    return rank[ids], first[by_first], rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +294,14 @@ class Dataset:
         return out
 
     @cached_property
+    def _row_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`row_groups` of the value ids, computed once, read-only."""
+        groups = row_groups(self.value_ids)
+        for array in groups:
+            array.flags.writeable = False
+        return groups
+
+    @cached_property
     def feature_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """Exact feature groups: per-case group ids and each group's first row.
 
@@ -299,10 +312,7 @@ class Dataset:
         exactly equal metrics: "1" and "1.00" share a group, and values
         that differ only beyond float precision do not.
         """
-        ids, first = row_groups(self.value_ids)
-        ids.flags.writeable = False
-        first.flags.writeable = False
-        return ids, first
+        return self._row_groups[:2]
 
     @cached_property
     def label_counts(self) -> np.ndarray:
@@ -316,10 +326,9 @@ class Dataset:
     @cached_property
     def feature_order(self) -> np.ndarray:
         """Group ids sorted by their rows' :func:`row_keys`: the ``sorter``
-        that finds a row among this dataset's groups by ``np.searchsorted``."""
-        out = np.argsort(row_keys(self.value_ids[self.feature_ids[1]]))
-        out.flags.writeable = False
-        return out
+        that finds a row among this dataset's groups by ``np.searchsorted``.
+        It is the key order of the sort that numbered the groups."""
+        return self._row_groups[2]
 
     def take(self, rows: Sequence[int] | np.ndarray) -> "Dataset":
         """The cases at ``rows``, in that order, under the same names.
@@ -489,23 +498,44 @@ def parse_dataset(source: IO[str] | Iterable[str], name: str | None = None) -> D
     return Dataset(name, tuple(map(itemgetter(2), rows)), tuple(index), value_ids, bug_counts)
 
 
+def _csv_field(text: str) -> str:
+    """One CSV field as :func:`csv.writer` writes it in a row of several.
+
+    A printable text without a comma or a double quote is never quoted and
+    is written as is.  Any other text is quoted (or not) by ``csv.writer``
+    itself, so the bytes follow csv's rules on every Python version.
+    """
+    if text.isprintable() and "," not in text and '"' not in text:
+        return text
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow((text,))
+    return out.getvalue()[:-1]
+
+
 def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
     """Write a dataset back to CSV in the expected schema.
 
     Metric cells use :func:`canonical_str`, so two equal datasets always
     serialize to identical bytes.  Each table value is formatted once per
-    call and its text is shared by every cell that holds its id.
+    call and its text is shared by every cell that holds its id.  Each row
+    is built as one string: the project and release fields (the same on
+    every row), the class name, the metric cells joined by commas, and the
+    bug count.  The rows are the bytes ``csv.writer`` with ``"\n"`` line
+    endings would write: metric cells and bug counts never need quoting,
+    and the text fields are quoted as csv quotes them (see
+    :func:`_csv_field`).  Rows are streamed one by one, never joined into
+    one string.
     """
     texts = np.array([canonical_str(v) for v in dataset.values], dtype=object)
-    head = (dataset.project, dataset.release)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PROMISE_HEADER)
-    writer.writerows(
-        (*head, class_name, *cells, bug)
+    lead = f"{_csv_field(dataset.project)},{_csv_field(dataset.release)},"
+    stream.write(",".join(PROMISE_HEADER) + "\n")
+    stream.writelines(
+        f"{lead}{_csv_field(class_name)},{','.join(cells)},{bug}\n"
         for class_name, cells, bug in zip(
             dataset.class_names, texts[dataset.value_ids].tolist(), dataset.bug_counts.tolist()
         )
     )
+
 
 def load_corpus(directory: str | Path) -> Corpus:
     """Load every ``*.csv`` in a directory as one corpus.

@@ -26,7 +26,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
@@ -432,7 +431,10 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
         if workers > 1:
             # fork inherits _STATE; scores are keyed by (target, variant) and
             # paired in target order, so the outcome is identical to serial
+            # imported here, so that serial runs and every other command
+            # do not pay for importing concurrent.futures.process
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
             context = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

@@ -17,8 +17,10 @@ Across two releases of one project, the newer release's value table is
 mapped into the older one's through a dict over the distinct values (far
 fewer than the cases), which turns the newer release's group rows into rows of
 the older release's value ids.  A binary search among the older release's
-group rows, sorted once per dataset (:attr:`Dataset.feature_order`), then
-gives each newer group its older group, if any.  For the matched groups'
+group rows then gives each newer group its older group, if any.  The
+search's key order (:attr:`Dataset.feature_order`) is the one the grouping
+sort already found (:func:`~defectclean.data.row_groups`), so no release's
+groups are sorted a second time.  For the matched groups'
 label counts ``a`` (older) and ``b`` (newer), the pair counts are
 ``(a * b).sum()`` identical pairs and ``(a * b[:, ::-1]).sum()``
 inconsistent ones.

@@ -230,7 +230,9 @@ def peters_filter(
     # attach each pool case to its nearest target case in its cluster (ties:
     # lower target index)
     rows, dist, attached = [], [], []
-    for cid in np.unique(target_clusters):
+    # the clusters holding a target case, in id order (a bincount, not
+    # np.unique, which imports numpy.ma on every call on numpy 2)
+    for cid in np.flatnonzero(np.bincount(target_clusters, minlength=k)):
         pool_members = np.flatnonzero(pool_clusters == cid)
         if pool_members.size == 0:
             continue

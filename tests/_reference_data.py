@@ -1,4 +1,6 @@
-"""Row-wise reference for ``parse_dataset``.
+"""Reference implementations of the CSV reader and writer in ``data``.
+
+``reference_parse`` is the row-wise reference for ``parse_dataset``.
 
 The parser as it was before datasets became columns: read the CSV one row
 at a time, check the row's width, parse each of its cells (each distinct
@@ -8,13 +10,20 @@ per line.  The per-cell rules
 package; what this oracle pins is everything around them: which rows are
 read, which error is raised first and with which row number, the name,
 and the cases themselves.
+
+``reference_serialize`` and ``reference_canonical_str`` are the writer as
+it was before rows were built as strings: every row goes through
+``csv.writer``, and each value is normalized in a ``Decimal`` context sized
+to its digits.  The package's writer must give the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from typing import IO, Iterable
+
+import numpy as np
 
 from defectclean.data import (
     Dataset,
@@ -67,3 +76,27 @@ def reference_parse(
             raise EmptyDatasetError("no data rows")
         name = first_row[0].strip() + first_row[1].strip()
     return Dataset.from_cases(name, cases)
+
+
+def reference_canonical_str(value: Decimal) -> str:
+    """Same contract and result as ``canonical_str``."""
+    if not value:
+        return "0"  # normalize() keeps the sign of a negative zero ("-0.0")
+    with localcontext() as ctx:
+        ctx.prec = len(value.as_tuple().digits)  # so normalize() cannot round
+        norm = value.normalize()
+    return format(norm, "f")
+
+
+def reference_serialize(dataset: Dataset, stream: IO[str]) -> None:
+    """Same contract and bytes as ``serialize_dataset``."""
+    texts = np.array([reference_canonical_str(v) for v in dataset.values], dtype=object)
+    head = (dataset.project, dataset.release)
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(PROMISE_HEADER)
+    writer.writerows(
+        (*head, class_name, *cells, bug)
+        for class_name, cells, bug in zip(
+            dataset.class_names, texts[dataset.value_ids].tolist(), dataset.bug_counts.tolist()
+        )
+    )

@@ -90,6 +90,11 @@ class TestCanonicalize:
         assert canonical_str(Decimal("0.0")) == "0"
         assert canonical_str(Decimal("100")) == "100"
         assert canonical_str(Decimal("0.125")) == "0.125"
+        # exponents are written out in fixed point, trailing zeros and all
+        assert canonical_str(Decimal("1E+2")) == "100"
+        assert canonical_str(Decimal("5.0E+30")) == "5" + "0" * 30
+        assert canonical_str(Decimal("1.20E-30")) == "0." + "0" * 29 + "12"
+        assert canonical_str(Decimal("0E+30")) == "0"
 
     def test_negative_zero_serializes_as_zero(self):
         # "-0" parses (it is not below zero) and equals 0, so it must print

@@ -9,8 +9,13 @@ recorded numbers.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,7 +481,7 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setenv(WORKERS_ENV, "4")
         corpus = synthetic_corpus(seed=3, cases=40)
         run = run_grid(corpus, targets=("alpha1.1",))
@@ -571,3 +576,32 @@ class TestRunExperiment:
     def test_variants_and_metrics_constants(self):
         assert VARIANTS == ("original", "cleaned")
         assert METRICS == ("fmeasure", "auc")
+
+
+LAZY_IMPORTS_SCRIPT = """
+import sys
+import defectclean
+from defectclean.datagen import synthetic_corpus
+from defectclean.harness import ExperimentConfig, run_experiment
+
+config = ExperimentConfig(
+    corpus_dir=None, targets=("alpha1.1",), filters=("peters",), learners=("naive_bayes",),
+)
+run = run_experiment(config, corpus=synthetic_corpus(seed=3, cases=40))
+assert run.results
+print(sorted({"numpy.ma", "concurrent.futures.process"} & set(sys.modules)))
+"""
+
+
+def test_serial_experiment_imports_neither_numpy_ma_nor_process_pools():
+    # both imports cost start-up or body time on every command; a serial
+    # run needs neither, so a fresh interpreter must not load them
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_IMPORTS_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path, WORKERS_ENV: "1"},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
