@@ -65,11 +65,11 @@ class SchemaError(ValueError):
 
 
 class ParseError(ValueError):
-    """A data row could not be parsed."""
+    """A line or a data row could not be parsed."""
 
 
 class EmptyDatasetError(ParseError):
-    """CSV had no header, or no data rows and no name to give the dataset."""
+    """CSV had no header row."""
 
 
 class CorpusError(ValueError):
@@ -453,27 +453,30 @@ def _first_bad_row(lines: list[list[str]], cells: _Cells, bugs: _Cells) -> Parse
     raise RuntimeError("a row failed to convert, yet every row parses")
 
 
-def parse_dataset(source: IO[str] | Iterable[str], name: str | None = None) -> Dataset:
-    """Parse one CSV stream into a Dataset.
+def parse_dataset(source: IO[str] | Iterable[str], name: str) -> Dataset:
+    """Parse one CSV stream into the dataset called ``name``.
 
-    The dataset name defaults to the project and version columns of the
-    first data row.  A header-only file given a ``name`` is that dataset
-    with no cases (how :func:`write_corpus` writes a dataset cleaned to
-    nothing).  Raises :class:`SchemaError` on a bad header,
-    :class:`ParseError` (with the data row number) on a bad cell and
-    :class:`EmptyDatasetError` when there is no header, or no data rows
-    and no ``name``.  Blank lines
-    are skipped but counted in row numbers.  When several rows are bad,
-    the first one is reported: its width, else its first bad metric cell,
-    else its bug count.
+    A header-only file is the dataset with no cases (how
+    :func:`write_corpus` writes a dataset cleaned to nothing).  Raises
+    :class:`EmptyDatasetError` when there is no header row,
+    :class:`SchemaError` on a bad header, and :class:`ParseError` on a line
+    that :mod:`csv` cannot read (with its physical line number, the header
+    being line 1) or on a bad cell (with its data row number).  Blank lines
+    are skipped but counted in row numbers.  A line that csv cannot read
+    is reported before any bad row.  When several rows are bad, the first
+    one is reported: its width, else its first bad metric cell, else its
+    bug count.
     """
     reader = csv.reader(source)
-    header = next(reader, None)
-    if header is None:
-        raise EmptyDatasetError("no header row")
-    _check_header(header)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDatasetError("no header row")
+        _check_header(header)
+        lines = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
 
-    lines = list(reader)
     rows = lines if all(lines) else [row for row in lines if row]
     # Each distinct cell text is parsed and checked once, and equal values
     # share one table entry, whatever their spelling.  Only a failed
@@ -491,10 +494,6 @@ def parse_dataset(source: IO[str] | Iterable[str], name: str | None = None) -> D
         bug_counts = np.fromiter(map(bugs.__getitem__, map(itemgetter(-1), rows)), np.int64)
     except ParseError:
         raise _first_bad_row(lines, cells, bugs) from None
-    if name is None:
-        if not rows:
-            raise EmptyDatasetError("no data rows")
-        name = rows[0][0].strip() + rows[0][1].strip()
     return Dataset(name, tuple(map(itemgetter(2), rows)), tuple(index), value_ids, bug_counts)
 
 
@@ -503,13 +502,16 @@ def _csv_field(text: str) -> str:
 
     A printable text without a comma or a double quote is never quoted and
     is written as is.  Any other text is quoted (or not) by ``csv.writer``
-    itself, so the bytes follow csv's rules on every Python version.
+    itself, so the bytes follow csv's rules on every Python version.  The
+    writer's line terminator is ``"\r\n"``, so that a text holding a bare
+    ``"\r"`` is quoted too: unquoted, :func:`csv.reader` would read it as a
+    line break.
     """
     if text.isprintable() and "," not in text and '"' not in text:
         return text
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow((text,))
-    return out.getvalue()[:-1]
+    csv.writer(out, lineterminator="\r\n").writerow((text,))
+    return out.getvalue()[:-2]
 
 
 def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
@@ -520,9 +522,8 @@ def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
     call and its text is shared by every cell that holds its id.  Each row
     is built as one string: the project and release fields (the same on
     every row), the class name, the metric cells joined by commas, and the
-    bug count.  The rows are the bytes ``csv.writer`` with ``"\n"`` line
-    endings would write: metric cells and bug counts never need quoting,
-    and the text fields are quoted as csv quotes them (see
+    bug count, ended by ``"\n"``.  Metric cells and bug counts never need
+    quoting, and the text fields are quoted as csv quotes them (see
     :func:`_csv_field`).  Rows are streamed one by one, never joined into
     one string.
     """
@@ -540,8 +541,9 @@ def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
 def load_corpus(directory: str | Path) -> Corpus:
     """Load every ``*.csv`` in a directory as one corpus.
 
-    Dataset names are the file stems, so a header-only file loads as its
-    dataset with no cases.  Files are read in sorted name order so corpus
+    Each dataset is named by its file stem, so a header-only file loads as
+    its dataset with no cases, and a file that does not parse fails with
+    its file name.  Files are read in sorted name order so corpus
     order is stable across platforms.
     """
     directory = Path(directory)

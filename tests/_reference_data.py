@@ -2,14 +2,14 @@
 
 ``reference_parse`` is the row-wise reference for ``parse_dataset``.
 
-The parser as it was before datasets became columns: read the CSV one row
+The parser as it was before datasets became columns: take the CSV one row
 at a time, check the row's width, parse each of its cells (each distinct
 text once) and build one ``(class_name, metric_values, bug_count)`` row
 per line.  The per-cell rules
 (``canonicalize_metric``, ``_parse_bug_count``) are shared with the
 package; what this oracle pins is everything around them: which rows are
-read, which error is raised first and with which row number, the name,
-and the cases themselves.
+read, which error is raised first and with which row or line number, and
+the cases themselves.
 
 ``reference_serialize`` and ``reference_canonical_str`` are the writer as
 it was before rows were built as strings: every row goes through
@@ -20,6 +20,7 @@ to its digits.  The package's writer must give the same bytes.
 from __future__ import annotations
 
 import csv
+import io
 from decimal import Decimal, localcontext
 from typing import IO, Iterable
 
@@ -37,23 +38,22 @@ from defectclean.data import (
 )
 
 
-def reference_parse(
-    source: IO[str] | Iterable[str],
-    name: str | None = None,
-) -> Dataset:
+def reference_parse(source: IO[str] | Iterable[str], name: str) -> Dataset:
     """Same contract and result as ``parse_dataset``."""
     reader = csv.reader(source)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyDatasetError("no header row") from None
-    _check_header(header)
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDatasetError("no header row")
+        _check_header(header)
+        lines = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
 
     cells: dict[str, Decimal] = {}
     bugs: dict[str, int] = {}
     cases: list[tuple[str, tuple[Decimal, ...], int]] = []
-    first_row: list[str] | None = None
-    for row_no, row in enumerate(reader, start=1):
+    for row_no, row in enumerate(lines, start=1):
         if not row:
             continue
         if len(row) != len(PROMISE_HEADER):
@@ -67,14 +67,7 @@ def reference_parse(
                 bugs[row[-1]] = _parse_bug_count(row[-1])
         except ParseError as exc:
             raise ParseError(f"row {row_no}: {exc}") from None
-        if first_row is None:
-            first_row = row
         cases.append((row[2], values, bugs[row[-1]]))
-
-    if name is None:
-        if first_row is None:
-            raise EmptyDatasetError("no data rows")
-        name = first_row[0].strip() + first_row[1].strip()
     return Dataset.from_cases(name, cases)
 
 
@@ -89,14 +82,21 @@ def reference_canonical_str(value: Decimal) -> str:
 
 
 def reference_serialize(dataset: Dataset, stream: IO[str]) -> None:
-    """Same contract and bytes as ``serialize_dataset``."""
+    """Same contract and bytes as ``serialize_dataset``.
+
+    Each row goes through a ``csv.writer`` whose line terminator is
+    ``"\r\n"``, so a field holding a bare ``"\r"`` is quoted, and its
+    ``"\r\n"`` is then written as ``"\n"``.
+    """
     texts = np.array([reference_canonical_str(v) for v in dataset.values], dtype=object)
     head = (dataset.project, dataset.release)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(PROMISE_HEADER)
-    writer.writerows(
+    rows = [PROMISE_HEADER] + [
         (*head, class_name, *cells, bug)
         for class_name, cells, bug in zip(
             dataset.class_names, texts[dataset.value_ids].tolist(), dataset.bug_counts.tolist()
         )
-    )
+    ]
+    for row in rows:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        stream.write(out.getvalue()[:-2] + "\n")

@@ -58,6 +58,13 @@ class TestQualityCommand:
             assert entry["identical_cases"] == report.identical_case_count
             assert entry["inconsistent_cases"] == report.inconsistent_case_count
 
+    def test_oversized_field_fails_with_file_and_line(self, tmp_path, capsys):
+        write_corpus(Corpus((dataset("big", [case("x" * 200_000, True, 1)]),)), tmp_path / "in")
+        assert main(["quality", "--corpus", str(tmp_path / "in"), "--out", str(tmp_path / "q")]) == 1
+        assert capsys.readouterr().err == (
+            "error: big.csv: line 2: field larger than field limit (131072)\n"
+        )
+
 
 class TestCleanCommand:
     def test_cleans_and_round_trips(self, corpus_dir, tmp_path, capsys):
@@ -97,6 +104,13 @@ class TestCleanCommand:
         assert main(["clean", "--corpus", str(tmp_path / "in"), "--out", str(out)]) == 0
         assert (out / "mixed1.0.csv").read_text().count("\n") == 1
         assert load_corpus(out).get("mixed1.0") == conflicted.replace_cases(())
+
+    def test_bare_carriage_return_in_a_class_name_survives(self, tmp_path):
+        names = dataset("names1.0", [case("a\rb", True, 1), case("c\r", False, 2)])
+        write_corpus(Corpus((names,)), tmp_path / "in")
+        out = tmp_path / "cleaned"
+        assert main(["clean", "--corpus", str(tmp_path / "in"), "--out", str(out)]) == 0
+        assert load_corpus(out).get("names1.0").class_names == ("a\rb", "c\r")
 
     def test_cleaned_corpus_with_an_emptied_release_runs_downstream(self, tmp_path, capsys):
         emptied = dataset("alpha1.1", [case("a", True, 1), case("b", False, 1)])

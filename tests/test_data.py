@@ -253,8 +253,7 @@ class TestParseDataset:
             data_row(name="B", metrics=["2"] * N_METRICS, bug="1"),
             data_row(name="C", metrics=["3"] * N_METRICS, bug="5"),
         ]
-        ds = parse_dataset(make_csv(rows))
-        assert ds.name == "demo1.0"
+        ds = parse_dataset(make_csv(rows), name="demo1.0")
         assert ds.project == "demo" and ds.release == "1.0"
         assert ds.case_count == 3
         assert ds.defective_count == 2
@@ -267,62 +266,71 @@ class TestParseDataset:
 
     def test_header_case_and_spacing_tolerated(self):
         header = [h.upper() + " " for h in PROMISE_HEADER]
-        ds = parse_dataset(make_csv([data_row()], header=header))
+        ds = parse_dataset(make_csv([data_row()], header=header), name="demo1.0")
         assert ds.case_count == 1
 
     def test_missing_column_named(self):
         header = list(PROMISE_HEADER[:-1])  # drop "bug"
         rows = [data_row()[:-1]]
         with pytest.raises(SchemaError, match="bug"):
-            parse_dataset(make_csv(rows, header=header))
+            parse_dataset(make_csv(rows, header=header), name="demo1.0")
 
     def test_swapped_column_named(self):
         header = list(PROMISE_HEADER)
         header[4], header[5] = header[5], header[4]  # dit <-> noc
         with pytest.raises(SchemaError, match="noc"):
-            parse_dataset(make_csv([data_row()], header=header))
+            parse_dataset(make_csv([data_row()], header=header), name="demo1.0")
 
     def test_extra_column_rejected(self):
         header = list(PROMISE_HEADER) + ["extra"]
         rows = [data_row() + ["1"]]
         with pytest.raises(SchemaError, match="extra"):
-            parse_dataset(make_csv(rows, header=header))
+            parse_dataset(make_csv(rows, header=header), name="demo1.0")
 
     def test_bad_metric_cell_reports_row(self):
         rows = [data_row(), data_row(metrics=["1"] * 19 + ["oops"])]
         with pytest.raises(ParseError, match="row 2"):
-            parse_dataset(make_csv(rows))
+            parse_dataset(make_csv(rows), name="demo1.0")
 
     def test_non_integer_bug_count_rejected(self):
         with pytest.raises(ParseError, match="bug"):
-            parse_dataset(make_csv([data_row(bug="1.5")]))
+            parse_dataset(make_csv([data_row(bug="1.5")]), name="demo1.0")
 
     def test_bug_count_spellings_parse_to_the_same_integer(self):
         rows = [data_row(name=n, bug=b) for n, b in (("A", "2"), ("B", "2.0"), ("C", "2.00"))]
-        ds = parse_dataset(make_csv(rows))
+        ds = parse_dataset(make_csv(rows), name="demo1.0")
         assert ds.bug_counts.tolist() == [2, 2, 2]
         assert all(type(bug) is int for _, _, bug in decimal_rows(ds))
 
     def test_repeated_bad_bug_count_names_its_first_row(self):
         rows = [data_row(bug="1"), data_row(bug="1.5"), data_row(bug="1.5")]
         with pytest.raises(ParseError, match=r"^row 2: bug count '1\.5' is not an integer$"):
-            parse_dataset(make_csv(rows))
+            parse_dataset(make_csv(rows), name="demo1.0")
 
     def test_parsed_vectors_equal_checked_vectors(self):
         cells = ["0.0", "-0", "1.50", "2", "0.25"] + ["3"] * (N_METRICS - 5)
-        ds = parse_dataset(make_csv([data_row(metrics=cells)]))
+        ds = parse_dataset(make_csv([data_row(metrics=cells)]), name="demo1.0")
         checked = tuple(map(canonicalize_metric, cells))
         _, parsed, _ = decimal_rows(ds)[0]
         assert parsed == checked
         assert hash(parsed) == hash(checked)
 
     def test_empty_file_and_headerless_file(self):
-        with pytest.raises(EmptyDatasetError):
-            parse_dataset(io.StringIO(""))
-        with pytest.raises(EmptyDatasetError):
-            parse_dataset(make_csv([]))
         with pytest.raises(EmptyDatasetError, match="no header"):
             parse_dataset(io.StringIO(""), name="named1.0")
+
+    def test_oversized_header_field_names_line_1(self):
+        header = list(PROMISE_HEADER)
+        header[2] = "x" * 200_000
+        with pytest.raises(ParseError, match=r"^line 1: field larger than field limit \(131072\)$"):
+            parse_dataset(make_csv([data_row()], header=header), name="demo1.0")
+
+    def test_oversized_row_field_names_its_file_line(self):
+        # the header is line 1 and the blank line counts, so the big field
+        # is on line 4; csv's error wins over the bad cell of data row 1
+        rows = [data_row(metrics=["oops"] * N_METRICS), [], data_row(name="x" * 200_000)]
+        with pytest.raises(ParseError, match=r"^line 4: field larger than field limit \(131072\)$"):
+            parse_dataset(make_csv(rows), name="demo1.0")
 
     def test_named_header_only_file_is_an_empty_dataset(self):
         ds = parse_dataset(io.StringIO(make_csv([]).getvalue() + "\n"), name="xercesinit")
@@ -336,7 +344,7 @@ class TestParseDataset:
     def test_blank_lines_skipped(self):
         stream = make_csv([data_row()])
         text = stream.getvalue() + "\n\n"
-        ds = parse_dataset(io.StringIO(text))
+        ds = parse_dataset(io.StringIO(text), name="demo1.0")
         assert ds.case_count == 1
 
 
@@ -385,10 +393,10 @@ class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(csv_texts())
     def test_parse_serialize_parse_is_identity(self, text):
-        first = parse_dataset(io.StringIO(text))
+        first = parse_dataset(io.StringIO(text), name="demo1.0")
         written = io.StringIO()
         serialize_dataset(first, written)
-        second = parse_dataset(io.StringIO(written.getvalue()))
+        second = parse_dataset(io.StringIO(written.getvalue()), name="demo1.0")
         assert second == first
         assert np.array_equal(second.feature_matrix, first.feature_matrix)
         again = io.StringIO()

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from decimal import Decimal
 
 from defectclean.data import (
-    Dataset, N_METRICS, PROMISE_HEADER, canonical_str, metric_float, parse_dataset,
+    Dataset, N_METRICS, PROMISE_HEADER, ParseError, canonical_str, metric_float, parse_dataset,
     row_keys, serialize_dataset,
 )
 
@@ -94,7 +94,7 @@ def csv_documents(draw) -> str:
     return "".join(lines)
 
 
-def outcome(parse, text: str, name: str | None = None):
+def outcome(parse, text: str, name: str = "named1.0"):
     try:
         return parse(io.StringIO(text), name), None
     except ValueError as exc:
@@ -127,7 +127,7 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
 
 class TestParseAgainstReference:
     @settings(max_examples=400, deadline=None)
-    @given(csv_documents(), st.sampled_from([None, "named1.0"]))
+    @given(csv_documents(), st.sampled_from(["named1.0", "xercesinit"]))
     def test_same_dataset_or_same_error(self, text, name):
         got, got_error = outcome(parse_dataset, text, name)
         want, want_error = outcome(reference_parse, text, name)
@@ -155,6 +155,13 @@ class TestParseAgainstReference:
         _, want = outcome(reference_parse, text)
         assert got == want
         assert got[1] == message
+
+    def test_a_line_csv_cannot_read_is_reported_before_bad_rows(self):
+        text = csv_line(list(PROMISE_HEADER)) + csv_line(["p", "1", "C"] + ["z"] * 21) + "\n"
+        text += csv_line(["p", "1", "x" * 200_000] + ["1"] * 21)
+        _, got = outcome(parse_dataset, text)
+        assert got == (ParseError, "line 4: field larger than field limit (131072)")
+        assert outcome(reference_parse, text)[1] == got
 
     def test_blank_lines_count_in_row_numbers(self):
         text = csv_line(list(PROMISE_HEADER)) + "\n\n" + csv_line(["p", "1", "C"] + ["z"] * 21)
@@ -222,20 +229,18 @@ class TestSerializeAgainstReference:
         ds = Dataset.from_cases("q1,0", [(class_name, [Decimal("1.50")] * N_METRICS, 1)])
         assert written(serialize_dataset, ds) == written(reference_serialize, ds)
 
-    # no carriage returns: a bare one does not read back (the xfail below)
     @settings(max_examples=150, deadline=None)
-    @given(text_datasets(FIELD_CHARS.replace("\r", "")))
+    @given(text_datasets())
     def test_parse_reads_back_what_serialize_writes(self, ds):
         text, error = written(serialize_dataset, ds)
         if error is None:
             assert_same_dataset(parse_dataset(io.StringIO(text), name=ds.name), ds)
 
-    @pytest.mark.xfail(raises=csv.Error, reason=(
-        "csv.writer with a '\\n' line terminator writes a bare '\\r' unquoted, "
-        "and csv.reader then reads it as a line break"))
     def test_bare_carriage_return_in_a_class_name_reads_back(self):
+        # unquoted, csv.reader would read the bare "\r" as a line break
         ds = Dataset.from_cases("r1.0", [("a\rb", [Decimal(1)] * N_METRICS, 0)])
         text, _ = written(serialize_dataset, ds)
+        assert '"a\rb"' in text
         assert parse_dataset(io.StringIO(text), name=ds.name) == ds
 
 
