@@ -346,6 +346,10 @@ class Dataset:
         """A dataset of the given rows under this dataset's names."""
         return Dataset.from_cases(self.name, cases)
 
+    def __reduce__(self) -> tuple:
+        # through the constructor: columns re-checked and read-only, caches rebuilt
+        return Dataset, (self.name, self.class_names, self.values, self.value_ids, self.bug_counts)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented

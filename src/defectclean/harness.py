@@ -3,13 +3,16 @@ learners and metrics.
 
 One experiment evaluates every requested target dataset twice, once against
 the original corpus and once against the corpus with identical and
-inconsistent cases removed.  The unit of work is one target in one variant:
-it applies each training-data filter to the target's source pool, trains
-each learner on the filtered cases, predicts the target and scores
-F-measure and AUC.  The units of one job (a variant and a pool) run in a
-row, and a process builds the pool and trains its global naive Bayes and
-pruned tree once per row.  :func:`_target_results` pairs each cell's two
-variants into one result row with its change rate and note.
+inconsistent cases removed.  Targets that share a variant and a pool form
+one job.  The unit of work is a run of one job's targets: it builds the
+pool and trains the global naive Bayes and pruned tree once, then, for each
+target, applies each training-data filter, trains each learner on the
+filtered cases, predicts the target and scores F-measure and AUC.  A serial
+run makes one unit per job; with workers, a job is cut into runs of at most
+ceil(scored pairs / workers) targets.  A unit is a plain picklable value
+that carries its config and datasets, so it runs under any start method.
+:func:`_target_results` pairs each cell's two variants into one result row
+with its change rate and note.
 
 Determinism: every randomized step (clustering inits, forest bootstraps,
 subsampling) derives its seed from the run seed plus the combination's
@@ -27,6 +30,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
@@ -258,31 +262,24 @@ def _apply_cap(corpus: Corpus, config: ExperimentConfig) -> Corpus:
     return Corpus(tuple(capped))
 
 
-# state shared with forked worker processes
-_STATE: dict = {}
-
-
-def _plan(targets: list[str]) -> tuple[dict, list]:
-    """Build the pool of every (target, variant) once and check an explicit
-    peters cluster count against it.  Returns each undefined pair's reason
-    and the jobs, one ``(variant, pool sources, evaluation targets)`` per
-    variant and pool."""
-    config: ExperimentConfig = _STATE["config"]
+def _plan(
+    config: ExperimentConfig, corpora: Mapping[str, Corpus], targets: list[str]
+) -> tuple[dict, list]:
+    """Build each (target, variant)'s pool once, from its variant's corpus,
+    and check an explicit peters cluster count on it.  Returns each undefined
+    pair's reason and the jobs, one ``(variant, pool sources, targets)`` each."""
     clusters = config.peters_clusters if "peters" in config.filters else None
     undefined: dict[tuple[str, str], str] = {}
     jobs: dict[tuple, tuple[str, tuple[Dataset, ...], list[Dataset]]] = {}
     for name in targets:
         for variant in VARIANTS:
-            corpus: Corpus = _STATE[variant]
-            target = corpus.get(name)
-            eval_target = target
-            if variant == "cleaned" and config.clean_pool_only:
-                eval_target = _STATE["original"].get(name)
+            # clean_pool_only evaluates the original target in both variants
+            eval_target = corpora["original" if config.clean_pool_only else variant].get(name)
             if eval_target.case_count == 0:
                 undefined[name, variant] = f"{variant}: target has no cases left to evaluate"
                 continue
             try:
-                pool = build_pool(corpus, target, config.pool_mode)
+                pool = build_pool(corpora[variant], eval_target, config.pool_mode)
             except ValueError as exc:
                 undefined[name, variant] = f"{variant}: {exc}"
                 continue
@@ -296,64 +293,61 @@ def _plan(targets: list[str]) -> tuple[dict, list]:
     return undefined, list(jobs.values())
 
 
-def _unit_scores(unit: tuple[int, int]) -> tuple[tuple[str, str], tuple[dict, dict]]:
-    """Score every (filter, learner) cell of one target of one job: the
-    cells' ``(fmeasure, auc)`` keyed by ``(filter, learner)`` and each
-    filter's selection info, under the target's (name, variant).  AUC is
-    None exactly when the evaluation target is single-class."""
-    job, index = unit
-    variant, sources, targets = _STATE["jobs"][job]
-    config: ExperimentConfig = _STATE["config"]
-    if _STATE.get("built", (None,))[0] != job:
-        # a process keeps its latest job's pool, global training set and
-        # seedless global models; a serial run builds each of them once
-        _STATE.pop("built", None)  # the previous job's pool is freed first
-        pool = SourcePool(sources)
-        whole, shared = None, {}
-        if "global" in config.filters:
-            whole = TrainingMatrix(pool.feature_matrix, pool.labels)
-            shared = {
-                ("global", learner): train(learner, whole)
-                for learner in config.learners if learner != "random_forest"
-            }
-        _STATE["built"] = (job, pool, whole, shared)
-    _, pool, whole, shared = _STATE["built"]
-    eval_target = targets[index]
-    name = eval_target.name
-    cells: dict[tuple[str, str], tuple[float, float | None]] = {}
-    info: dict[str, dict] = {}
-    for filter_name in config.filters:
-        filter_seed = derive_seed(config.seed, name, variant, "filter", filter_name)
-        selection = select_training_data(
-            filter_name, pool, eval_target,
-            k=config.burak_k, k_clusters=config.peters_clusters,
-            seed=filter_seed, normalize=config.normalize,
-        )
-        rows = selection.selected
-        training = whole if filter_name == "global" else TrainingMatrix(
-            pool.feature_matrix[rows], pool.labels[rows]
-        )
-        info[filter_name] = {
-            "selection_size": len(selection),
-            "selection_parameters": dict(selection.parameters),
-            "train_defective": int(training.y.sum()),
-            "pool_size": len(pool),
+def _unit_scores(unit: tuple) -> list[tuple[tuple[str, str], tuple[dict, dict]]]:
+    """Score every (filter, learner) cell of a unit ``(config, variant, pool
+    sources, targets)``: per target, the cells' ``(fmeasure, auc)`` keyed by
+    ``(filter, learner)`` and each filter's selection info, under the
+    target's (name, variant).  All the targets share one pool and its
+    seedless global models.  AUC is None exactly when the evaluation target
+    is single-class."""
+    config, variant, sources, targets = unit
+    pool = SourcePool(sources)
+    whole, shared = None, {}
+    if "global" in config.filters:
+        whole = TrainingMatrix(pool.feature_matrix, pool.labels)
+        shared = {
+            ("global", learner): train(learner, whole)
+            for learner in config.learners if learner != "random_forest"
         }
-        for learner in config.learners:
-            model = shared.get((filter_name, learner))
-            if model is None:
-                learner_seed = derive_seed(config.seed, name, variant, filter_name, learner)
-                model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
-            labels, case_scores = predict(model, eval_target.feature_matrix)
-            cm = ConfusionMatrix.from_predictions(eval_target.labels, labels)
-            cells[(filter_name, learner)] = (f_measure(cm), auc(case_scores, eval_target.labels))
-    return (name, variant), (cells, info)
+    scored = []
+    for eval_target in targets:
+        name = eval_target.name
+        cells: dict[tuple[str, str], tuple[float, float | None]] = {}
+        info: dict[str, dict] = {}
+        for filter_name in config.filters:
+            filter_seed = derive_seed(config.seed, name, variant, "filter", filter_name)
+            selection = select_training_data(
+                filter_name, pool, eval_target,
+                k=config.burak_k, k_clusters=config.peters_clusters,
+                seed=filter_seed, normalize=config.normalize,
+            )
+            rows = selection.selected
+            training = whole if filter_name == "global" else TrainingMatrix(
+                pool.feature_matrix[rows], pool.labels[rows]
+            )
+            info[filter_name] = {
+                "selection_size": len(selection),
+                "selection_parameters": dict(selection.parameters),
+                "train_defective": int(training.y.sum()),
+                "pool_size": len(pool),
+            }
+            for learner in config.learners:
+                model = shared.get((filter_name, learner))
+                if model is None:
+                    learner_seed = derive_seed(config.seed, name, variant, filter_name, learner)
+                    model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
+                labels, case_scores = predict(model, eval_target.feature_matrix)
+                cm = ConfusionMatrix.from_predictions(eval_target.labels, labels)
+                cells[filter_name, learner] = (f_measure(cm), auc(case_scores, eval_target.labels))
+        scored.append(((name, variant), (cells, info)))
+    return scored
 
 
-def _target_results(target_name: str, scored: dict) -> list[ExperimentResult]:
+def _target_results(
+    config: ExperimentConfig, target_name: str, scored: dict
+) -> list[ExperimentResult]:
     """Pair the two variants' scores of every cell of one target into
     result rows, each note naming why a score or change is undefined."""
-    config: ExperimentConfig = _STATE["config"]
     scored = {v: scored[target_name, v] for v in VARIANTS}
 
     results = []
@@ -422,28 +416,28 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
         for ds in original
     }
 
-    _STATE.update(config=config, original=original, cleaned=cleaned)
-    try:
-        scored, _STATE["jobs"] = _plan(targets)
-        # one unit per (target, variant), job by job
-        units = [(job, i) for job, j in enumerate(_STATE["jobs"]) for i in range(len(j[2]))]
-        workers = min(_worker_count(), len(units))
-        if workers > 1:
-            # fork inherits _STATE; scores are keyed by (target, variant) and
-            # paired in target order, so the outcome is identical to serial
-            # imported here, so that serial runs and every other command
-            # do not pay for importing concurrent.futures.process
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    scored, jobs = _plan(config, {"original": original, "cleaned": cleaned}, targets)
+    # each job's targets in runs of at most ceil(pairs / workers): one unit
+    # per job when serial, and a job is split only to keep workers busy
+    requested = _worker_count()
+    size = -(-sum(len(evaluated) for _, _, evaluated in jobs) // requested)
+    units = [
+        (config, variant, sources, tuple(evaluated[i:i + size]))
+        for variant, sources, evaluated in jobs
+        for i in range(0, len(evaluated), size)
+    ]
+    workers = min(requested, len(units))
+    if workers > 1:
+        # a unit carries its own job, so any start method works, and scores
+        # are paired by (target, variant), so the outcome is the serial one;
+        # imported here, so that serial runs skip concurrent.futures.process
+        from concurrent.futures import ProcessPoolExecutor
 
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                scored.update(pool.map(_unit_scores, units))
-        else:
-            scored.update(map(_unit_scores, units))
-        results = tuple(r for t in targets for r in _target_results(t, scored))
-    finally:
-        _STATE.clear()  # the corpora are not kept alive after the run
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            scored.update(chain.from_iterable(executor.map(_unit_scores, units)))
+    else:
+        scored.update(chain.from_iterable(map(_unit_scores, units)))
+    results = tuple(r for t in targets for r in _target_results(config, t, scored))
 
     logger.info(
         "experiment finished: %d targets, %d result rows, %.1fs",

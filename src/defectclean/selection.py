@@ -278,7 +278,9 @@ def select_training_data(
     seed: int = 0,
     normalize: bool = True,
 ) -> TrainingSelection:
-    """Dispatch one of the three filters by name."""
+    """Dispatch one of the three filters by name, for a target with cases."""
+    if target.case_count == 0:
+        raise ValueError(f"target {target.name!r} has no cases")
     if filter_name == "global":
         return global_filter(pool)
     if filter_name == "burak":

@@ -351,6 +351,26 @@ class TestSelectCommand:
         assert rc == 0
         assert seen["k"] == 10
 
+    @pytest.mark.parametrize("flags", [
+        ["--filter", "global"],
+        ["--filter", "burak"],
+        ["--filter", "burak", "--raw-distance"],
+        ["--filter", "peters"],
+        ["--filter", "peters", "--raw-distance"],
+    ], ids=["global", "burak", "burak-raw", "peters", "peters-raw"])
+    def test_target_cleaned_to_nothing_fails_cleanly(self, tmp_path, capsys, flags):
+        # flip1.0 is one case and its label-flipped copy, so cleaning empties it
+        flip = synthetic_dataset("flip1.0", seed=3, cases=1, inconsistent_rate=1.0)
+        write_corpus(Corpus((*synthetic_corpus(seed=3, cases=20), flip)), tmp_path / "in")
+        cleaned = tmp_path / "cleaned"
+        assert main(["clean", "--corpus", str(tmp_path / "in"), "--out", str(cleaned)]) == 0
+        capsys.readouterr()
+        rc = main(["select", "--corpus", str(cleaned), "--target", "flip1.0", *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: target 'flip1.0' has no cases\n"
+
     def test_unknown_target_fails_cleanly(self, corpus_dir, capsys):
         rc = main(["select", "--corpus", str(corpus_dir), "--filter", "global",
                    "--target", "nosuch1.0"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -424,6 +425,19 @@ class TestRoundTrip:
         serialize_dataset(ds_a, out_a)
         serialize_dataset(ds_b, out_b)
         assert out_a.getvalue() == out_b.getvalue()
+
+    def test_pickle_round_trip_is_equal_and_read_only(self):
+        # worker processes receive their datasets pickled; a copy is rebuilt
+        # through the constructor, so its columns are frozen again and its
+        # cached arrays are derived afresh, not carried over writeable
+        original = synthetic_dataset("pickled1.0", seed=4, cases=30, duplicate_rate=0.1)
+        original.feature_matrix, original.labels  # fill the caches before pickling
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original
+        for array in (copy.value_ids, copy.bug_counts, copy.feature_matrix, copy.labels):
+            assert not array.flags.writeable
+        assert np.array_equal(copy.feature_matrix, original.feature_matrix)
+        assert "feature_matrix" not in vars(pickle.loads(pickle.dumps(original)))
 
     def test_feature_matrix_matches_cases(self):
         ds = synthetic_dataset("m1.0", seed=3, cases=25)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import weakref
 from decimal import Decimal
 from pathlib import Path
 
@@ -469,7 +471,7 @@ class TestRunExperiment:
         asked = []
 
         class RecordingExecutor:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers):
                 asked.append(max_workers)
 
             def __enter__(self):
@@ -488,6 +490,52 @@ class TestRunExperiment:
         assert asked == [2]
         monkeypatch.delenv(WORKERS_ENV)
         assert run == run_grid(corpus, targets=("alpha1.1",))
+
+    @pytest.mark.parametrize("workers,units", [("2", 2), ("4", 4)])
+    def test_a_job_is_split_only_to_keep_the_workers_busy(self, monkeypatch, workers, units):
+        # alpha1.0 and alpha1.1 share one pool per variant: 2 jobs of 2
+        # targets each, cut into runs of at most ceil(4 pairs / workers)
+        handed_out = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                handed_out.append((self.max_workers, len(items)))
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        corpus = synthetic_corpus(seed=3, cases=40)
+        run = run_grid(corpus, targets=("alpha1.0", "alpha1.1"))
+        assert handed_out == [(units, units)]
+        monkeypatch.delenv(WORKERS_ENV)
+        assert run == run_grid(corpus, targets=("alpha1.0", "alpha1.1"))
+
+    def test_spawned_workers_write_the_serial_results(self, monkeypatch):
+        # a spawned worker inherits nothing from this process, so each unit
+        # must carry its config, its pool's datasets and its targets
+        spawn = multiprocessing.get_context("spawn")
+        real_executor = concurrent.futures.ProcessPoolExecutor
+
+        def spawning_executor(max_workers, **_):
+            return real_executor(max_workers=max_workers, mp_context=spawn)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning_executor)
+        corpus = synthetic_corpus(seed=15, duplicate_rate=0.1, inconsistent_rate=0.1)
+        grid = dict(seed=1, targets=("alpha1.0", "alpha1.1", "beta2.0"), sample_cap=30)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        serial = run_grid(corpus, **grid)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        assert experiment_json(run_grid(corpus, **grid)) == experiment_json(serial)
 
     @pytest.mark.parametrize("filters,clusters,pools,trained", [
         # 5 targets x 2 variants, in 3 strict pools per variant
@@ -558,20 +606,37 @@ class TestRunExperiment:
         run = run_grid(corpus, filters=("peters",), peters_clusters=50)
         assert all("empty source pool" in r.note for r in run.results)
 
-    def test_no_state_is_kept_after_a_run(self, monkeypatch):
-        # the config and both capped corpora are dropped when the run ends:
-        # after a finished run, a run the cluster check rejects, and a run
-        # on worker processes
+    def test_no_capped_dataset_outlives_its_run(self, monkeypatch):
+        # nothing keeps a run's capped corpora alive once its result is
+        # dropped: after a finished run, a run the cluster check rejects, and
+        # a run on worker processes
+        capped = []
+        real_cap = harness._cap_dataset
+
+        def cap(*args):
+            out = real_cap(*args)
+            capped.append(weakref.ref(out))
+            return out
+
+        def all_dead():
+            dead = bool(capped) and all(ref() is None for ref in capped)
+            capped.clear()
+            return dead
+
+        monkeypatch.setattr(harness, "_cap_dataset", cap)
         corpus = synthetic_corpus(seed=3, cases=40)
-        run_grid(corpus, targets=("alpha1.0",))
-        assert harness._STATE == {}
+        run = run_grid(corpus, targets=("alpha1.0",), sample_cap=20)
+        assert run.results
+        del run
+        assert all_dead()
         with pytest.raises(ValueError, match="^peters_clusters: "):
             run_grid(corpus, sample_cap=2, peters_clusters=50, filters=("peters",))
-        assert harness._STATE == {}
+        assert all_dead()
         monkeypatch.setenv(WORKERS_ENV, "2")
-        run = run_grid(corpus, targets=("alpha1.0", "beta2.0"))
+        run = run_grid(corpus, targets=("alpha1.0", "beta2.0"), sample_cap=20)
         assert {r.target for r in run.results} == {"alpha1.0", "beta2.0"}
-        assert harness._STATE == {}
+        del run
+        assert all_dead()
 
     def test_variants_and_metrics_constants(self):
         assert VARIANTS == ("original", "cleaned")
