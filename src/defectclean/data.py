@@ -22,6 +22,7 @@ data enters through :meth:`Dataset.from_cases`, a name and one plain
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -190,13 +190,45 @@ def row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rank[ids], first[by_first], rank
 
 
+class ValueTable(tuple):
+    """A dataset's table of distinct metric values, checked once when built.
+
+    Every value must be a finite, non-negative ``Decimal``, no two equal;
+    anything else raises ``ValueError``.  The floats of the values are
+    computed once, on first use, and every dataset holding the table (all
+    the :meth:`Dataset.take` of one parse) shares both the check and them.
+    """
+
+    def __new__(cls, values: Iterable[Decimal]) -> "ValueTable":
+        table = super().__new__(cls, values)
+        for v in table:
+            if not isinstance(v, Decimal) or not v.is_finite() or v < 0:
+                raise ValueError(f"invalid metric value {v!r}")
+        if len(set(table)) != len(table):
+            raise ValueError("the value table holds two equal values")
+        return table
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        """Each value's :func:`metric_float`, float64, read-only."""
+        out = np.fromiter(map(metric_float, self), dtype=np.float64, count=len(self))
+        out.flags.writeable = False
+        return out
+
+    def __reduce__(self) -> tuple:
+        # re-checked on unpickling; the floats are not sent
+        return ValueTable, (tuple(self),)
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """One release of one project, stored by column.
 
     ``project`` and ``release`` are read off ``name`` by
     :func:`split_project`, never stored.  ``values`` are the distinct
-    metric values of the table, no two equal.  Row ``i`` of the int32
+    metric values of the table, no two equal, held as a
+    :class:`ValueTable` (a plain tuple is checked and wrapped in one; a
+    table that is one already is not checked again).  Row ``i`` of the int32
     matrix ``value_ids`` holds case ``i``'s 20 indices into ``values``,
     and ``bug_counts[i]`` (int64) its bug count.
     Both arrays are made read-only.  Every value must be a finite,
@@ -225,11 +257,8 @@ class Dataset:
             raise ValueError(f"value ids outside the table of {len(self.values)} values")
         if n and bugs.min() < 0:
             raise ValueError(f"negative bug count {bugs.min()}")
-        for v in self.values:
-            if not isinstance(v, Decimal) or not v.is_finite() or v < 0:
-                raise ValueError(f"invalid metric value {v!r}")
-        if len(set(self.values)) != len(self.values):
-            raise ValueError("the value table holds two equal values")
+        if not isinstance(self.values, ValueTable):
+            object.__setattr__(self, "values", ValueTable(self.values))
         ids.flags.writeable = False
         bugs.flags.writeable = False
 
@@ -278,11 +307,11 @@ class Dataset:
     def feature_matrix(self) -> np.ndarray:
         """Float64 view of the metric values, shape (case_count, 20).
 
-        Each table value is converted once, by :func:`metric_float`, so
-        equal values (equal ``feature_ids``) get bit-identical rows.
+        Each table value is converted once, by :func:`metric_float`, for
+        every dataset sharing the table (:attr:`ValueTable.floats`), so equal
+        values (equal ``feature_ids``) get bit-identical rows.
         """
-        table = np.array([metric_float(v) for v in self.values], dtype=np.float64)
-        out = table[self.value_ids]
+        out = self.values.floats[self.value_ids]
         out.flags.writeable = False
         return out
 
@@ -333,7 +362,8 @@ class Dataset:
     def take(self, rows: Sequence[int] | np.ndarray) -> "Dataset":
         """The cases at ``rows``, in that order, under the same names.
 
-        The result shares this dataset's value table.
+        The result shares this dataset's value table, its check and its
+        floats.
         """
         rows = np.asarray(rows, dtype=np.intp)
         names = self.class_names
@@ -439,16 +469,54 @@ class _Cells(dict):
         return result
 
 
+#: cells per data row
+_WIDTH = len(PROMISE_HEADER)
+
+
+def _split_plain(text: str) -> tuple[list[str], list[str]] | None:
+    r"""The header and the row-major data cells of ``text``, cut at line
+    breaks and commas, when that is exactly what :func:`csv.reader` reads
+    and every data row is one line of ``_WIDTH`` cells; else None.
+
+    Cutting is exact when the text has no double quote and no NUL (which
+    Python 3.10's csv rejects), no carriage return once each ``"\r\n"`` is
+    folded to ``"\n"``, no blank first line and no line longer than
+    :func:`csv.field_size_limit`.  Lines end at ``"\n"`` alone, as csv ends
+    them (``str.splitlines`` would also end them at ``"\x1c"``, ``"\x85"``,
+    ``"\u2028"`` and others).  A blank line after the header is a row of
+    one cell, so text with one is not cut either.
+    """
+    if '"' in text or "\x00" in text:
+        return None
+    text = text.replace("\r\n", "\n")
+    if (not text or text[0] == "\n" or "\r" in text
+            or max(map(len, text.split("\n"))) > csv.field_size_limit()):
+        return None
+    end = text.find("\n")
+    header = (text if end < 0 else text[:end]).split(",")
+    # one row per line after the header; a line break starts a cell and no
+    # cell holds two, so when the rows' first cells hold all the breaks,
+    # each row is one line
+    final_break = text.endswith("\n")
+    rows = text.count("\n") - final_break
+    cells = text.replace("\n", ",\n").split(",")
+    del cells[:len(header)]
+    if final_break:
+        cells.pop()  # the final line break, alone
+    if len(cells) != rows * _WIDTH or "".join(cells[::_WIDTH]).count("\n") != rows:
+        return None
+    return header, cells
+
+
 def _first_bad_row(lines: list[list[str]], cells: _Cells, bugs: _Cells) -> ParseError:
     """The error of the first bad row in file order, blank lines counted:
     its width, else its first bad metric cell, else its bug count."""
-    width = len(PROMISE_HEADER)
     for row_no, row in enumerate(lines, start=1):
         if not row:
             continue
         try:
-            if len(row) != width:
-                raise ParseError(f"expected {width} cells, got {len(row)}")
+            if len(row) != _WIDTH:
+                raise ParseError(f"expected {_WIDTH} cells, got {len(row)}")
             for text in row[3:-1]:
                 cells[text]
             bugs[row[-1]]
@@ -457,8 +525,40 @@ def _first_bad_row(lines: list[list[str]], cells: _Cells, bugs: _Cells) -> Parse
     raise RuntimeError("a row failed to convert, yet every row parses")
 
 
-def parse_dataset(source: IO[str] | Iterable[str], name: str) -> Dataset:
-    """Parse one CSV stream into the dataset called ``name``.
+#: the line breaks of ``str.splitlines`` other than ``"\r"`` and ``"\n"``
+_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _csv_lines(text: str) -> list[list[str]]:
+    """The data lines of ``text`` as :func:`csv.reader` reads them from a
+    file opened with ``newline=""``, blank ones included, once the header
+    is checked."""
+    # splitlines cuts the lines such a file yields unless the text holds one
+    # of its other breaks; a StringIO holds a copy at 4 bytes a character
+    if any(char in text for char in _OTHER_BREAKS):
+        reader = csv.reader(io.StringIO(text, newline=""))
+    else:
+        reader = csv.reader(text.splitlines(keepends=True))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDatasetError("no header row")
+        _check_header(header)
+        return list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def parse_dataset(source: IO[str], name: str) -> Dataset:
+    """Parse one CSV text stream into the dataset called ``name``.
+
+    The stream is read whole.  Text that needs none of csv's quoting or
+    line-break rules (see :func:`_split_plain`) is cut with ``str.split``;
+    any other text is read by :func:`csv.reader`, its lines cut as a file
+    opened with ``newline=""`` cuts them.  Both give one flat, row-major
+    list of cells, the columns are sliced off it, and every metric cell is
+    mapped to its value id in one pass, so the value table lists the values
+    in the order they first occur, row by row.
 
     A header-only file is the dataset with no cases (how
     :func:`write_corpus` writes a dataset cleaned to nothing).  Raises
@@ -471,34 +571,37 @@ def parse_dataset(source: IO[str] | Iterable[str], name: str) -> Dataset:
     one is reported: its width, else its first bad metric cell, else its
     bug count.
     """
-    reader = csv.reader(source)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDatasetError("no header row")
-        _check_header(header)
-        lines = list(reader)
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-
-    rows = lines if all(lines) else [row for row in lines if row]
+    text = source.read()
     # Each distinct cell text is parsed and checked once, and equal values
-    # share one table entry, whatever their spelling.  Only a failed
-    # conversion walks the lines again, to report the first bad row.
+    # share one table entry, whatever their spelling.  Only a bad row makes
+    # csv's rows be walked one by one, to report the first bad one.
     index: dict[Decimal, int] = {}
     cells = _Cells(lambda text: index.setdefault(canonicalize_metric(text), len(index)))
     bugs = _Cells(_parse_bug_count)
+    plain = _split_plain(text)
+    if plain is None:
+        lines = _csv_lines(text)
+        if not set(map(len, lines)) <= {0, _WIDTH}:  # 0: a blank line
+            raise _first_bad_row(lines, cells, bugs)
+        texts = list(chain.from_iterable(lines))  # a blank line adds no cell
+        del lines
+    else:
+        header, texts = plain
+        _check_header(header)
+    rows = len(texts) // _WIDTH
+    class_names = tuple(texts[2::_WIDTH])
+    # drop the project, release and class name columns, then the bug counts
+    del texts[0::_WIDTH], texts[0::_WIDTH - 1], texts[0::_WIDTH - 2]
+    bug_texts = texts[N_METRICS::N_METRICS + 1]
+    del texts[N_METRICS::N_METRICS + 1]
     try:
-        if set(map(len, rows)) - {len(PROMISE_HEADER)}:
-            raise ParseError("a row of the wrong width")
         value_ids = np.fromiter(
-            map(cells.__getitem__, chain.from_iterable(map(itemgetter(slice(3, -1)), rows))),
-            dtype=np.int32, count=len(rows) * N_METRICS,
-        ).reshape(len(rows), N_METRICS)
-        bug_counts = np.fromiter(map(bugs.__getitem__, map(itemgetter(-1), rows)), np.int64)
+            map(cells.__getitem__, texts), dtype=np.int32, count=rows * N_METRICS,
+        ).reshape(rows, N_METRICS)
+        bug_counts = np.fromiter(map(bugs.__getitem__, bug_texts), dtype=np.int64, count=rows)
     except ParseError:
-        raise _first_bad_row(lines, cells, bugs) from None
-    return Dataset(name, tuple(map(itemgetter(2), rows)), tuple(index), value_ids, bug_counts)
+        raise _first_bad_row(_csv_lines(text), cells, bugs) from None
+    return Dataset(name, class_names, tuple(index), value_ids, bug_counts)
 
 
 def _csv_field(text: str) -> str:
@@ -542,12 +645,30 @@ def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
     )
 
 
+def _decode_error(path: Path) -> ParseError:
+    r"""The error of a file that is not UTF-8: its first bad byte and that
+    byte's line, lines ending as csv ends them (``"\n"``, ``"\r\n"`` or
+    ``"\r"``)."""
+    raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a byte appended after the bad one's line start keeps that line counted
+        line = len((raw[:exc.start] + b".").splitlines())
+        return ParseError(
+            f"{path.name}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        )
+    raise RuntimeError(f"{path.name} failed to decode, yet it decodes")
+
+
 def load_corpus(directory: str | Path) -> Corpus:
     """Load every ``*.csv`` in a directory as one corpus.
 
     Each dataset is named by its file stem, so a header-only file loads as
     its dataset with no cases, and a file that does not parse fails with
-    its file name.  Files are read in sorted name order so corpus
+    its file name.  Files are decoded as UTF-8, a leading byte-order mark
+    dropped; a byte that does not decode fails as a :class:`ParseError`
+    with its file and line.  Files are read in sorted name order so corpus
     order is stable across platforms.
     """
     directory = Path(directory)
@@ -555,11 +676,13 @@ def load_corpus(directory: str | Path) -> Corpus:
         raise CorpusError(f"corpus directory {str(directory)!r} does not exist")
     datasets: list[Dataset] = []
     for path in sorted(directory.glob("*.csv")):
-        with open(path, newline="", encoding="utf-8") as handle:
-            try:
+        try:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
                 datasets.append(parse_dataset(handle, name=path.stem))
-            except ValueError as exc:
-                raise type(exc)(f"{path.name}: {exc}") from None
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
+        except ValueError as exc:
+            raise type(exc)(f"{path.name}: {exc}") from None
     if not datasets:
         raise CorpusError(f"no CSV datasets found in {directory}")
     return Corpus(tuple(datasets))

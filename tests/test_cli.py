@@ -65,6 +65,19 @@ class TestQualityCommand:
             "error: big.csv: line 2: field larger than field limit (131072)\n"
         )
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_a_byte_that_is_not_utf8_fails_with_file_and_line(self, tmp_path, capsys, eol):
+        write_corpus(Corpus((dataset("ant1.7", [case("a.B", False, 1), case("a.C", True, 2)]),)),
+                     tmp_path / "in")
+        path = tmp_path / "in" / "ant1.7.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].replace("a.C", "a.Café")
+        path.write_bytes(eol.join(lines).encode("latin-1"))
+        assert main(["quality", "--corpus", str(tmp_path / "in"), "--out", str(tmp_path / "q")]) == 1
+        assert capsys.readouterr().err == (
+            "error: ant1.7.csv: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+        )
+
 
 class TestCleanCommand:
     def test_cleans_and_round_trips(self, corpus_dir, tmp_path, capsys):

@@ -528,6 +528,17 @@ class TestCorpus:
         ):
             load_corpus(tmp_path)
 
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        write_corpus(synthetic_corpus(seed=1), tmp_path / "plain")
+        (tmp_path / "bom").mkdir()
+        for path in (tmp_path / "plain").iterdir():
+            (tmp_path / "bom" / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, bom = load_corpus(tmp_path / "plain"), load_corpus(tmp_path / "bom")
+        assert [ds.name for ds in bom] == [ds.name for ds in plain]
+        for a, b in zip(plain, bom):
+            assert b == a and b.values == a.values
+            assert b.value_ids.tobytes() == a.value_ids.tobytes()
+
     def test_duplicate_names_rejected(self):
         ds = dataset("dup1.0", [case("a", False, 1)])
         with pytest.raises(CorpusError, match="duplicate"):

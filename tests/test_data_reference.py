@@ -26,6 +26,7 @@ from defectclean.data import (
     Dataset, N_METRICS, PROMISE_HEADER, ParseError, canonical_str, metric_float, parse_dataset,
     row_keys, serialize_dataset,
 )
+from defectclean.datagen import synthetic_dataset
 
 from ._reference_data import reference_canonical_str, reference_parse, reference_serialize
 from .conftest import case, dataset, decimal_rows, problem_datasets
@@ -51,32 +52,38 @@ BAD_CELLS = ("", "abc", "1.2.3", "-1", "-0.5", "nan", "inf", "1e400", "2E+309")
 GOOD_BUGS = ("0", "1", "2", "1.0", "02", "0.00", "-0", "3e0")
 BAD_BUGS = ("1.5", "-1", "x", "1e400", "1e30", "")
 
-CLASS_NAMES = ("a.B", "org.x.Y", "with,comma", 'with "quote"', "  padded ", "a,b,c")
+#: class names csv never quotes, then ones it quotes
+PLAIN_NAMES = ("a.B", "org.x.Y", "  padded ", "caf\u00e9\u2028\x85\x1c")
+CLASS_NAMES = PLAIN_NAMES + ("with,comma", 'with "quote"', "a,b,c")
 
 
-def csv_line(cells: list[str]) -> str:
+def csv_line(cells: list[str], eol: str = "\n") -> str:
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(cells)
+    csv.writer(out, lineterminator=eol).writerow(cells)
     return out.getvalue()
 
 
 @st.composite
 def csv_documents(draw) -> str:
-    """CSV text with respelled values, blank lines and quoted names, and
+    """CSV text with respelled values, blank lines and, in about half the
+    documents, quoted names and projects; ``"\n"`` or ``"\r\n"`` line ends;
     now and then a bad row or cell (several, to pin which comes first)."""
     if draw(st.integers(0, 30)) == 0:
         return draw(st.sampled_from(["", "\n", csv_line(list(PROMISE_HEADER)), "x,y\n"]))
+    plain = draw(st.booleans())
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
     values = draw(st.lists(st.integers(0, len(VALUES) - 1), min_size=1, max_size=4))
     bad_rate = draw(st.sampled_from([0.0, 0.0, 0.05, 0.3]))
-    lines = [csv_line(list(PROMISE_HEADER))]
+    lines = [csv_line(list(PROMISE_HEADER), eol)]
     for i in range(draw(st.integers(0, 12))):
         while draw(st.integers(0, 5)) == 0:
-            lines.append("\n")
+            lines.append(eol)
         metrics = [draw(st.sampled_from(VALUES[draw(st.sampled_from(values))]))
                    for _ in range(N_METRICS)]
         bug = draw(st.sampled_from(GOOD_BUGS))
-        name = draw(st.sampled_from(CLASS_NAMES)) + str(i)
-        row = [draw(st.sampled_from(["demo", "x,y"])), "1.0", name, *metrics, bug]
+        name = draw(st.sampled_from(PLAIN_NAMES if plain else CLASS_NAMES)) + str(i)
+        project = "demo" if plain else draw(st.sampled_from(["demo", "x,y"]))
+        row = [project, "1.0", name, *metrics, bug]
         if bad_rate and draw(st.floats(0, 1)) < bad_rate:
             kind = draw(st.sampled_from(["short", "long", "cell", "cells", "bug", "cell+bug"]))
             if kind == "short":
@@ -88,15 +95,17 @@ def csv_documents(draw) -> str:
                     row[3 + draw(st.integers(0, N_METRICS - 1))] = draw(st.sampled_from(BAD_CELLS))
             if kind in ("bug", "cell+bug"):
                 row[-1] = draw(st.sampled_from(BAD_BUGS))
-        lines.append(csv_line(row))
+        lines.append(csv_line(row, eol))
     if draw(st.booleans()):
-        lines.append("\n")
+        lines.append(eol)
     return "".join(lines)
 
 
 def outcome(parse, text: str, name: str = "named1.0"):
+    """A parser's dataset or its error on ``text``, read from a stream that
+    ends lines as a file that :func:`load_corpus` opens does."""
     try:
-        return parse(io.StringIO(text), name), None
+        return parse(io.StringIO(text, newline=""), name), None
     except ValueError as exc:
         return None, (type(exc), str(exc))
 
@@ -125,16 +134,103 @@ def assert_same_dataset(got: Dataset, want: Dataset) -> None:
     assert [tuple(got.values[i] for i in row) for row in rows.tolist()] == want_vectors
 
 
+def assert_same_parse(text: str, name: str = "named1.0") -> None:
+    """``parse_dataset`` and the reference give the same dataset, its value
+    table in the same order and spellings, or the same error."""
+    got, got_error = outcome(parse_dataset, text, name)
+    want, want_error = outcome(reference_parse, text, name)
+    assert got_error == want_error
+    if want is not None:
+        assert_same_dataset(got, want)
+        assert (got.project, got.release, got.name) == (want.project, want.release, want.name)
+        assert list(map(str, got.values)) == list(map(str, want.values))
+        assert got.value_ids.tobytes() == want.value_ids.tobytes()
+
+
+def plain_row(name: str = "a.B", cells: int = len(PROMISE_HEADER)) -> str:
+    """One data line of ``cells`` cells that csv never quotes, unended:
+    a good row cut short, or padded with ones."""
+    row = ["demo", "1.0", name, *["1"] * N_METRICS, "0"]
+    return ",".join(row[:cells] + ["1"] * (cells - len(row)))
+
+
+H = ",".join(PROMISE_HEADER)
+ROW = plain_row()
+
+#: csv's field size limit
+LIMIT = csv.field_size_limit()
+
+
 class TestParseAgainstReference:
     @settings(max_examples=400, deadline=None)
     @given(csv_documents(), st.sampled_from(["named1.0", "xercesinit"]))
     def test_same_dataset_or_same_error(self, text, name):
-        got, got_error = outcome(parse_dataset, text, name)
-        want, want_error = outcome(reference_parse, text, name)
-        assert got_error == want_error
-        if want is not None:
-            assert_same_dataset(got, want)
-            assert (got.project, got.release, got.name) == (want.project, want.release, want.name)
+        assert_same_parse(text, name)
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(H + "\r\n" + ROW + "\r\n" + ROW + "\r\n", id="crlf"),
+        pytest.param(H + "\r\n" + ROW + "\n" + ROW, id="mixed-eol"),
+        pytest.param(H + "\r" + ROW + "\r" + ROW + "\r", id="cr-eol"),
+        pytest.param(H + "\n" + plain_row("a\rb") + "\n", id="bare-cr"),
+        pytest.param(H + "\n" + ROW + "\r\r\n", id="cr-crlf"),
+        pytest.param(H + "\n" + plain_row("a\x00b") + "\n", id="nul"),
+        pytest.param(H + "\n" + plain_row('"a.B"') + "\n", id="quoted-name"),
+        pytest.param(H + "\n" + plain_row('a"b') + "\n", id="quote-inside"),
+        pytest.param(H + "\n" + plain_row('"q"') + "\n" + plain_row("a\x85b\u2028c") + "\n",
+                     id="quote-and-unicode-breaks"),
+        pytest.param(H + "\n" + ROW, id="no-final-eol"),
+        pytest.param("\n\n" + H + "\n" + ROW + "\n", id="leading-blank"),
+        pytest.param(H + "\n\n" + ROW + "\n", id="blank-after-header"),
+        pytest.param(H + "\n" + ROW + "\n\n\n", id="trailing-blank"),
+        pytest.param(H + "\n" + ROW + "\n \n", id="space-line"),
+        pytest.param(H + "\n", id="header-only"),
+        pytest.param(H, id="header-only-no-eol"),
+        pytest.param("", id="empty"),
+        pytest.param("\n", id="one-blank-line"),
+        pytest.param(H + ",extra\n" + plain_row(cells=25) + "\n", id="wide-header"),
+        # rows of other widths whose cells add up to whole rows
+        pytest.param(H + "\n" + plain_row(cells=23) + "\n" + plain_row(cells=25) + "\n",
+                     id="23+25"),
+        pytest.param(H + "\n" + ROW + "\n" + plain_row(cells=12) + "\n" + plain_row(cells=12),
+                     id="24+12+12"),
+        pytest.param(H + "\n" + plain_row(cells=12) + "\n" + plain_row(cells=12) + "\n" + ROW,
+                     id="12+12+24"),
+        pytest.param(H + "\n" + plain_row(cells=48) + "\n", id="48"),
+        # ... and whose cells all convert once shifted into other columns
+        pytest.param(H + "\n" + ",".join(["1"] * 23) + "\n" + ",".join(["1"] * 25) + "\n",
+                     id="numeric-23+25"),
+    ])
+    def test_plain_and_csv_edge_cases(self, text):
+        assert_same_parse(text)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("where", ["line", "field"])
+    def test_at_the_field_size_limit(self, extra, where):
+        # a line of LIMIT characters, or a field of LIMIT, give or take one
+        fill = LIMIT + extra - (len(plain_row("")) if where == "line" else 0)
+        assert_same_parse(H + "\n" + plain_row("x" * fill) + "\n" + ROW + "\n")
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x1c", "\x0b", "\x0c"])
+    def test_a_field_over_the_limit_split_by_a_unicode_line_break(self, separator):
+        # str.splitlines breaks there; csv does not, and finds the field too large
+        name = "x" * (LIMIT // 2) + separator + "x" * (LIMIT // 2)
+        text = H + "\n" + plain_row(name) + "\n"
+        assert outcome(parse_dataset, text)[1] == (
+            ParseError, f"line 2: field larger than field limit ({LIMIT})")
+        assert_same_parse(text)
+
+    def test_plain_text_is_not_read_by_csv(self, monkeypatch):
+        ds = synthetic_dataset("plain1.0", seed=2, cases=60, duplicate_rate=0.2)
+        out = io.StringIO()
+        serialize_dataset(ds, out)
+        texts = [out.getvalue(), out.getvalue().replace("\n", "\r\n")]
+
+        def reader(*args, **kwargs):
+            raise AssertionError("csv.reader called on text that needs no csv rules")
+
+        monkeypatch.setattr(csv, "reader", reader)
+        for text in texts:
+            assert_same_dataset(parse_dataset(io.StringIO(text, newline=""), ds.name), ds)
 
     @pytest.mark.parametrize("rows,message", [
         # the first bad row wins, whatever kind its fault is

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defectclean import harness
-from defectclean.data import Corpus, CorpusError
+from defectclean import data, harness
+from defectclean.data import Corpus, CorpusError, load_corpus, write_corpus
 from defectclean.datagen import synthetic_corpus
 from defectclean.evaluation import change_rate
 from defectclean.harness import (
@@ -325,6 +325,18 @@ def run_grid(corpus, **overrides) -> list:
 
 
 class TestRunExperiment:
+    def test_each_loaded_value_is_converted_to_a_float_once(self, tmp_path, monkeypatch):
+        # the capped and the cleaned datasets are takes of the loaded ones:
+        # they share each loaded table's check and floats
+        write_corpus(synthetic_corpus(seed=3, cases=40, duplicate_rate=0.2,
+                                      inconsistent_rate=0.1), tmp_path)
+        corpus = load_corpus(tmp_path)
+        calls = []
+        monkeypatch.setattr(data, "metric_float", lambda v: calls.append(v) or float(v) + 0.0)
+        monkeypatch.delenv(harness.WORKERS_ENV, raising=False)
+        run_grid(corpus, filters=("global",), sample_cap=25)
+        assert len(calls) == sum(len(ds.values) for ds in corpus)
+
     def test_grid_shape_and_order(self):
         corpus = synthetic_corpus(seed=6)
         run = run_grid(
