@@ -525,20 +525,11 @@ def _first_bad_row(lines: list[list[str]], cells: _Cells, bugs: _Cells) -> Parse
     raise RuntimeError("a row failed to convert, yet every row parses")
 
 
-#: the line breaks of ``str.splitlines`` other than ``"\r"`` and ``"\n"``
-_OTHER_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _csv_lines(text: str) -> list[list[str]]:
     """The data lines of ``text`` as :func:`csv.reader` reads them from a
     file opened with ``newline=""``, blank ones included, once the header
     is checked."""
-    # splitlines cuts the lines such a file yields unless the text holds one
-    # of its other breaks; a StringIO holds a copy at 4 bytes a character
-    if any(char in text for char in _OTHER_BREAKS):
-        reader = csv.reader(io.StringIO(text, newline=""))
-    else:
-        reader = csv.reader(text.splitlines(keepends=True))
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:
