@@ -12,12 +12,17 @@ A :class:`PointSet` computes ``|x|^2`` and ``-2 x`` once and measures its
 points (all of them, or chosen rows) against centres in row blocks of about
 ``cells`` distances.  Scaling by a power of two is exact, so
 ``(|x|^2 + |c|^2) + (-2 x) . c`` rounds exactly like
-``(|x|^2 + |c|^2) - 2 x . c``.  A block never holds a single row
+``(|x|^2 + |c|^2) - 2 x . c``.  The first sum is formed as the two-column
+product ``(|x|^2, 1) @ (1, |c|^2)``, one matmul per block where a broadcast
+add pays numpy's inner-loop setup once per row.  Both of its terms are
+products with 1, which are exact, so any BLAS kernel, in any order, with or
+without a fused multiply-add, rounds the sum once, exactly as the add does.
+A block never holds a single row
 (:func:`_blocks`): a one-row product goes through BLAS gemv instead of gemm
 and rounds differently in the last bit, which would let the block layout
 decide distance ties.  k-means blocks are cache-sized
-(``_ASSIGN_BLOCK_CELLS``), so a block stays in cache across the add,
-matmul, add, clip, argmin and gather that pass over it.  The selection
+(``_ASSIGN_BLOCK_CELLS``), so a block stays in cache across the two
+matmuls, add, clip, argmins and gathers that pass over it.  The selection
 filters' blocks are memory-sized (``selection._BLOCK_CELLS``), because each
 of them streams the whole pool or cluster once.
 
@@ -111,7 +116,12 @@ class PointSet:
 
     ``blocks`` yields ``max(|x|^2 + |c|^2 - 2 x.c, 0)`` in row blocks of
     about ``cells`` distances; the clip guards against float cancellation.
-    ``nearest`` is the one nearest-centre query built on it.
+    ``|x|^2 + |c|^2`` is the exact-term product ``(|x|^2, 1) @ (1, |c|^2)``,
+    which rounds like the plain sum on every BLAS kernel (see the module
+    docstring).  ``nearest`` is the one nearest-centre query built on it; it
+    reads each row's second smallest distance as the value at the argmin of
+    the row with its smallest masked, which is that row's minimum (NaN
+    included) and costs less than numpy's row-wise ``min``.
     """
 
     def __init__(self, points: np.ndarray, cells: int) -> None:
@@ -120,6 +130,7 @@ class PointSet:
         self.sq = np.einsum("ij,ij->i", points, points)
         self.neg2 = -2.0 * points
         self._out = np.empty(0)
+        self._lift = np.ones((0, 2))
         self._rows = np.arange(points.shape[0])
 
     def blocks(
@@ -136,17 +147,20 @@ class PointSet:
         widest = max((stop - start for start, stop in layout), default=0)
         if self._out.size < widest * k:
             self._out = np.empty(widest * k)
-        centers_sq = np.einsum("ij,ij->i", centers, centers)
+        if self._lift.shape[0] < widest:
+            self._lift = np.ones((widest, 2))
+        # |x|^2 + |c|^2 as (|x|^2, 1) @ (1, |c|^2), rounded once
+        centers_lift = np.ones((2, k))
+        centers_lift[1] = np.einsum("ij,ij->i", centers, centers)
         for start, stop in layout:
-            if rows is None:
-                sq, neg2 = self.sq[start:stop], self.neg2[start:stop]
-            else:
-                sq, neg2 = self.sq[rows[start:stop]], self.neg2[rows[start:stop]]
+            picked = slice(start, stop) if rows is None else rows[start:stop]
+            lift = self._lift[:stop - start]
+            lift[:, 0] = self.sq[picked]
             d2 = self._out[:(stop - start) * k].reshape(stop - start, k)
-            np.add(sq[:, None], centers_sq[None, :], out=d2)
-            # the product is a per-block temporary: a second cached buffer
+            np.matmul(lift, centers_lift, out=d2)
+            # the -2x.c product is a per-block temporary: a cached buffer
             # would outlive the block, and a filter's blocks are 8 MB
-            np.add(d2, neg2 @ centers.T, out=d2)
+            np.add(d2, self.neg2[picked] @ centers.T, out=d2)
             np.maximum(d2, 0.0, out=d2)
             yield start, stop, d2
 
@@ -167,7 +181,7 @@ class PointSet:
             d2.argmin(axis=1, out=at[1])
             first[start:stop] = d2[at]
             d2[at] = np.inf
-            d2.min(axis=1, out=second[start:stop])
+            second[start:stop] = d2[at[0], d2.argmin(axis=1)]
         return index, first, second
 
 

@@ -151,7 +151,8 @@ def brute_force_sq(points, centers):
 class TestPointSet:
     """``PointSet`` against a brute-force argmin.  Integer coordinates keep
     every distance exact on every BLAS path, and a grid of three values per
-    feature makes most rows tie between several centres."""
+    feature makes most rows tie between several centres.  Float coordinates
+    pin the kernel's rounding to the plain two-add formula instead."""
 
     @pytest.mark.parametrize("height", [2, 3, "n-1"])
     def test_blocks_and_nearest_match_brute_force(self, rng, height):
@@ -201,3 +202,36 @@ class TestPointSet:
         assert index.tolist() == [1] and first.tolist() == [1.0] and second.tolist() == [4.0]
         index, first, second = space.nearest(centers[:1])
         assert index.tolist() == [0] and first.tolist() == [4.0] and second.tolist() == [np.inf]
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 300])
+    def test_float_blocks_round_like_the_plain_formula(self, rng, n):
+        # coordinates over six decades, either sign, so sums round often
+        def draw(rows, d):
+            return rng.choice([-1.0, 1.0], (rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
+
+        d = int(rng.integers(1, 21))
+        points = draw(n, d)
+        sq, neg2 = np.einsum("ij,ij->i", points, points), -2.0 * points
+        space = PointSet(points, 0)
+        for k in (1, 2, 97):
+            # some centres sit on points, where the clip meets cancellation
+            centers = draw(k, d)
+            shared = min(n, k // 2)
+            centers[:shared] = points[:shared]
+            csq = np.einsum("ij,ij->i", centers, centers)
+            for cells in (3 * k, 50 * k, 1 << 15):
+                space.cells = cells
+                # every point, then chosen points with repeats
+                for rows in (None, rng.integers(0, n, 2 * n + 3)):
+                    picked = np.arange(n) if rows is None else rows
+                    got = np.empty((picked.size, k))
+                    for a, b, d2 in space.blocks(centers, rows):
+                        p = picked[a:b]
+                        want = np.maximum((sq[p, None] + csq[None, :]) + neg2[p] @ centers.T, 0.0)
+                        assert np.array_equal(d2, want)
+                        got[a:b] = d2
+                    index, first, second = space.nearest(centers, rows)
+                    assert np.array_equal(index, got.argmin(axis=1))
+                    assert np.array_equal(first, got.min(axis=1))
+                    others = np.sort(got, axis=1)[:, 1] if k > 1 else np.full(picked.size, np.inf)
+                    assert np.array_equal(second, others)
