@@ -41,7 +41,8 @@ for row in undefined:
           f"/{row.metric}: {row.note}")
 
 # Every run is reproducible byte for byte; the provenance block in the JSON
-# records which pool rows each filter picked.
+# records, per variant, each filter's selection size and parameters, the
+# defective cases it trained on and the pool size.
 out = Path("demo_output")
 paths = write_experiment_reports(run, out)
 print(f"\nwrote {', '.join(str(p) for p in paths.values())}")

@@ -44,10 +44,6 @@ class ConfusionMatrix:
             fn=int(np.sum(t & ~p)),
         )
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def precision(cm: ConfusionMatrix) -> float:
     """Fraction of predicted-defective cases that are defective; 0 when

@@ -11,8 +11,10 @@ filtered cases, predicts the target and scores F-measure and AUC.  A serial
 run makes one unit per job; with workers, a job is cut into runs of at most
 ceil(scored pairs / workers) targets.  A unit is a plain picklable value
 that carries its config and datasets, so it runs under any start method.
-:func:`_target_results` pairs each cell's two variants into one result row
-with its change rate and note.
+A unit returns one :class:`Cell` per (target, variant, filter, learner);
+an undefined (target, variant) becomes cells carrying its reason.
+:func:`_results` pairs each cell's two variants by key into one result row
+per metric, with its change rate and note.
 
 Determinism: every randomized step (clustering inits, forest bootstraps,
 subsampling) derives its seed from the run seed plus the combination's
@@ -30,7 +32,7 @@ import logging
 import os
 import time
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 from typing import Mapping
 
@@ -140,6 +142,21 @@ class ExperimentResult:
     change_percent: float | None
     note: str
     provenance: Mapping[str, object]
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One (target, variant, filter, learner) cell: its ``(fmeasure, auc)``
+    scores and its filter's selection info, or, when the variant is
+    undefined for the target, the reason why, with no scores."""
+
+    target: str
+    variant: str
+    filter_name: str
+    learner: str
+    scores: tuple[float | None, float | None] = (None, None)
+    selection: Mapping[str, object] | None = None
+    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -293,13 +310,11 @@ def _plan(
     return undefined, list(jobs.values())
 
 
-def _unit_scores(unit: tuple) -> list[tuple[tuple[str, str], tuple[dict, dict]]]:
-    """Score every (filter, learner) cell of a unit ``(config, variant, pool
-    sources, targets)``: per target, the cells' ``(fmeasure, auc)`` keyed by
-    ``(filter, learner)`` and each filter's selection info, under the
-    target's (name, variant).  All the targets share one pool and its
-    seedless global models.  AUC is None exactly when the evaluation target
-    is single-class."""
+def _unit_scores(unit: tuple) -> list[Cell]:
+    """Score every (filter, learner) cell of each target of a unit
+    ``(config, variant, pool sources, targets)``.  All the targets share one
+    pool and its seedless global models.  AUC is None exactly when the
+    evaluation target is single-class."""
     config, variant, sources, targets = unit
     pool = SourcePool(sources)
     whole, shared = None, {}
@@ -309,11 +324,9 @@ def _unit_scores(unit: tuple) -> list[tuple[tuple[str, str], tuple[dict, dict]]]
             ("global", learner): train(learner, whole)
             for learner in config.learners if learner != "random_forest"
         }
-    scored = []
+    cells = []
     for eval_target in targets:
         name = eval_target.name
-        cells: dict[tuple[str, str], tuple[float, float | None]] = {}
-        info: dict[str, dict] = {}
         for filter_name in config.filters:
             filter_seed = derive_seed(config.seed, name, variant, "filter", filter_name)
             selection = select_training_data(
@@ -325,7 +338,7 @@ def _unit_scores(unit: tuple) -> list[tuple[tuple[str, str], tuple[dict, dict]]]
             training = whole if filter_name == "global" else TrainingMatrix(
                 pool.feature_matrix[rows], pool.labels[rows]
             )
-            info[filter_name] = {
+            info = {
                 "selection_size": len(selection),
                 "selection_parameters": dict(selection.parameters),
                 "train_defective": int(training.y.sum()),
@@ -338,49 +351,42 @@ def _unit_scores(unit: tuple) -> list[tuple[tuple[str, str], tuple[dict, dict]]]
                     model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
                 labels, case_scores = predict(model, eval_target.feature_matrix)
                 cm = ConfusionMatrix.from_predictions(eval_target.labels, labels)
-                cells[filter_name, learner] = (f_measure(cm), auc(case_scores, eval_target.labels))
-        scored.append(((name, variant), (cells, info)))
-    return scored
+                scores = (f_measure(cm), auc(case_scores, eval_target.labels))
+                cells.append(Cell(name, variant, filter_name, learner, scores, info))
+    return cells
 
 
-def _target_results(
-    config: ExperimentConfig, target_name: str, scored: dict
-) -> list[ExperimentResult]:
-    """Pair the two variants' scores of every cell of one target into
-    result rows, each note naming why a score or change is undefined."""
-    scored = {v: scored[target_name, v] for v in VARIANTS}
-
+def _results(
+    config: ExperimentConfig, targets: list[str], cells: list[Cell]
+) -> tuple[ExperimentResult, ...]:
+    """Pair the two variants' cells of every (target, filter, learner) into
+    one result row per metric, in grid order whatever the order of
+    ``cells``, each note naming why a score or change is undefined."""
+    by_key = {(c.target, c.filter_name, c.learner, c.variant): c for c in cells}
     results = []
-    for filter_name in config.filters:
+    for target, filter_name, learner in product(targets, config.filters, config.learners):
+        pair = {v: by_key[target, filter_name, learner, v] for v in VARIANTS}
         provenance = {
             "seed": config.seed,
             "pool_mode": config.pool_mode,
             "normalize": config.normalize,
             "sample_cap": config.sample_cap,
-            "selection": {
-                v: None if isinstance(s, str) else s[1][filter_name]
-                for v, s in scored.items()
-            },
+            "selection": {v: cell.selection for v, cell in pair.items()},
         }
-        for learner in config.learners:
-            for i, metric in enumerate(METRICS):
-                values = {
-                    v: None if isinstance(s, str) else s[0][(filter_name, learner)][i]
-                    for v, s in scored.items()
-                }
-                reasons = [
-                    s if isinstance(s, str)
-                    else f"{v}: auc undefined, target labels are single-class"
-                    for v, s in scored.items() if values[v] is None
-                ]
-                change = change_rate(values["original"], values["cleaned"])
-                if change is None and None not in values.values():
-                    reasons.append("change undefined: original score is 0")
-                results.append(ExperimentResult(
-                    target_name, filter_name, learner, metric, **values,
-                    change_percent=change, note="; ".join(reasons), provenance=provenance,
-                ))
-    return results
+        for i, metric in enumerate(METRICS):
+            values = {v: cell.scores[i] for v, cell in pair.items()}
+            reasons = [
+                cell.reason or f"{v}: auc undefined, target labels are single-class"
+                for v, cell in pair.items() if values[v] is None
+            ]
+            change = change_rate(values["original"], values["cleaned"])
+            if change is None and None not in values.values():
+                reasons.append("change undefined: original score is 0")
+            results.append(ExperimentResult(
+                target, filter_name, learner, metric, **values,
+                change_percent=change, note="; ".join(reasons), provenance=provenance,
+            ))
+    return tuple(results)
 
 
 def _worker_count() -> int:
@@ -416,7 +422,12 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
         for ds in original
     }
 
-    scored, jobs = _plan(config, {"original": original, "cleaned": cleaned}, targets)
+    undefined, jobs = _plan(config, {"original": original, "cleaned": cleaned}, targets)
+    cells = [
+        Cell(name, variant, filter_name, learner, reason=reason)
+        for (name, variant), reason in undefined.items()
+        for filter_name, learner in product(config.filters, config.learners)
+    ]
     # each job's targets in runs of at most ceil(pairs / workers): one unit
     # per job when serial, and a job is split only to keep workers busy
     requested = _worker_count()
@@ -428,16 +439,16 @@ def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> Ex
     ]
     workers = min(requested, len(units))
     if workers > 1:
-        # a unit carries its own job, so any start method works, and scores
-        # are paired by (target, variant), so the outcome is the serial one;
+        # a unit carries its own job, so any start method works, and cells
+        # are paired by key, so the outcome is the serial one;
         # imported here, so that serial runs skip concurrent.futures.process
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as executor:
-            scored.update(chain.from_iterable(executor.map(_unit_scores, units)))
+            cells.extend(chain.from_iterable(executor.map(_unit_scores, units)))
     else:
-        scored.update(chain.from_iterable(map(_unit_scores, units)))
-    results = tuple(r for t in targets for r in _target_results(config, t, scored))
+        cells.extend(chain.from_iterable(map(_unit_scores, units)))
+    results = _results(config, targets, cells)
 
     logger.info(
         "experiment finished: %d targets, %d result rows, %.1fs",

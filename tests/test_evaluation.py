@@ -91,7 +91,6 @@ class TestFMeasure:
         pred = [True, False, True, False, True]
         cm = ConfusionMatrix.from_predictions(truth, pred)
         assert (cm.tp, cm.fp, cm.tn, cm.fn) == (2, 1, 1, 1)
-        assert cm.total == 5
 
     def test_from_predictions_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):

@@ -13,10 +13,12 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import weakref
 from decimal import Decimal
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +30,13 @@ from defectclean.datagen import synthetic_corpus
 from defectclean.evaluation import change_rate
 from defectclean.harness import (
     CONFIG_KEYS,
+    Cell,
     ExperimentConfig,
     METRICS,
     VARIANTS,
     WORKERS_ENV,
     _cap_dataset,
+    _results,
     parse_config,
     run_experiment,
 )
@@ -653,6 +657,64 @@ class TestRunExperiment:
     def test_variants_and_metrics_constants(self):
         assert VARIANTS == ("original", "cleaned")
         assert METRICS == ("fmeasure", "auc")
+
+
+EMPTY_POOL = (
+    "original: empty source pool for target 'p1.1' (mode=strict); the corpus has no other project"
+)
+EMPTIED = "cleaned: target has no cases left to evaluate"
+SINGLE_CLASS = "cleaned: auc undefined, target labels are single-class"
+
+
+def one_cell(variant, scores=(None, None), reason=""):
+    selection = None if reason else {"selection_size": 3}
+    return Cell("p1.1", variant, "global", "naive_bayes", scores, selection, reason)
+
+
+def shuffled_grid():
+    # each cell's scores encode its key, and the targets are not in name
+    # order, so the rows show both the pairing and the grid order
+    grid = ("peters", "global"), ("decision_tree", "naive_bayes"), ("b1.0", "a1.0")
+    filters, learners, targets = grid
+    triples = list(product(targets, filters, learners))
+    cells = [
+        Cell(t, v, f, learner, (10.0 * j + k + 1, 10.0 * j + k + 5), {"selection_size": j})
+        for j, (t, f, learner) in enumerate(triples) for k, v in enumerate(VARIANTS)
+    ]
+    random.Random(0).shuffle(cells)
+    rows = [
+        (t, f, learner, metric, 10.0 * j + 1 + 4 * i, 10.0 * j + 2 + 4 * i, "")
+        for j, (t, f, learner) in enumerate(triples) for i, metric in enumerate(METRICS)
+    ]
+    return (*grid, cells, rows)
+
+
+ONE = (("global",), ("naive_bayes",), ("p1.1",))
+
+
+@pytest.mark.parametrize("filters,learners,targets,cells,rows", [
+    (*ONE, [one_cell("original", reason=EMPTY_POOL), one_cell("cleaned", (0.5, None))], [
+        ("p1.1", "global", "naive_bayes", "fmeasure", None, 0.5, EMPTY_POOL),
+        ("p1.1", "global", "naive_bayes", "auc", None, None, f"{EMPTY_POOL}; {SINGLE_CLASS}"),
+    ]),
+    (*ONE, [one_cell("original", (0.0, 0.6)), one_cell("cleaned", (0.4, 0.75))], [
+        ("p1.1", "global", "naive_bayes", "fmeasure", 0.0, 0.4,
+         "change undefined: original score is 0"),
+        ("p1.1", "global", "naive_bayes", "auc", 0.6, 0.75, ""),
+    ]),
+    (*ONE, [one_cell("cleaned", reason=EMPTIED), one_cell("original", reason=EMPTY_POOL)], [
+        ("p1.1", "global", "naive_bayes", metric, None, None, f"{EMPTY_POOL}; {EMPTIED}")
+        for metric in METRICS
+    ]),
+    shuffled_grid(),
+], ids=["reason-and-single-class", "original-zero", "both-undefined", "shuffled-grid"])
+def test_results_pair_cells_by_key(filters, learners, targets, cells, rows):
+    config = ExperimentConfig(corpus_dir=None, filters=filters, learners=learners)
+    results = _results(config, list(targets), cells)
+    assert [
+        (r.target, r.filter_name, r.learner, r.metric, r.original, r.cleaned, r.note)
+        for r in results
+    ] == rows
 
 
 LAZY_IMPORTS_SCRIPT = """
