@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .cleaning import clean_corpus
-from .data import Dataset, ParseError, load_corpus, parse_dataset, write_corpus
+from .data import Dataset, ParseError, load_corpus, load_dataset, read_text, write_corpus
 from .harness import parse_config, run_experiment
 from .quality import corpus_quality, within_quality
 from .reports import (
@@ -30,7 +30,9 @@ from .reports import (
     write_quality_reports,
     write_report,
 )
-from .selection import FILTERS, build_pool, check_cluster_count, select_training_data
+from .selection import (
+    DEFAULT_NEIGHBOURS, FILTERS, build_pool, check_cluster_count, select_training_data,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -84,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_select.add_argument("--target", required=True, help="target dataset name")
     p_select.add_argument("--k", type=int, default=None,
                           help="neighbours per target case, for --filter burak and "
-                               "peters's fallback (default 10)")
+                               f"peters's fallback (default {DEFAULT_NEIGHBOURS})")
     p_select.add_argument("--clusters", type=int, default=None,
                           help="cluster count, --filter peters only (default: auto)")
     p_select.add_argument("--seed", type=int, default=None,
@@ -130,12 +132,11 @@ def _cmd_quality(args: argparse.Namespace) -> int:
 
 
 def _reads_back(path: Path, dataset: Dataset) -> bool:
-    """Whether a written CSV parses to exactly ``dataset``."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            return parse_dataset(handle, name=dataset.name) == dataset
-        except ParseError:
-            return False
+    """Whether a written CSV loads as exactly ``dataset``."""
+    try:
+        return load_dataset(path) == dataset
+    except ParseError:
+        return False
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
@@ -200,7 +201,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         )
     selection = select_training_data(
         args.filter, pool, target,
-        k=10 if args.k is None else args.k, k_clusters=args.clusters,
+        k=DEFAULT_NEIGHBOURS if args.k is None else args.k, k_clusters=args.clusters,
         seed=0 if args.seed is None else args.seed,
         normalize=not args.raw_distance,
     )
@@ -228,9 +229,13 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = parse_config(
-        args.config.read_text(encoding="utf-8"), base_dir=args.config.parent
-    )
+    text = read_text(args.config)  # a decode error names the file already
+    try:
+        config = parse_config(text, base_dir=args.config.parent)
+        if config.corpus_dir is None:
+            raise ValueError("missing key 'corpus'")
+    except ValueError as exc:
+        raise ValueError(f"{args.config.name}: {exc}") from None
     run = run_experiment(config)
     paths = write_experiment_reports(run, args.out)
     defined = sum(1 for r in run.results if r.change_percent is not None)

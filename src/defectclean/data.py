@@ -15,14 +15,15 @@ rounding, and the table gives equal values one id, so two cases have equal
 metrics exactly when their rows of value ids are equal.  That is the exact
 equality the duplicate/inconsistency definitions in
 :mod:`defectclean.quality` rely on.  Float features, labels and feature
-groups are derived from the columns and cached.  Hand-made or generated
-data enters through :meth:`Dataset.from_cases`, a name and one plain
+groups are derived from the columns and cached.  A CSV file enters through
+:func:`load_dataset` (a directory of them through :func:`load_corpus`), its
+text read by :func:`read_text`, the one reader of every input file; hand-made
+or generated data through :meth:`Dataset.from_cases`, a name and one plain
 ``(class_name, metric_values, bug_count)`` tuple per case.
 """
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import math
@@ -50,14 +51,8 @@ N_METRICS = len(METRIC_NAMES)
 #: (project name and class name); columns are matched by position.
 PROMISE_HEADER: tuple[str, ...] = ("name", "version", "name") + METRIC_NAMES + ("bug",)
 
-#: dataset names whose project cannot be derived from the leading
-#: alphabetic prefix alone
-DEFAULT_PROJECT_ALIASES: Mapping[str, str] = {
-    "xercesinit": "xerces",
-    "log4j1.0": "log4j",
-    "log4j1.1": "log4j",
-    "log4j1.2": "log4j",
-}
+#: a dataset name: its project, then its release (a version number or ``init``)
+_NAME = re.compile(r"(.*?)(\d+(?:\.\d+)*|init)", re.DOTALL)
 
 
 class SchemaError(ValueError):
@@ -127,21 +122,16 @@ def metric_float(value: Decimal) -> float:
 
 
 def split_project(name: str) -> tuple[str, str]:
-    """Split a dataset name into (project, release).
-
-    The project is the maximal leading alphabetic prefix of the name
-    ("jedit4.3" -> "jedit", "prop1" -> "prop"); a small alias table covers
-    names where that rule fails ("xercesinit" -> "xerces").  The release is
-    whatever follows the project prefix, possibly empty for single-release
-    datasets named after the project alone ("berek").
+    """Split a dataset name into (project, release): the release is the
+    longest tail that is a version number ("4.3", "1") or ``init``, and the
+    project is the rest ("log4j1.0" -> ("log4j", "1.0")).  A name with no
+    such tail, or that is all release, is its own project with an empty
+    release ("berek", "e-learning", "1.0").
     """
-    if name in DEFAULT_PROJECT_ALIASES:
-        project = DEFAULT_PROJECT_ALIASES[name]
-        release = name[len(project):] if name.startswith(project) else name
-        return project, release
-    match = re.match(r"[A-Za-z]+", name)
-    project = match.group(0) if match else name
-    return project, name[len(project):]
+    match = _NAME.fullmatch(name)
+    if match is None or not match.group(1):
+        return name, ""
+    return match.group(1), match.group(2)
 
 
 def release_order(release: str) -> tuple[int, tuple[int, ...], str]:
@@ -541,15 +531,20 @@ def _csv_lines(text: str) -> list[list[str]]:
 
 
 def parse_dataset(source: IO[str], name: str) -> Dataset:
-    """Parse one CSV text stream into the dataset called ``name``.
+    """Parse one CSV text stream, read whole, by :func:`_parse_text`."""
+    return _parse_text(source.read(), name)
 
-    The stream is read whole.  Text that needs none of csv's quoting or
-    line-break rules (see :func:`_split_plain`) is cut with ``str.split``;
-    any other text is read by :func:`csv.reader`, its lines cut as a file
-    opened with ``newline=""`` cuts them.  Both give one flat, row-major
-    list of cells, the columns are sliced off it, and every metric cell is
-    mapped to its value id in one pass, so the value table lists the values
-    in the order they first occur, row by row.
+
+def _parse_text(text: str, name: str) -> Dataset:
+    """Parse the text of one CSV file into the dataset called ``name``.
+
+    Text that needs none of csv's quoting or line-break rules (see
+    :func:`_split_plain`) is cut with ``str.split``; any other text is read
+    by :func:`csv.reader`, its lines cut as a file opened with
+    ``newline=""`` cuts them.  Both give one flat, row-major list of cells,
+    the columns are sliced off it, and every metric cell is mapped to its
+    value id in one pass, so the value table lists the values in the order
+    they first occur, row by row.
 
     A header-only file is the dataset with no cases (how
     :func:`write_corpus` writes a dataset cleaned to nothing).  Raises
@@ -562,7 +557,6 @@ def parse_dataset(source: IO[str], name: str) -> Dataset:
     one is reported: its width, else its first bad metric cell, else its
     bug count.
     """
-    text = source.read()
     # Each distinct cell text is parsed and checked once, and equal values
     # share one table entry, whatever their spelling.  Only a bad row makes
     # csv's rows be walked one by one, to report the first bad one.
@@ -636,44 +630,39 @@ def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
     )
 
 
-def _decode_error(path: Path) -> ParseError:
-    r"""The error of a file that is not UTF-8: its first bad byte and that
-    byte's line, lines ending as csv ends them (``"\n"``, ``"\r\n"`` or
-    ``"\r"``)."""
-    raw = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+def read_text(path: Path) -> str:
+    r"""The text of a UTF-8 file, its bytes read once, a leading byte-order
+    mark dropped.  A byte that does not decode raises :class:`ParseError`
+    with the file's name and the byte's line, lines ending as csv ends them
+    (``"\n"``, ``"\r\n"`` or ``"\r"``)."""
     try:
-        raw.decode("utf-8")
+        return path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # a byte appended after the bad one's line start keeps that line counted
+        # raw lacks the byte-order mark; "." keeps a just-begun last line counted
+        raw = exc.object
         line = len((raw[:exc.start] + b".").splitlines())
-        return ParseError(
+        raise ParseError(
             f"{path.name}: line {line}: byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})"
-        )
-    raise RuntimeError(f"{path.name} failed to decode, yet it decodes")
+        ) from None
+
+
+def load_dataset(path: Path) -> Dataset:
+    """The dataset in one CSV file (read by :func:`read_text`), named by its
+    file stem.  A parse error is prefixed by the file's name."""
+    text = read_text(path)
+    try:
+        return _parse_text(text, path.stem)
+    except ValueError as exc:
+        raise type(exc)(f"{path.name}: {exc}") from None
 
 
 def load_corpus(directory: str | Path) -> Corpus:
-    """Load every ``*.csv`` in a directory as one corpus.
-
-    Each dataset is named by its file stem, so a header-only file loads as
-    its dataset with no cases, and a file that does not parse fails with
-    its file name.  Files are decoded as UTF-8, a leading byte-order mark
-    dropped; a byte that does not decode fails as a :class:`ParseError`
-    with its file and line.  Files are read in sorted name order so corpus
-    order is stable across platforms.
-    """
+    """Every ``*.csv`` in a directory, each by :func:`load_dataset`, as one
+    corpus in sorted name order, so the order is the same on every platform."""
     directory = Path(directory)
     if not directory.is_dir():
         raise CorpusError(f"corpus directory {str(directory)!r} does not exist")
-    datasets: list[Dataset] = []
-    for path in sorted(directory.glob("*.csv")):
-        try:
-            with open(path, newline="", encoding="utf-8-sig") as handle:
-                datasets.append(parse_dataset(handle, name=path.stem))
-        except UnicodeDecodeError:
-            raise _decode_error(path) from None
-        except ValueError as exc:
-            raise type(exc)(f"{path.name}: {exc}") from None
+    datasets = [load_dataset(path) for path in sorted(directory.glob("*.csv"))]
     if not datasets:
         raise CorpusError(f"no CSV datasets found in {directory}")
     return Corpus(tuple(datasets))

@@ -43,7 +43,9 @@ from .data import Corpus, Dataset, load_corpus
 from .evaluation import ConfusionMatrix, auc, change_rate, f_measure
 from .learners import LEARNER_NAMES, TrainingMatrix, predict, train
 from .rng import derive_seed
-from .selection import FILTERS, SourcePool, build_pool, check_cluster_count, select_training_data
+from .selection import (
+    DEFAULT_NEIGHBOURS, FILTERS, SourcePool, build_pool, check_cluster_count, select_training_data,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +62,7 @@ class ExperimentConfig:
     filters: tuple[str, ...] = ("global", "burak", "peters")
     learners: tuple[str, ...] = ("naive_bayes", "decision_tree", "random_forest")
     seed: int = 0
-    burak_k: int = 10
+    burak_k: int = DEFAULT_NEIGHBOURS
     peters_clusters: int | None = None
     normalize: bool = True
     pool_mode: str = "strict"

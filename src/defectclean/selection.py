@@ -48,6 +48,9 @@ logger = logging.getLogger(__name__)
 #: ``select`` benchmark went from 0.31 to 0.47 s with cache-sized blocks)
 _BLOCK_CELLS = 1 << 20
 
+#: neighbours per target case for burak, and for peters's fallback, by default
+DEFAULT_NEIGHBOURS = 10
+
 
 @dataclass(frozen=True)
 class SourcePool:
@@ -150,7 +153,7 @@ def global_filter(pool: SourcePool) -> TrainingSelection:
 
 
 def burak_filter(
-    pool: SourcePool, target: Dataset, k: int = 10, normalize: bool = True
+    pool: SourcePool, target: Dataset, k: int = DEFAULT_NEIGHBOURS, normalize: bool = True
 ) -> TrainingSelection:
     """Union of each target case's k nearest pool cases.
 
@@ -205,7 +208,7 @@ def peters_filter(
     k_clusters: int | None = None,
     seed: int = 0,
     normalize: bool = True,
-    fallback_k: int = 10,
+    fallback_k: int = DEFAULT_NEIGHBOURS,
 ) -> TrainingSelection:
     """Cluster pool and target together, then pick one pool case per target
     case from its own cluster.
@@ -273,7 +276,7 @@ def select_training_data(
     filter_name: str,
     pool: SourcePool,
     target: Dataset,
-    k: int = 10,
+    k: int = DEFAULT_NEIGHBOURS,
     k_clusters: int | None = None,
     seed: int = 0,
     normalize: bool = True,

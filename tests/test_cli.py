@@ -77,6 +77,13 @@ class TestQualityCommand:
         assert capsys.readouterr().err == (
             "error: ant1.7.csv: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
         )
+        # a config file is read the same way
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(eol.join(["corpus = in", "targets = café", ""]).encode("latin-1"))
+        assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "e")]) == 1
+        assert capsys.readouterr().err == (
+            "error: bad.cfg: line 2: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+        )
 
 
 class TestCleanCommand:
@@ -406,6 +413,13 @@ class TestExperimentCommand:
         rc = main(["experiment", "--config", str(config), "--out", str(out)])
         assert rc == 0
         assert "8 result rows" in capsys.readouterr().out
+        # the same config with a byte-order mark and CRLF line ends
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + config.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["experiment", "--config", str(bom), "--out", str(tmp_path / "bom")]) == 0
+        assert (tmp_path / "bom" / "results.json").read_bytes() == (
+            out / "results.json"
+        ).read_bytes()
         results = json.loads((out / "results.json").read_text())
         assert results["config"]["seed"] == 2
         assert len(results["results"]) == 8
@@ -426,10 +440,14 @@ class TestExperimentCommand:
 
     def test_bad_config_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
-        config.write_text("nonsense = 1\n")
-        rc = main(["experiment", "--config", str(config)])
-        assert rc == 1
-        assert "unknown key" in capsys.readouterr().err
+        for text, error in (
+            ("nonsense = 1\n", "line 1: unknown key 'nonsense'"),
+            ("seed = 1\n", "missing key 'corpus'"),
+        ):
+            config.write_text(text)
+            rc = main(["experiment", "--config", str(config)])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: bad.cfg: {error}\n"
 
 
 class TestTopLevel:

@@ -197,6 +197,9 @@ class TestSplitProject:
             ("pbeans2", ("pbeans", "2")),
             ("elearning", ("elearning", "")),
             ("tomcat", ("tomcat", "")),
+            ("log4j", ("log4j", "")),
+            ("e-learning", ("e-learning", "")),
+            ("1.0", ("1.0", "")),
         ],
     )
     def test_known_names(self, name, expected):
