@@ -261,9 +261,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
     steps, at most ``max_iter``.  Points with exactly equal coordinates
     always land in the same cluster (except for single points relocated by
     that repair, which can only happen among exact duplicates).  Raises
-    ValueError for k < 1 or k > number of points, and RuntimeError if the
-    bounded assignments ever disagree with a full pass (which the rounding
-    margin rules out).
+    ValueError for k < 1, k > number of points or max_iter < 1, and
+    RuntimeError if the bounded assignments ever disagree with a full pass
+    (which the rounding margin rules out).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -273,6 +273,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
         raise ValueError(f"k must be at least 1, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points ({n})")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
     space = PointSet(points, _ASSIGN_BLOCK_CELLS)
     columns = np.ascontiguousarray(points.T)

@@ -21,17 +21,20 @@ subsampling) derives its seed from the run seed plus the combination's
 identifying strings, so results do not depend on evaluation order or worker
 count.  Re-running a config yields byte-identical reports.
 
-Config files are plain ``key = value`` text, one key per
+Config files are plain ``key = value`` lines, one key per
 :class:`ExperimentConfig` field (:data:`CONFIG_KEYS`); lists are
-comma-separated, ``#`` starts a comment.
+comma-separated, ``#`` starts a comment, and lines end as in the CSVs.
+:func:`parse_config` sets and checks each line's value as it reads it, so
+a bad value fails at its own line.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import chain, product
 from pathlib import Path
 from typing import Mapping
@@ -71,6 +74,8 @@ class ExperimentConfig:
     forest_trees: int = 100
 
     def __post_init__(self) -> None:
+        # each check reads one field only, so parse_config can blame the
+        # line that set it
         if not self.targets or (isinstance(self.targets, str) and self.targets != "all"):
             raise ValueError('targets must be "all" or at least one dataset name')
         if self.targets != "all":
@@ -168,79 +173,65 @@ class ExperimentRun:
     dataset_sizes: Mapping[str, Mapping[str, int]]
 
 
-def _parse_list(value: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in value.split(",") if part.strip())
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"{key}: expected true/false, got {value!r}")
-
-
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{key}: expected an integer, got {value!r}") from None
-
-
 def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
-    """Parse the key=value config format; unknown keys are errors.
+    r"""Parse the key=value config format; unknown keys are errors.
 
-    Every error names the line it comes from, including those raised when
-    the parsed values are checked (unknown filter or learner names, empty
-    lists, out-of-range numbers)."""
-    raw: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    Lines end as csv ends them (``"\n"``, ``"\r\n"`` or ``"\r"``), so a
+    NEL or a line separator inside a comment stays in the comment.  Each
+    line sets its value on the config read so far, and every check of
+    :class:`ExperimentConfig` reads one field only, so every error names
+    the line it comes from, including those raised when the value is
+    checked (unknown filter or learner names, empty lists, out-of-range
+    numbers, an empty ``corpus``)."""
+    config = ExperimentConfig(corpus_dir=None)
+    by_key = dict(zip(CONFIG_KEYS, fields(ExperimentConfig)))
+    seen: set[str] = set()
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ValueError(f"line {line_no}: expected key = value, got {line.strip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in by_key:
             raise ValueError(f"line {line_no}: unknown key {key!r}")
-        if key in raw:
+        if key in seen:
             raise ValueError(f"line {line_no}: duplicate key {key!r}")
-        raw[key] = value
-        lines[key] = line_no
-
-    try:
-        return ExperimentConfig(**_config_kwargs(raw, base_dir))
-    except ValueError as exc:
-        # every value error starts with the offending key's name
-        key = str(exc).split(":", 1)[0].split(" ", 1)[0]
-        if key in lines:
-            raise ValueError(f"line {lines[key]}: {exc}") from None
-        raise
-
-
-def _config_kwargs(raw: dict[str, str], base_dir: Path | None) -> dict[str, object]:
-    kwargs: dict[str, object] = {"corpus_dir": None}
-    for key, f in zip(CONFIG_KEYS, fields(ExperimentConfig)):
-        if key in raw:
-            kwargs[f.name] = _parse_value(key, f.type, raw[key], base_dir)
-    return kwargs
+        seen.add(key)
+        field = by_key[key]
+        try:
+            parsed = _parse_value(key, field.type, value, base_dir)
+            config = replace(config, **{field.name: parsed})
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+    return config
 
 
 def _parse_value(key: str, kind: str, value: str, base_dir: Path | None) -> object:
     """One config value, parsed by the annotated type of its field."""
     if kind == "Path | None":
+        if not value:
+            raise ValueError(f"{key}: expected a directory, got {value!r}")
         path = Path(value)
         return base_dir / path if base_dir is not None and not path.is_absolute() else path
     if kind == "tuple[str, ...] | str" and value == "all":
         return value
     if kind.startswith("tuple[str, ...]"):
-        return _parse_list(value)
+        return tuple(part.strip() for part in value.split(",") if part.strip())
     if kind == "bool":
-        return _parse_bool(key, value)
+        lowered = value.lower()
+        if lowered in ("true", "yes", "1", "on"):
+            return True
+        if lowered in ("false", "no", "0", "off"):
+            return False
+        raise ValueError(f"{key}: expected true/false, got {value!r}")
     if kind in ("int", "int | None"):
-        return None if value.lower() in _NONE_WORDS.get(key, ()) else _parse_int(key, value)
+        if value.lower() in _NONE_WORDS.get(key, ()):
+            return None
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"{key}: expected an integer, got {value!r}") from None
     if kind == "str":
         return value
     raise TypeError(f"{key}: no parser for a {kind} field")

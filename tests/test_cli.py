@@ -420,6 +420,14 @@ class TestExperimentCommand:
         assert (tmp_path / "bom" / "results.json").read_bytes() == (
             out / "results.json"
         ).read_bytes()
+        # ... and with bare CR line ends and a line separator in a comment
+        cr = tmp_path / "cr.cfg"
+        text = config.read_text().replace("\n", " # see\u2028notes\n", 1).replace("\n", "\r")
+        cr.write_bytes(text.encode("utf-8"))
+        assert main(["experiment", "--config", str(cr), "--out", str(tmp_path / "cr")]) == 0
+        assert (tmp_path / "cr" / "results.json").read_bytes() == (
+            out / "results.json"
+        ).read_bytes()
         results = json.loads((out / "results.json").read_text())
         assert results["config"]["seed"] == 2
         assert len(results["results"]) == 8
@@ -443,6 +451,7 @@ class TestExperimentCommand:
         for text, error in (
             ("nonsense = 1\n", "line 1: unknown key 'nonsense'"),
             ("seed = 1\n", "missing key 'corpus'"),
+            ("corpus =\n", "line 1: corpus: expected a directory, got ''"),
         ):
             config.write_text(text)
             rc = main(["experiment", "--config", str(config)])

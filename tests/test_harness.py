@@ -165,6 +165,10 @@ class TestParseConfig:
              "^line 2: learners: duplicate name 'naive_bayes'$"),
             ("targets = alpha1.0, beta2.0, alpha1.0\n",
              "^line 1: targets: duplicate name 'alpha1.0'$"),
+            ("corpus =\n", "^line 1: corpus: expected a directory"),
+            # only LF, CRLF and CR end a line: a LINE SEPARATOR stays in its comment
+            ("seed = 1 # a\u2028b\nlearners = svm\n", "^line 2: learners: unknown name 'svm'"),
+            ("\rseed = x1\r", "^line 2: seed: expected an integer, got 'x1'$"),
         ],
     )
     def test_rejects_bad_input(self, text, message):
@@ -199,6 +203,9 @@ class TestParseConfig:
     def test_error_names_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_config("seed = 1\n\nwat = 9\n")
+
+    def test_a_next_line_character_stays_in_its_comment(self):
+        assert parse_config("seed = 1\n# caf\x85seed = 3\n").seed == 1
 
     def test_config_keys_documented(self):
         assert set(CONFIG_KEYS) == {

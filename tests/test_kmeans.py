@@ -65,6 +65,9 @@ class TestKmeansBasics:
             kmeans(points, k=6, seed=0)
         with pytest.raises(ValueError, match="2-D"):
             kmeans(np.zeros((0, 2)), k=1, seed=0)
+        for max_iter in (0, -5):
+            with pytest.raises(ValueError, match="max_iter must be at least 1"):
+                kmeans(points, k=2, seed=0, max_iter=max_iter)
 
     def test_default_k_heuristic(self):
         assert default_k(1) == 1
