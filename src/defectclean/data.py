@@ -33,7 +33,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -498,36 +497,60 @@ def _split_plain(text: str) -> tuple[list[str], list[str]] | None:
     return header, cells
 
 
-def _first_bad_row(lines: list[list[str]], cells: _Cells, bugs: _Cells) -> ParseError:
-    """The error of the first bad row in file order, blank lines counted:
-    its width, else its first bad metric cell, else its bug count."""
-    for row_no, row in enumerate(lines, start=1):
+#: one line and its line end, cut as a file opened with ``newline=""``
+#: cuts it: at ``"\n"``, ``"\r\n"`` and ``"\r"`` only
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)|[^\r\n]+")
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` with their line ends, as a file opened with
+    ``newline=""`` yields them to :func:`csv.reader`.  They are cut one at
+    a time: ``io.StringIO`` would hold a copy of the whole text at four
+    bytes a character."""
+    return (line.group() for line in _LINE.finditer(text))
+
+
+def _first_bad_row(text: str, cells: _Cells, bugs: _Cells) -> ParseError:
+    """The error of the first bad data row of ``text`` (which csv reads
+    without error) in file order, blank lines counted: its width, else its
+    first bad metric cell, else its bug count."""
+    rows = csv.reader(_lines(text))
+    next(rows)  # the header, already checked
+    for row_no, row in enumerate(rows, start=1):
         if not row:
             continue
         try:
             if len(row) != _WIDTH:
                 raise ParseError(f"expected {_WIDTH} cells, got {len(row)}")
-            for text in row[3:-1]:
-                cells[text]
+            for cell in row[3:-1]:
+                cells[cell]
             bugs[row[-1]]
         except ParseError as exc:
             return ParseError(f"row {row_no}: {exc}")
     raise RuntimeError("a row failed to convert, yet every row parses")
 
 
-def _csv_lines(text: str) -> list[list[str]]:
-    """The data lines of ``text`` as :func:`csv.reader` reads them from a
-    file opened with ``newline=""``, blank ones included, once the header
-    is checked."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+def _csv_cells(text: str) -> list[str] | None:
+    """The row-major data cells of ``text`` as :func:`csv.reader` reads them
+    from a file opened with ``newline=""``, once the header is checked; None
+    when a data row has the wrong width.  Rows are read to the end either
+    way, so a line csv cannot read is reported before any bad row."""
+    reader = csv.reader(_lines(text))
+    cells: list[str] = []
+    widths_ok = True
     try:
         header = next(reader, None)
         if header is None:
             raise EmptyDatasetError("no header row")
         _check_header(header)
-        return list(reader)
+        for row in reader:
+            if len(row) == _WIDTH:
+                cells += row
+            elif row:  # a blank line is an empty row, and adds no cell
+                widths_ok = False
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
+    return cells if widths_ok else None
 
 
 def parse_dataset(source: IO[str], name: str) -> Dataset:
@@ -565,11 +588,9 @@ def _parse_text(text: str, name: str) -> Dataset:
     bugs = _Cells(_parse_bug_count)
     plain = _split_plain(text)
     if plain is None:
-        lines = _csv_lines(text)
-        if not set(map(len, lines)) <= {0, _WIDTH}:  # 0: a blank line
-            raise _first_bad_row(lines, cells, bugs)
-        texts = list(chain.from_iterable(lines))  # a blank line adds no cell
-        del lines
+        texts = _csv_cells(text)
+        if texts is None:
+            raise _first_bad_row(text, cells, bugs)
     else:
         header, texts = plain
         _check_header(header)
@@ -585,7 +606,7 @@ def _parse_text(text: str, name: str) -> Dataset:
         ).reshape(rows, N_METRICS)
         bug_counts = np.fromiter(map(bugs.__getitem__, bug_texts), dtype=np.int64, count=rows)
     except ParseError:
-        raise _first_bad_row(_csv_lines(text), cells, bugs) from None
+        raise _first_bad_row(text, cells, bugs) from None
     return Dataset(name, class_names, tuple(index), value_ids, bug_counts)
 
 

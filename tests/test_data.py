@@ -329,10 +329,14 @@ class TestParseDataset:
         with pytest.raises(ParseError, match=r"^line 1: field larger than field limit \(131072\)$"):
             parse_dataset(make_csv([data_row()], header=header), name="demo1.0")
 
-    def test_oversized_row_field_names_its_file_line(self):
+    @pytest.mark.parametrize(
+        "bad", [["oops"] * N_METRICS, ["1"] * (N_METRICS - 1)], ids=["bad-cell", "wrong-width"]
+    )
+    def test_oversized_row_field_names_its_file_line(self, bad):
         # the header is line 1 and the blank line counts, so the big field
-        # is on line 4; csv's error wins over the bad cell of data row 1
-        rows = [data_row(metrics=["oops"] * N_METRICS), [], data_row(name="x" * 200_000)]
+        # is on line 4; csv's error wins over data row 1's bad cell or
+        # wrong width
+        rows = [data_row(metrics=bad), [], data_row(name="x" * 200_000)]
         with pytest.raises(ParseError, match=r"^line 4: field larger than field limit \(131072\)$"):
             parse_dataset(make_csv(rows), name="demo1.0")
 

@@ -18,6 +18,8 @@ import pytest
 from defectclean import clustering
 from defectclean.clustering import PointSet, default_k, kmeans
 
+from ._reference_kmeans import reference_kmeans
+
 
 def inertia_prefixes(points, k, seed, iterations):
     """The inertia after each of the first ``iterations`` iterations."""
@@ -151,11 +153,56 @@ def brute_force_sq(points, centers):
     return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
+def measured_rows(monkeypatch):
+    """Record, in call order, the point indices of every proposal
+    (``PointSet.propose``) and of every exact measurement against two or
+    more centres (``PointSet.nearest``; one centre is repair).  An exact
+    call on every point records ``np.arange(n)``."""
+    proposed, exact = [], []
+    real_propose, real_nearest = PointSet.propose, PointSet.nearest
+
+    def propose(space, centers, rows):
+        proposed.append(rows.copy())
+        return real_propose(space, centers, rows)
+
+    def nearest(space, centers, rows=None):
+        if centers.shape[0] > 1:
+            exact.append(np.arange(space.sq.size) if rows is None else rows.copy())
+        return real_nearest(space, centers, rows)
+
+    monkeypatch.setattr(PointSet, "propose", propose)
+    monkeypatch.setattr(PointSet, "nearest", nearest)
+    return proposed, exact
+
+
+def contest_every_proposal(monkeypatch):
+    """Widen every proposal's margin ``Δp`` so far that none settles."""
+    real = clustering._rounding_errors
+
+    def errors(space, centers):
+        delta, proposed = real(space, centers)
+        return delta, np.full_like(proposed, 1e300)
+
+    monkeypatch.setattr(clustering, "_rounding_errors", errors)
+
+
+def settled_proposals(space, centers, rows):
+    """``space.propose(centers, rows)``, which of its rows the bounds test
+    settles, as :func:`clustering._assign` reads them, and each row's
+    propose margin ``Δp``."""
+    delta, margin = clustering._rounding_errors(space, centers)
+    index, first, second = space.propose(centers, rows)
+    upper, lower = clustering._bounds(first, second, margin[rows])
+    return (index, first, second), clustering._settled(upper, lower, delta[rows]), margin[rows]
+
+
 class TestPointSet:
     """``PointSet`` against a brute-force argmin.  Integer coordinates keep
     every distance exact on every BLAS path, and a grid of three values per
     feature makes most rows tie between several centres.  Float coordinates
-    pin the kernel's rounding to the plain two-add formula instead."""
+    pin the kernel's rounding to the plain two-add formula instead.  A
+    proposal's rounding is the kernel's own, so proposals are held to what
+    holds on every kernel: a settled proposal is ``nearest``'s answer."""
 
     @pytest.mark.parametrize("height", [2, 3, "n-1"])
     def test_blocks_and_nearest_match_brute_force(self, rng, height):
@@ -238,3 +285,87 @@ class TestPointSet:
                     assert np.array_equal(first, got.min(axis=1))
                     others = np.sort(got, axis=1)[:, 1] if k > 1 else np.full(picked.size, np.inf)
                     assert np.array_equal(second, others)
+
+    @pytest.mark.parametrize("kind", ["lattice", "float"])
+    def test_settled_proposals_agree_with_nearest(self, rng, kind):
+        def draw(rows, d):
+            if kind == "lattice":
+                return rng.integers(0, 3, (rows, d)).astype(np.float64)
+            return rng.choice([-1.0, 1.0], (rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
+
+        settled_rows = contested_rows = 0
+        for _ in range(30):
+            n, d = int(rng.integers(2, 40)), int(rng.integers(1, 21))
+            points = draw(n, d)
+            space = PointSet(points, int(rng.integers(2, 200)))
+            for k in (1, 2, int(rng.integers(3, 40))):
+                # some centres sit on points, some near them, some anywhere
+                centers = draw(k, d)
+                on = rng.integers(0, n, k)
+                centers[:k // 3] = points[on[:k // 3]]
+                if kind == "float":
+                    near = on[k // 3:2 * k // 3]
+                    centers[k // 3:2 * k // 3] = points[near] * (
+                        1.0 + 1e-9 * rng.standard_normal((near.size, d))
+                    )
+                rows = rng.integers(0, n, int(rng.integers(1, 2 * n + 2)))
+                # a settled proposal is nearest's answer, whatever the kernel
+                (index, first, second), settled, margin = settled_proposals(space, centers, rows)
+                assert np.array_equal(index[settled], space.nearest(centers, rows)[0][settled])
+                settled_rows += settled.sum()
+                contested_rows += (~settled).sum()
+                # each value sits within its margin of the exact distance it
+                # stands for (extended precision stands in for exact here)
+                exact = brute_force_sq(points.astype(np.longdouble), centers.astype(np.longdouble))[rows]
+                picked = np.arange(rows.size)
+                assert np.all(np.abs(first - exact[picked, index]) <= margin)
+                exact[picked, index] = np.inf
+                others = exact.min(axis=1)
+                if k == 1:
+                    assert np.all(second == np.inf)
+                else:
+                    assert np.all(np.abs(second - others) <= margin)
+                assert (first >= 0.0).all() and (second >= 0.0).all()
+                if kind == "lattice":
+                    # small integers: every product is exact, so is the proposal
+                    want = brute_force_sq(points, centers)[rows]
+                    assert np.array_equal(index, want.argmin(axis=1))
+                    assert np.array_equal(first, want.min(axis=1))
+        assert settled_rows > 0 and contested_rows > 0
+
+    def test_unusable_proposals_stay_contested(self):
+        # NaN, infinite and overflowing values never settle a point, and
+        # reading them raises no RuntimeWarning (an error in this suite)
+        points = np.array([[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1e200, 0.0], [3.0, 4.0]])
+        centers = np.array([[0.0, 0.0], [3.0, 4.0], [-3.0, 4.0]])
+        space = PointSet(points, 1 << 15)
+        (index, _, _), settled, _ = settled_proposals(space, centers, np.arange(5))
+        assert settled.tolist() == [True, False, False, False, True]
+        assert index[[0, 4]].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("case", ["lattice", "duplicates", "float"])
+    def test_every_contested_point_reaches_nearest(self, monkeypatch, case):
+        # with no proposal settled, every point each assignment step
+        # proposes is measured again by the exact formula (a lone point as
+        # two copies of itself), and k-means stays the reference loop bit
+        # for bit
+        rng = np.random.default_rng(7)
+        if case == "lattice":
+            points, k, seed = rng.integers(0, 20, size=(23, 2)).astype(np.float64), 2, 77
+        elif case == "duplicates":
+            points, k, seed = np.repeat(rng.integers(0, 3, (20, 3)) * 0.1, 3, axis=0), 6, 3
+        else:
+            points, k, seed = rng.random((60, 3)), 5, 2
+        contest_every_proposal(monkeypatch)
+        proposed, exact = measured_rows(monkeypatch)
+        result = kmeans(points, k, seed)
+        assert len(proposed) >= 2
+        assert len(exact) == len(proposed) + 1
+        for rows, measured in zip(proposed, exact):
+            assert np.array_equal(measured, rows if rows.size > 1 else np.repeat(rows, 2))
+        assert np.array_equal(exact[-1], np.arange(points.shape[0]))
+        assignments, centroids, iterations, history = reference_kmeans(points, k, seed)
+        assert result.assignments.tobytes() == assignments.tobytes()
+        assert result.centroids.tobytes() == centroids.tobytes()
+        assert result.iterations == iterations
+        assert np.float64(result.inertia).tobytes() == np.float64(history[-1]).tobytes()

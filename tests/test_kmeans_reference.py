@@ -32,7 +32,7 @@ from defectclean import clustering
 from defectclean.clustering import kmeans
 
 from ._reference_kmeans import reference_kmeans
-from .test_kmeans import inertia_prefixes
+from .test_kmeans import contest_every_proposal, inertia_prefixes, measured_rows
 
 
 def assert_bit_identical(result, reference, points, k, seed, history=None):
@@ -161,34 +161,45 @@ class TestKmeansAgainstReference:
         )
 
 
+def exact_layouts(patch):
+    """Record ``(centres, rows, blocks)`` for every exact measurement
+    (``PointSet.blocks``): how many centres, how many rows and the
+    ``(start, stop)`` of each block, in call order."""
+    layouts = []
+    real = clustering.PointSet.blocks
+
+    def spy(space, centers, rows=None):
+        blocks = []
+        layouts.append((centers.shape[0], space.sq.size if rows is None else rows.size, blocks))
+        for start, stop, d2 in real(space, centers, rows):
+            blocks.append((start, stop))
+            yield start, stop, d2
+
+    patch.setattr(clustering.PointSet, "blocks", spy)
+    return layouts
+
+
 def assert_bit_identical_in_blocks(points, k, seed, rows, max_iter=100):
     """Run k-means in blocks of ``rows`` rows and compare it with the
-    reference.  Every assignment block holds ``rows`` rows except the last,
-    which holds 2 to ``rows + 1``: a lone trailing row joins the block
-    before it.  That holds for the full passes (the first assignment and
-    the final inertia) and for the rows each bounded iteration measures
-    again.  Initialisation and repair measure against one centre, so their
-    blocks are ``rows * k`` high; only the assignment layouts are checked
-    here."""
+    reference.  Every block the exact formula measures against all ``k``
+    centres holds ``rows`` rows except the last, which holds 2 to
+    ``rows + 1``: a lone trailing row joins the block before it.  That
+    holds for the full passes (the final inertia and the recording's) and
+    for the contested rows k-means measures again.  Initialisation and
+    repair measure against one centre, so their blocks are ``rows * k``
+    high; proposals round as the kernel likes, so only the exact formula's
+    layouts are checked here."""
     n = points.shape[0]
-    layouts = []
-    real = clustering._blocks
-
-    def spy(n_rows, step):
-        layout = real(n_rows, step)
-        if step == rows:
-            layouts.append((n_rows, layout))
-        return layout
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "_ASSIGN_BLOCK_CELLS", rows * k)
-        patch.setattr(clustering, "_blocks", spy)
+        layouts = exact_layouts(patch)
         result, history = recorded_run(points, k, seed, max_iter)
-    # the first and the final pass (and the recording's passes) measure
-    # every point, in the same layout
-    full = [layout for n_rows, layout in layouts if n_rows == n]
+    layouts = [(n_rows, blocks) for centres, n_rows, blocks in layouts if centres == k]
+    # the final pass (and the recording's passes) measure every point, in
+    # the same layout
+    full = [blocks for n_rows, blocks in layouts if n_rows == n]
     assert len(full) >= 2
-    assert all(layout == full[0] for layout in full)
+    assert all(blocks == full[0] for blocks in full)
     for n_rows, blocks in layouts:
         assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
         assert blocks[-1][1] == n_rows
@@ -218,22 +229,6 @@ class TestKmeansBlockLayouts:
         assert_bit_identical_in_blocks(points, k, seed, n - 1 if rows == -1 else rows)
 
 
-def measured_rows(monkeypatch):
-    """Record the point indices of every ``PointSet.nearest`` call against
-    two or more centres (one centre is repair); a call on every point
-    records ``np.arange(n)``."""
-    calls = []
-    real = clustering.PointSet.nearest
-
-    def spy(space, centers, rows=None):
-        if centers.shape[0] > 1:
-            calls.append(np.arange(space.sq.size) if rows is None else rows.copy())
-        return real(space, centers, rows)
-
-    monkeypatch.setattr(clustering.PointSet, "nearest", spy)
-    return calls
-
-
 class TestBoundedLoop:
     """Edges of the bounded assignment step, each against the reference bit
     for bit.  A point is measured again only when its bounds cannot prove
@@ -254,23 +249,19 @@ class TestBoundedLoop:
             assert history == inertia_prefixes(points, k, 2, result.iterations)
 
     def test_single_row_recompute_is_measured_twice(self, monkeypatch):
-        # in one iteration exactly one point fails its bounds test; a lone
-        # row would go through gemv, which rounds unlike gemm, so it is
-        # measured as two copies of itself
+        # in one iteration exactly one point fails its bounds test, and with
+        # every proposal contested it reaches the exact formula alone; a
+        # lone row would go through gemv, which rounds unlike gemm, so it
+        # is measured as two copies of itself
         rng = np.random.default_rng(77)
         points = rng.integers(0, 20, size=(23, 2)).astype(np.float64)
-        layouts = []
-        real_blocks = clustering._blocks
-
-        def blocks_spy(n_rows, step):
-            layouts.append(real_blocks(n_rows, step))
-            return layouts[-1]
-
-        monkeypatch.setattr(clustering, "_blocks", blocks_spy)
-        calls = measured_rows(monkeypatch)
+        contest_every_proposal(monkeypatch)
+        layouts = exact_layouts(monkeypatch)
+        proposed, exact = measured_rows(monkeypatch)
         result = kmeans(points, 2, 77)
-        assert any(rows.size == 2 and rows[0] == rows[1] for rows in calls)
-        assert all(stop - start >= 2 for layout in layouts for start, stop in layout)
+        assert any(rows.size == 1 for rows in proposed)
+        assert any(rows.size == 2 and rows[0] == rows[1] for rows in exact)
+        assert all(stop - start >= 2 for _, _, blocks in layouts for start, stop in blocks)
         assert_bit_identical(result, reference_kmeans(points, 2, 77), points, 2, 77)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -329,14 +320,16 @@ class TestBoundedLoop:
             return upper, lower
 
         monkeypatch.setattr(clustering, "_bounds", bounds_spy)
-        calls = measured_rows(monkeypatch)
+        proposed, exact = measured_rows(monkeypatch)
         rng = np.random.default_rng(8)
         points = np.repeat(rng.random((30, 3)), 2, axis=0)
         result = kmeans(points, 4, 8)
         assert result.iterations >= 3
-        # every assignment step, then the final full pass
-        assert len(calls) == result.iterations + 1
-        assert all(np.array_equal(rows, np.arange(60)) for rows in calls)
+        # every assignment step proposes every point and, none settled,
+        # measures them all again; then the final full pass
+        assert len(proposed) == result.iterations
+        assert len(exact) == result.iterations + 1
+        assert all(np.array_equal(rows, np.arange(60)) for rows in proposed + exact)
         assert_bit_identical(result, reference_kmeans(points, 4, 8), points, 4, 8)
 
     def test_more_clusters_than_distinct_points_converge(self):
@@ -355,14 +348,16 @@ class TestBoundedLoop:
         # one feature near 1e8 on a 0.1 grid: |x|^2 rounds by about 1e16 *
         # eps, more than many gaps between distances.  With no margin some
         # point keeps a centre a full pass would not give it.  One feature
-        # also keeps every product a single rounding on any BLAS
+        # also keeps every exact-formula product a single rounding on any
+        # BLAS.  Both margins are zeroed: the exact one and the proposals'
         rng = np.random.default_rng(0)
         n = int(rng.integers(30, 120))
         points = 1e8 + rng.integers(0, 60, size=(n, 1)) * 0.1
         k = int(rng.integers(2, 8))
         kmeans(points, k, 0)
         monkeypatch.setattr(
-            clustering, "_rounding_errors", lambda space, centers: np.zeros(space.sq.size)
+            clustering, "_rounding_errors",
+            lambda space, centers: (np.zeros(space.sq.size), np.zeros(space.sq.size)),
         )
         with pytest.raises(RuntimeError, match="disagree with a full pass"):
             kmeans(points, k, 0)
