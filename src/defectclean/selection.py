@@ -26,7 +26,9 @@ per case: its feature matrix and labels are the datasets' cached arrays
 stacked in corpus order, and ``SourcePool.origins`` (each row's dataset name
 and row there) is derived from them only when asked for.  Both distance
 filters measure through :class:`~defectclean.clustering.PointSet`, in
-memory-sized blocks of ``_BLOCK_CELLS``.
+memory-sized blocks of ``_BLOCK_CELLS``, so their distances are the
+fixed-order sums k-means decides with and their selections are the same on
+every CPU.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from .data import Corpus, Dataset, release_order
 logger = logging.getLogger(__name__)
 
 #: cells (rows x columns) per burak and peters distance block; bounds each
-#: block temporary to about 8 MB whatever the pool size (burak on the
-#: ``select`` benchmark went from 0.31 to 0.47 s with cache-sized blocks)
-_BLOCK_CELLS = 1 << 20
+#: block temporary to about 4 MB whatever the pool size.  On the ``select``
+#: benchmark's first burak call (2-core Xeon, one BLAS thread) 2**18 to
+#: 2**20 cells took 0.12 s and 2**17 took 0.14 s
+_BLOCK_CELLS = 1 << 19
 
 #: neighbours per target case for burak, and for peters's fallback, by default
 DEFAULT_NEIGHBOURS = 10
@@ -174,19 +177,7 @@ def burak_filter(
 
     pool_space, target_space = _spaces(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
-    for _, _, d2 in PointSet(target_space, _BLOCK_CELLS).blocks(pool_space):
-        # exact k-nearest with ties to the lower pool index: every case at
-        # or below the k-th smallest value, except on rows with more than k
-        # such cases, which keep only the lowest-index cases at the k-th value
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-        near = d2 <= kth
-        tied = np.flatnonzero(np.count_nonzero(near, axis=1) > k)
-        if tied.size:
-            below = d2[tied] < kth[tied]
-            at_kth = near[tied] & ~below
-            need = k - below.sum(axis=1, keepdims=True)
-            near[tied] = below | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
-        chosen |= near.any(axis=0)
+    chosen[PointSet(target_space, _BLOCK_CELLS).k_nearest(pool_space, k)] = True
     return TrainingSelection("burak", np.flatnonzero(chosen), {"k": k, "normalize": normalize})
 
 
@@ -240,7 +231,7 @@ def peters_filter(
         if pool_members.size == 0:
             continue
         target_members = np.flatnonzero(target_clusters == cid)
-        nearest, d2, _ = PointSet(pool_space[pool_members], _BLOCK_CELLS).nearest(
+        nearest, d2 = PointSet(pool_space[pool_members], _BLOCK_CELLS).nearest(
             target_space[target_members]
         )
         rows.append(pool_members)

@@ -1,9 +1,12 @@
 """Reference k-means: the per-cluster Lloyd loop the package shipped first.
 
-A verbatim copy of the original ``clustering.kmeans`` and its helpers (one
-``n x k`` temporary per term, one Python-level mean per cluster).  The
-package's buffered loop must agree with it bit for bit: same assignments,
-centroids, iteration count and inertia history.
+A copy of the original ``clustering.kmeans`` and its helpers (one full
+``n x k`` distance matrix per pass, one Python-level mean per cluster),
+with one change: every squared distance is the fixed-order sum
+``Σ_f (x_f - c_f)^2``, added over the features in a Python loop, the rule
+the package decides by.  The package's bounded, buffered loop must agree
+with it bit for bit: same assignments, centroids, iteration count and
+inertia history.
 """
 
 from __future__ import annotations
@@ -12,13 +15,10 @@ import numpy as np
 
 
 def _pairwise_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # |x - c|^2 = |x|^2 + |c|^2 - 2 x.c, clipped against float cancellation
-    d2 = (
-        np.einsum("ij,ij->i", points, points)[:, None]
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-        - 2.0 * points @ centers.T
-    )
-    np.maximum(d2, 0.0, out=d2)
+    # |x - c|^2 added one feature at a time, in feature order
+    d2 = np.zeros((points.shape[0], centers.shape[0]))
+    for f in range(points.shape[1]):
+        d2 += (points[:, f, None] - centers[None, :, f]) ** 2
     return d2
 
 

@@ -29,6 +29,7 @@ from defectclean.selection import build_pool, burak_filter, peters_filter
 
 from . import _reference_tables as ref
 from ._reference_cleaning import clean_oracle
+from ._reference_selection import knn_union_oracle, peters_trace_oracle
 from .conftest import (
     case,
     collision_dataset,
@@ -40,12 +41,7 @@ from .conftest import (
 )
 from .test_evaluation import F_FIXTURES, trapezoid_auc
 from .test_kmeans import inertia_prefixes
-from .test_selection import (
-    knn_union_oracle,
-    peters_trace_oracle,
-    random_dataset,
-    scale_like_filter,
-)
+from .test_selection import random_dataset, scale_like_filter
 
 
 def _verdict(num: int, detail: str) -> None:
@@ -281,7 +277,7 @@ def test_criterion_6_filter_correctness():
             pool.feature_matrix, target.feature_matrix, k)
         scaled = burak_filter(pool, target, k=k, normalize=True)
         pm, tm = scale_like_filter(pool.feature_matrix, target.feature_matrix)
-        assert set(scaled.selected) == knn_union_oracle(pm, tm, k, dot_trick=True)
+        assert set(scaled.selected) == knn_union_oracle(pm, tm, k)
         burak_trials += 1
 
     peters_trials = 0

@@ -18,7 +18,7 @@ import pytest
 from defectclean import clustering
 from defectclean.clustering import PointSet, default_k, kmeans
 
-from ._reference_kmeans import reference_kmeans
+from ._reference_kmeans import _pairwise_sq, reference_kmeans
 
 
 def inertia_prefixes(points, k, seed, iterations):
@@ -155,24 +155,24 @@ def brute_force_sq(points, centers):
 
 def measured_rows(monkeypatch):
     """Record, in call order, the point indices of every proposal
-    (``PointSet.propose``) and of every exact measurement against two or
-    more centres (``PointSet.nearest``; one centre is repair).  An exact
-    call on every point records ``np.arange(n)``."""
-    proposed, exact = [], []
-    real_propose, real_nearest = PointSet.propose, PointSet.nearest
+    (``PointSet.propose``) and of every fixed-order measurement against two
+    or more centres (``PointSet.measure``; one centre is initialisation or
+    repair)."""
+    proposed, measured = [], []
+    real_propose, real_measure = PointSet.propose, PointSet.measure
 
     def propose(space, centers, rows):
         proposed.append(rows.copy())
         return real_propose(space, centers, rows)
 
-    def nearest(space, centers, rows=None):
+    def measure(space, centers, rows=None):
         if centers.shape[0] > 1:
-            exact.append(np.arange(space.sq.size) if rows is None else rows.copy())
-        return real_nearest(space, centers, rows)
+            measured.append(np.arange(space.sq.size) if rows is None else rows.copy())
+        return real_measure(space, centers, rows)
 
     monkeypatch.setattr(PointSet, "propose", propose)
-    monkeypatch.setattr(PointSet, "nearest", nearest)
-    return proposed, exact
+    monkeypatch.setattr(PointSet, "measure", measure)
+    return proposed, measured
 
 
 def contest_every_proposal(monkeypatch):
@@ -196,102 +196,101 @@ def settled_proposals(space, centers, rows):
     return (index, first, second), clustering._settled(upper, lower, delta[rows]), margin[rows]
 
 
-class TestPointSet:
-    """``PointSet`` against a brute-force argmin.  Integer coordinates keep
-    every distance exact on every BLAS path, and a grid of three values per
-    feature makes most rows tie between several centres.  Float coordinates
-    pin the kernel's rounding to the plain two-add formula instead.  A
-    proposal's rounding is the kernel's own, so proposals are held to what
-    holds on every kernel: a settled proposal is ``nearest``'s answer."""
+def draw_floats(rng, rows, d):
+    """Coordinates over six decades, either sign, so sums round often."""
+    return rng.choice([-1.0, 1.0], (rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
 
-    @pytest.mark.parametrize("height", [2, 3, "n-1"])
-    def test_blocks_and_nearest_match_brute_force(self, rng, height):
+
+class TestPointSet:
+    """``PointSet`` against the fixed-order oracle (``_pairwise_sq``) and a
+    brute-force argmin.  Integer coordinates keep every distance exact, and
+    a grid of three values per feature makes most rows tie between several
+    centres; float coordinates check the fixed-order sum bit for bit.  A
+    proposal's rounding is the kernel's own, so proposals are held to what
+    holds on every kernel: a settled proposal is the fixed-order answer."""
+
+    @pytest.mark.parametrize("height", [1, 2, 3, "n-1"])
+    def test_measure_pairs_and_nearest_match_brute_force(self, rng, height):
         for _ in range(40):
             n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
             points = rng.integers(0, 3, (n, d)).astype(np.float64)
             space = PointSet(points, 0)
             # the same set measured against several centre counts reuses
-            # (and regrows) its one buffer
+            # (and regrows) its one proposal buffer
             for k in (1, int(rng.integers(2, 9)), int(rng.integers(1, 4))):
                 centers = rng.integers(0, 3, (k, d)).astype(np.float64)
-                rows = max(2, n - 1) if height == "n-1" else height
-                space.cells = rows * k
+                space.cells = (n - 1 if height == "n-1" else height) * k
                 want = brute_force_sq(points, centers)
+                assert np.array_equal(space.measure(centers), want)
 
-                layout = []
-                for start, stop, d2 in space.blocks(centers):
-                    layout.append((start, stop))
-                    assert np.array_equal(d2, want[start:stop])
-                assert [start for start, _ in layout] == [0] + [stop for _, stop in layout[:-1]]
-                assert layout[-1][1] == n
-                heights = [stop - start for start, stop in layout]
-                assert set(heights[:-1]) <= {rows}
-                # a lone trailing row folds into the block before it
-                assert 2 <= heights[-1] <= rows + 1
-
-                # the second smallest distance, to any other centre
-                others = np.sort(want, axis=1)[:, 1] if k > 1 else np.full(n, np.inf)
-                index, first, second = space.nearest(centers)
+                index, d2 = space.nearest(centers)
                 assert np.array_equal(index, want.argmin(axis=1))
-                assert np.array_equal(first, want.min(axis=1))
-                assert np.array_equal(second, others)
+                assert np.array_equal(d2, want.min(axis=1))
                 # chosen points, repeats and more of them than points included
-                chosen = rng.integers(0, n, int(rng.integers(2, 2 * n + 2)))
-                index, first, second = space.nearest(centers, chosen)
-                assert np.array_equal(index, want.argmin(axis=1)[chosen])
-                assert np.array_equal(first, want.min(axis=1)[chosen])
-                assert np.array_equal(second, others[chosen])
+                chosen = rng.integers(0, n, int(rng.integers(1, 2 * n + 2)))
+                assert np.array_equal(space.measure(centers, chosen), want[chosen])
+                to = rng.integers(0, k, chosen.size)
+                assert np.array_equal(space.pairs(chosen, centers, to), want[chosen, to])
 
     def test_one_point(self):
         space = PointSet(np.array([[1.0, 2.0]]), 1 << 15)
         centers = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
-        [(start, stop, d2)] = list(space.blocks(centers))
-        assert (start, stop) == (0, 1)
-        assert d2.tolist() == [[4.0, 1.0, 4.0]]
-        index, first, second = space.nearest(centers)
-        assert index.tolist() == [1] and first.tolist() == [1.0] and second.tolist() == [4.0]
-        index, first, second = space.nearest(centers[:1])
-        assert index.tolist() == [0] and first.tolist() == [4.0] and second.tolist() == [np.inf]
+        assert space.measure(centers).tolist() == [[4.0, 1.0, 4.0]]
+        index, d2 = space.nearest(centers)
+        assert index.tolist() == [1] and d2.tolist() == [1.0]
+        index, d2 = space.nearest(centers[:1])
+        assert index.tolist() == [0] and d2.tolist() == [4.0]
+        assert space.k_nearest(centers, 2).tolist() == [[0, 1]]
 
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
-    def test_float_blocks_round_like_the_plain_formula(self, rng, n):
-        # coordinates over six decades, either sign, so sums round often
-        def draw(rows, d):
-            return rng.choice([-1.0, 1.0], (rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
-
+    def test_float_distances_are_the_fixed_order_sum(self, rng, n):
         d = int(rng.integers(1, 21))
-        points = draw(n, d)
-        sq, neg2 = np.einsum("ij,ij->i", points, points), -2.0 * points
+        points = draw_floats(rng, n, d)
         space = PointSet(points, 0)
         for k in (1, 2, 97):
-            # some centres sit on points, where the clip meets cancellation
-            centers = draw(k, d)
+            # some centres sit on points, where distances cancel to 0
+            centers = draw_floats(rng, k, d)
             shared = min(n, k // 2)
             centers[:shared] = points[:shared]
-            csq = np.einsum("ij,ij->i", centers, centers)
-            for cells in (3 * k, 50 * k, 1 << 15):
+            want = _pairwise_sq(points, centers)
+            for cells in (k, 3 * k, 1 << 15):
                 space.cells = cells
-                # every point, then chosen points with repeats
-                for rows in (None, rng.integers(0, n, 2 * n + 3)):
-                    picked = np.arange(n) if rows is None else rows
-                    got = np.empty((picked.size, k))
-                    for a, b, d2 in space.blocks(centers, rows):
-                        p = picked[a:b]
-                        want = np.maximum((sq[p, None] + csq[None, :]) + neg2[p] @ centers.T, 0.0)
-                        assert np.array_equal(d2, want)
-                        got[a:b] = d2
-                    index, first, second = space.nearest(centers, rows)
-                    assert np.array_equal(index, got.argmin(axis=1))
-                    assert np.array_equal(first, got.min(axis=1))
-                    others = np.sort(got, axis=1)[:, 1] if k > 1 else np.full(picked.size, np.inf)
-                    assert np.array_equal(second, others)
+                assert space.measure(centers).tobytes() == want.tobytes()
+                rows = rng.integers(0, n, 2 * n + 3)
+                assert space.measure(centers, rows).tobytes() == want[rows].tobytes()
+                index, d2 = space.nearest(centers)
+                assert np.array_equal(index, want.argmin(axis=1))
+                assert d2.tobytes() == want.min(axis=1).tobytes()
+
+    @pytest.mark.parametrize("kind", ["lattice", "duplicates", "float"])
+    def test_k_nearest_is_the_fixed_order_ranking(self, rng, kind):
+        # each row's k nearest centres by (fixed-order distance, index), in
+        # blocks of one row up to all of them
+        for _ in range(25):
+            n, m, d = int(rng.integers(1, 20)), int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            if kind == "lattice":
+                points = rng.integers(0, 3, (n, d)).astype(np.float64)
+                centers = rng.integers(0, 3, (m, d)).astype(np.float64)
+            else:
+                points, centers = draw_floats(rng, n, d), draw_floats(rng, m, d)
+                if kind == "duplicates":
+                    centers = centers[rng.integers(0, max(1, m // 3), m)]
+                    points[: n // 2] = centers[rng.integers(0, m, n // 2)]
+            want = _pairwise_sq(points, centers)
+            k = int(rng.integers(1, m + 1))
+            for cells in (m, 5 * m, 1 << 20):
+                got = PointSet(points, cells).k_nearest(centers, k)
+                assert got.shape == (n, k)
+                for row, d2 in zip(got, want):
+                    ranked = sorted(range(m), key=lambda j: (d2[j], j))[:k]
+                    assert row.tolist() == sorted(ranked)
 
     @pytest.mark.parametrize("kind", ["lattice", "float"])
     def test_settled_proposals_agree_with_nearest(self, rng, kind):
         def draw(rows, d):
             if kind == "lattice":
                 return rng.integers(0, 3, (rows, d)).astype(np.float64)
-            return rng.choice([-1.0, 1.0], (rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
+            return draw_floats(rng, rows, d)
 
         settled_rows = contested_rows = 0
         for _ in range(30):
@@ -309,9 +308,10 @@ class TestPointSet:
                         1.0 + 1e-9 * rng.standard_normal((near.size, d))
                     )
                 rows = rng.integers(0, n, int(rng.integers(1, 2 * n + 2)))
-                # a settled proposal is nearest's answer, whatever the kernel
+                # a settled proposal is the fixed-order answer, whatever the kernel
                 (index, first, second), settled, margin = settled_proposals(space, centers, rows)
-                assert np.array_equal(index[settled], space.nearest(centers, rows)[0][settled])
+                want = _pairwise_sq(points[rows], centers).argmin(axis=1)
+                assert np.array_equal(index[settled], want[settled])
                 settled_rows += settled.sum()
                 contested_rows += (~settled).sum()
                 # each value sits within its margin of the exact distance it
@@ -344,11 +344,10 @@ class TestPointSet:
         assert index[[0, 4]].tolist() == [0, 1]
 
     @pytest.mark.parametrize("case", ["lattice", "duplicates", "float"])
-    def test_every_contested_point_reaches_nearest(self, monkeypatch, case):
+    def test_every_contested_point_is_measured(self, monkeypatch, case):
         # with no proposal settled, every point each assignment step
-        # proposes is measured again by the exact formula (a lone point as
-        # two copies of itself), and k-means stays the reference loop bit
-        # for bit
+        # proposes, the final pass's included, is measured in fixed order,
+        # and k-means stays the reference loop bit for bit
         rng = np.random.default_rng(7)
         if case == "lattice":
             points, k, seed = rng.integers(0, 20, size=(23, 2)).astype(np.float64), 2, 77
@@ -357,13 +356,12 @@ class TestPointSet:
         else:
             points, k, seed = rng.random((60, 3)), 5, 2
         contest_every_proposal(monkeypatch)
-        proposed, exact = measured_rows(monkeypatch)
+        proposed, measured = measured_rows(monkeypatch)
         result = kmeans(points, k, seed)
-        assert len(proposed) >= 2
-        assert len(exact) == len(proposed) + 1
-        for rows, measured in zip(proposed, exact):
-            assert np.array_equal(measured, rows if rows.size > 1 else np.repeat(rows, 2))
-        assert np.array_equal(exact[-1], np.arange(points.shape[0]))
+        assert len(proposed) >= 3
+        assert len(measured) == len(proposed)
+        assert all(np.array_equal(a, b) for a, b in zip(proposed, measured))
+        assert np.array_equal(measured[-1], np.arange(points.shape[0]))
         assignments, centroids, iterations, history = reference_kmeans(points, k, seed)
         assert result.assignments.tobytes() == assignments.tobytes()
         assert result.centroids.tobytes() == centroids.tobytes()

@@ -1,16 +1,16 @@
 """k-means against the per-cluster reference loop, bit for bit.
 
-``tests/_reference_kmeans.py`` keeps the original Lloyd loop: one ``n x k``
-temporary per distance term and one numpy mean per cluster.  The package's
-bounded, buffered loop must reproduce its assignments, centroids, iteration
-count and inertia history exactly, because assignment ties (duplicate rows,
-coincident centroids, small-integer grids) are decided by the last bit of a
-distance.  The history is read through ``max_iter``: a run capped at t
-iterations reports the inertia after iteration t.  Rerunning every prefix
-costs O(t^2) iterations, more than hundreds of generated inputs can afford,
-so the generated tests record the same values in one run
-(:func:`recorded_run`), and :class:`TestBoundedLoop` checks that recording
-against the reruns.
+``tests/_reference_kmeans.py`` keeps the original Lloyd loop: one full
+``n x k`` matrix of fixed-order distances per pass and one numpy mean per
+cluster.  The package's bounded, buffered loop must reproduce its
+assignments, centroids, iteration count and inertia history exactly,
+because assignment ties (duplicate rows, coincident centroids, small-integer
+grids) are decided by the last bit of a distance.  The history is read
+through ``max_iter``: a run capped at t iterations reports the inertia
+after iteration t.  Rerunning every prefix costs O(t^2) iterations, more
+than hundreds of generated inputs can afford, so the generated tests
+record the same values in one run (:func:`recorded_run`), and
+:class:`TestBoundedLoop` checks that recording against the reruns.
 
 The one documented exception: with a single feature, numpy sums each
 cluster's column pairwise, while the buffered loop adds members in row
@@ -18,8 +18,9 @@ order, so fractional centroids may differ in the last bit.  Integer-valued
 single-feature inputs sum exactly either way and are covered bit for bit.
 
 The assignment step works in row blocks; the result must not depend on
-where they split, so the reference is also compared under blocks of a few
-rows, which the generated inputs never span at the default block size.
+where they split, or on the BLAS kernel that rounds the proposals in them,
+so the reference is also compared under blocks of a few rows, which the
+generated inputs never span at the default block size.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from defectclean import clustering
 from defectclean.clustering import kmeans
 
 from ._reference_kmeans import reference_kmeans
-from .test_kmeans import contest_every_proposal, inertia_prefixes, measured_rows
+from .test_kmeans import inertia_prefixes, measured_rows
 
 
 def assert_bit_identical(result, reference, points, k, seed, history=None):
@@ -55,19 +56,19 @@ def recorded_run(points, k, seed, max_iter=100):
     """Run k-means once; return its result and, for each iteration t, the
     inertia that ``kmeans(points, k, seed, max_iter=t)`` reports: the
     nearest-centre distances at iteration t's centroids, summed by the same
-    full pass.  ``_rounding_errors`` sees those centroids once per
-    assignment step."""
-    history = []
+    fresh pass.  ``_rounding_errors`` sees those centroids once per
+    assignment step, and the last ones once more in the final pass."""
+    seen = []
     real = clustering._rounding_errors
 
     def spy(space, centers):
-        history.append(float(space.nearest(centers)[1].sum()))
+        seen.append((space, centers.copy()))
         return real(space, centers)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "_rounding_errors", spy)
         result = kmeans(points, k, seed, max_iter=max_iter)
-    return result, history
+    return result, [float(space.nearest(centers)[1].sum()) for space, centers in seen[:-1]]
 
 
 @st.composite
@@ -161,51 +162,12 @@ class TestKmeansAgainstReference:
         )
 
 
-def exact_layouts(patch):
-    """Record ``(centres, rows, blocks)`` for every exact measurement
-    (``PointSet.blocks``): how many centres, how many rows and the
-    ``(start, stop)`` of each block, in call order."""
-    layouts = []
-    real = clustering.PointSet.blocks
-
-    def spy(space, centers, rows=None):
-        blocks = []
-        layouts.append((centers.shape[0], space.sq.size if rows is None else rows.size, blocks))
-        for start, stop, d2 in real(space, centers, rows):
-            blocks.append((start, stop))
-            yield start, stop, d2
-
-    patch.setattr(clustering.PointSet, "blocks", spy)
-    return layouts
-
-
 def assert_bit_identical_in_blocks(points, k, seed, rows, max_iter=100):
-    """Run k-means in blocks of ``rows`` rows and compare it with the
-    reference.  Every block the exact formula measures against all ``k``
-    centres holds ``rows`` rows except the last, which holds 2 to
-    ``rows + 1``: a lone trailing row joins the block before it.  That
-    holds for the full passes (the final inertia and the recording's) and
-    for the contested rows k-means measures again.  Initialisation and
-    repair measure against one centre, so their blocks are ``rows * k``
-    high; proposals round as the kernel likes, so only the exact formula's
-    layouts are checked here."""
-    n = points.shape[0]
+    """Run k-means in blocks of ``rows`` rows against all ``k`` centres and
+    compare it with the reference."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "_ASSIGN_BLOCK_CELLS", rows * k)
-        layouts = exact_layouts(patch)
         result, history = recorded_run(points, k, seed, max_iter)
-    layouts = [(n_rows, blocks) for centres, n_rows, blocks in layouts if centres == k]
-    # the final pass (and the recording's passes) measure every point, in
-    # the same layout
-    full = [blocks for n_rows, blocks in layouts if n_rows == n]
-    assert len(full) >= 2
-    assert all(blocks == full[0] for blocks in full)
-    for n_rows, blocks in layouts:
-        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
-        assert blocks[-1][1] == n_rows
-        heights = [stop - start for start, stop in blocks]
-        assert set(heights[:-1]) <= {rows}
-        assert 2 <= heights[-1] <= rows + 1 or heights == [1] == [n]
     assert_bit_identical(
         result, reference_kmeans(points, k, seed, max_iter=max_iter), points, k, seed, history
     )
@@ -213,18 +175,19 @@ def assert_bit_identical_in_blocks(points, k, seed, rows, max_iter=100):
 
 class TestKmeansBlockLayouts:
     @settings(max_examples=150, deadline=None)
-    @given(kmeans_cases(), st.sampled_from([2, 3, "n-1"]))
+    @given(kmeans_cases(), st.sampled_from([1, 2, 3, "n-1"]))
     def test_bit_identical_to_reference_in_small_blocks(self, case_args, rows):
         points, k, seed, max_iter = case_args
-        if rows == "n-1":  # n mod rows == 1: the last row joins the block before
-            rows = max(2, points.shape[0] - 1)
+        if rows == "n-1":  # n mod rows == 1: the last block holds one row
+            rows = max(1, points.shape[0] - 1)
         assert_bit_identical_in_blocks(points, k, seed, rows, max_iter=max_iter)
 
     @pytest.mark.parametrize("rows", [2, 3, 7, -1])
     @pytest.mark.parametrize("n, d, k, seed", FILTER_SCALE)
     def test_bit_identical_at_filter_scale_in_small_blocks(self, n, d, k, seed, rows):
         # 2000 and 1500 leave 5 and 2 rows over 7-row blocks and one row
-        # over n - 1 (rows == -1); 2000 mod 3 == 2
+        # over n - 1 (rows == -1); 2000 mod 3 == 2.  Held on every BLAS
+        # kernel: a proposal decides only what its margin settles
         points = filter_scale_points(n, d, seed)
         assert_bit_identical_in_blocks(points, k, seed, n - 1 if rows == -1 else rows)
 
@@ -247,22 +210,6 @@ class TestBoundedLoop:
             result, history = recorded_run(points, k, 2, max_iter)
             assert len(history) == result.iterations
             assert history == inertia_prefixes(points, k, 2, result.iterations)
-
-    def test_single_row_recompute_is_measured_twice(self, monkeypatch):
-        # in one iteration exactly one point fails its bounds test, and with
-        # every proposal contested it reaches the exact formula alone; a
-        # lone row would go through gemv, which rounds unlike gemm, so it
-        # is measured as two copies of itself
-        rng = np.random.default_rng(77)
-        points = rng.integers(0, 20, size=(23, 2)).astype(np.float64)
-        contest_every_proposal(monkeypatch)
-        layouts = exact_layouts(monkeypatch)
-        proposed, exact = measured_rows(monkeypatch)
-        result = kmeans(points, 2, 77)
-        assert any(rows.size == 1 for rows in proposed)
-        assert any(rows.size == 2 and rows[0] == rows[1] for rows in exact)
-        assert all(stop - start >= 2 for _, _, blocks in layouts for start, stop in blocks)
-        assert_bit_identical(result, reference_kmeans(points, 2, 77), points, 2, 77)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("k", ["one", "n"])
@@ -320,16 +267,15 @@ class TestBoundedLoop:
             return upper, lower
 
         monkeypatch.setattr(clustering, "_bounds", bounds_spy)
-        proposed, exact = measured_rows(monkeypatch)
+        proposed, measured = measured_rows(monkeypatch)
         rng = np.random.default_rng(8)
         points = np.repeat(rng.random((30, 3)), 2, axis=0)
         result = kmeans(points, 4, 8)
         assert result.iterations >= 3
-        # every assignment step proposes every point and, none settled,
-        # measures them all again; then the final full pass
-        assert len(proposed) == result.iterations
-        assert len(exact) == result.iterations + 1
-        assert all(np.array_equal(rows, np.arange(60)) for rows in proposed + exact)
+        # every assignment step, and then the final pass, proposes every
+        # point and, none settled, measures them all in fixed order
+        assert len(proposed) == len(measured) == result.iterations + 1
+        assert all(np.array_equal(rows, np.arange(60)) for rows in proposed + measured)
         assert_bit_identical(result, reference_kmeans(points, 4, 8), points, 4, 8)
 
     def test_more_clusters_than_distinct_points_converge(self):
@@ -347,9 +293,9 @@ class TestBoundedLoop:
     def test_too_small_margin_is_caught_by_the_final_pass(self, monkeypatch):
         # one feature near 1e8 on a 0.1 grid: |x|^2 rounds by about 1e16 *
         # eps, more than many gaps between distances.  With no margin some
-        # point keeps a centre a full pass would not give it.  One feature
-        # also keeps every exact-formula product a single rounding on any
-        # BLAS.  Both margins are zeroed: the exact one and the proposals'
+        # point keeps a centre a fresh pass would not give it.  Both margins
+        # are zeroed, the fixed-order one and the proposals', in the loop
+        # and in the final pass alike
         rng = np.random.default_rng(0)
         n = int(rng.integers(30, 120))
         points = 1e8 + rng.integers(0, 60, size=(n, 1)) * 0.1

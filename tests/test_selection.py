@@ -3,14 +3,21 @@
 The nearest-neighbour filter is checked against a brute-force oracle
 (sort every pool case by (distance, index) per target case).  The
 clustering-based filter is checked by independently re-deriving the
-attach/pick procedure from the published clustering.  Differential runs
-use integer-valued features without scaling so that both sides compute
-bit-identical distances and ties are actually exercised.
+attach/pick procedure from the published clustering.  Both oracles
+(``tests/_reference_selection.py``) sum distances in the package's fixed
+feature order, so they agree bit for bit on scaled features too; the
+integer-valued runs without scaling make ties frequent.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +36,7 @@ from defectclean.selection import (
     select_training_data,
 )
 
+from ._reference_selection import knn_union_oracle, peters_trace_oracle
 from ._reference_tables import ORIGINAL_SIZES
 from .conftest import case, dataset, decimal_rows, problem_datasets, random_vector
 
@@ -61,30 +69,6 @@ def scale_like_filter(pool_m, target_m):
     hi = np.maximum(pool_m.max(axis=0), target_m.max(axis=0))
     span = np.where(hi - lo > 0, hi - lo, 1.0)
     return (pool_m - lo) / span, (target_m - lo) / span
-
-
-def knn_union_oracle(pool_m, target_m, k, dot_trick=False) -> set[int]:
-    """Per target case, the k nearest pool rows by (distance, row index).
-
-    With integer features the direct formula is exact.  On scaled data exact
-    ties round differently under different summation orders, so that variant
-    reproduces the production distance expression and only the k-selection
-    logic differs.
-    """
-    if dot_trick:
-        d2_all = (
-            np.einsum("ij,ij->i", target_m, target_m)[:, None]
-            + np.einsum("ij,ij->i", pool_m, pool_m)[None, :]
-            - 2.0 * target_m @ pool_m.T
-        )
-        d2_all = np.maximum(d2_all, 0.0)
-    else:
-        d2_all = ((target_m[:, None, :] - pool_m[None, :, :]) ** 2).sum(axis=2)
-    union: set[int] = set()
-    for d2 in d2_all:
-        order = sorted(range(len(pool_m)), key=lambda i: (d2[i], i))
-        union.update(order[:k])
-    return union
 
 
 class TestBuildPool:
@@ -249,20 +233,19 @@ class TestBurakFilter:
             got = burak_filter(pool, target, k=5)
             pool_s, target_s = scale_like_filter(
                 pool.feature_matrix, target.feature_matrix)
-            want = knn_union_oracle(pool_s, target_s, 5, dot_trick=True)
+            want = knn_union_oracle(pool_s, target_s, 5)
             assert set(got.selected) == want
 
-    @pytest.mark.parametrize("normalize, block_rows", [(False, (1, 3)), (True, (2, 3, -1))])
+    @pytest.mark.parametrize("normalize, block_rows", [(False, (1, 3)), (True, (1, 2, 3, -1))])
     def test_selection_does_not_depend_on_block_size(
         self, rng, monkeypatch, normalize, block_rows
     ):
-        # small blocks cut through every tie group of the grid.  Unscaled
-        # integer distances are exact on every BLAS path, so even one-row
-        # blocks must agree.  A one-row product goes through gemv instead of
-        # gemm, which rounds scaled distances differently in the last bit;
-        # the scaled layouts often end in one row (-1 is the target size
-        # less one), and the filters must fold that row into the block
-        # before it
+        # small blocks cut through every tie group of the grid, and a block
+        # of one row goes through BLAS gemv instead of gemm, which rounds
+        # differently; the scaled layouts often end in one row (-1 is the
+        # target size less one).  Proposals decide only what their margin
+        # settles and the rest is summed in fixed order, so every layout
+        # selects the same rows on every BLAS kernel
         for _ in range(150):
             corpus = random_corpus(rng)
             target = corpus.get("p1.0")
@@ -318,38 +301,6 @@ class TestBurakFilter:
         pool = build_pool(corpus, target)
         selection = burak_filter(pool, target, k=2, normalize=False)
         assert selection.selected.tolist() == [0, 1]
-
-
-def peters_trace_oracle(pool, target, k_clusters, seed) -> set[int]:
-    """Re-derive the attach/pick procedure with plain loops."""
-    points = np.vstack([pool.feature_matrix, target.feature_matrix])
-    clustering = kmeans(points, k_clusters, seed)
-    n_pool = len(pool)
-    pool_cl = clustering.assignments[:n_pool]
-    target_cl = clustering.assignments[n_pool:]
-
-    picked: set[int] = set()
-    for cid in sorted(set(target_cl.tolist())):
-        pool_members = [i for i in range(n_pool) if pool_cl[i] == cid]
-        target_members = [t for t in range(len(target_cl)) if target_cl[t] == cid]
-        if not pool_members:
-            continue
-        attached: dict[int, list[int]] = {t: [] for t in target_members}
-        for p in pool_members:
-            best_t = min(
-                target_members,
-                key=lambda t: (
-                    ((pool.feature_matrix[p] - target.feature_matrix[t]) ** 2).sum(), t),
-            )
-            attached[best_t].append(p)
-        for t, candidates in attached.items():
-            if candidates:
-                picked.add(min(
-                    candidates,
-                    key=lambda p: (
-                        ((pool.feature_matrix[p] - target.feature_matrix[t]) ** 2).sum(), p),
-                ))
-    return picked
 
 
 class TestPetersFilter:
@@ -434,3 +385,49 @@ class TestDispatch:
         pool = build_pool(corpus, target)
         with pytest.raises(ValueError, match="unknown filter"):
             select_training_data("nope", pool, target)
+
+
+def small_block_digest() -> str:
+    """SHA-256 of a filter-scale k-means and of both distance filters on a
+    synthetic corpus, every distance block three rows high."""
+    from .test_kmeans_reference import filter_scale_points
+
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_block_rows", lambda columns, cells: 3)
+        result = kmeans(filter_scale_points(2000, 20, 5), 32, 5)
+        corpus = synthetic_corpus(seed=5, cases=300)
+        target = corpus.get("alpha1.1")
+        pool = build_pool(corpus, target)
+        burak = burak_filter(pool, target)
+        peters = peters_filter(pool, target, seed=5)
+    for array in (result.assignments, result.centroids, np.float64(result.inertia),
+                  burak.selected, peters.selected):
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+#: OpenBLAS kernels forced in subprocesses, each with the CPU features it needs
+KERNELS = {"Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",), "Nehalem": ("SSE42",)}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS kernel names are x86-64 ones")
+def test_same_bytes_under_other_blas_kernels():
+    # each forced kernel rounds gemm its own way; proposals decide only what
+    # their margin settles, so k-means and both filters write the same bytes
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    root = Path(__file__).resolve().parent.parent
+    want = small_block_digest()
+    for kernel, needs in KERNELS.items():
+        if not all(__cpu_features__.get(feature) for feature in needs):
+            continue
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        got = subprocess.run(
+            [sys.executable, "-c",
+             "from tests.test_selection import small_block_digest; print(small_block_digest())"],
+            cwd=root, env=env, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        assert got == want, kernel
