@@ -59,8 +59,12 @@ with no carried bounds, plus the winners' fixed-order distances.
 :meth:`PointSet.k_nearest` takes each row's ``k``-th smallest product
 ``K``: a centre whose ``p`` lies more than ``2(Δ + Δp)`` below ``K`` is
 among the ``k`` nearest, one more than that above is not, and the band
-between is measured in fixed order and ordered by (distance, index).  The
-k-means++ weights and the repair of empty clusters are fixed-order sums.
+between is measured in fixed order and ordered by (distance, index).  It
+finds ``K`` without a sorted copy of the block: a row's products fall into
+at least ``k`` strided groups of centres, the ``k``-th smallest group
+minimum is at or above ``K``, and only the products up to it plus the band
+are gathered and sorted.  The k-means++ weights and the repair of empty
+clusters are fixed-order sums.
 
 The Lloyd loop allocates no ``n x k`` array.  The inertia comes from one
 :meth:`PointSet.nearest` at the last assignment step's centroids, the sum of
@@ -85,7 +89,7 @@ from that loop in the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,6 +98,11 @@ import numpy as np
 #: ``select`` benchmark's two k-means inputs (2-core Xeon, one BLAS thread)
 #: 2**15 was the fastest of 2**12 to 2**17 cells
 _ASSIGN_BLOCK_CELLS = 1 << 15
+
+#: strided groups of centres per row in :meth:`PointSet.k_nearest` (at
+#: least ``k``); the ``k``-th smallest group minimum bounds which products
+#: it gathers
+_K_NEAREST_GROUPS = 256
 
 _EPS = float(np.finfo(np.float64).eps)
 #: factors that round a bound outwards after one or two roundings of it
@@ -121,10 +130,11 @@ def _block_rows(columns: int, cells: int) -> int:
     return max(1, cells // columns)
 
 
-def _fixed_order(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``Σ_f (left[f] - right[f])^2`` over the leading axis, broadcast over
-    the others, added in feature order by element-wise ops."""
-    shape = np.broadcast_shapes(left.shape[1:], right.shape[1:])
+def _fixed_order(
+    left: Iterable[np.ndarray], right: Iterable[np.ndarray], shape: tuple
+) -> np.ndarray:
+    """``Σ_f (left[f] - right[f])^2``, each term broadcast to ``shape``,
+    added in feature order by element-wise ops."""
     total, term = np.zeros(shape), np.empty(shape)
     for a, b in zip(left, right):
         np.subtract(a, b, out=term)
@@ -141,9 +151,10 @@ class PointSet:
     from one gemm per block of about ``cells`` products.  ``nearest`` and
     ``k_nearest`` are the two queries the package asks, each proposed and
     then decided in fixed order (see the module docstring).  The points are
-    held as ``columns``, a column-major copy the fixed-order sums read
-    feature by feature, and as ``augmented = [-2x | 1]``, the proposals'
-    left operand.
+    held as ``columns``, feature by feature as the fixed-order sums read
+    them (a view of column-major points, such as the peters filter's, and a
+    copy of row-major ones), and as ``augmented = [-2x | 1]``, the
+    proposals' left operand.  Layout moves no bit of any result.
     """
 
     def __init__(self, points: np.ndarray, cells: int) -> None:
@@ -168,16 +179,20 @@ class PointSet:
         """The fixed-order squared distances of every point, or of the
         points ``rows``, to every centre, as a ``(rows, k)`` array."""
         columns = self.columns if rows is None else self.columns[:, rows]
-        return _fixed_order(columns[:, :, None], centers.T[:, None, :])
+        return _fixed_order(
+            columns[:, :, None], centers.T[:, None, :], (columns.shape[1], centers.shape[0])
+        )
 
     def pairs(
         self, rows: np.ndarray | None, centers: np.ndarray, index: np.ndarray
     ) -> np.ndarray:
         """The fixed-order squared distance of each point ``rows[i]`` (of
         point ``i`` when ``rows`` is None) to its one centre
-        ``centers[index[i]]``; the same bits as :meth:`measure`'s."""
+        ``centers[index[i]]``; the same bits as :meth:`measure`'s.  Each
+        feature's centre values are gathered as it is added, so no
+        ``(points, d)`` copy of the centres is made."""
         columns = self.columns if rows is None else self.columns[:, rows]
-        return _fixed_order(columns, centers[index].T)
+        return _fixed_order(columns, (feature[index] for feature in centers.T), index.shape)
 
     def _products(
         self, centers: np.ndarray, rows: np.ndarray
@@ -255,20 +270,46 @@ class PointSet:
         the others are decided by the product (see the module docstring)."""
         delta, proposed = _rounding_errors(self, centers)
         width = 2.0 * (delta + proposed)
+        m = centers.shape[0]
+        # strided groups of centres: column j is in group j % groups, and the
+        # tail columns past per * groups join the first groups
+        groups = max(k, min(m, _K_NEAREST_GROUPS))
+        per, tail = divmod(m, groups)
         rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
         for start, stop, p in self._products(centers, np.arange(self.sq.size)):
-            kth = np.partition(p, k - 1, axis=1)[:, k - 1]
-            # the margins' slack covers the rounding of kth +- w
+            count = stop - start
+            # the k-th smallest group minimum is at or above the row's k-th
+            # smallest product, so the products up to it plus the margin are
+            # all the band can need.  fmin skips NaN; when fewer than k
+            # groups hold a number, every non-NaN product is a candidate
+            low = np.fmin.reduce(p[:, :per * groups].reshape(count, per, groups), axis=1)
+            np.fmin(low[:, :tail], p[:, per * groups:], out=low[:, :tail])
+            low.partition(k - 1, axis=1)
+            ceiling = low[:, k - 1]
+            ceiling[np.isnan(ceiling)] = np.inf
             w = width[start:stop]
-            row, col = np.divmod(np.flatnonzero(p <= (kth + w)[:, None]), centers.shape[0])
-            inside = p[row, col] < (kth - w)[row]
+            row, col = np.divmod(np.flatnonzero(p <= (ceiling + w)[:, None]), m)
+            # each row's k-th smallest product is its k-th smallest
+            # candidate.  A row has fewer than k candidates only where
+            # kth + w is NaN (fewer than k non-NaN products, a NaN margin, or
+            # -inf + inf), and then it takes none
+            value = p[row, col]
+            ranked = value[np.lexsort((value, row))]
+            have = np.bincount(row, minlength=count)
+            kth = np.full(count, np.nan)
+            full = have >= k
+            kth[full] = ranked[(np.cumsum(have) - have)[full] + k - 1]
+            # the margins' slack covers the rounding of kth +- w
+            near = value <= (kth + w)[row]
+            row, col, value = row[near], col[near], value[near]
+            inside = value < (kth - w)[row]
             # the band, by (row, fixed-order distance, index); each row takes
             # what its inside cases leave of k
             band_row, band_col = row[~inside], col[~inside]
             order = np.lexsort((band_col, self.pairs(band_row + start, centers, band_col), band_row))
             band_row, band_col = band_row[order], band_col[order]
             rank = np.arange(band_row.size) - np.searchsorted(band_row, band_row)
-            keep = rank < k - np.bincount(row[inside], minlength=stop - start)[band_row]
+            keep = rank < k - np.bincount(row[inside], minlength=count)[band_row]
             rows += [row[inside] + start, band_row[keep] + start]
             cols += [col[inside], band_col[keep]]
         rows, cols = np.concatenate(rows), np.concatenate(cols)

@@ -22,13 +22,18 @@ parameters from pool plus target combined); ``normalize=False`` uses raw
 feature values.
 
 A pool holds its admitted datasets (``SourcePool.sources``), not one object
-per case: its feature matrix and labels are the datasets' cached arrays
-stacked in corpus order, and ``SourcePool.origins`` (each row's dataset name
-and row there) is derived from them only when asked for.  Both distance
-filters measure through :class:`~defectclean.clustering.PointSet`, in
-memory-sized blocks of ``_BLOCK_CELLS``, so their distances are the
-fixed-order sums k-means decides with and their selections are the same on
-every CPU.
+per case: its labels are the datasets' labels stacked in corpus order, and
+``SourcePool.origins`` (each row's dataset name and row there) is derived
+from them only when asked for.  Its feature matrix is the one float copy of
+its rows, gathered straight from each dataset's value table, so building it
+caches no float matrix in the member datasets (a target caches its own).
+A distance filter scales pool and target into one new ``(pool + target,
+20)`` array, in place, and reads both as views of it; peters, which
+clusters them together, stacks them so in raw mode too, column-major, the
+way k-means reads them.  Both measure through
+:class:`~defectclean.clustering.PointSet`, in memory-sized blocks of
+``_BLOCK_CELLS``, so their distances are the fixed-order sums k-means
+decides with and their selections are the same on every CPU.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from typing import Mapping
 import numpy as np
 
 from .clustering import PointSet, default_k, kmeans
-from .data import Corpus, Dataset, release_order
+from .data import N_METRICS, Corpus, Dataset, release_order
 
 logger = logging.getLogger(__name__)
 
@@ -60,16 +65,24 @@ class SourcePool:
     """Candidate training cases for one target dataset.
 
     ``sources`` are the admitted datasets in corpus order; pool row ``i`` is
-    the ``i``-th case of their concatenation.  The pool's feature matrix and
-    labels stack the datasets' cached arrays, so each dataset is converted
-    to floats once, however many pools admit it.
+    the ``i``-th case of their concatenation.  The pool's labels stack the
+    datasets' cached labels.  Its feature matrix is filled straight from
+    each dataset's shared table floats (:attr:`ValueTable.floats`), the same
+    bits as the datasets' own ``feature_matrix``, which a pool never asks
+    for: the pool's is the only float copy of its rows.
     """
 
     sources: tuple[Dataset, ...]
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
-        out = np.concatenate([ds.feature_matrix for ds in self.sources])
+        out = np.empty((len(self), N_METRICS))
+        stop = 0
+        for ds in self.sources:
+            start, stop = stop, stop + ds.case_count
+            # the ids are range-checked by Dataset; "clip" gathers without
+            # the buffer that "raise" fills before writing to ``out``
+            np.take(ds.values.floats, ds.value_ids, out=out[start:stop], mode="clip")
         out.flags.writeable = False
         return out
 
@@ -132,22 +145,27 @@ def build_pool(corpus: Corpus, target: Dataset, mode: str = "strict") -> SourceP
     return pool
 
 
-def _minmax_scale_pair(pool: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale both matrices into [0, 1] per feature, bounds taken over both.
+def _stacked(pool: SourcePool, target: Dataset, normalize: bool, order: str) -> np.ndarray:
+    """The pool's rows, then the target's, in one new ``(n_pool + n_target,
+    d)`` array laid out in ``order`` (``"C"`` or ``"F"``).
 
-    Constant features map to 0 everywhere, so they never contribute to
-    distances."""
-    combined_min = np.minimum(pool.min(axis=0), target.min(axis=0))
-    combined_max = np.maximum(pool.max(axis=0), target.max(axis=0))
+    With ``normalize`` each feature is min-max scaled into [0, 1], bounds
+    taken over both, in place: the subtraction, then the division, one
+    rounding each.  Constant features map to 0 everywhere, so they never
+    contribute to distances."""
+    pool_m, target_m = pool.feature_matrix, target.feature_matrix
+    n_pool = pool_m.shape[0]
+    out = np.empty((n_pool + target_m.shape[0], pool_m.shape[1]), order=order)
+    if not normalize:
+        out[:n_pool], out[n_pool:] = pool_m, target_m
+        return out
+    combined_min = np.minimum(pool_m.min(axis=0), target_m.min(axis=0))
+    combined_max = np.maximum(pool_m.max(axis=0), target_m.max(axis=0))
     span = combined_max - combined_min
-    safe = np.where(span > 0.0, span, 1.0)
-    return (pool - combined_min) / safe, (target - combined_min) / safe
-
-
-def _spaces(pool: SourcePool, target: Dataset, normalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    if normalize:
-        return _minmax_scale_pair(pool.feature_matrix, target.feature_matrix)
-    return pool.feature_matrix, target.feature_matrix
+    np.subtract(pool_m, combined_min, out=out[:n_pool])
+    np.subtract(target_m, combined_min, out=out[n_pool:])
+    out /= np.where(span > 0.0, span, 1.0)
+    return out
 
 
 def global_filter(pool: SourcePool) -> TrainingSelection:
@@ -175,7 +193,11 @@ def burak_filter(
             )
         return TrainingSelection("burak", np.arange(n_pool), {"k": k, "normalize": normalize})
 
-    pool_space, target_space = _spaces(pool, target, normalize)
+    if normalize:
+        space = _stacked(pool, target, True, "C")
+        pool_space, target_space = space[:n_pool], space[n_pool:]
+    else:
+        pool_space, target_space = pool.feature_matrix, target.feature_matrix
     chosen = np.zeros(n_pool, dtype=bool)
     chosen[PointSet(target_space, _BLOCK_CELLS).k_nearest(pool_space, k)] = True
     return TrainingSelection("burak", np.flatnonzero(chosen), {"k": k, "normalize": normalize})
@@ -211,10 +233,10 @@ def peters_filter(
     nearest-neighbour filter.  The selection size is therefore at most the
     number of target cases.
     """
-    pool_space, target_space = _spaces(pool, target, normalize)
-    n_pool = pool_space.shape[0]
-    n_target = target_space.shape[0]
-    points = np.vstack([pool_space, target_space])
+    n_pool = len(pool)
+    # column-major, so PointSet's feature-by-feature columns are a view of it
+    points = _stacked(pool, target, normalize, "F")
+    pool_space, target_space = points[:n_pool], points[n_pool:]
     k = default_k(points.shape[0]) if k_clusters is None else k_clusters
 
     clustering = kmeans(points, k, seed)

@@ -141,6 +141,32 @@ class TestKmeansInvariants:
         assert a.iterations == b.iterations
         assert a.inertia == b.inertia
 
+    def test_column_major_input_gives_the_same_bits(self, rng, monkeypatch):
+        # the peters filter hands k-means a column-major array; its layout
+        # moves no assignment, centroid, iteration count or inertia, also
+        # on duplicate-heavy inputs whose empty clusters are repaired
+        repaired = []
+        real_repair = clustering._repair_empty
+
+        def spy(space, assignments, centroids, k):
+            repaired.append(np.bincount(assignments, minlength=k).min() == 0)
+            real_repair(space, assignments, centroids, k)
+
+        monkeypatch.setattr(clustering, "_repair_empty", spy)
+        for trial in range(40):
+            n, d = int(rng.integers(2, 80)), int(rng.integers(2, 8))
+            if trial % 2:
+                points = draw_floats(rng, n, d)
+            else:
+                distinct = rng.integers(0, 3, (int(rng.integers(1, 6)), d)) * 0.1
+                points = distinct[rng.integers(0, len(distinct), n)]
+            k, seed = int(rng.integers(1, n + 1)), int(rng.integers(1 << 31))
+            want, got = kmeans(points, k, seed), kmeans(np.asfortranarray(points), k, seed)
+            assert got.assignments.tobytes() == want.assignments.tobytes()
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+            assert (got.iterations, got.inertia) == (want.iterations, want.inertia)
+        assert any(repaired)
+
     def test_result_arrays_are_frozen(self, rng):
         result = kmeans(rng.random((10, 2)), k=2, seed=0)
         with pytest.raises(ValueError):
@@ -265,9 +291,19 @@ class TestPointSet:
     @pytest.mark.parametrize("kind", ["lattice", "duplicates", "float"])
     def test_k_nearest_is_the_fixed_order_ranking(self, rng, kind):
         # each row's k nearest centres by (fixed-order distance, index), in
-        # blocks of one row up to all of them
-        for _ in range(25):
-            n, m, d = int(rng.integers(1, 20)), int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        # blocks of one row up to all of them.  Past 256 centres a row's
+        # products are screened in strided groups of centres: around that
+        # boundary, with a short last group (a tail) or none, k up to every
+        # centre, and equal centres in different groups
+        groups = clustering._K_NEAREST_GROUPS
+        shapes = [(int(rng.integers(1, 20)), int(rng.integers(1, 40))) for _ in range(25)]
+        wide = (
+            groups - 1, groups, groups + 1, 2 * groups, 2 * groups + 3,
+            int(rng.integers(groups + 2, 701)),
+        )
+        shapes += [(int(rng.integers(1, 6)), m) for m in wide]
+        for n, m in shapes:
+            d = int(rng.integers(1, 6))
             if kind == "lattice":
                 points = rng.integers(0, 3, (n, d)).astype(np.float64)
                 centers = rng.integers(0, 3, (m, d)).astype(np.float64)
@@ -276,14 +312,20 @@ class TestPointSet:
                 if kind == "duplicates":
                     centers = centers[rng.integers(0, max(1, m // 3), m)]
                     points[: n // 2] = centers[rng.integers(0, m, n // 2)]
+            if m >= groups:
+                # one centre copied into columns spread over the groups
+                centers[rng.integers(0, m, m // 8)] = centers[rng.integers(0, m)]
             want = _pairwise_sq(points, centers)
-            k = int(rng.integers(1, m + 1))
-            for cells in (m, 5 * m, 1 << 20):
-                got = PointSet(points, cells).k_nearest(centers, k)
-                assert got.shape == (n, k)
-                for row, d2 in zip(got, want):
-                    ranked = sorted(range(m), key=lambda j: (d2[j], j))[:k]
-                    assert row.tolist() == sorted(ranked)
+            ranking = [sorted(range(m), key=lambda j: (d2[j], j)) for d2 in want]
+            ks = [int(rng.integers(1, m + 1))]
+            if m >= groups:
+                ks += [1, int(rng.integers(2, 12)), int(rng.integers(groups, m + 1)), m]
+            for k in ks:
+                for cells in (m, 5 * m, 1 << 20):
+                    got = PointSet(points, cells).k_nearest(centers, k)
+                    assert got.shape == (n, k)
+                    for row, ranked in zip(got, ranking):
+                        assert row.tolist() == sorted(ranked[:k])
 
     @pytest.mark.parametrize("kind", ["lattice", "float"])
     def test_settled_proposals_agree_with_nearest(self, rng, kind):

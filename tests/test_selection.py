@@ -142,8 +142,9 @@ class TestBuildPool:
         st.sampled_from(["strict", "mixed"]),
     )
     def test_stacked_matrices_equal_the_entries(self, drawn, emptied, target_name, mode):
-        # respelled cells, one dataset emptied; the stacked per-dataset
-        # arrays must hold each entry's floats and label, bit for bit
+        # respelled cells, one dataset emptied; the pool's arrays must hold
+        # each entry's floats and label, bit for bit, and its floats are
+        # gathered from the value tables, caching no matrix in the datasets
         names = ("p1.0", "p1.1", "q1.0", "r2.0")
         datasets = [dataset(name, decimal_rows(ds)) for name, ds in zip(names, drawn)]
         datasets[emptied] = datasets[emptied].replace_cases(())
@@ -156,6 +157,7 @@ class TestBuildPool:
         want = np.array(
             [[metric_float(v) for v in metrics] for _, metrics, _ in stacked], dtype=np.float64)
         assert pool.feature_matrix.tobytes() == want.tobytes()
+        assert not any("feature_matrix" in vars(ds) for ds in datasets)
         assert pool.labels.tolist() == [bugs >= 1 for _, _, bugs in stacked]
         admitted = [
             ds for ds in datasets
