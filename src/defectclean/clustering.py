@@ -17,24 +17,25 @@ thread count, so a pair of points has one distance in any block layout and
 identical points tie exactly.  Every term is non-negative, so the sum is
 off from the exact one by at most ``(d + 2) ε |x - c|^2``, which is at most
 ``(2d + 4) ε (|x|^2 + |c|^2)`` since ``|x - c|^2 <= 2 (|x|^2 + |c|^2)``.
-``Δ = (2d + 8) ε (|x|^2 + max |c|^2)`` bounds it; the other ``4 ε`` covers
-second-order terms and the rounding of ``|x|^2`` and ``|c|^2``, which feed
-only margins and proposals and so may come from ``einsum``.
+One margin, ``Δ = (2d + 8) ε (|x|^2 + 2 max |c|^2)``, bounds it and a
+proposal's error alike (below); its slack covers second-order terms and
+the rounding of ``|x|^2`` and ``|c|^2``, which feed only margins and
+proposals and so may come from ``einsum``.
 
 Propose, then decide.  A fixed-order pass costs about 12 times a matrix
 product, so a point is first proposed a centre (:meth:`PointSet.propose`):
 one gemm ``[-2x | 1] @ [c | |c|^2]^T`` gives ``p = |c|^2 - 2 x . c``
 against every centre, and ``|x|^2`` is added to the row's smallest and
 second smallest ``p`` only (rounding to nearest is monotone, so that is the
-smallest and second smallest sum), clipped at 0.  Its margin is
-``Δp = (2d + 8) ε (|x|^2 + 2 max |c|^2)``: ``p`` is a sum of ``d + 1``
-terms whose magnitudes add up to at most ``2|x||c| + |c|^2 <= |x|^2 +
-2|c|^2``, so in any order, with or without a fused multiply-add, it is off
-by at most ``(d + 1) ε (|x|^2 + 2|c|^2)``; ``|c|^2`` and ``|x|^2`` add
-``d ε`` times themselves, the final add ``2 ε (|x|^2 + |c|^2)``, in all at
-most ``(2d + 3) ε (|x|^2 + 2 max |c|^2)``, and ``5 ε`` covers second-order
+smallest and second smallest sum), clipped at 0.  It sits within ``Δ``
+of the exact distance: ``p`` is a sum of ``d + 1`` terms whose magnitudes
+add up to at most ``2|x||c| + |c|^2 <= |x|^2 + 2|c|^2``, so in any order,
+with or without a fused multiply-add, it is off by at most
+``(d + 1) ε (|x|^2 + 2|c|^2)``; ``|c|^2`` and ``|x|^2`` add ``d ε`` times
+themselves, the final add ``2 ε (|x|^2 + |c|^2)``, in all at most
+``(2d + 3) ε (|x|^2 + 2 max |c|^2)``, and ``5 ε`` covers second-order
 terms.  The same sum bounds every partial sum of the product, so ``p``
-overflows only where ``Δp`` is infinite.  The gemm's rounding is the
+overflows only where ``Δ`` is infinite.  The gemm's rounding is the
 kernel's own, so a proposal decides only what its margin settles.
 
 Bounded assignment (Hamerly, SDM 2010).  Each point keeps an upper bound
@@ -45,33 +46,35 @@ centre (triangle inequality).  A point is settled when the strict test
 ``(u^2 + 2Δ)(1 + 8ε) < l|l|(1 - 8ε)`` passes (the ``8 ε`` factors cover the
 rounding of the test itself): its fixed-order distance to its own centre is
 then strictly below every other, so its centre is the fixed-order answer.
-Bounds are set from a measured row's smallest and second smallest distances
-widened by their margin (``Δp`` for a proposal, ``Δ`` for a fixed-order
-sum), and every update is rounded outwards.  NaN, infinite or overflowing
-bounds fail the test.  An assignment step (:func:`_assign`) proposes every
-point it is given; a point whose proposal does not settle is contested and
-measured in fixed order against every centre, and its bounds come from
-those sums.  The Lloyd loop proposes every point in the first step and
-each iteration's stale points after that.
+Bounds are set from a measured row's smallest and second smallest distances,
+proposed or summed in fixed order, widened by ``Δ``, and every update is
+rounded outwards.  NaN, infinite or overflowing bounds fail the test.  An
+assignment step (:func:`_assign`) proposes every point it is given; a
+point whose proposal does not settle is contested and measured in fixed
+order against every centre, and its bounds come from those sums.  The
+Lloyd loop proposes every point in the first step and each iteration's
+stale points after that.
 
 Queries.  :meth:`PointSet.nearest` is an assignment step on every point
 with no carried bounds, plus the winners' fixed-order distances.
-:meth:`PointSet.k_nearest` takes each row's ``k``-th smallest product
-``K``: a centre whose ``p`` lies more than ``2(Δ + Δp)`` below ``K`` is
-among the ``k`` nearest, one more than that above is not, and the band
-between is measured in fixed order and ordered by (distance, index).  It
-finds ``K`` without a sorted copy of the block: a row's products fall into
-at least ``k`` strided groups of centres, the ``k``-th smallest group
-minimum is at or above ``K``, and only the products up to it plus the band
-are gathered and sorted.  The k-means++ weights and the repair of empty
-clusters are fixed-order sums.
+:meth:`PointSet.k_nearest` screens with the products and ranks with the
+fixed-order sums.  A row's products fall into at least ``k`` strided groups
+of centres, and the ``k``-th smallest group minimum, its ceiling, is at or
+above the row's ``k``-th smallest product ``K``.  Every centre whose ``p``
+is at most the ceiling plus ``4Δ`` is a candidate, measured in fixed order;
+the candidates are ordered by (distance, index) and the row keeps its first
+``k``.  That is exact: a centre whose ``p`` exceeds ``K + 4Δ`` has a
+fixed-order distance above that of each of the ``k`` centres at or below
+``K``, since each distance sits within ``Δ`` of the exact one and so does
+each ``p + |x|^2``.  The k-means++ weights and the repair of empty clusters
+are fixed-order sums.
 
 The Lloyd loop allocates no ``n x k`` array.  The inertia comes from one
 :meth:`PointSet.nearest` at the last assignment step's centroids, the sum of
 the points' nearest distances, and that fresh pass raises ``RuntimeError``
 if the loop's assignments differ: it checks the bound bookkeeping (drifts,
-outward rounding), and trusts proposals within ``Δp`` as every pass does.
-``Δp`` itself is checked by the fixed-order test oracle and by running the
+outward rounding), and trusts proposals within ``Δ`` as every pass does.
+``Δ`` itself is checked by the fixed-order test oracle and by running the
 tests under several BLAS kernels.  The centroid update takes cluster sizes
 and per-feature sums from ``np.bincount``.  A weighted bincount adds each
 cluster's members in row order starting from 0.0, which is how numpy's
@@ -149,12 +152,13 @@ class PointSet:
     ``measure`` and ``pairs`` give fixed-order squared distances, the only
     ones a decision reads; ``propose`` proposes each point's nearest centre
     from one gemm per block of about ``cells`` products.  ``nearest`` and
-    ``k_nearest`` are the two queries the package asks, each proposed and
-    then decided in fixed order (see the module docstring).  The points are
-    held as ``columns``, feature by feature as the fixed-order sums read
-    them (a view of column-major points, such as the peters filter's, and a
-    copy of row-major ones), and as ``augmented = [-2x | 1]``, the
-    proposals' left operand.  Layout moves no bit of any result.
+    ``k_nearest`` are the two queries the package asks: the products propose
+    or screen, and fixed-order sums decide (see the module docstring).  The
+    points are held as ``columns``, feature by feature as the fixed-order
+    sums read them (a view of column-major points, such as the peters
+    filter's, and a copy of row-major ones), and as
+    ``augmented = [-2x | 1]``, the proposals' left operand.  Layout moves
+    no bit of any result.
     """
 
     def __init__(self, points: np.ndarray, cells: int) -> None:
@@ -242,8 +246,8 @@ class PointSet:
         """For the points ``rows``, from one gemm per block: the centre with
         the smallest product (ties: lowest index), and that product and the
         smallest other plus ``|x|^2``, clipped at 0.  Each value sits within
-        the propose margin ``Δp`` of the exact squared distance it stands
-        for, or is not finite, on any BLAS kernel."""
+        the margin ``Δ`` of the exact squared distance it stands for, or is
+        not finite, on any BLAS kernel."""
         # overflow and NaN are read as values here: they fail the bounds test
         with np.errstate(over="ignore", invalid="ignore"):
             index, first, second = self._two_smallest(self._products(centers, rows), rows.size)
@@ -265,55 +269,41 @@ class PointSet:
     def k_nearest(self, centers: np.ndarray, k: int) -> np.ndarray:
         """Each point's ``k`` nearest centres by (fixed-order distance,
         index), as an ``(n, k)`` array with each row in index order; ``k``
-        is at most the number of centres.  A row's products within
-        ``2(Δ + Δp)`` of its ``k``-th smallest are measured in fixed order;
-        the others are decided by the product (see the module docstring)."""
-        delta, proposed = _rounding_errors(self, centers)
-        width = 2.0 * (delta + proposed)
-        m = centers.shape[0]
+        is at most the number of centres.  The products screen out centres
+        that cannot be among a row's ``k`` nearest, and every candidate left
+        is measured in fixed order (see the module docstring).  Raises
+        ValueError when some point has fewer than ``k`` candidates, which
+        only overflowing products can cause."""
+        width = 4.0 * _rounding_errors(self, centers)
+        n, m = self.sq.size, centers.shape[0]
         # strided groups of centres: column j is in group j % groups, and the
         # tail columns past per * groups join the first groups
         groups = max(k, min(m, _K_NEAREST_GROUPS))
         per, tail = divmod(m, groups)
-        rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for start, stop, p in self._products(centers, np.arange(self.sq.size)):
+        short, found = 0, [np.empty(0, dtype=np.int64)]
+        for start, stop, p in self._products(centers, np.arange(n)):
             count = stop - start
             # the k-th smallest group minimum is at or above the row's k-th
-            # smallest product, so the products up to it plus the margin are
-            # all the band can need.  fmin skips NaN; when fewer than k
-            # groups hold a number, every non-NaN product is a candidate
+            # smallest product.  fmin skips NaN; when fewer than k groups
+            # hold a number, every non-NaN product is a candidate
             low = np.fmin.reduce(p[:, :per * groups].reshape(count, per, groups), axis=1)
             np.fmin(low[:, :tail], p[:, per * groups:], out=low[:, :tail])
             low.partition(k - 1, axis=1)
             ceiling = low[:, k - 1]
             ceiling[np.isnan(ceiling)] = np.inf
-            w = width[start:stop]
-            row, col = np.divmod(np.flatnonzero(p <= (ceiling + w)[:, None]), m)
-            # each row's k-th smallest product is its k-th smallest
-            # candidate.  A row has fewer than k candidates only where
-            # kth + w is NaN (fewer than k non-NaN products, a NaN margin, or
-            # -inf + inf), and then it takes none
-            value = p[row, col]
-            ranked = value[np.lexsort((value, row))]
-            have = np.bincount(row, minlength=count)
-            kth = np.full(count, np.nan)
-            full = have >= k
-            kth[full] = ranked[(np.cumsum(have) - have)[full] + k - 1]
-            # the margins' slack covers the rounding of kth +- w
-            near = value <= (kth + w)[row]
-            row, col, value = row[near], col[near], value[near]
-            inside = value < (kth - w)[row]
-            # the band, by (row, fixed-order distance, index); each row takes
-            # what its inside cases leave of k
-            band_row, band_col = row[~inside], col[~inside]
-            order = np.lexsort((band_col, self.pairs(band_row + start, centers, band_col), band_row))
-            band_row, band_col = band_row[order], band_col[order]
-            rank = np.arange(band_row.size) - np.searchsorted(band_row, band_row)
-            keep = rank < k - np.bincount(row[inside], minlength=count)[band_row]
-            rows += [row[inside] + start, band_row[keep] + start]
-            cols += [col[inside], band_col[keep]]
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        return cols[np.lexsort((cols, rows))].reshape(-1, k)
+            # candidates come in (row, index) order, so a stable sort by
+            # (row, fixed-order distance) breaks ties by index; each row
+            # keeps its first k, and the block's gather stays within cells
+            row, col = np.divmod(np.flatnonzero(p <= (ceiling + width[start:stop])[:, None]), m)
+            short += np.count_nonzero(np.bincount(row, minlength=count) < k)
+            order = np.lexsort((self.pairs(row + start, centers, col), row))
+            found.append(col[order][np.arange(row.size) - np.searchsorted(row, row) < k])
+        if short:
+            raise ValueError(
+                f"{short} of {n} points have fewer than {k} centres whose squared"
+                " distance does not overflow"
+            )
+        return np.sort(np.concatenate(found).reshape(n, k), axis=1)
 
 
 def _plus_plus_init(space: PointSet, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -361,16 +351,13 @@ def _repair_empty(
         centroids[donor] = points[assignments == donor].mean(axis=0)
 
 
-def _rounding_errors(
-    space: PointSet, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each point's ``Δ`` and ``Δp``: how far its squared distances to
-    ``centers`` may sit from the exact ones when summed in fixed order
-    (:meth:`PointSet.measure`) and when proposed (:meth:`PointSet.propose`),
-    on any CPU (see the module docstring)."""
-    margin = (2 * centers.shape[1] + 8) * _EPS
+def _rounding_errors(space: PointSet, centers: np.ndarray) -> np.ndarray:
+    """Each point's ``Δ``: how far its squared distances to ``centers`` may
+    sit from the exact ones, summed in fixed order (:meth:`PointSet.measure`)
+    or proposed (:meth:`PointSet.propose`), on any CPU (see the module
+    docstring)."""
     largest = np.einsum("ij,ij->i", centers, centers).max()
-    return margin * (space.sq + largest), margin * (space.sq + 2.0 * largest)
+    return (2 * centers.shape[1] + 8) * _EPS * (space.sq + 2.0 * largest)
 
 
 def _bounds(
@@ -403,23 +390,23 @@ def _assign(
     space: PointSet,
     centers: np.ndarray,
     rows: np.ndarray,
-    errors: tuple[np.ndarray, np.ndarray],
+    delta: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The centre a fixed-order pass gives each of the points ``rows``, with
     an upper bound on its exact distance to it and a lower bound on its
     exact distance to every other centre.  A point takes its proposed
     centre when the bounds settle it; only the contested points are
     measured in fixed order, in row blocks."""
-    delta, proposed = errors
+    delta = delta[rows]
     index, first, second = space.propose(centers, rows)
-    upper, lower = _bounds(first, second, proposed[rows])
-    contested = np.flatnonzero(~_settled(upper, lower, delta[rows]))
+    upper, lower = _bounds(first, second, delta)
+    contested = np.flatnonzero(~_settled(upper, lower, delta))
     if contested.size:
         picked = rows[contested]
         spans = space._spans(centers.shape[0], picked.size)
         blocks = ((a, b, space.measure(centers, picked[a:b])) for a, b in spans)
         index[contested], first, second = space._two_smallest(blocks, picked.size)
-        upper[contested], lower[contested] = _bounds(first, second, delta[picked])
+        upper[contested], lower[contested] = _bounds(first, second, delta[contested])
     return index, upper, lower
 
 
@@ -463,7 +450,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
         # an empty cluster keeps its centroid until the loop stops
         centroids[filled] = sums[filled] / counts[filled, None]
 
-        errors = _rounding_errors(space, centroids)
+        delta = _rounding_errors(space, centroids)
         with np.errstate(over="ignore", invalid="ignore"):
             # each centre's drift, rounded up: the difference, squares, sum
             # and square root leave it at most (d / 2 + 4) eps short
@@ -475,11 +462,11 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
             upper *= _UP
             lower -= np.where(assignments == top, runner_up, shift[top])
             lower *= _DOWN
-        stale = np.flatnonzero(~_settled(upper, lower, errors[0]))
+        stale = np.flatnonzero(~_settled(upper, lower, delta))
         new_assignments = assignments.copy()
         if stale.size:
             new_assignments[stale], upper[stale], lower[stale] = _assign(
-                space, centroids, stale, errors
+                space, centroids, stale, delta
             )
         iterations += 1
         if np.array_equal(new_assignments, assignments):

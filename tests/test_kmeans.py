@@ -202,29 +202,86 @@ def measured_rows(monkeypatch):
 
 
 def contest_every_proposal(monkeypatch):
-    """Widen every proposal's margin ``Δp`` so far that none settles."""
-    real = clustering._rounding_errors
+    """Make every proposal's smallest value NaN, which never settles, so
+    each proposed point is measured in fixed order.  The margin ``Δ`` stays
+    real: the measured points' bounds can settle them in later steps."""
+    real = PointSet.propose
 
-    def errors(space, centers):
-        delta, proposed = real(space, centers)
-        return delta, np.full_like(proposed, 1e300)
+    def propose(space, centers, rows):
+        index, first, second = real(space, centers, rows)
+        first[:] = np.nan
+        return index, first, second
 
-    monkeypatch.setattr(clustering, "_rounding_errors", errors)
+    monkeypatch.setattr(PointSet, "propose", propose)
 
 
 def settled_proposals(space, centers, rows):
     """``space.propose(centers, rows)``, which of its rows the bounds test
     settles, as :func:`clustering._assign` reads them, and each row's
-    propose margin ``Δp``."""
-    delta, margin = clustering._rounding_errors(space, centers)
+    margin ``Δ``."""
+    margin = clustering._rounding_errors(space, centers)[rows]
     index, first, second = space.propose(centers, rows)
-    upper, lower = clustering._bounds(first, second, margin[rows])
-    return (index, first, second), clustering._settled(upper, lower, delta[rows]), margin[rows]
+    upper, lower = clustering._bounds(first, second, margin)
+    return (index, first, second), clustering._settled(upper, lower, margin), margin
 
 
 def draw_floats(rng, rows, d):
     """Coordinates over six decades, either sign, so sums round often."""
     return rng.choice([-1.0, 1.0], (rows, d)) * 10.0 ** rng.uniform(-3, 3, (rows, d))
+
+
+def draw_ranking_case(rng, kind, n, m):
+    """``n`` points and ``m`` centres of ``kind``: lattice (every distance
+    exact, many ties), duplicates (repeated centres, points on centres) or
+    float (six decades)."""
+    d = int(rng.integers(1, 6))
+    if kind == "lattice":
+        return (
+            rng.integers(0, 3, (n, d)).astype(np.float64),
+            rng.integers(0, 3, (m, d)).astype(np.float64),
+        )
+    points, centers = draw_floats(rng, n, d), draw_floats(rng, m, d)
+    if kind == "duplicates":
+        centers = centers[rng.integers(0, max(1, m // 3), m)]
+        points[: n // 2] = centers[rng.integers(0, m, n // 2)]
+    return points, centers
+
+
+def assert_k_nearest_ranking(points, centers, ks):
+    """``k_nearest`` is each row's first ``k`` centres by (fixed-order
+    distance, index), in index order, for every ``k`` in ``ks`` at three
+    block heights."""
+    m = centers.shape[0]
+    want = _pairwise_sq(points, centers)
+    ranking = [sorted(range(m), key=lambda j: (d2[j], j)) for d2 in want]
+    for k in ks:
+        for cells in (m, 5 * m, 1 << 20):
+            got = PointSet(points, cells).k_nearest(centers, k)
+            assert got.shape == (points.shape[0], k)
+            for row, ranked in zip(got, ranking):
+                assert row.tolist() == sorted(ranked[:k])
+
+
+def pairs_measured(monkeypatch):
+    """Record how many pairs each ``PointSet.k_nearest`` call measures, and
+    check that no one ``PointSet.pairs`` call in it gathers more than a
+    block of ``cells`` products (or one row) holds."""
+    counts, most = [], []
+    real_k_nearest, real_pairs = PointSet.k_nearest, PointSet.pairs
+
+    def k_nearest(space, centers, k):
+        counts.append(0)
+        most.append(max(space.cells, centers.shape[0]))
+        return real_k_nearest(space, centers, k)
+
+    def pairs(space, rows, centers, index):
+        assert index.size <= most[-1]
+        counts[-1] += index.size
+        return real_pairs(space, rows, centers, index)
+
+    monkeypatch.setattr(PointSet, "k_nearest", k_nearest)
+    monkeypatch.setattr(PointSet, "pairs", pairs)
+    return counts
 
 
 class TestPointSet:
@@ -289,13 +346,14 @@ class TestPointSet:
                 assert d2.tobytes() == want.min(axis=1).tobytes()
 
     @pytest.mark.parametrize("kind", ["lattice", "duplicates", "float"])
-    def test_k_nearest_is_the_fixed_order_ranking(self, rng, kind):
+    def test_k_nearest_is_the_fixed_order_ranking(self, monkeypatch, rng, kind):
         # each row's k nearest centres by (fixed-order distance, index), in
         # blocks of one row up to all of them.  Past 256 centres a row's
         # products are screened in strided groups of centres: around that
         # boundary, with a short last group (a tail) or none, k up to every
         # centre, and equal centres in different groups
         groups = clustering._K_NEAREST_GROUPS
+        measured = pairs_measured(monkeypatch)
         shapes = [(int(rng.integers(1, 20)), int(rng.integers(1, 40))) for _ in range(25)]
         wide = (
             groups - 1, groups, groups + 1, 2 * groups, 2 * groups + 3,
@@ -303,29 +361,58 @@ class TestPointSet:
         )
         shapes += [(int(rng.integers(1, 6)), m) for m in wide]
         for n, m in shapes:
-            d = int(rng.integers(1, 6))
-            if kind == "lattice":
-                points = rng.integers(0, 3, (n, d)).astype(np.float64)
-                centers = rng.integers(0, 3, (m, d)).astype(np.float64)
-            else:
-                points, centers = draw_floats(rng, n, d), draw_floats(rng, m, d)
-                if kind == "duplicates":
-                    centers = centers[rng.integers(0, max(1, m // 3), m)]
-                    points[: n // 2] = centers[rng.integers(0, m, n // 2)]
+            points, centers = draw_ranking_case(rng, kind, n, m)
             if m >= groups:
                 # one centre copied into columns spread over the groups
                 centers[rng.integers(0, m, m // 8)] = centers[rng.integers(0, m)]
-            want = _pairwise_sq(points, centers)
-            ranking = [sorted(range(m), key=lambda j: (d2[j], j)) for d2 in want]
             ks = [int(rng.integers(1, m + 1))]
             if m >= groups:
                 ks += [1, int(rng.integers(2, 12)), int(rng.integers(groups, m + 1)), m]
-            for k in ks:
-                for cells in (m, 5 * m, 1 << 20):
-                    got = PointSet(points, cells).k_nearest(centers, k)
-                    assert got.shape == (n, k)
-                    for row, ranked in zip(got, ranking):
-                        assert row.tolist() == sorted(ranked[:k])
+            assert_k_nearest_ranking(points, centers, ks)
+
+        # the near centres sit at j, j + G, j + 2G, ... (G groups), so every
+        # other group's minimum is far and the screen keeps far centres too
+        for m in (2 * groups + 1, 3 * groups, 4 * groups + 7):
+            n = int(rng.integers(1, 6))
+            points, centers = draw_ranking_case(rng, kind, n, m)
+            near = np.arange(int(rng.integers(0, groups)), m, groups)
+            centers[near] = points[rng.integers(0, n, near.size)]
+            centers[near] += rng.integers(0, 3, centers[near].shape) * 0.25
+            centers[np.setdiff1d(np.arange(m), near)] += 1e5
+            for k in (1, 2, near.size, int(rng.integers(near.size + 1, m + 1))):
+                assert_k_nearest_ranking(points, centers, [k])
+                # with k <= G groups the near centres share one group, so
+                # every near centre and each of the k - 1 far groups'
+                # nearest is at or below the screen's ceiling
+                if 1 < k <= groups:
+                    assert min(measured[-3:]) >= n * (near.size + k - 1)
+
+        # a 1e300 margin makes every centre a candidate: each is measured,
+        # and the ranking alone decides
+        monkeypatch.setattr(
+            clustering, "_rounding_errors", lambda space, centers: np.full_like(space.sq, 1e300)
+        )
+        for n, m in shapes[:10] + [(3, groups + 1), (2, 2 * groups + 3)]:
+            points, centers = draw_ranking_case(rng, kind, n, m)
+            assert_k_nearest_ranking(points, centers, [int(rng.integers(1, m + 1))])
+            assert measured[-3:] == [n * m] * 3
+
+    def test_k_nearest_refuses_a_point_short_of_k_candidates(self):
+        # against the first point, 1e200, every centre but 0 and G overflows
+        # its product to NaN.  Those two share a strided group, so fewer than
+        # k = 2 groups hold a number, yet both are that point's candidates.
+        # With k = 3 it is one short: returning the other point's row alone
+        # would drop a row without a word
+        groups = clustering._K_NEAREST_GROUPS
+        points = np.array([[1e200, 0.0], [0.0, 0.0]])
+        centers = np.full((groups + 1, 2), 1e200)
+        centers[[0, groups]] = [[1.0, 0.0], [2.0, 0.0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cells in (1, 1 << 15):
+                space = PointSet(points, cells)
+                assert space.k_nearest(centers, 2).tolist() == [[0, groups]] * 2
+                with pytest.raises(ValueError, match="^1 of 2 points have fewer than 3 centres"):
+                    space.k_nearest(centers, 3)
 
     @pytest.mark.parametrize("kind", ["lattice", "float"])
     def test_settled_proposals_agree_with_nearest(self, rng, kind):
@@ -385,11 +472,45 @@ class TestPointSet:
         assert settled.tolist() == [True, False, False, False, True]
         assert index[[0, 4]].tolist() == [0, 1]
 
+    def test_assign_bounds_each_row_with_its_own_margin(self, monkeypatch, rng):
+        # a strict subset of the points, with repeats; every other proposal
+        # is made NaN, so the contested rows are a strict subset too.  |x|^2,
+        # and so Δ, differs by six decades between the small and the large
+        # points: each row's bounds, proposed or measured, take its own Δ
+        points = np.concatenate([draw_floats(rng, 20, 3) * 1e-3, draw_floats(rng, 20, 3)])
+        centers = points[rng.integers(0, 40, 6)] * (1.0 + 1e-6 * rng.standard_normal((6, 3)))
+        rows = rng.integers(0, 40, 50)
+        real = PointSet.propose
+
+        def propose(space, centers, rows):
+            index, first, second = real(space, centers, rows)
+            first[::2] = np.nan
+            return index, first, second
+
+        monkeypatch.setattr(PointSet, "propose", propose)
+        space = PointSet(points, 16)
+        (index, first, second), settled, margin = settled_proposals(space, centers, rows)
+        assert 0 < settled.sum() < rows.size
+        d2 = _pairwise_sq(points[rows], centers)
+        measured = d2.argmin(axis=1)
+        nearest = d2[np.arange(rows.size), measured]
+        d2[np.arange(rows.size), measured] = np.inf
+        upper, lower = np.where(
+            settled,
+            clustering._bounds(first, second, margin),
+            clustering._bounds(nearest, d2.min(axis=1), margin),
+        )
+        got = clustering._assign(space, centers, rows, clustering._rounding_errors(space, centers))
+        assert got[0].tolist() == np.where(settled, index, measured).tolist()
+        assert got[1].tobytes() == upper.tobytes()
+        assert got[2].tobytes() == lower.tobytes()
+
     @pytest.mark.parametrize("case", ["lattice", "duplicates", "float"])
     def test_every_contested_point_is_measured(self, monkeypatch, case):
         # with no proposal settled, every point each assignment step
         # proposes, the final pass's included, is measured in fixed order,
-        # and k-means stays the reference loop bit for bit
+        # and k-means stays the reference loop bit for bit.  The measured
+        # bounds are real, so some later step proposes only its stale points
         rng = np.random.default_rng(7)
         if case == "lattice":
             points, k, seed = rng.integers(0, 20, size=(23, 2)).astype(np.float64), 2, 77
@@ -404,6 +525,7 @@ class TestPointSet:
         assert len(measured) == len(proposed)
         assert all(np.array_equal(a, b) for a, b in zip(proposed, measured))
         assert np.array_equal(measured[-1], np.arange(points.shape[0]))
+        assert any(rows.size < points.shape[0] for rows in proposed[1:-1])
         assignments, centroids, iterations, history = reference_kmeans(points, k, seed)
         assert result.assignments.tobytes() == assignments.tobytes()
         assert result.centroids.tobytes() == centroids.tobytes()

@@ -293,9 +293,9 @@ class TestBoundedLoop:
     def test_too_small_margin_is_caught_by_the_final_pass(self, monkeypatch):
         # one feature near 1e8 on a 0.1 grid: |x|^2 rounds by about 1e16 *
         # eps, more than many gaps between distances.  With no margin some
-        # point keeps a centre a fresh pass would not give it.  Both margins
-        # are zeroed, the fixed-order one and the proposals', in the loop
-        # and in the final pass alike
+        # point keeps a centre a fresh pass would not give it.  The margin,
+        # which covers fixed-order sums and proposals alike, is zeroed in the
+        # loop and in the final pass
         rng = np.random.default_rng(0)
         n = int(rng.integers(30, 120))
         points = 1e8 + rng.integers(0, 60, size=(n, 1)) * 0.1
@@ -303,7 +303,7 @@ class TestBoundedLoop:
         kmeans(points, k, 0)
         monkeypatch.setattr(
             clustering, "_rounding_errors",
-            lambda space, centers: (np.zeros(space.sq.size), np.zeros(space.sq.size)),
+            lambda space, centers: np.zeros(space.sq.size),
         )
         with pytest.raises(RuntimeError, match="disagree with a full pass"):
             kmeans(points, k, 0)
