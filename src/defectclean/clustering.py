@@ -155,8 +155,8 @@ class PointSet:
     ``k_nearest`` are the two queries the package asks: the products propose
     or screen, and fixed-order sums decide (see the module docstring).  The
     points are held as ``columns``, feature by feature as the fixed-order
-    sums read them (a view of column-major points, such as the peters
-    filter's, and a copy of row-major ones), and as
+    sums read them (a view of a whole column-major array, such as the
+    points the peters filter clusters, and a copy of any other), and as
     ``augmented = [-2x | 1]``, the proposals' left operand.  Layout moves
     no bit of any result.
     """

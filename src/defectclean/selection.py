@@ -19,7 +19,8 @@ Three filters pick training cases from the pool:
 
 Distances are computed on min-max scaled features by default (scaling
 parameters from pool plus target combined); ``normalize=False`` uses raw
-feature values.
+feature values, times one exact power of two when their squared distances
+could overflow.
 
 A pool holds its admitted datasets (``SourcePool.sources``), not one object
 per case: its labels are the datasets' labels stacked in corpus order, and
@@ -27,18 +28,19 @@ per case: its labels are the datasets' labels stacked in corpus order, and
 from them only when asked for.  Its feature matrix is the one float copy of
 its rows, gathered straight from each dataset's value table, so building it
 caches no float matrix in the member datasets (a target caches its own).
-A distance filter scales pool and target into one new ``(pool + target,
-20)`` array, in place, and reads both as views of it; peters, which
-clusters them together, stacks them so in raw mode too, column-major, the
-way k-means reads them.  Both measure through
-:class:`~defectclean.clustering.PointSet`, in memory-sized blocks of
-``_BLOCK_CELLS``, so their distances are the fixed-order sums k-means
-decides with and their selections are the same on every CPU.
+Both distance filters, in both modes, get their points from ``_stacked``:
+one new column-major ``(pool + target, 20)`` array, read as two views.
+They measure through :class:`~defectclean.clustering.PointSet`, so their
+distances are the fixed-order sums k-means decides with and their
+selections are the same on every CPU: burak and peters's attach step in
+blocks of ``_BLOCK_CELLS``, peters's k-means in the cache-sized blocks of
+``clustering._ASSIGN_BLOCK_CELLS``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -46,7 +48,7 @@ from typing import Mapping
 import numpy as np
 
 from .clustering import PointSet, default_k, kmeans
-from .data import N_METRICS, Corpus, Dataset, release_order
+from .data import METRIC_NAMES, N_METRICS, Corpus, Dataset, release_order
 
 logger = logging.getLogger(__name__)
 
@@ -145,26 +147,59 @@ def build_pool(corpus: Corpus, target: Dataset, mode: str = "strict") -> SourceP
     return pool
 
 
-def _stacked(pool: SourcePool, target: Dataset, normalize: bool, order: str) -> np.ndarray:
-    """The pool's rows, then the target's, in one new ``(n_pool + n_target,
-    d)`` array laid out in ``order`` (``"C"`` or ``"F"``).
+def _stacked(pool: SourcePool, target: Dataset, normalize: bool) -> np.ndarray:
+    """The points both distance filters measure: the pool's rows, then the
+    target's, in one new column-major ``(n_pool + n_target, d)`` array.
+    Column-major, so :class:`PointSet`'s feature-by-feature columns are a
+    view of it, as k-means reads the peters filter's points.
 
     With ``normalize`` each feature is min-max scaled into [0, 1], bounds
     taken over both, in place: the subtraction, then the division, one
     rounding each.  Constant features map to 0 everywhere, so they never
-    contribute to distances."""
+    contribute to distances.
+
+    Otherwise the raw features are copied.  A squared distance is at most
+    ``4 d max^2`` and a sum of ``n`` of them (a k-means++ total, an inertia)
+    ``n`` times that; when twice that could overflow, every value is
+    multiplied by ``2^-s``, the smallest ``s`` that keeps that finite.  While
+    the values stay normal floats, every difference, square and sum then
+    scales exactly, so every distance scales by ``2^-2s`` and every
+    decision, tie and draw is the one the unscaled values would give.  A
+    value that the scaling would push below the normal range raises
+    ValueError, naming its dataset and metric.  Below the bound ``s`` is 0
+    and no value moves."""
     pool_m, target_m = pool.feature_matrix, target.feature_matrix
     n_pool = pool_m.shape[0]
-    out = np.empty((n_pool + target_m.shape[0], pool_m.shape[1]), order=order)
-    if not normalize:
-        out[:n_pool], out[n_pool:] = pool_m, target_m
+    out = np.empty((n_pool + target_m.shape[0], pool_m.shape[1]), order="F")
+    if normalize:
+        combined_min = np.minimum(pool_m.min(axis=0), target_m.min(axis=0))
+        combined_max = np.maximum(pool_m.max(axis=0), target_m.max(axis=0))
+        span = combined_max - combined_min
+        np.subtract(pool_m, combined_min, out=out[:n_pool])
+        np.subtract(target_m, combined_min, out=out[n_pool:])
+        out /= np.where(span > 0.0, span, 1.0)
         return out
-    combined_min = np.minimum(pool_m.min(axis=0), target_m.min(axis=0))
-    combined_max = np.maximum(pool_m.max(axis=0), target_m.max(axis=0))
-    span = combined_max - combined_min
-    np.subtract(pool_m, combined_min, out=out[:n_pool])
-    np.subtract(target_m, combined_min, out=out[n_pool:])
-    out /= np.where(span > 0.0, span, 1.0)
+    out[:n_pool], out[n_pool:] = pool_m, target_m
+    # parsed metrics are finite and non-negative, so the largest is max|x|
+    n, d = out.shape
+    s, top = 0, float(out.max())
+    while math.isinf(2.0 * n * 4.0 * d * top * top):
+        s, top = s + 1, top / 2.0
+    if s:
+        low = np.unravel_index(np.argmin(np.where(out > 0.0, out, np.inf)), out.shape)
+        if math.ldexp(float(out[low]), -s) < np.finfo(np.float64).tiny:
+            high = np.unravel_index(np.argmax(out), out.shape)
+
+            def cell(row: int, col: int) -> str:
+                where = pool.origins[0][row] if row < n_pool else target.name
+                return f"{where} {METRIC_NAMES[col]} = {float(out[row, col])!r}"
+
+            raise ValueError(
+                f"raw distances: {cell(*low)} would leave the normal float range when"
+                f" scaled by 2^-{s}, which {cell(*high)} needs to keep squared"
+                " distances finite"
+            )
+        np.ldexp(out, -s, out=out)
     return out
 
 
@@ -193,13 +228,9 @@ def burak_filter(
             )
         return TrainingSelection("burak", np.arange(n_pool), {"k": k, "normalize": normalize})
 
-    if normalize:
-        space = _stacked(pool, target, True, "C")
-        pool_space, target_space = space[:n_pool], space[n_pool:]
-    else:
-        pool_space, target_space = pool.feature_matrix, target.feature_matrix
+    space = _stacked(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
-    chosen[PointSet(target_space, _BLOCK_CELLS).k_nearest(pool_space, k)] = True
+    chosen[PointSet(space[n_pool:], _BLOCK_CELLS).k_nearest(space[:n_pool], k)] = True
     return TrainingSelection("burak", np.flatnonzero(chosen), {"k": k, "normalize": normalize})
 
 
@@ -234,8 +265,7 @@ def peters_filter(
     number of target cases.
     """
     n_pool = len(pool)
-    # column-major, so PointSet's feature-by-feature columns are a view of it
-    points = _stacked(pool, target, normalize, "F")
+    points = _stacked(pool, target, normalize)
     pool_space, target_space = points[:n_pool], points[n_pool:]
     k = default_k(points.shape[0]) if k_clusters is None else k_clusters
 

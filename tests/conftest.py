@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from decimal import Decimal
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from defectclean.data import Dataset, N_METRICS, Row, canonicalize_metric
+from defectclean.data import Dataset, N_METRICS, Row, canonicalize_metric, metric_float
 
 #: directory holding the real public corpus CSVs, when available
 REAL_CORPUS_ENV = "JURECZKO_DATA_DIR"
@@ -53,6 +54,21 @@ def decimal_rows(ds: Dataset) -> list[Row]:
     rows, for oracles that compare Decimal values."""
     return [(name, tuple(ds.values[i] for i in ids), bug) for name, ids, bug
             in zip(ds.class_names, ds.value_ids.tolist(), ds.bug_counts.tolist())]
+
+
+def with_cell(ds: Dataset, row: int, col: int, value: Decimal) -> Dataset:
+    """``ds`` with metric ``col`` of case ``row`` set to ``value``, a value
+    its table does not hold yet."""
+    ids = ds.value_ids.copy()
+    ids[row, col] = len(ds.values)
+    return Dataset(ds.name, ds.class_names, (*ds.values, value), ids, ds.bug_counts)
+
+
+def scaled_by(ds: Dataset, power: int) -> Dataset:
+    """``ds`` with every metric's float multiplied by ``2**power`` exactly
+    (a ``Decimal`` holds any float's exact value)."""
+    values = tuple(Decimal(math.ldexp(metric_float(v), power)) for v in ds.values)
+    return Dataset(ds.name, ds.class_names, values, ds.value_ids, ds.bug_counts)
 
 
 def random_vector(

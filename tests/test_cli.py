@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from defectclean.datagen import synthetic_corpus, synthetic_dataset
 from defectclean.quality import within_quality
 from defectclean.selection import build_pool, burak_filter, global_filter
 
-from .conftest import case, dataset, decimal_rows
+from .conftest import case, dataset, decimal_rows, with_cell
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +283,31 @@ class TestSelectCommand:
         assert main(args + ["--out", str(out)]) == 0
         assert out.read_bytes() == printed.encode("utf-8")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["selection.json"]
+
+    @pytest.mark.parametrize("filter_name", ["burak", "peters"])
+    def test_raw_distance_runs_clean_on_extreme_values(self, tmp_path, capsys, filter_name):
+        # 1e200 overflows a squared distance, and is scaled away exactly;
+        # 1e300 beside 1e-300 spans more than any scale keeps normal
+        corpus = synthetic_corpus(seed=3)
+        huge = Corpus(tuple(
+            with_cell(ds, 0, 0, Decimal("1e200")) if ds.name == "alpha1.0" else ds
+            for ds in corpus))
+        apart = Corpus((
+            with_cell(corpus.get("alpha1.0"), 0, 0, Decimal("1e300")),
+            corpus.get("beta2.0"),
+            with_cell(corpus.get("gamma1.0"), 5, 3, Decimal("1e-300")),
+        ))
+        write_corpus(huge, tmp_path / "huge")
+        write_corpus(apart, tmp_path / "apart")
+        args = ["select", "--filter", filter_name, "--target", "beta2.0", "--raw-distance"]
+        assert main([*args, "--corpus", str(tmp_path / "huge")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([*args, "--corpus", str(tmp_path / "apart")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: raw distances: gamma1.0 cbo = 1e-300 ")
+        assert err.count("\n") == 1
+        # min-max scaled distances measure the same values
+        assert main([*args[:-1], "--corpus", str(tmp_path / "apart")]) == 0
 
     def test_out_file_written_atomically(self, corpus_dir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "selection.json"

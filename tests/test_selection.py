@@ -17,6 +17,7 @@ import os
 import platform
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from defectclean.data import Corpus, Dataset, metric_float, release_order, split
 from defectclean.datagen import synthetic_corpus
 from defectclean.selection import (
     FILTERS,
+    _stacked,
     build_pool,
     burak_filter,
     global_filter,
@@ -38,7 +40,9 @@ from defectclean.selection import (
 
 from ._reference_selection import knn_union_oracle, peters_trace_oracle
 from ._reference_tables import ORIGINAL_SIZES
-from .conftest import case, dataset, decimal_rows, problem_datasets, random_vector
+from .conftest import (
+    case, dataset, decimal_rows, problem_datasets, random_vector, scaled_by, with_cell,
+)
 
 
 def pool_rows(pool, corpus) -> list[tuple[str, int]]:
@@ -363,6 +367,53 @@ class TestPetersFilter:
         assert selection.parameters["k_clusters"] == expected_k
         assert selection.parameters["seed"] == 4
         assert selection.parameters["normalize"] is True
+
+
+class TestDistanceSpace:
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_both_filters_stack_their_points_once(self, rng, monkeypatch, normalize):
+        # _stacked is the one place that builds points from the distance mode
+        calls = []
+
+        def spy(pool, target, normalize):
+            calls.append(normalize)
+            return _stacked(pool, target, normalize)
+
+        monkeypatch.setattr("defectclean.selection._stacked", spy)
+        corpus = random_corpus(rng)
+        target = corpus.get("q1.0")
+        pool = build_pool(corpus, target)
+        burak_filter(pool, target, k=3, normalize=normalize)
+        assert calls == [normalize]
+        assert not peters_filter(pool, target, normalize=normalize).parameters["fallback"]
+        assert calls == [normalize, normalize]
+
+    @pytest.mark.parametrize("holder", ["alpha1.0", "beta2.0"], ids=["pool-row", "target-row"])
+    def test_raw_distances_scale_an_overflowing_value_exactly(self, holder):
+        # a metric of 1e200 parses, and its squared distances overflow; the
+        # filters must warn of nothing (the suite's filter makes a
+        # RuntimeWarning an error) and select what they select on the same
+        # values times 2**-400, whose squared distances stay finite and normal
+        huge = Corpus(tuple(
+            with_cell(ds, 0, 0, Decimal("1e200")) if ds.name == holder else ds
+            for ds in synthetic_corpus(seed=3)
+        ))
+        small = Corpus(tuple(scaled_by(ds, -400) for ds in huge))
+        (pool, target), (small_pool, small_target) = (
+            (build_pool(c, c.get("beta2.0")), c.get("beta2.0")) for c in (huge, small))
+        assert np.array_equal(
+            burak_filter(pool, target, normalize=False).selected,
+            burak_filter(small_pool, small_target, normalize=False).selected)
+        # k-means++ draws its first centre with rng.integers(n); the seed
+        # that draws the huge row puts every other point at a huge squared
+        # distance from it, and the sum of those weights must stay finite
+        row = 0 if holder == "alpha1.0" else len(pool)
+        n = len(pool) + target.case_count
+        first = next(s for s in range(10_000) if np.random.default_rng(s).integers(n) == row)
+        for seed in (0, first):
+            got = peters_filter(pool, target, seed=seed, normalize=False)
+            want = peters_filter(small_pool, small_target, seed=seed, normalize=False)
+            assert same_selection(got, want)
 
 
 class TestDispatch:
