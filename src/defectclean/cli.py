@@ -34,8 +34,6 @@ from .selection import (
     DEFAULT_NEIGHBOURS, FILTERS, build_pool, check_cluster_count, select_training_data,
 )
 
-logger = logging.getLogger(__name__)
-
 
 def _add_corpus_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(

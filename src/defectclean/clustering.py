@@ -159,6 +159,12 @@ class PointSet:
     points the peters filter clusters, and a copy of any other), and as
     ``augmented = [-2x | 1]``, the proposals' left operand.  Layout moves
     no bit of any result.
+
+    The points are measured as given, with no overflow scaling: only
+    ``selection._stacked`` scales raw points, so that their squared
+    distances stay finite.  With coordinates near 1e154 or more, a direct
+    caller's products overflow, and which candidates ``k_nearest`` keeps,
+    and whether it raises, can then depend on ``cells``.
     """
 
     def __init__(self, points: np.ndarray, cells: int) -> None:
@@ -421,6 +427,12 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
     ValueError for k < 1, k > number of points or max_iter < 1, and
     RuntimeError if the bounded assignments ever disagree with a fresh
     pass (which the rounding margins rule out).
+
+    The points are clustered as given, with no overflow scaling: only
+    ``selection._stacked`` scales raw points, so that every squared distance
+    and their sums stay finite.  With coordinates near 1e154 or more, a
+    direct caller's k-means++ total overflows, its draw probabilities are
+    NaN and ``rng.choice`` raises ValueError.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:

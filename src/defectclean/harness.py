@@ -42,9 +42,9 @@ from typing import Mapping
 import numpy as np
 
 from .cleaning import clean_corpus
-from .data import Corpus, Dataset, load_corpus
+from .data import METRIC_NAMES, Corpus, Dataset, load_corpus
 from .evaluation import ConfusionMatrix, auc, change_rate, f_measure
-from .learners import LEARNER_NAMES, TrainingMatrix, predict, train
+from .learners import LEARNER_NAMES, FeatureTooLargeError, TrainingMatrix, predict, train
 from .rng import derive_seed
 from .selection import (
     DEFAULT_NEIGHBOURS, FILTERS, SourcePool, build_pool, check_cluster_count, select_training_data,
@@ -306,17 +306,16 @@ def _plan(
 def _unit_scores(unit: tuple) -> list[Cell]:
     """Score every (filter, learner) cell of each target of a unit
     ``(config, variant, pool sources, targets)``.  All the targets share one
-    pool and its seedless global models.  AUC is None exactly when the
-    evaluation target is single-class."""
+    pool and its seedless global models, trained for the first target that
+    asks.  AUC is None exactly when the evaluation target is single-class.
+    A feature too large for naive Bayes fails with ValueError naming the
+    cell and the metric, and, at training time, the pool dataset that holds
+    the metric's largest training value."""
     config, variant, sources, targets = unit
     pool = SourcePool(sources)
     whole, shared = None, {}
     if "global" in config.filters:
         whole = TrainingMatrix(pool.feature_matrix, pool.labels)
-        shared = {
-            ("global", learner): train(learner, whole)
-            for learner in config.learners if learner != "random_forest"
-        }
     cells = []
     for eval_target in targets:
         name = eval_target.name
@@ -338,11 +337,25 @@ def _unit_scores(unit: tuple) -> list[Cell]:
                 "pool_size": len(pool),
             }
             for learner in config.learners:
-                model = shared.get((filter_name, learner))
-                if model is None:
-                    learner_seed = derive_seed(config.seed, name, variant, filter_name, learner)
-                    model = train(learner, training, seed=learner_seed, trees=config.forest_trees)
-                labels, case_scores = predict(model, eval_target.feature_matrix)
+                seedless = filter_name == "global" and learner != "random_forest"
+                model = shared.get(learner) if seedless else None
+                try:
+                    if model is None:
+                        seed = derive_seed(config.seed, name, variant, filter_name, learner)
+                        model = train(learner, training, seed=seed, trees=config.forest_trees)
+                        if seedless:
+                            shared[learner] = model
+                    labels, case_scores = predict(model, eval_target.feature_matrix)
+                except FeatureTooLargeError as exc:
+                    metric = METRIC_NAMES[exc.column]
+                    if model is None:  # training failed: name where the value comes from
+                        top = int(np.argmax(training.X[:, exc.column]))
+                        metric += (f" = {float(training.X[top, exc.column])!r}"
+                                   f" in pool dataset {pool.origins[0][rows[top]]!r}")
+                    raise ValueError(
+                        f"target {name!r}, {variant} variant, filter {filter_name},"
+                        f" learner {learner}: metric {metric}: {exc}"
+                    ) from None
                 cm = ConfusionMatrix.from_predictions(eval_target.labels, labels)
                 scores = (f_measure(cm), auc(case_scores, eval_target.labels))
                 cells.append(Cell(name, variant, filter_name, learner, scores, info))

@@ -2,7 +2,7 @@
 
 from .base import TrainingMatrix, predict
 from .forest import default_feature_count, train_forest
-from .naive_bayes import GaussianNBModel, train_naive_bayes
+from .naive_bayes import FeatureTooLargeError, GaussianNBModel, train_naive_bayes
 from .tree import TreeModel, train_tree
 
 #: learner names accepted by the experiment harness and CLI
@@ -25,6 +25,7 @@ def train(
 
 __all__ = [
     "TrainingMatrix",
+    "FeatureTooLargeError",
     "GaussianNBModel",
     "TreeModel",
     "LEARNER_NAMES",

@@ -19,6 +19,16 @@ from .base import TrainingMatrix, check_features
 VARIANCE_FLOOR = 1e-9
 
 
+class FeatureTooLargeError(ValueError):
+    """A finite feature too large for naive Bayes: its squares overflow the
+    class variances or a case's log-likelihoods.  ``column`` is the
+    feature's index, so that a caller can name the feature."""
+
+    def __init__(self, message: str, column: int) -> None:
+        super().__init__(message)
+        self.column = column
+
+
 def _require_finite(X: np.ndarray) -> None:
     if not np.isfinite(X).all():
         raise ValueError("naive Bayes needs finite features")
@@ -49,9 +59,15 @@ class GaussianNBModel:
                 )
         bad = np.flatnonzero(~np.isfinite(log_joint).all(axis=1))
         if bad.size:
-            raise ValueError(
+            # the feature whose per-class term is largest; a term is finite
+            # or +inf, so the first infinite one when there is one
+            with np.errstate(over="ignore"):
+                diff = X[bad[0]] - self.means
+                terms = np.log(2.0 * np.pi * self.variances) + diff * diff / self.variances
+            column = int(np.argmax(terms.max(axis=0)))
+            raise FeatureTooLargeError(
                 f"naive Bayes log-likelihoods of case {bad[0]} are not finite: "
-                "a feature is too large"
+                f"feature {column} is too large", column,
             )
         shifted = log_joint - log_joint.max(axis=1, keepdims=True)
         likel = np.exp(shifted)
@@ -81,9 +97,11 @@ def train_naive_bayes(data: TrainingMatrix) -> GaussianNBModel:
             rows = data.X[mask]
             means[c] = rows.mean(axis=0)
             variances[c] = np.maximum(rows.var(axis=0), VARIANCE_FLOOR)
-    if not (np.isfinite(means).all() and np.isfinite(variances).all()):
-        raise ValueError(
-            "naive Bayes class means and variances are not finite: a feature is too large"
+    bad = np.flatnonzero(~(np.isfinite(means).all(axis=0) & np.isfinite(variances).all(axis=0)))
+    if bad.size:
+        raise FeatureTooLargeError(
+            f"naive Bayes class means and variances of feature {bad[0]} are not finite: "
+            "the feature is too large", int(bad[0]),
         )
     return GaussianNBModel(
         n_features=data.n_features,

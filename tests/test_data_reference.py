@@ -261,6 +261,7 @@ class TestParseAgainstReference:
 
     def test_blank_lines_count_in_row_numbers(self):
         text = csv_line(list(PROMISE_HEADER)) + "\n\n" + csv_line(["p", "1", "C"] + ["z"] * 21)
+        text += csv_line(["p", "1", "D"])
         _, got = outcome(parse_dataset, text)
         assert got[1] == "row 3: non-numeric metric value 'z'"
         assert outcome(reference_parse, text)[1] == got

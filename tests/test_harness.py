@@ -43,7 +43,7 @@ from defectclean.harness import (
 from defectclean.reports import experiment_json
 from defectclean.rng import derive_seed
 
-from .conftest import case, dataset, decimal_rows, vector
+from .conftest import case, dataset, decimal_rows, vector, with_cell
 
 
 def loc(j: int):
@@ -628,6 +628,19 @@ class TestRunExperiment:
         ))
         run = run_grid(corpus, filters=("peters",), peters_clusters=50)
         assert all("empty source pool" in r.note for r in run.results)
+
+    @pytest.mark.parametrize("target,fault", [
+        # beta2.0's pool holds alpha1.0's 1e200, so naive Bayes cannot train
+        ("beta2.0", "metric wmc = 1e+200 in pool dataset 'alpha1.0': naive Bayes class means"),
+        ("alpha1.0", "metric wmc: naive Bayes log-likelihoods of case 0 are not finite"),
+    ])
+    def test_a_feature_too_large_names_its_cell_and_metric(self, target, fault):
+        corpus = Corpus(tuple(with_cell(ds, 0, 0, Decimal("1e200")) if ds.name == "alpha1.0"
+                              else ds for ds in synthetic_corpus(seed=3)))
+        with pytest.raises(ValueError) as excinfo:
+            run_grid(corpus, targets=(target,), learners=("naive_bayes",))
+        assert str(excinfo.value).startswith(
+            f"target {target!r}, original variant, filter global, learner naive_bayes: {fault}")
 
     def test_no_capped_dataset_outlives_its_run(self, monkeypatch):
         # nothing keeps a run's capped corpora alive once its result is
