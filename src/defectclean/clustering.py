@@ -96,11 +96,18 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-#: distances per k-means block.  Sized to the cache: a float64 block of
-#: 2**15 cells and its product take 512 KB, well inside a 2 MB L2.  On the
+#: distances per block of an assignment step (every k-means step and
+#: :meth:`PointSet.nearest`).  Sized to the cache: a float64 block of 2**15
+#: cells and its product take 512 KB, well inside a 2 MB L2.  On the
 #: ``select`` benchmark's two k-means inputs (2-core Xeon, one BLAS thread)
 #: 2**15 was the fastest of 2**12 to 2**17 cells
 _ASSIGN_BLOCK_CELLS = 1 << 15
+
+#: products per block of :meth:`PointSet.k_nearest`'s screen; bounds each
+#: block temporary to about 4 MB whatever the pool size.  On the ``select``
+#: benchmark's first burak call (2-core Xeon, one BLAS thread) 2**18 to
+#: 2**20 cells took 0.12 s and 2**17 took 0.14 s
+_K_NEAREST_BLOCK_CELLS = 1 << 19
 
 #: strided groups of centres per row in :meth:`PointSet.k_nearest` (at
 #: least ``k``); the ``k``-th smallest group minimum bounds which products
@@ -133,6 +140,31 @@ def _block_rows(columns: int, cells: int) -> int:
     return max(1, cells // columns)
 
 
+def _spans(count: int, k: int, cells: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of ``count`` rows' blocks of ``cells`` distances to ``k`` centres."""
+    step = _block_rows(k, cells)
+    return [(start, min(start + step, count)) for start in range(0, count, step)]
+
+
+def _two_smallest(
+    blocks: Iterable[tuple[int, int, np.ndarray]], count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's smallest value's column (ties: lowest), that value and
+    the smallest value in any other column (``inf`` for one column).
+    The second is read at the argmin of the row with its smallest
+    masked, which costs less than numpy's row-wise ``min``."""
+    index = np.empty(count, dtype=np.int64)
+    first = np.empty(count)
+    second = np.empty(count)
+    for start, stop, d2 in blocks:
+        at = (np.arange(stop - start), index[start:stop])
+        d2.argmin(axis=1, out=at[1])
+        first[start:stop] = d2[at]
+        d2[at] = np.inf
+        second[start:stop] = d2[at[0], d2.argmin(axis=1)]
+    return index, first, second
+
+
 def _fixed_order(
     left: Iterable[np.ndarray], right: Iterable[np.ndarray], shape: tuple
 ) -> np.ndarray:
@@ -151,39 +183,31 @@ class PointSet:
 
     ``measure`` and ``pairs`` give fixed-order squared distances, the only
     ones a decision reads; ``propose`` proposes each point's nearest centre
-    from one gemm per block of about ``cells`` products.  ``nearest`` and
-    ``k_nearest`` are the two queries the package asks: the products propose
-    or screen, and fixed-order sums decide (see the module docstring).  The
-    points are held as ``columns``, feature by feature as the fixed-order
-    sums read them (a view of a whole column-major array, such as the
-    points the peters filter clusters, and a copy of any other), and as
-    ``augmented = [-2x | 1]``, the proposals' left operand.  Layout moves
-    no bit of any result.
+    from one gemm per block of ``_ASSIGN_BLOCK_CELLS`` products.  ``nearest``
+    (an assignment step) and ``k_nearest`` (blocks of
+    ``_K_NEAREST_BLOCK_CELLS``) are the two queries the package asks: the
+    products propose or screen, and fixed-order sums decide (see the
+    module docstring).  The points are held as ``columns``, feature by
+    feature as the fixed-order sums read them (a view of a whole
+    column-major array, such as the points the peters filter clusters, and
+    a copy of any other), and as ``augmented = [-2x | 1]``, the proposals'
+    left operand.  Layout moves no bit of any result.
 
     The points are measured as given, with no overflow scaling: only
     ``selection._stacked`` scales raw points, so that their squared
     distances stay finite.  With coordinates near 1e154 or more, a direct
     caller's products overflow, and which candidates ``k_nearest`` keeps,
-    and whether it raises, can then depend on ``cells``.
+    and whether it raises, can then depend on the block size.
     """
 
-    def __init__(self, points: np.ndarray, cells: int) -> None:
+    def __init__(self, points: np.ndarray) -> None:
         self.points = points
-        self.cells = cells
         self.columns = np.ascontiguousarray(points.T)
         self.sq = np.einsum("ij,ij->i", points, points)
         n, d = points.shape
         self.augmented = np.empty((n, d + 1))
         np.multiply(points, -2.0, out=self.augmented[:, :d])
         self.augmented[:, d] = 1.0
-        self._out = np.empty(0)
-        self._rows = np.arange(n)
-
-    def _spans(self, k: int, count: int) -> list[tuple[int, int]]:
-        """``(start, stop)`` of the row blocks of ``count`` rows against
-        ``k`` centres."""
-        step = _block_rows(k, self.cells)
-        return [(start, min(start + step, count)) for start in range(0, count, step)]
 
     def measure(self, centers: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """The fixed-order squared distances of every point, or of the
@@ -205,12 +229,13 @@ class PointSet:
         return _fixed_order(columns, (feature[index] for feature in centers.T), index.shape)
 
     def _products(
-        self, centers: np.ndarray, rows: np.ndarray
+        self, centers: np.ndarray, rows: np.ndarray, cells: int
     ) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(start, stop, p)`` for the points ``rows[start:stop]``,
-        where ``p`` holds ``[-2x | 1] . [c | |c|^2]``: ``|x - c|^2 - |x|^2``
-        from one gemm with K = d + 1, its rounding left to the kernel.
-        ``p`` is one reused buffer, valid until the next block."""
+        """Yield ``(start, stop, p)`` for the points ``rows[start:stop]``, in
+        blocks of about ``cells`` products, where ``p`` holds
+        ``[-2x | 1] . [c | |c|^2]``: ``|x - c|^2 - |x|^2`` from one gemm with
+        K = d + 1, its rounding left to the kernel.  ``p`` is valid until the
+        next block."""
         k, d = centers.shape
         # [c | |c|^2]^T held C-ordered: on select's k-means inputs (20
         # features, 2-core Xeon, one BLAS thread) gemm took about 30 % less
@@ -218,33 +243,11 @@ class PointSet:
         right = np.empty((d + 1, k))
         right[:d] = centers.T
         right[d] = np.einsum("ij,ij->i", centers, centers)
-        widest = min(_block_rows(k, self.cells), rows.size) * k
-        if self._out.size < widest:
-            self._out = np.empty(widest)
-        for start, stop in self._spans(k, rows.size):
-            p = self._out[:(stop - start) * k].reshape(stop - start, k)
-            np.matmul(self.augmented[rows[start:stop]], right, out=p)
+        # one buffer for every block, so no two blocks are held at once
+        out = np.empty((min(_block_rows(k, cells), rows.size), k))
+        for start, stop in _spans(rows.size, k, cells):
+            p = np.matmul(self.augmented[rows[start:stop]], right, out=out[:stop - start])
             yield start, stop, p
-
-    def _two_smallest(
-        self, blocks: Iterator[tuple[int, int, np.ndarray]], count: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each row's smallest value's column (ties: lowest), that value and
-        the smallest value in any other column (``inf`` for one column).
-        The second is read at the argmin of the row with its smallest
-        masked, which costs less than numpy's row-wise ``min``."""
-        if self._rows.size < count:  # ``rows`` may repeat a point
-            self._rows = np.arange(count)
-        index = np.empty(count, dtype=np.int64)
-        first = np.empty(count)
-        second = np.empty(count)
-        for start, stop, d2 in blocks:
-            at = (self._rows[:stop - start], index[start:stop])
-            d2.argmin(axis=1, out=at[1])
-            first[start:stop] = d2[at]
-            d2[at] = np.inf
-            second[start:stop] = d2[at[0], d2.argmin(axis=1)]
-        return index, first, second
 
     def propose(
         self, centers: np.ndarray, rows: np.ndarray
@@ -256,7 +259,8 @@ class PointSet:
         not finite, on any BLAS kernel."""
         # overflow and NaN are read as values here: they fail the bounds test
         with np.errstate(over="ignore", invalid="ignore"):
-            index, first, second = self._two_smallest(self._products(centers, rows), rows.size)
+            products = self._products(centers, rows, _ASSIGN_BLOCK_CELLS)
+            index, first, second = _two_smallest(products, rows.size)
             first += self.sq[rows]
             second += self.sq[rows]
         # np.maximum keeps NaN, so a NaN proposal stays contested
@@ -287,7 +291,7 @@ class PointSet:
         groups = max(k, min(m, _K_NEAREST_GROUPS))
         per, tail = divmod(m, groups)
         short, found = 0, [np.empty(0, dtype=np.int64)]
-        for start, stop, p in self._products(centers, np.arange(n)):
+        for start, stop, p in self._products(centers, np.arange(n), _K_NEAREST_BLOCK_CELLS):
             count = stop - start
             # the k-th smallest group minimum is at or above the row's k-th
             # smallest product.  fmin skips NaN; when fewer than k groups
@@ -299,7 +303,7 @@ class PointSet:
             ceiling[np.isnan(ceiling)] = np.inf
             # candidates come in (row, index) order, so a stable sort by
             # (row, fixed-order distance) breaks ties by index; each row
-            # keeps its first k, and the block's gather stays within cells
+            # keeps its first k; ranked per block, so pairs gathers at most a block
             row, col = np.divmod(np.flatnonzero(p <= (ceiling + width[start:stop])[:, None]), m)
             short += np.count_nonzero(np.bincount(row, minlength=count) < k)
             order = np.lexsort((self.pairs(row + start, centers, col), row))
@@ -409,9 +413,9 @@ def _assign(
     contested = np.flatnonzero(~_settled(upper, lower, delta))
     if contested.size:
         picked = rows[contested]
-        spans = space._spans(centers.shape[0], picked.size)
+        spans = _spans(picked.size, centers.shape[0], _ASSIGN_BLOCK_CELLS)
         blocks = ((a, b, space.measure(centers, picked[a:b])) for a, b in spans)
-        index[contested], first, second = space._two_smallest(blocks, picked.size)
+        index[contested], first, second = _two_smallest(blocks, picked.size)
         upper[contested], lower[contested] = _bounds(first, second, delta[contested])
     return index, upper, lower
 
@@ -445,7 +449,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, max_iter: int = 100) -> Cluste
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
-    space = PointSet(points, _ASSIGN_BLOCK_CELLS)
+    space = PointSet(points)
     centroids = _plus_plus_init(space, k, np.random.default_rng(seed))
     sums = np.empty((k, features))
 

@@ -310,7 +310,9 @@ def _unit_scores(unit: tuple) -> list[Cell]:
     asks.  AUC is None exactly when the evaluation target is single-class.
     A feature too large for naive Bayes fails with ValueError naming the
     cell and the metric, and, at training time, the pool dataset that holds
-    the metric's largest training value."""
+    the metric's largest training value.  A selection that fails (raw
+    distances out of the float range) names its target, variant and filter,
+    and ``normalize = false`` when that setting chose raw distances."""
     config, variant, sources, targets = unit
     pool = SourcePool(sources)
     whole, shared = None, {}
@@ -321,11 +323,17 @@ def _unit_scores(unit: tuple) -> list[Cell]:
         name = eval_target.name
         for filter_name in config.filters:
             filter_seed = derive_seed(config.seed, name, variant, "filter", filter_name)
-            selection = select_training_data(
-                filter_name, pool, eval_target,
-                k=config.burak_k, k_clusters=config.peters_clusters,
-                seed=filter_seed, normalize=config.normalize,
-            )
+            try:
+                selection = select_training_data(
+                    filter_name, pool, eval_target,
+                    k=config.burak_k, k_clusters=config.peters_clusters,
+                    seed=filter_seed, normalize=config.normalize,
+                )
+            except ValueError as exc:
+                raw = "" if config.normalize else ", normalize = false"
+                raise ValueError(
+                    f"target {name!r}, {variant} variant, filter {filter_name}{raw}: {exc}"
+                ) from None
             rows = selection.selected
             training = whole if filter_name == "global" else TrainingMatrix(
                 pool.feature_matrix[rows], pool.labels[rows]

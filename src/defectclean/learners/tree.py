@@ -192,13 +192,10 @@ def _best_candidate(nl, pl, n_node: int, pos: int, table: np.ndarray) -> int:
         + (tr - (table[pr] + table[nr - pr]))
     )
     informative = n_gain / n_node > GAIN_EPS
-    if not informative.any():
-        # impure node where every split is uninformative: take the
-        # first separating candidate rather than stopping short
-        return 0
     n_split = table[n_node] - (tl + tr)
     # first maximum in row-major order: lowest feature, then lowest
-    # threshold, as a strict ``>`` scan would pick
+    # threshold, as a strict ``>`` scan would pick.  When none is informative
+    # all read -1 and the first wins, rather than the node stopping short
     return int(np.argmax(np.where(informative, n_gain / n_split, -1.0)))
 
 
@@ -279,7 +276,7 @@ def grow_tree_arrays(ranks: RankTable, y: np.ndarray, sample_idx: np.ndarray,
     ``ranks`` is the rank table of the training matrix; growth reads only
     its integer codes, and its floats once per split, for the threshold.
     ``feature_table[j]`` holds the sorted candidate feature indices for
-    node j; a single-row table is shared by all nodes.  Returns the node
+    node j, for every j below ``2 * len(sample_idx) + 1``.  Returns the node
     arrays (feature, threshold, left, right, n, pos), numbered depth-first
     with the left child first.  Leaves have ``feature == -1``.
     """
@@ -317,7 +314,7 @@ def grow_tree_arrays(ranks: RankTable, y: np.ndarray, sample_idx: np.ndarray,
         if not 0 < pos < n_node:
             continue
 
-        feats = feature_table[node if len(feature_table) > 1 else 0]
+        feats = feature_table[node]
         segment = members[start:end]
         if hist is not None:
             found = counting.split(hist, feats, n_node, pos, table)
@@ -386,8 +383,8 @@ def grow_tree_arrays(ranks: RankTable, y: np.ndarray, sample_idx: np.ndarray,
 
 def train_tree(data: TrainingMatrix) -> TreeModel:
     """Grow and prune a tree on the full training set."""
-    feature_table = np.arange(data.n_features, dtype=np.int64)[None, :]
-    arrays = grow_tree_arrays(
-        data.ranks, data.y, np.arange(data.n_rows, dtype=np.int64), feature_table,
-    )
+    n, d = data.n_rows, data.n_features
+    # every node considers every feature: one read-only row, seen 2n + 1 times
+    feature_table = np.broadcast_to(np.arange(d, dtype=np.int64), (2 * n + 1, d))
+    arrays = grow_tree_arrays(data.ranks, data.y, np.arange(n, dtype=np.int64), feature_table)
     return TreeModel(data.n_features, [prune_tree(*arrays)])

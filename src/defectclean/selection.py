@@ -32,9 +32,7 @@ Both distance filters, in both modes, get their points from ``_stacked``:
 one new column-major ``(pool + target, 20)`` array, read as two views.
 They measure through :class:`~defectclean.clustering.PointSet`, so their
 distances are the fixed-order sums k-means decides with and their
-selections are the same on every CPU: burak and peters's attach step in
-blocks of ``_BLOCK_CELLS``, peters's k-means in the cache-sized blocks of
-``clustering._ASSIGN_BLOCK_CELLS``.
+selections are the same on every CPU.
 """
 
 from __future__ import annotations
@@ -51,12 +49,6 @@ from .clustering import PointSet, default_k, kmeans
 from .data import METRIC_NAMES, N_METRICS, Corpus, Dataset, release_order
 
 logger = logging.getLogger(__name__)
-
-#: cells (rows x columns) per burak and peters distance block; bounds each
-#: block temporary to about 4 MB whatever the pool size.  On the ``select``
-#: benchmark's first burak call (2-core Xeon, one BLAS thread) 2**18 to
-#: 2**20 cells took 0.12 s and 2**17 took 0.14 s
-_BLOCK_CELLS = 1 << 19
 
 #: neighbours per target case for burak, and for peters's fallback, by default
 DEFAULT_NEIGHBOURS = 10
@@ -230,7 +222,7 @@ def burak_filter(
 
     space = _stacked(pool, target, normalize)
     chosen = np.zeros(n_pool, dtype=bool)
-    chosen[PointSet(space[n_pool:], _BLOCK_CELLS).k_nearest(space[:n_pool], k)] = True
+    chosen[PointSet(space[n_pool:]).k_nearest(space[:n_pool], k)] = True
     return TrainingSelection("burak", np.flatnonzero(chosen), {"k": k, "normalize": normalize})
 
 
@@ -283,9 +275,7 @@ def peters_filter(
         if pool_members.size == 0:
             continue
         target_members = np.flatnonzero(target_clusters == cid)
-        nearest, d2 = PointSet(pool_space[pool_members], _BLOCK_CELLS).nearest(
-            target_space[target_members]
-        )
+        nearest, d2 = PointSet(pool_space[pool_members]).nearest(target_space[target_members])
         rows.append(pool_members)
         dist.append(d2)
         attached.append(target_members[nearest])

@@ -642,6 +642,21 @@ class TestRunExperiment:
         assert str(excinfo.value).startswith(
             f"target {target!r}, original variant, filter global, learner naive_bayes: {fault}")
 
+    def test_raw_distances_out_of_range_name_the_cell_and_the_setting(self):
+        # alpha1.0's 1e300 needs a scale that pushes gamma1.0's 1e-300 below
+        # the normal float range; min-max scaled distances measure both
+        corpus = Corpus(tuple(
+            with_cell(ds, 0, 0, Decimal("1e300")) if ds.name == "alpha1.0"
+            else with_cell(ds, 0, 3, Decimal("1e-300")) if ds.name == "gamma1.0"
+            else ds for ds in synthetic_corpus(seed=3)))
+        grid = dict(targets=("beta2.0",), filters=("burak",), learners=("decision_tree",))
+        with pytest.raises(ValueError) as excinfo:
+            run_grid(corpus, normalize=False, **grid)
+        assert str(excinfo.value).startswith(
+            "target 'beta2.0', original variant, filter burak, normalize = false:"
+            " raw distances: gamma1.0 cbo = 1e-300 would leave the normal float range")
+        assert len(run_grid(corpus, **grid).results) == 2
+
     def test_no_capped_dataset_outlives_its_run(self, monkeypatch):
         # nothing keeps a run's capped corpora alive once its result is
         # dropped: after a finished run, a run the cluster check rejects, and

@@ -256,7 +256,9 @@ def assert_k_nearest_ranking(points, centers, ks):
     ranking = [sorted(range(m), key=lambda j: (d2[j], j)) for d2 in want]
     for k in ks:
         for cells in (m, 5 * m, 1 << 20):
-            got = PointSet(points, cells).k_nearest(centers, k)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(clustering, "_K_NEAREST_BLOCK_CELLS", cells)
+                got = PointSet(points).k_nearest(centers, k)
             assert got.shape == (points.shape[0], k)
             for row, ranked in zip(got, ranking):
                 assert row.tolist() == sorted(ranked[:k])
@@ -265,13 +267,13 @@ def assert_k_nearest_ranking(points, centers, ks):
 def pairs_measured(monkeypatch):
     """Record how many pairs each ``PointSet.k_nearest`` call measures, and
     check that no one ``PointSet.pairs`` call in it gathers more than a
-    block of ``cells`` products (or one row) holds."""
+    block of ``_K_NEAREST_BLOCK_CELLS`` products (or one row) holds."""
     counts, most = [], []
     real_k_nearest, real_pairs = PointSet.k_nearest, PointSet.pairs
 
     def k_nearest(space, centers, k):
         counts.append(0)
-        most.append(max(space.cells, centers.shape[0]))
+        most.append(max(clustering._K_NEAREST_BLOCK_CELLS, centers.shape[0]))
         return real_k_nearest(space, centers, k)
 
     def pairs(space, rows, centers, index):
@@ -293,16 +295,16 @@ class TestPointSet:
     holds on every kernel: a settled proposal is the fixed-order answer."""
 
     @pytest.mark.parametrize("height", [1, 2, 3, "n-1"])
-    def test_measure_pairs_and_nearest_match_brute_force(self, rng, height):
+    def test_measure_pairs_and_nearest_match_brute_force(self, monkeypatch, rng, height):
         for _ in range(40):
             n, d = int(rng.integers(2, 30)), int(rng.integers(1, 4))
             points = rng.integers(0, 3, (n, d)).astype(np.float64)
-            space = PointSet(points, 0)
-            # the same set measured against several centre counts reuses
-            # (and regrows) its one proposal buffer
+            space = PointSet(points)
+            step = n - 1 if height == "n-1" else height
+            monkeypatch.setattr(clustering, "_block_rows", lambda columns, cells: step)
+            # the same set measured against several centre counts
             for k in (1, int(rng.integers(2, 9)), int(rng.integers(1, 4))):
                 centers = rng.integers(0, 3, (k, d)).astype(np.float64)
-                space.cells = (n - 1 if height == "n-1" else height) * k
                 want = brute_force_sq(points, centers)
                 assert np.array_equal(space.measure(centers), want)
 
@@ -316,7 +318,7 @@ class TestPointSet:
                 assert np.array_equal(space.pairs(chosen, centers, to), want[chosen, to])
 
     def test_one_point(self):
-        space = PointSet(np.array([[1.0, 2.0]]), 1 << 15)
+        space = PointSet(np.array([[1.0, 2.0]]))
         centers = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 0.0]])
         assert space.measure(centers).tolist() == [[4.0, 1.0, 4.0]]
         index, d2 = space.nearest(centers)
@@ -326,10 +328,10 @@ class TestPointSet:
         assert space.k_nearest(centers, 2).tolist() == [[0, 1]]
 
     @pytest.mark.parametrize("n", [1, 2, 37, 300])
-    def test_float_distances_are_the_fixed_order_sum(self, rng, n):
+    def test_float_distances_are_the_fixed_order_sum(self, monkeypatch, rng, n):
         d = int(rng.integers(1, 21))
         points = draw_floats(rng, n, d)
-        space = PointSet(points, 0)
+        space = PointSet(points)
         for k in (1, 2, 97):
             # some centres sit on points, where distances cancel to 0
             centers = draw_floats(rng, k, d)
@@ -337,7 +339,7 @@ class TestPointSet:
             centers[:shared] = points[:shared]
             want = _pairwise_sq(points, centers)
             for cells in (k, 3 * k, 1 << 15):
-                space.cells = cells
+                monkeypatch.setattr(clustering, "_ASSIGN_BLOCK_CELLS", cells)
                 assert space.measure(centers).tobytes() == want.tobytes()
                 rows = rng.integers(0, n, 2 * n + 3)
                 assert space.measure(centers, rows).tobytes() == want[rows].tobytes()
@@ -397,7 +399,7 @@ class TestPointSet:
             assert_k_nearest_ranking(points, centers, [int(rng.integers(1, m + 1))])
             assert measured[-3:] == [n * m] * 3
 
-    def test_k_nearest_refuses_a_point_short_of_k_candidates(self):
+    def test_k_nearest_refuses_a_point_short_of_k_candidates(self, monkeypatch):
         # against the first point, 1e200, every centre but 0 and G overflows
         # its product to NaN.  Those two share a strided group, so fewer than
         # k = 2 groups hold a number, yet both are that point's candidates.
@@ -409,13 +411,14 @@ class TestPointSet:
         centers[[0, groups]] = [[1.0, 0.0], [2.0, 0.0]]
         with np.errstate(over="ignore", invalid="ignore"):
             for cells in (1, 1 << 15):
-                space = PointSet(points, cells)
+                monkeypatch.setattr(clustering, "_K_NEAREST_BLOCK_CELLS", cells)
+                space = PointSet(points)
                 assert space.k_nearest(centers, 2).tolist() == [[0, groups]] * 2
                 with pytest.raises(ValueError, match="^1 of 2 points have fewer than 3 centres"):
                     space.k_nearest(centers, 3)
 
     @pytest.mark.parametrize("kind", ["lattice", "float"])
-    def test_settled_proposals_agree_with_nearest(self, rng, kind):
+    def test_settled_proposals_agree_with_nearest(self, monkeypatch, rng, kind):
         def draw(rows, d):
             if kind == "lattice":
                 return rng.integers(0, 3, (rows, d)).astype(np.float64)
@@ -425,7 +428,8 @@ class TestPointSet:
         for _ in range(30):
             n, d = int(rng.integers(2, 40)), int(rng.integers(1, 21))
             points = draw(n, d)
-            space = PointSet(points, int(rng.integers(2, 200)))
+            monkeypatch.setattr(clustering, "_ASSIGN_BLOCK_CELLS", int(rng.integers(2, 200)))
+            space = PointSet(points)
             for k in (1, 2, int(rng.integers(3, 40))):
                 # some centres sit on points, some near them, some anywhere
                 centers = draw(k, d)
@@ -467,7 +471,7 @@ class TestPointSet:
         # reading them raises no RuntimeWarning (an error in this suite)
         points = np.array([[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1e200, 0.0], [3.0, 4.0]])
         centers = np.array([[0.0, 0.0], [3.0, 4.0], [-3.0, 4.0]])
-        space = PointSet(points, 1 << 15)
+        space = PointSet(points)
         (index, _, _), settled, _ = settled_proposals(space, centers, np.arange(5))
         assert settled.tolist() == [True, False, False, False, True]
         assert index[[0, 4]].tolist() == [0, 1]
@@ -488,7 +492,8 @@ class TestPointSet:
             return index, first, second
 
         monkeypatch.setattr(PointSet, "propose", propose)
-        space = PointSet(points, 16)
+        monkeypatch.setattr(clustering, "_ASSIGN_BLOCK_CELLS", 16)
+        space = PointSet(points)
         (index, first, second), settled, margin = settled_proposals(space, centers, rows)
         assert 0 < settled.sum() < rows.size
         d2 = _pairwise_sq(points[rows], centers)

@@ -43,11 +43,18 @@ def matrix(X, y) -> TrainingMatrix:
     return TrainingMatrix(np.asarray(X, dtype=np.float64), np.asarray(y, dtype=bool))
 
 
+def every_node(features, idx) -> np.ndarray:
+    """The feature table that gives every node of a tree grown on the
+    samples ``idx`` the candidate ``features``, as ``train_tree`` does."""
+    features = np.asarray(features, dtype=np.int64)
+    return np.broadcast_to(features, (2 * len(idx) + 1, features.size))
+
+
 def unpruned_tree(data: TrainingMatrix) -> TreeModel:
     """The tree ``train_tree`` grows on ``data``, before pruning."""
+    idx = np.arange(data.n_rows, dtype=np.int64)
     return TreeModel(data.n_features, [grow_tree_arrays(
-        data.ranks, data.y, np.arange(data.n_rows, dtype=np.int64),
-        np.arange(data.n_features, dtype=np.int64)[None, :])])
+        data.ranks, data.y, idx, every_node(np.arange(data.n_features), idx))])
 
 
 def only_tree(model: TreeModel) -> tuple[np.ndarray, ...]:
@@ -456,7 +463,7 @@ def kernel_cases(draw):
         perms = np.argsort(rng.random((2 * idx.size + 1, d)), axis=1)
         table = np.sort(perms[:, :m], axis=1).astype(np.int64)
     else:
-        table = np.arange(d, dtype=np.int64)[None, :]
+        table = every_node(np.arange(d), idx)
     return X, y, idx, table
 
 
@@ -515,7 +522,7 @@ class TestKernelAgainstReference:
         X = np.array([[lo], [hi], [5.0], [6.0]])
         y = np.array([True, False, False, False])
         idx = np.array(idx, dtype=np.int64)
-        table = np.zeros((1, 1), dtype=np.int64)
+        table = every_node([0], idx)
         fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
         slow = reference_grow(X, y, idx, table)
         assert fast[0][0] == 0 and fast[1][0] == hi
@@ -532,7 +539,7 @@ class TestKernelAgainstReference:
         X = np.tile([[lo], [hi], [5.0], [6.0]], (tile, 1))
         y = np.tile([True, False, False, False], tile)
         idx = np.arange(4 * tile, dtype=np.int64)
-        table = np.zeros((1, 1), dtype=np.int64)
+        table = every_node([0], idx)
         fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
         assert fast[0][0] == 0 and fast[1][0] == lo and fast[4][1] == tile
         assert bool(counted_splits) == (tile > 1)
@@ -546,7 +553,7 @@ class TestKernelAgainstReference:
         X = np.tile([[1e308], [1.5e308], [1.7e308]], (tile, 1))
         y = np.tile([True, False, False], tile)
         idx = np.arange(3 * tile, dtype=np.int64)
-        table = np.zeros((1, 1), dtype=np.int64)
+        table = every_node([0], idx)
         fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
         assert fast[0].tolist() == [-1]
         assert bool(counted_splits) == (tile > 1)
@@ -567,9 +574,9 @@ class TestKernelAgainstReference:
         assert feature.tolist() == [-1]
         assert (node_n[0], node_pos[0]) == (2, 1)
         assert predict(model, X)[1].tolist() == [0.5, 0.5]
-        table = np.zeros((1, 1), dtype=np.int64)
         for rows in ([0, 1], [0, 0, 1], [0, 1, 1]):
             idx = np.array(rows, dtype=np.int64)
+            table = every_node([0], idx)
             for a, b in zip(grow_tree_arrays(RankTable.of(X), y, idx, table),
                             reference_grow(X, y, idx, table)):
                 assert np.array_equal(a, b)
@@ -588,7 +595,7 @@ class TestKernelAgainstReference:
             X[X[:, 3] == 0, 3] = 1 + 2**-52
             X[X[:, 3] == 1, 3] = 1 + 2**-51
         for idx in (np.arange(200), rng.integers(0, 200, size=200)):
-            for table in (np.arange(4)[None, :], np.array([[3]])):
+            for table in (every_node(np.arange(4), idx), every_node([3], idx)):
                 counted_splits.clear()
                 fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
                 same_arrays(fast, reference_grow(X, y, idx, table))
@@ -601,7 +608,7 @@ class TestKernelAgainstReference:
         X = np.array([[0.0], [0.0], [5.0], [math.inf]])
         y = np.array([False, False, True, False])
         idx = np.arange(4, dtype=np.int64)
-        table = np.zeros((1, 1), dtype=np.int64)
+        table = every_node([0], idx)
         fast = grow_tree_arrays(RankTable.of(X), y, idx, table)
         for a, b in zip(fast, reference_grow(X, y, idx, table)):
             assert np.array_equal(a, b)
@@ -639,7 +646,7 @@ class TestCountingAgainstSorting:
         data = pool(np.random.default_rng(values), n, values)
         assert values * 0.8 < data.ranks.values.size / 20 <= values
         idx = np.arange(n, dtype=np.int64)
-        table = np.arange(20, dtype=np.int64)[None, :]
+        table = every_node(np.arange(20), idx)
         same_arrays(grow_tree_arrays(data.ranks, data.y, idx, table),
                     sorting_grow(data.X, data.y, idx, table))
         assert counted_splits
