@@ -20,6 +20,13 @@ groups are derived from the columns and cached.  A CSV file enters through
 text read by :func:`read_text`, the one reader of every input file; hand-made
 or generated data through :meth:`Dataset.from_cases`, a name and one plain
 ``(class_name, metric_values, bug_count)`` tuple per case.
+
+A file's text is read whole, but its rows are cut into cells and mapped
+into the columns one chunk of about :data:`_CHUNK_CHARS` characters at a
+time, and :func:`serialize_dataset` formats them back in chunks of as many
+rows.  So loading holds the text, the dataset being built and the cells of
+a chunk or two, never those of the whole file; writing holds the dataset
+and the row texts of one chunk.
 """
 
 from __future__ import annotations
@@ -461,40 +468,74 @@ class _Cells(dict):
 #: cells per data row
 _WIDTH = len(PROMISE_HEADER)
 
+#: characters of CSV text that a reader cuts into cells at once, about 175
+#: rows of the benchmark twin; the writer formats rows in chunks of as many
+#: rows as this many characters can hold (see :func:`serialize_dataset`).
+#: Peak RSS of the benchmark (seed 0, two runs each, one Xeon core) grows
+#: with it: 2^14, 2^15, 2^16, 2^17 and 2^18 characters gave 58.7, 58.9,
+#: 59.1, 59.2 and 60.6 MB on ``grid`` (67.4 MB with whole-file cutting) and
+#: 76.3, 76.6, 76.6, 76.7 and 77.9 MB on ``select`` (88.5 MB).  Loading the
+#: seed-0 twin took a median 229 ms at 2^14, 2^15 and 2^16 alike (14
+#: alternating loads in one process), and 239 ms at 2^13.
+_CHUNK_CHARS = 1 << 14
 
-def _split_plain(text: str) -> tuple[list[str], list[str]] | None:
-    r"""The header and the row-major data cells of ``text``, cut at line
-    breaks and commas, when that is exactly what :func:`csv.reader` reads
-    and every data row is one line of ``_WIDTH`` cells; else None.
 
-    Cutting is exact when the text has no double quote and no NUL (which
-    Python 3.10's csv rejects), no carriage return once each ``"\r\n"`` is
-    folded to ``"\n"``, no blank first line and no line longer than
-    :func:`csv.field_size_limit`.  Lines end at ``"\n"`` alone, as csv ends
-    them (``str.splitlines`` would also end them at ``"\x1c"``, ``"\x85"``,
-    ``"\u2028"`` and others).  A blank line after the header is a row of
-    one cell, so text with one is not cut either.
+class _NotPlain(Exception):
+    """Cutting at line breaks and commas met text that only
+    :func:`csv.reader` reads right."""
+
+
+def _plain_header(text: str) -> list[str] | None:
+    r"""The header cells of ``text`` when its rows may be cut by
+    :func:`_split_plain`, else None.
+
+    That needs text with no double quote and no NUL (which Python 3.10's
+    csv rejects), no carriage return outside a ``"\r\n"``, and a first line
+    that is not blank and no longer than :func:`csv.field_size_limit`.
     """
-    if '"' in text or "\x00" in text:
-        return None
-    text = text.replace("\r\n", "\n")
-    if (not text or text[0] == "\n" or "\r" in text
-            or max(map(len, text.split("\n"))) > csv.field_size_limit()):
+    if not text or '"' in text or "\x00" in text or text.count("\r") != text.count("\r\n"):
         return None
     end = text.find("\n")
-    header = (text if end < 0 else text[:end]).split(",")
-    # one row per line after the header; a line break starts a cell and no
-    # cell holds two, so when the rows' first cells hold all the breaks,
-    # each row is one line
-    final_break = text.endswith("\n")
-    rows = text.count("\n") - final_break
-    cells = text.replace("\n", ",\n").split(",")
-    del cells[:len(header)]
-    if final_break:
-        cells.pop()  # the final line break, alone
-    if len(cells) != rows * _WIDTH or "".join(cells[::_WIDTH]).count("\n") != rows:
+    line = (text if end < 0 else text[:end]).replace("\r", "")
+    if not line or len(line) > csv.field_size_limit():
         return None
-    return header, cells
+    return line.split(",")
+
+
+def _split_plain(text: str) -> Iterator[list[str]]:
+    r"""The row-major data cells of ``text`` (whose header
+    :func:`_plain_header` accepts), cut at line breaks and commas, one chunk
+    of rows at a time.  Raises :class:`_NotPlain` at the first chunk where
+    that is not exactly what :func:`csv.reader` reads, one line per row of
+    ``_WIDTH`` cells: a line longer than :func:`csv.field_size_limit`, or a
+    row of another width (a blank line is a row of one cell).
+
+    A chunk runs from a line break to the first line break at least
+    :data:`_CHUNK_CHARS` characters on, so every row's first cell starts
+    with its ``"\n"``.  Each ``"\r\n"`` is folded to ``"\n"``.  Lines end at
+    ``"\n"`` alone, as csv ends them (``str.splitlines`` would also end them
+    at ``"\x1c"``, ``"\x85"``, ``"\u2028"`` and others).
+    """
+    limit = csv.field_size_limit()
+    start = text.find("\n")
+    # the final line break ends the last row and starts none
+    end = len(text) - (2 if text.endswith("\r\n") else text.endswith("\n"))
+    while 0 <= start < end:
+        stop = text.find("\n", start + _CHUNK_CHARS, end)
+        if stop < 0:
+            stop = end
+        chunk = text[start:stop].replace("\r", "")  # each "\r" ends a "\r\n"
+        if len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit:
+            raise _NotPlain
+        # a line break starts a cell and no cell holds two, so when the
+        # rows' first cells hold all the breaks, each row is one line
+        rows = chunk.count("\n")
+        cells = chunk.replace("\n", ",\n").split(",")
+        del cells[0]  # the empty text before the chunk's first line break
+        if len(cells) != rows * _WIDTH or "".join(cells[::_WIDTH]).count("\n") != rows:
+            raise _NotPlain
+        yield cells
+        start = stop
 
 
 #: one line and its line end, cut as a file opened with ``newline=""``
@@ -510,47 +551,60 @@ def _lines(text: str) -> Iterator[str]:
     return (line.group() for line in _LINE.finditer(text))
 
 
-def _first_bad_row(text: str, cells: _Cells, bugs: _Cells) -> ParseError:
-    """The error of the first bad data row of ``text`` (which csv reads
-    without error) in file order, blank lines counted: its width, else its
-    first bad metric cell, else its bug count."""
-    rows = csv.reader(_lines(text))
-    next(rows)  # the header, already checked
-    for row_no, row in enumerate(rows, start=1):
-        if not row:
-            continue
-        try:
-            if len(row) != _WIDTH:
-                raise ParseError(f"expected {_WIDTH} cells, got {len(row)}")
-            for cell in row[3:-1]:
-                cells[cell]
-            bugs[row[-1]]
-        except ParseError as exc:
-            return ParseError(f"row {row_no}: {exc}")
-    raise RuntimeError("a row failed to convert, yet every row parses")
-
-
-def _csv_cells(text: str) -> list[str] | None:
+def _csv_cells(text: str) -> Iterator[list[str] | None]:
     """The row-major data cells of ``text`` as :func:`csv.reader` reads them
-    from a file opened with ``newline=""``, once the header is checked; None
-    when a data row has the wrong width.  Rows are read to the end either
-    way, so a line csv cannot read is reported before any bad row."""
+    from a file opened with ``newline=""``, once the header is checked, in
+    chunks of rows whose cells hold :data:`_CHUNK_CHARS` characters or a
+    row more.  A row of the wrong width yields None and ends the chunks.
+    A line csv cannot read raises :class:`ParseError` when it is reached."""
     reader = csv.reader(_lines(text))
-    cells: list[str] = []
-    widths_ok = True
     try:
         header = next(reader, None)
         if header is None:
             raise EmptyDatasetError("no header row")
         _check_header(header)
+        cells: list[str] = []
+        size = 0
         for row in reader:
             if len(row) == _WIDTH:
                 cells += row
+                size += sum(map(len, row))
+                if size >= _CHUNK_CHARS:
+                    yield cells
+                    cells, size = [], 0
             elif row:  # a blank line is an empty row, and adds no cell
-                widths_ok = False
+                yield None
+                return
+        yield cells
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    return cells if widths_ok else None
+
+
+def _first_bad_row(text: str, cells: _Cells, bugs: _Cells) -> ParseError:
+    """The error to report for ``text``, which holds a bad data row: a
+    line :func:`csv.reader` cannot read, wherever it is, else the first bad
+    row in file order, blank lines counted: its width, else its first bad
+    metric cell, else its bug count."""
+    reader = csv.reader(_lines(text))
+    first = None
+    try:
+        next(reader)  # the header, already checked
+        for row_no, row in enumerate(reader, start=1):
+            if first is not None or not row:
+                continue  # read to the end, for a line csv cannot read
+            try:
+                if len(row) != _WIDTH:
+                    raise ParseError(f"expected {_WIDTH} cells, got {len(row)}")
+                for cell in row[3:-1]:
+                    cells[cell]
+                bugs[row[-1]]
+            except ParseError as exc:
+                first = ParseError(f"row {row_no}: {exc}")
+    except csv.Error as exc:
+        return ParseError(f"line {reader.line_num}: {exc}")
+    if first is None:
+        raise RuntimeError("a row failed to convert, yet every row parses")
+    return first
 
 
 def parse_dataset(source: IO[str], name: str) -> Dataset:
@@ -562,12 +616,15 @@ def _parse_text(text: str, name: str) -> Dataset:
     """Parse the text of one CSV file into the dataset called ``name``.
 
     Text that needs none of csv's quoting or line-break rules (see
-    :func:`_split_plain`) is cut with ``str.split``; any other text is read
-    by :func:`csv.reader`, its lines cut as a file opened with
-    ``newline=""`` cuts them.  Both give one flat, row-major list of cells,
-    the columns are sliced off it, and every metric cell is mapped to its
-    value id in one pass, so the value table lists the values in the order
-    they first occur, row by row.
+    :func:`_plain_header` and :func:`_split_plain`) is cut with
+    ``str.split``; any other text, or plain-looking text that turns out to
+    need them, is read by :func:`csv.reader`, its lines cut as a file opened
+    with ``newline=""`` cuts them.  Either way the data rows come in chunks
+    of about :data:`_CHUNK_CHARS` characters, each a flat, row-major list of
+    cells.  Each chunk's columns are sliced off it and its metric cells
+    mapped to their value ids before the next chunk is cut, so the value
+    table lists the values in the order they first occur, row by row, and
+    the cells of no more than two chunks are alive at once.
 
     A header-only file is the dataset with no cases (how
     :func:`write_corpus` writes a dataset cleaned to nothing).  Raises
@@ -580,34 +637,48 @@ def _parse_text(text: str, name: str) -> Dataset:
     one is reported: its width, else its first bad metric cell, else its
     bug count.
     """
+    header = _plain_header(text)
+    if header is not None:
+        _check_header(header)
+        try:
+            return _dataset(text, name, _split_plain(text))
+        except _NotPlain:
+            pass
+    return _dataset(text, name, _csv_cells(text))
+
+
+def _dataset(text: str, name: str, chunks: Iterable[list[str] | None]) -> Dataset:
+    """The dataset of ``text`` from its data cells in ``chunks``, where None
+    marks a row of the wrong width; on a bad row, :func:`_first_bad_row`
+    finds the error to raise."""
     # Each distinct cell text is parsed and checked once, and equal values
     # share one table entry, whatever their spelling.  Only a bad row makes
     # csv's rows be walked one by one, to report the first bad one.
     index: dict[Decimal, int] = {}
-    cells = _Cells(lambda text: index.setdefault(canonicalize_metric(text), len(index)))
+    cells = _Cells(lambda cell: index.setdefault(canonicalize_metric(cell), len(index)))
     bugs = _Cells(_parse_bug_count)
-    plain = _split_plain(text)
-    if plain is None:
-        texts = _csv_cells(text)
+    class_names: list[str] = []
+    value_ids = [np.empty(0, dtype=np.int32)]
+    bug_counts = [np.empty(0, dtype=np.int64)]
+    for texts in chunks:
         if texts is None:
             raise _first_bad_row(text, cells, bugs)
-    else:
-        header, texts = plain
-        _check_header(header)
-    rows = len(texts) // _WIDTH
-    class_names = tuple(texts[2::_WIDTH])
-    # drop the project, release and class name columns, then the bug counts
-    del texts[0::_WIDTH], texts[0::_WIDTH - 1], texts[0::_WIDTH - 2]
-    bug_texts = texts[N_METRICS::N_METRICS + 1]
-    del texts[N_METRICS::N_METRICS + 1]
-    try:
-        value_ids = np.fromiter(
-            map(cells.__getitem__, texts), dtype=np.int32, count=rows * N_METRICS,
-        ).reshape(rows, N_METRICS)
-        bug_counts = np.fromiter(map(bugs.__getitem__, bug_texts), dtype=np.int64, count=rows)
-    except ParseError:
-        raise _first_bad_row(text, cells, bugs) from None
-    return Dataset(name, class_names, tuple(index), value_ids, bug_counts)
+        rows = len(texts) // _WIDTH
+        class_names += texts[2::_WIDTH]
+        # drop the project, release and class name columns, then the bug counts
+        del texts[0::_WIDTH], texts[0::_WIDTH - 1], texts[0::_WIDTH - 2]
+        bug_texts = texts[N_METRICS::N_METRICS + 1]
+        del texts[N_METRICS::N_METRICS + 1]
+        try:
+            value_ids.append(np.fromiter(
+                map(cells.__getitem__, texts), dtype=np.int32, count=rows * N_METRICS))
+            bug_counts.append(np.fromiter(map(bugs.__getitem__, bug_texts), dtype=np.int64, count=rows))
+        except ParseError:
+            raise _first_bad_row(text, cells, bugs) from None
+    return Dataset(
+        name, tuple(class_names), tuple(index),
+        np.concatenate(value_ids).reshape(-1, N_METRICS), np.concatenate(bug_counts),
+    )
 
 
 def _csv_field(text: str) -> str:
@@ -637,18 +708,25 @@ def serialize_dataset(dataset: Dataset, stream: IO[str]) -> None:
     every row), the class name, the metric cells joined by commas, and the
     bug count, ended by ``"\n"``.  Metric cells and bug counts never need
     quoting, and the text fields are quoted as csv quotes them (see
-    :func:`_csv_field`).  Rows are streamed one by one, never joined into
-    one string.
+    :func:`_csv_field`).  Rows are formatted and streamed in chunks of as
+    many rows as a reader's chunk can hold (:data:`_CHUNK_CHARS` over
+    ``_WIDTH``, since every cell ends with a comma or a line break), so the
+    cell texts of one chunk at most are held at a time, and the rows are
+    never joined into one string.
     """
     texts = np.array([canonical_str(v) for v in dataset.values], dtype=object)
     lead = f"{_csv_field(dataset.project)},{_csv_field(dataset.release)},"
     stream.write(",".join(PROMISE_HEADER) + "\n")
-    stream.writelines(
-        f"{lead}{_csv_field(class_name)},{','.join(cells)},{bug}\n"
-        for class_name, cells, bug in zip(
-            dataset.class_names, texts[dataset.value_ids].tolist(), dataset.bug_counts.tolist()
+    step = max(1, _CHUNK_CHARS // _WIDTH)
+    for start in range(0, dataset.case_count, step):
+        rows = slice(start, start + step)
+        stream.writelines(
+            f"{lead}{_csv_field(class_name)},{','.join(cells)},{bug}\n"
+            for class_name, cells, bug in zip(
+                dataset.class_names[rows], texts[dataset.value_ids[rows]].tolist(),
+                dataset.bug_counts[rows].tolist(),
+            )
         )
-    )
 
 
 def read_text(path: Path) -> str:

@@ -21,12 +21,13 @@ from defectclean.learners.tree import GAIN_EPS, LOW, entropy_table
 
 
 def reference_grow(X, y, sample_idx, feature_table):
-    """Same contract and output as ``grow_tree_arrays``."""
+    """The output of ``grow_tree_arrays``, from the float matrix ``X``
+    instead of its rank table.  As in the kernel, ``feature_table[j]``
+    holds node j's candidate features, one row per node."""
     X = np.asarray(X, dtype=np.float64)
     y = [int(v) for v in np.asarray(y, dtype=np.int64)]
     idx = [int(i) for i in sample_idx]
     table = entropy_table(len(idx)).tolist()
-    rows = [[int(f) for f in row] for row in feature_table]
 
     nodes: dict[int, list] = {}  # id -> [feature, threshold, left, right, n, pos]
     stack = [(0, 0, len(idx))]
@@ -42,7 +43,7 @@ def reference_grow(X, y, sample_idx, feature_table):
 
         best_f, best_t, best_ratio = -1, 0.0, -1.0
         first_f, first_t = -1, 0.0
-        for f in rows[node if len(rows) > 1 else 0]:
+        for f in map(int, feature_table[node]):
             ordered = sorted(members, key=lambda s: X[s, f])
             pl = 0
             for i in range(n - 1):
@@ -91,8 +92,10 @@ def sorting_grow(
     sample_idx: np.ndarray,
     feature_table,
 ) -> tuple[np.ndarray, ...]:
-    """Same contract and output as ``grow_tree_arrays``, sorting at
-    every node."""
+    """The output of ``grow_tree_arrays``, from the float matrix ``X``
+    instead of its rank table, sorting at every node.  As in the kernel,
+    ``feature_table[j]`` holds node j's candidate features, one row per
+    node."""
     rows, counts = np.unique(sample_idx, return_counts=True)
     columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64)[rows].T)
     n = int(sample_idx.shape[0])
@@ -118,7 +121,7 @@ def sorting_grow(
         if not 0 < pos < n_node:
             continue
 
-        feats = feature_table[node if len(feature_table) > 1 else 0]
+        feats = feature_table[node]
         segment = members[start:end]
         values = columns[feats[:, None], segment]
         # ties may come out in any order: the class counts below are taken

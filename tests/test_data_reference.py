@@ -8,20 +8,25 @@ text the two must agree: equal datasets (cases, float features, labels,
 feature groups) or the same exception class with the same message.
 ``serialize_dataset`` builds each row as one string and ``canonical_str``
 formats without a ``Decimal`` context; on any dataset they must write the
-bytes of the ``csv.writer`` reference, or raise what it raises.
+bytes of the ``csv.writer`` reference, or raise what it raises.  Both
+read and write in chunks of rows; the tests draw the chunk size too, down
+to one character, so chunk boundaries fall on every kind of line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from decimal import Decimal
 
+from defectclean import data as data_module
 from defectclean.data import (
     Dataset, N_METRICS, PROMISE_HEADER, ParseError, canonical_str, metric_float, parse_dataset,
     row_keys, serialize_dataset,
@@ -55,6 +60,18 @@ BAD_BUGS = ("1.5", "-1", "x", "1e400", "1e30", "")
 #: class names csv never quotes, then ones it quotes
 PLAIN_NAMES = ("a.B", "org.x.Y", "  padded ", "caf\u00e9\u2028\x85\x1c")
 CLASS_NAMES = PLAIN_NAMES + ("with,comma", 'with "quote"', "a,b,c")
+
+
+#: chunk sizes in characters: one character (a row per chunk), a row or
+#: a few, and the default
+CHUNK_CHARS = st.integers(1, 300) | st.just(data_module._CHUNK_CHARS)
+
+
+@contextmanager
+def chunk_chars(chars: int):
+    """Read and write in chunks of ``chars`` characters."""
+    with mock.patch.object(data_module, "_CHUNK_CHARS", chars):
+        yield
 
 
 def csv_line(cells: list[str], eol: str = "\n") -> str:
@@ -163,9 +180,14 @@ LIMIT = csv.field_size_limit()
 
 class TestParseAgainstReference:
     @settings(max_examples=400, deadline=None)
-    @given(csv_documents(), st.sampled_from(["named1.0", "xercesinit"]))
-    def test_same_dataset_or_same_error(self, text, name):
-        assert_same_parse(text, name)
+    @given(csv_documents(), st.sampled_from(["named1.0", "xercesinit"]), CHUNK_CHARS)
+    # a bad metric cell in the first chunk, and a line csv cannot read in
+    # the next one: the line is reported
+    @example(H + "\n" + ",".join(["p", "1", "C"] + ["z"] * 21) + "\n"
+             + plain_row("x" * (LIMIT + 1)) + "\n", "named1.0", 1)
+    def test_same_dataset_or_same_error(self, text, name, chunk):
+        with chunk_chars(chunk):
+            assert_same_parse(text, name)
 
     @pytest.mark.parametrize("text", [
         pytest.param(H + "\r\n" + ROW + "\r\n" + ROW + "\r\n", id="crlf"),
@@ -203,12 +225,15 @@ class TestParseAgainstReference:
     def test_plain_and_csv_edge_cases(self, text):
         assert_same_parse(text)
 
+    @pytest.mark.parametrize("chunk", [1, data_module._CHUNK_CHARS])
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     @pytest.mark.parametrize("where", ["line", "field"])
-    def test_at_the_field_size_limit(self, extra, where):
-        # a line of LIMIT characters, or a field of LIMIT, give or take one
+    def test_at_the_field_size_limit(self, extra, where, chunk):
+        # a line of LIMIT characters, or a field of LIMIT, give or take one,
+        # in the first chunk of rows or in a later one
         fill = LIMIT + extra - (len(plain_row("")) if where == "line" else 0)
-        assert_same_parse(H + "\n" + plain_row("x" * fill) + "\n" + ROW + "\n")
+        with chunk_chars(chunk):
+            assert_same_parse(H + "\n" + ROW + "\n" + plain_row("x" * fill) + "\n" + ROW + "\n")
 
     @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x1c", "\x0b", "\x0c"])
     def test_a_field_over_the_limit_split_by_a_unicode_line_break(self, separator):
@@ -315,9 +340,10 @@ class TestSerializeAgainstReference:
         assert canonical_str(value) == reference_canonical_str(value)
 
     @settings(max_examples=250, deadline=None)
-    @given(text_datasets())
-    def test_same_bytes_as_the_csv_writer(self, ds):
-        assert written(serialize_dataset, ds) == written(reference_serialize, ds)
+    @given(text_datasets(), CHUNK_CHARS)
+    def test_same_bytes_as_the_csv_writer(self, ds, chunk):
+        with chunk_chars(chunk):
+            assert written(serialize_dataset, ds) == written(reference_serialize, ds)
 
     @pytest.mark.parametrize("class_name", [
         "a,b", 'say "x"', " lead", "", "line\nbreak", "\x00", "caf\u00e9", "\u2028", "a\rb",
@@ -327,11 +353,12 @@ class TestSerializeAgainstReference:
         assert written(serialize_dataset, ds) == written(reference_serialize, ds)
 
     @settings(max_examples=150, deadline=None)
-    @given(text_datasets())
-    def test_parse_reads_back_what_serialize_writes(self, ds):
-        text, error = written(serialize_dataset, ds)
-        if error is None:
-            assert_same_dataset(parse_dataset(io.StringIO(text), name=ds.name), ds)
+    @given(text_datasets(), CHUNK_CHARS)
+    def test_parse_reads_back_what_serialize_writes(self, ds, chunk):
+        with chunk_chars(chunk):
+            text, error = written(serialize_dataset, ds)
+            if error is None:
+                assert_same_dataset(parse_dataset(io.StringIO(text), name=ds.name), ds)
 
     def test_bare_carriage_return_in_a_class_name_reads_back(self):
         # unquoted, csv.reader would read the bare "\r" as a line break
