@@ -27,7 +27,7 @@ config = ExperimentConfig(
     seed=1,
     forest_trees=10,  # irrelevant here, kept small out of habit
 )
-run = run_experiment(config, corpus=corpus)
+run = run_experiment(config, corpus)
 
 print(f"{len(run.results)} grid cells "
       f"(5 targets x 3 filters x 2 learners x 2 metrics)\n")

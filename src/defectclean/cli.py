@@ -8,7 +8,7 @@ Subcommands:
 * ``select``: run one training-data filter for one target and print the
   selection as JSON.
 * ``experiment``: run a configured original-vs-cleaned experiment grid and
-  write the change-rate reports.
+  write the change-rate reports; ``corpus`` is read from the config's directory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .cleaning import clean_corpus
-from .data import Dataset, ParseError, load_corpus, load_dataset, read_text, write_corpus
+from .data import CorpusError, Dataset, ParseError, load_corpus, load_dataset, read_text, write_corpus
 from .harness import parse_config, run_experiment
 from .quality import corpus_quality, within_quality
 from .reports import (
@@ -229,12 +229,16 @@ def _cmd_select(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     text = read_text(args.config)  # a decode error names the file already
     try:
-        config = parse_config(text, base_dir=args.config.parent)
+        config = parse_config(text)
         if config.corpus_dir is None:
             raise ValueError("missing key 'corpus'")
     except ValueError as exc:
         raise ValueError(f"{args.config.name}: {exc}") from None
-    run = run_experiment(config)
+    try:
+        corpus = load_corpus(args.config.parent / config.corpus_dir)
+    except CorpusError as exc:  # a CSV's own error names its file instead
+        raise CorpusError(f"{args.config.name}: {exc}") from None
+    run = run_experiment(config, corpus)
     paths = write_experiment_reports(run, args.out)
     defined = sum(1 for r in run.results if r.change_percent is not None)
     print(

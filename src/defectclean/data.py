@@ -760,10 +760,11 @@ def load_corpus(directory: str | Path) -> Corpus:
     corpus in sorted name order, so the order is the same on every platform."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise CorpusError(f"corpus directory {str(directory)!r} does not exist")
+        state = "is not a directory" if directory.exists() else "does not exist"
+        raise CorpusError(f"corpus directory {str(directory)!r} {state}")
     datasets = [load_dataset(path) for path in sorted(directory.glob("*.csv"))]
     if not datasets:
-        raise CorpusError(f"no CSV datasets found in {directory}")
+        raise CorpusError(f"no CSV datasets found in {str(directory)!r}")
     return Corpus(tuple(datasets))
 
 

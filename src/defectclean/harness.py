@@ -25,7 +25,8 @@ Config files are plain ``key = value`` lines, one key per
 :class:`ExperimentConfig` field (:data:`CONFIG_KEYS`); lists are
 comma-separated, ``#`` starts a comment, and lines end as in the CSVs.
 :func:`parse_config` sets and checks each line's value as it reads it, so
-a bad value fails at its own line.
+a bad value fails at its own line.  ``corpus`` is kept as written and only
+recorded: the caller loads the corpus and hands it to :func:`run_experiment`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from .cleaning import clean_corpus
-from .data import METRIC_NAMES, Corpus, Dataset, load_corpus
+from .data import METRIC_NAMES, Corpus, Dataset
 from .evaluation import ConfusionMatrix, auc, change_rate, f_measure
 from .learners import LEARNER_NAMES, FeatureTooLargeError, TrainingMatrix, predict, train
 from .rng import derive_seed
@@ -173,7 +174,7 @@ class ExperimentRun:
     dataset_sizes: Mapping[str, Mapping[str, int]]
 
 
-def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
+def parse_config(text: str) -> ExperimentConfig:
     r"""Parse the key=value config format; unknown keys are errors.
 
     Lines end as csv ends them (``"\n"``, ``"\r\n"`` or ``"\r"``), so a
@@ -200,20 +201,19 @@ def parse_config(text: str, base_dir: Path | None = None) -> ExperimentConfig:
         seen.add(key)
         field = by_key[key]
         try:
-            parsed = _parse_value(key, field.type, value, base_dir)
+            parsed = _parse_value(key, field.type, value)
             config = replace(config, **{field.name: parsed})
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
     return config
 
 
-def _parse_value(key: str, kind: str, value: str, base_dir: Path | None) -> object:
+def _parse_value(key: str, kind: str, value: str) -> object:
     """One config value, parsed by the annotated type of its field."""
     if kind == "Path | None":
         if not value:
             raise ValueError(f"{key}: expected a directory, got {value!r}")
-        path = Path(value)
-        return base_dir / path if base_dir is not None and not path.is_absolute() else path
+        return Path(value)
     if kind == "tuple[str, ...] | str" and value == "all":
         return value
     if kind.startswith("tuple[str, ...]"):
@@ -413,14 +413,9 @@ def _worker_count() -> int:
     return max(1, count)
 
 
-def run_experiment(config: ExperimentConfig, corpus: Corpus | None = None) -> ExperimentRun:
-    """Execute the full grid; deterministic for a given config and corpus."""
+def run_experiment(config: ExperimentConfig, corpus: Corpus) -> ExperimentRun:
+    """Execute the full grid on ``corpus``; deterministic for a given config and corpus."""
     started = time.monotonic()
-    if corpus is None:
-        if config.corpus_dir is None:
-            raise ValueError("config names no corpus directory and no corpus was given")
-        corpus = load_corpus(config.corpus_dir)
-
     targets = [ds.name for ds in corpus] if config.targets == "all" else list(config.targets)
     for name in targets:
         corpus.get(name)  # raises CorpusError for unknown targets

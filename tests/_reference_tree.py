@@ -11,9 +11,15 @@ bit on every tree.
 node argsorts its candidate features, however many rows it holds.  It is
 fast enough to check the kernel on pools of thousands of rows, where the
 scalar scan is too slow.
+
+``reference_prune`` is C4.5's pessimistic-error pruning as the plain
+recursion it is usually written as, with its own error bound and its own
+confidence, for the bottom-up array pass of ``prune_tree``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -196,3 +202,77 @@ def reference_predict(node_feature, node_threshold, node_left, node_right,
                 node = node_right[node]
         out[r] = node_pos[node] / node_n[node]
     return out
+
+
+#: C4.5's default confidence for its pessimistic error bound
+PRUNE_CONFIDENCE = 0.25
+
+
+def _normal_quantile(p: float) -> float:
+    """The x with Phi(x) = p, by bisection on ``math.erf``."""
+    lo, hi = -10.0, 10.0
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            return mid
+        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < p:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _upper_errors(count: int, errors: int, z: float) -> float:
+    """C4.5's pessimistic error count: ``count`` times the upper end of the
+    normal-approximation (Wilson) interval of the error rate, taken at the
+    observed errors plus a half for continuity, and capped at every case."""
+    rate = min(1.0, (errors + 0.5) / count)
+    z2 = z * z
+    centre = rate + z2 / (2 * count)
+    spread = z * math.sqrt(rate * (1.0 - rate) / count + z2 / (4 * count * count))
+    return count * min(1.0, (centre + spread) / (1.0 + z2 / count))
+
+
+def reference_prune(node_feature, node_threshold, node_left, node_right,
+                    node_n, node_pos) -> tuple[np.ndarray, ...]:
+    """The output of ``prune_tree``, without touching its inputs.
+
+    Each subtree is pruned below its root first; the root then becomes a
+    leaf when a leaf's pessimistic errors are at most the sum over the
+    pruned subtree's leaves.  The nodes still reachable keep their old
+    order, with their child ids renumbered."""
+    feature = [int(v) for v in node_feature]
+    left = [int(v) for v in node_left]
+    right = [int(v) for v in node_right]
+    n = [int(v) for v in node_n]
+    pos = [int(v) for v in node_pos]
+    z = _normal_quantile(1.0 - PRUNE_CONFIDENCE)
+
+    def prune(node: int) -> float:
+        """Prune the subtree at ``node``; return its pessimistic errors."""
+        as_leaf = _upper_errors(n[node], min(pos[node], n[node] - pos[node]), z)
+        if feature[node] == -1:
+            return as_leaf
+        below = prune(left[node]) + prune(right[node])
+        if as_leaf <= below:
+            feature[node] = left[node] = right[node] = -1
+            return as_leaf
+        return below
+
+    def reachable(node: int) -> list[int]:
+        if feature[node] == -1:
+            return [node]
+        return [node, *reachable(left[node]), *reachable(right[node])]
+
+    prune(0)
+    kept = sorted(reachable(0))
+    new_id = {old: new for new, old in enumerate(kept)}
+    columns = (
+        [feature[k] for k in kept],
+        [float(node_threshold[k]) if feature[k] != -1 else 0.0 for k in kept],
+        [new_id[left[k]] if feature[k] != -1 else -1 for k in kept],
+        [new_id[right[k]] if feature[k] != -1 else -1 for k in kept],
+        [n[k] for k in kept],
+        [pos[k] for k in kept],
+    )
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
+    return tuple(np.array(col, dtype=t) for col, t in zip(columns, dtypes))

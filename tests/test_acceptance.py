@@ -359,19 +359,19 @@ def test_criterion_7_experiment_sensitivity(tmp_path):
     )
 
     noisy = _flip_corpus(with_junk=True)
-    run = run_experiment(config, corpus=noisy)
+    run = run_experiment(config, noisy)
     fm = {(r.filter_name, r.metric): r for r in run.results}[("burak", "fmeasure")]
     assert fm.original is not None and fm.original > 0
     assert fm.change_percent is not None
     assert fm.change_percent != 0
 
-    again = run_experiment(config, corpus=noisy)
+    again = run_experiment(config, noisy)
     first = json.dumps(experiment_json(run), indent=2, sort_keys=True)
     second = json.dumps(experiment_json(again), indent=2, sort_keys=True)
     assert first == second
 
     quiet = _flip_corpus(with_junk=False)
-    clean_run = run_experiment(config, corpus=quiet)
+    clean_run = run_experiment(config, quiet)
     for row in clean_run.results:
         assert row.original == row.cleaned
         assert row.change_percent == 0.0 or (
@@ -396,9 +396,9 @@ def test_criterion_7_desk_scale_reproducibility(real_corpus):
         sample_cap=500,
     )
     started = time.perf_counter()
-    first = run_experiment(config, corpus=real_corpus)
+    first = run_experiment(config, real_corpus)
     elapsed = time.perf_counter() - started
-    second = run_experiment(config, corpus=real_corpus)
+    second = run_experiment(config, real_corpus)
     a = json.dumps(experiment_json(first), indent=2, sort_keys=True)
     b = json.dumps(experiment_json(second), indent=2, sort_keys=True)
     assert a == b

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import shutil
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -472,17 +474,53 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "results.json").exists()
 
-    def test_bad_config_fails_cleanly(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
+    def test_reports_do_not_depend_on_where_the_run_starts(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        home = tmp_path / "a"
+        shutil.copytree(corpus_dir, home / "corpus")
+        (home / "exp.cfg").write_text(
+            "corpus = corpus\ntargets = beta2.0\nfilters = global, burak\n"
+            "learners = naive_bayes, decision_tree\n"
+        )
+        # the same files elsewhere, with every CSV line ending in CRLF
+        copy = tmp_path / "b"
+        shutil.copytree(home, copy)
+        for csv in (copy / "corpus").glob("*.csv"):
+            csv.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
+        runs = (
+            (home, "exp.cfg"),  # from the config's directory
+            (tmp_path, "a/exp.cfg"),  # from its parent
+            (copy, "exp.cfg"),
+        )
+        outputs = []
+        for i, (cwd, config) in enumerate(runs):
+            monkeypatch.chdir(cwd)
+            out = tmp_path / f"out{i}"
+            assert main(["experiment", "--config", config, "--out", str(out)]) == 0
+            outputs.append({
+                name: (out / name).read_bytes()
+                for name in ("results.json", "fmeasure_change.csv", "auc_change.csv",
+                             "fmeasure_change.md", "auc_change.md")
+            })
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0]["results.json"])["config"]["corpus"] == "corpus"
+
+    def test_bad_config_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data" / "empty").mkdir(parents=True)
         for text, error in (
             ("nonsense = 1\n", "line 1: unknown key 'nonsense'"),
             ("seed = 1\n", "missing key 'corpus'"),
             ("corpus =\n", "line 1: corpus: expected a directory, got ''"),
+            ("corpus = data/x\n", "corpus directory 'data/x' does not exist"),
+            ("corpus = data/empty\n", "no CSV datasets found in 'data/empty'"),
         ):
-            config.write_text(text)
-            rc = main(["experiment", "--config", str(config)])
+            Path("bad.cfg").write_text(text)
+            rc = main(["experiment", "--config", "bad.cfg"])
             assert rc == 1
             assert capsys.readouterr().err == f"error: bad.cfg: {error}\n"
+        assert not Path("experiment_report").exists()
 
 
 class TestTopLevel:

@@ -527,9 +527,16 @@ class TestCorpus:
             write_corpus(synthetic_corpus(seed=2), tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
-    def test_missing_directory(self, tmp_path):
-        with pytest.raises(CorpusError, match="does not exist"):
-            load_corpus(tmp_path / "nope")
+    def test_missing_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(CorpusError, match="^corpus directory 'nope' does not exist$"):
+            load_corpus("nope")
+        (tmp_path / "afile").write_text("not a directory\n")
+        with pytest.raises(CorpusError, match="^corpus directory 'afile' is not a directory$"):
+            load_corpus("afile")
+        (tmp_path / "a").mkdir()
+        with pytest.raises(CorpusError, match="^no CSV datasets found in 'a'$"):
+            load_corpus("a")
 
     def test_only_csv_files_are_datasets(self, tmp_path):
         (tmp_path / "notes.txt").write_text("not a dataset\n")

@@ -49,7 +49,7 @@ def golden_digests(out_dir) -> dict[str, str]:
         burak_k=5,
         forest_trees=3,
     )
-    write_experiment_reports(run_experiment(config, corpus=corpus), out_dir)
+    write_experiment_reports(run_experiment(config, corpus), out_dir)
     return {
         name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
         for name in GOLDEN

@@ -91,10 +91,10 @@ def shadow_corpus() -> Corpus:
 
 
 class TestParseConfig:
-    def test_full_round_trip(self, tmp_path):
+    def test_full_round_trip(self):
         text = """
         # experiment settings
-        corpus = data/corpus       # relative to the config file
+        corpus = data/corpus       # kept as written
         targets = a1.0, b2.0
         filters = burak, peters
         learners = naive_bayes
@@ -107,8 +107,8 @@ class TestParseConfig:
         clean_pool_only = true
         forest_trees = 25
         """
-        config = parse_config(text, base_dir=tmp_path)
-        assert config.corpus_dir == tmp_path / "data/corpus"
+        config = parse_config(text)
+        assert config.corpus_dir == Path("data/corpus")
         assert config.targets == ("a1.0", "b2.0")
         assert config.filters == ("burak", "peters")
         assert config.learners == ("naive_bayes",)
@@ -137,8 +137,9 @@ class TestParseConfig:
         assert config.sample_cap is None
 
     def test_absolute_corpus_path_kept(self, tmp_path):
-        config = parse_config(f"corpus = {tmp_path}\n", base_dir=tmp_path / "sub")
-        assert config.corpus_dir == tmp_path
+        assert parse_config(f"corpus = {tmp_path}\n").corpus_dir == tmp_path
+        # a relative path is kept too: the caller resolves it
+        assert parse_config("corpus = ../corpus\n").corpus_dir == Path("../corpus")
 
     @pytest.mark.parametrize(
         "text,message",
@@ -219,7 +220,7 @@ class TestParseConfig:
         configs = [
             ExperimentConfig(corpus_dir=None),
             ExperimentConfig(
-                corpus_dir=tmp_path / "corpus", targets=("b2.0", "a1.0"),
+                corpus_dir=Path("data/corpus"), targets=("b2.0", "a1.0"),
                 filters=("peters", "global"), learners=("random_forest",),
                 seed=-3, burak_k=7, peters_clusters=12, normalize=False,
                 pool_mode="mixed", sample_cap=500, clean_pool_only=True,
@@ -241,8 +242,7 @@ class TestParseConfig:
                 elif isinstance(value, list):
                     value = ", ".join(value)
                 lines.append(f"{key} = {value}")
-            # relative paths would resolve against base_dir; these are absolute
-            parsed = parse_config("\n".join(lines), base_dir=tmp_path / "elsewhere")
+            parsed = parse_config("\n".join(lines))
             assert parsed == config
 
 
@@ -332,7 +332,7 @@ def run_grid(corpus, **overrides) -> list:
     )
     defaults.update(overrides)
     config = ExperimentConfig(**defaults)
-    return run_experiment(config, corpus=corpus)
+    return run_experiment(config, corpus)
 
 
 class TestRunExperiment:
@@ -392,10 +392,6 @@ class TestRunExperiment:
     def test_unknown_target_rejected(self):
         with pytest.raises(CorpusError, match="nosuch"):
             run_grid(synthetic_corpus(seed=6), targets=("nosuch1.0",))
-
-    def test_no_corpus_anywhere(self):
-        with pytest.raises(ValueError, match="corpus"):
-            run_experiment(ExperimentConfig(corpus_dir=None))
 
     def test_cleaning_sensitivity(self):
         run = run_grid(sensitivity_corpus(), targets=("tgt1.0",),
@@ -761,7 +757,7 @@ from defectclean.harness import ExperimentConfig, run_experiment
 config = ExperimentConfig(
     corpus_dir=None, targets=("alpha1.1",), filters=("peters",), learners=("naive_bayes",),
 )
-run = run_experiment(config, corpus=synthetic_corpus(seed=3, cases=40))
+run = run_experiment(config, synthetic_corpus(seed=3, cases=40))
 assert run.results
 print(sorted({"numpy.ma", "concurrent.futures.process"} & set(sys.modules)))
 """

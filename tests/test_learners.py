@@ -35,7 +35,8 @@ from defectclean.learners.tree import (
     prune_tree,
 )
 
-from ._reference_tree import reference_grow, reference_predict, sorting_grow
+from ._reference_naive_bayes import reference_naive_bayes
+from ._reference_tree import reference_grow, reference_predict, reference_prune, sorting_grow
 from .conftest import case, dataset
 
 
@@ -265,6 +266,29 @@ class TestNaiveBayes:
         probs = model.predict_proba(X)
         assert np.isfinite(probs).all()
 
+    def test_posteriors_equal_plain_python_reference(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(12, 60)), int(rng.integers(2, 7))
+            # counts, sizes and ratios on their own scales, and one feature
+            # constant over every case, so the variance floor decides it
+            X = rng.gamma(1.5, 1.0, size=(n, d)) * 10.0 ** rng.integers(-1, 3, size=d)
+            constant, signal = seed % d, (seed + 1) % d
+            X[:, constant] = 3.0
+            y = X[:, signal] + rng.normal(0.0, X[:, signal].std(), n) > np.median(X[:, signal])
+            y[:2] = False, True  # both classes
+            queries = np.vstack([X, X[:10] * rng.uniform(0.5, 1.5, size=(10, d))])
+            queries[n:, constant] = 3.0
+            queries[-3:, constant] += 1e-5  # off the constant, where the floor matters
+            got = train_naive_bayes(matrix(X, y)).predict_proba(queries)
+            assert got.tolist() == pytest.approx(
+                reference_naive_bayes(X, y, queries), rel=1e-9, abs=0.0
+            )
+            for label in (False, True):  # single-class training
+                single = np.full(n, label)
+                got = train_naive_bayes(matrix(X, single)).predict_proba(queries)
+                assert got.tolist() == reference_naive_bayes(X, single, queries)
+
 def reachable_nodes(model: TreeModel) -> int:
     feature, _, left, right, _, _ = only_tree(model)
     count = 0
@@ -385,6 +409,22 @@ class TestDecisionTree:
         inner = np.flatnonzero(feature != -1)
         assert (left[inner] > inner).all()
         assert np.array_equal(right[inner], left[inner] + 1)
+
+    def test_pruning_equals_recursive_reference(self):
+        collapsed = kept = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, d = int(rng.integers(8, 90)), int(rng.integers(1, 5))
+            # few levels, so rows tie and repeat; labels follow the first
+            # feature through noise, so some splits are worth keeping
+            X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
+            y = (X[:, 0] >= 3) ^ (rng.random(n) < rng.uniform(0.0, 0.4))
+            grown = only_tree(unpruned_tree(matrix(X, y)))
+            expected = reference_prune(*grown)
+            same_arrays(prune_tree(*(a.copy() for a in grown)), expected)
+            collapsed += expected[0].shape[0] < grown[0].shape[0]
+            kept += expected[0][0] != -1
+        assert collapsed > 30 and kept > 30
 
     def test_feature_dimension_checked(self, rng):
         model = train_tree(separable(rng, n=10, d=4))

@@ -44,7 +44,7 @@ def run():
         forest_trees=3,
         seed=5,
     )
-    return run_experiment(config, corpus=corpus)
+    return run_experiment(config, corpus)
 
 
 class TestQualityReports:
@@ -197,7 +197,7 @@ class TestExperimentGrids:
             corpus_dir=None, targets=("mono1.0",), filters=("global",),
             learners=("naive_bayes",), forest_trees=3,
         )
-        run = run_experiment(config, corpus=corpus)
+        run = run_experiment(config, corpus)
         text = experiment_grid_csv(run, "auc")
         rows = list(csv.reader(text.splitlines()))
         assert rows[1][1] == "n/a"
